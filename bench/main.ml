@@ -409,103 +409,6 @@ let e10 () =
   run "win-cycle-32" W.win_program (W.edb_of ~pred:"move" (W.cycle 32))
 
 (* ------------------------------------------------------------------ *)
-(* E11 — hash-consing ablation: interned vs structural values.         *)
-
-let e11 () =
-  U.hr "E11: hash-consing ablation, interned vs structural values";
-  U.row "%-20s %8s %12s %14s %9s %9s %7s@." "workload" "|result|" "hashcons ms"
-    "structural ms" "speedup" "hit rate" "equal";
-  let no_defs = Algebra.Defs.make [] in
-  let run name mk_db expr =
-    (* Build the database inside the mode scope: values constructed under
-       [Off] must not be pre-interned, or the structural baseline would
-       silently inherit physical sharing from the consed kernel. *)
-    let eval ?fuel mode =
-      Value.Hashcons.with_mode mode @@ fun () ->
-      Algebra.Eval.eval ?fuel ~hashcons:mode no_defs (mk_db ()) expr
-    in
-    Value.Stats.reset_counters ();
-    let on_ms, on_v = U.time_ms (fun () -> eval Value.Hashcons.On) in
-    let stats = Value.Stats.snapshot () in
-    let off_ms, off_v = U.time_ms (fun () -> eval Value.Hashcons.Off) in
-    (* The kernel's contract: byte-identical sets, identical fuel, in
-       either mode. *)
-    assert (Value.equal on_v off_v);
-    let spent mode =
-      let fuel = Limits.of_int 1_000_000 in
-      ignore (eval ~fuel mode);
-      Limits.remaining fuel
-    in
-    assert (spent Value.Hashcons.On = spent Value.Hashcons.Off);
-    (* Collision audit for the FNV mixer: distinct result elements must
-       (almost) all carry distinct memoized hashes. *)
-    let elems = Value.elements on_v in
-    let n = List.length elems in
-    let distinct =
-      List.length (List.sort_uniq Int.compare (List.map Value.hash elems))
-    in
-    let collisions = n - distinct in
-    assert (collisions * 20 <= n);
-    let hit_rate =
-      let total = stats.Value.Stats.hits + stats.Value.Stats.misses in
-      if total = 0 then 0.0
-      else 100.0 *. float_of_int stats.Value.Stats.hits /. float_of_int total
-    in
-    let speedup = off_ms /. on_ms in
-    let sum = obs_summary (fun () -> eval Value.Hashcons.On) in
-    U.row "%-20s %8d %12.2f %14.2f %8.1fx %8.1f%% %7b@." name (Value.cardinal on_v)
-      on_ms off_ms speedup hit_rate true;
-    U.record
-      [ ("experiment", U.S "e11");
-        ("workload", U.S name);
-        ("cardinality", U.I (Value.cardinal on_v));
-        ("hashcons_ms", U.F on_ms);
-        ("structural_ms", U.F off_ms);
-        ("speedup", U.F speedup);
-        ("hit_rate", U.F hit_rate);
-        ("hash_collisions", U.I collisions);
-        ("agree", U.B true);
-        ("obs",
-         U.O
-           [ ("ifp_iters", U.I (Obs.Summary.counter_events sum "eval/ifp_iter"));
-             ("delta_sizes", obs_series sum "eval/ifp_delta") ]) ]
-  in
-  let peano_sizes = if U.is_smoke () then [ 24 ] else [ 24; 48; 96 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-peano-%d" n)
-        (fun () -> W.peano_db ~rel:"edge" (W.chain n))
-        W.tc_ifp)
-    peano_sizes;
-  let peano_cycle_sizes = if U.is_smoke () then [ 12 ] else [ 16; 24; 32 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-peano-cyc-%d" n)
-        (fun () -> W.peano_db ~rel:"edge" (W.cycle n))
-        W.tc_ifp)
-    peano_cycle_sizes;
-  let tagged_sizes = if U.is_smoke () then [ (12, 32) ] else [ (16, 64); (32, 64) ] in
-  List.iter
-    (fun (n, depth) ->
-      run
-        (Fmt.str "tc-tag%d-cyc-%d" depth n)
-        (fun () -> W.tagged_db ~rel:"edge" ~depth (W.cycle n))
-        W.tc_ifp)
-    tagged_sizes;
-  let tc_sizes = if U.is_smoke () then [ 32 ] else [ 48; 96; 192 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-chain-%d" n)
-        (fun () -> W.db_of ~rel:"edge" (W.chain n))
-        W.tc_ifp)
-    tc_sizes;
-  let sg_sizes = if U.is_smoke () then [ 15 ] else [ 15; 31; 63 ] in
-  List.iter
-    (fun n ->
-      run (Fmt.str "sg-tree-%d" n) (fun () -> W.db_of ~rel:"edge" (W.tree n)) W.sg_ifp)
-    sg_sizes
-
-(* ------------------------------------------------------------------ *)
 (* Micro-kernels through Bechamel's OLS analysis.                      *)
 
 let micro () =
@@ -744,7 +647,7 @@ let e13 () =
     (Printf.sprintf "tc_chain_%d" n)
     (fun () -> Algebra.Eval.eval ~strategy:naive no_defs chain_db W.tc_ifp)
     ~equal:Value.equal ~fingerprint:Value.hash;
-  (* 2. Deep-constructor TC on a cycle (E11's shape): every probe
+  (* 2. Deep-constructor TC on a cycle: every probe
      carries Peano terms, so the parallel partitions do real work. *)
   let pn = if U.is_smoke () then 16 else 32 in
   let peano_db = W.peano_db ~rel:"edge" (W.cycle pn) in
@@ -1243,7 +1146,7 @@ let e16 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
   ]
 

@@ -41,30 +41,19 @@ let half_cyclic n =
 
 (* --- deep constructor terms --- *)
 
-(* Peano numeral succ^i(zero): a depth-[i] constructor term. Structural
-   equality/hashing walks all [i] levels; the hash-consed kernel answers
-   both in O(1). *)
+(* Peano numeral succ^i(zero): a depth-[i] constructor term. The
+   hash-consed kernel answers equality and hashing on it in O(1). *)
 let peano i =
   let rec go acc i = if i = 0 then acc else go (Value.cstr "succ" [ acc ]) (i - 1) in
   go (Value.cstr "zero" []) i
 
 (* Edge relations over Peano nodes: an int graph with node [i] replaced
    by [succ^i(zero)]. Transitive closure then joins, deduplicates and
-   sorts depth-O(n) terms every round — the hash-consing stress
-   workload. On a cycle every tc pair is re-derived round after round,
-   so deduplication performs deep equal-compares en masse. *)
+   sorts depth-O(n) terms every round. On a cycle every tc pair is
+   re-derived round after round. *)
 let peano_db ~rel edges =
   Algebra.Db.of_list
     [ (rel, List.map (fun (a, b) -> Value.pair (peano a) (peano b)) edges) ]
-
-(* Nodes [node(i, succ^depth(zero))]: distinct nodes differ at the root
-   (ordering them is O(1) in either mode), while checking two copies of
-   the same node equal walks the whole payload structurally — isolating
-   exactly the cost hash-consing removes. *)
-let tagged_db ~rel ~depth edges =
-  let node i = Value.cstr "node" [ vi i; peano depth ] in
-  Algebra.Db.of_list
-    [ (rel, List.map (fun (a, b) -> Value.pair (node a) (node b)) edges) ]
 
 let edb_of ~pred edges =
   List.fold_left

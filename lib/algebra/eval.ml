@@ -4,17 +4,8 @@ module Obs = Recalg_obs.Obs
 exception Undefined_relation of string
 exception Recursive_definition of string
 
-(* [?hashcons] scopes a Value.Hashcons mode over one evaluation — the
-   ablation/escape hatch mirroring [~strategy] and [~join]; [None] leaves
-   the ambient mode untouched. *)
-let scoped hashcons f =
-  match hashcons with
-  | None -> f ()
-  | Some mode -> Value.Hashcons.with_mode mode f
-
 let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?hashcons ?(advice = Advice.none) defs db expr =
-  scoped hashcons @@ fun () ->
+    ?(join = Join.Fused) ?(advice = Advice.none) defs db expr =
   Obs.span "eval" @@ fun () ->
   let builtins = Defs.builtins defs in
   (* The rewrite runs after inlining, so the planner's per-node decision
@@ -181,5 +172,5 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
   in
   go [] [] (advise (Defs.inline defs expr))
 
-let eval_closed ?fuel ?strategy ?join ?hashcons ?advice db expr =
-  eval ?fuel ?strategy ?join ?hashcons ?advice (Defs.make []) db expr
+let eval_closed ?fuel ?strategy ?join ?advice db expr =
+  eval ?fuel ?strategy ?join ?advice (Defs.make []) db expr

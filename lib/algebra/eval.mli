@@ -15,7 +15,6 @@ val eval :
   ?fuel:Limits.fuel ->
   ?strategy:Delta.strategy ->
   ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -36,11 +35,6 @@ val eval :
     materialises the product and filters. The two modes return
     byte-identical values and spend identical fuel.
 
-    [hashcons] scopes {!Value.Hashcons.with_mode} over the evaluation —
-    [Off] is the structural-equality ablation baseline; omitted, the
-    ambient mode is left untouched. Either mode returns byte-identical
-    values and spends identical fuel.
-
     [advice] (default {!Advice.none}) installs planner hooks: the
     rewrite runs on every inlined expression before it is walked, and
     the per-node overrides replace [join]/[strategy] at individual
@@ -51,7 +45,6 @@ val eval_closed :
   ?fuel:Limits.fuel ->
   ?strategy:Delta.strategy ->
   ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Db.t ->
   Expr.t ->

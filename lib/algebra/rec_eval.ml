@@ -157,17 +157,8 @@ let clip window v =
   | None -> v
   | Some u -> Value.inter v u
 
-(* [?hashcons] scopes a Value.Hashcons mode over one solve/eval — the
-   ablation/escape hatch mirroring [~strategy] and [~join]; [None] leaves
-   the ambient mode untouched. *)
-let scoped hashcons f =
-  match hashcons with
-  | None -> f ()
-  | Some mode -> Value.Hashcons.with_mode mode f
-
 let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?hashcons ?(advice = Advice.none) defs db =
-  scoped hashcons @@ fun () ->
+    ?(join = Join.Fused) ?(advice = Advice.none) defs db =
   Obs.span "rec_eval" @@ fun () ->
   let inlined = Defs.inline_all defs in
   let builtins = Defs.builtins inlined in
@@ -312,8 +303,7 @@ let constant sol name =
 
 let rounds sol = sol.rounds
 
-let eval ?fuel ?window ?strategy ?join ?hashcons ?advice defs db expr =
-  scoped hashcons @@ fun () ->
+let eval ?fuel ?window ?strategy ?join ?advice defs db expr =
   let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
   let inlined_expr = Defs.inline sol.defs (Defs.inline defs expr) in
   let inlined_expr =
@@ -323,8 +313,7 @@ let eval ?fuel ?window ?strategy ?join ?hashcons ?advice defs db expr =
   eval_vset (Defs.builtins sol.defs) sol.db sol.lows sol.highs sol.fuel sol.strategy
     sol.join sol.advice [] inlined_expr
 
-let well_defined ?fuel ?window ?strategy ?join ?hashcons ?advice defs db =
-  scoped hashcons @@ fun () ->
+let well_defined ?fuel ?window ?strategy ?join ?advice defs db =
   let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
   List.for_all
     (fun name -> is_defined (constant sol name))

@@ -43,7 +43,6 @@ val solve :
   ?window:Value.t ->
   ?strategy:Delta.strategy ->
   ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -69,11 +68,6 @@ val solve :
     (see {!Join}); [Unfused] materialises products and filters. Both
     modes compute byte-identical bounds and spend identical fuel.
 
-    [hashcons] scopes {!Value.Hashcons.with_mode} over the computation —
-    [Off] is the structural-equality ablation baseline; omitted, the
-    ambient mode is left untouched. Either mode computes byte-identical
-    bounds and spends identical fuel.
-
     [advice] (default {!Advice.none}) installs planner hooks: every
     constant body is rewritten once before solving, and the per-node
     overrides apply to both bounds of each advised node. Any advice
@@ -90,7 +84,6 @@ val eval :
   ?window:Value.t ->
   ?strategy:Delta.strategy ->
   ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -103,7 +96,6 @@ val well_defined :
   ?window:Value.t ->
   ?strategy:Delta.strategy ->
   ?join:Join.mode ->
-  ?hashcons:Value.Hashcons.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->

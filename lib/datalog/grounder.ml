@@ -306,14 +306,8 @@ let flush_probe_counters st =
     Obs.count "ground/rules" (List.length st.ground_rules)
   end
 
-let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?hashcons
-    ?order program edb =
-  (* Scope the hash-consing mode over the whole grounding — the
-     ablation/escape hatch mirroring [~strategy]. *)
-  (match hashcons with
-  | None -> fun f -> f ()
-  | Some mode -> Value.Hashcons.with_mode mode)
-  @@ fun () ->
+let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?order program
+    edb =
   Obs.span "ground" @@ fun () ->
   let st = fresh_state ~fuel program in
   seed_axioms st edb;

@@ -18,18 +18,12 @@ exception Unsafe of string
 val ground :
   ?fuel:Recalg_kernel.Limits.fuel ->
   ?strategy:[ `Seminaive | `Naive ] ->
-  ?hashcons:Recalg_kernel.Value.Hashcons.mode ->
   ?order:[ `Syntactic | `Stats ] ->
   Program.t -> Edb.t -> Propgm.t
 (** [strategy] (default [`Seminaive]) selects delta-restricted
     instantiation or full re-instantiation every round — the two produce
     identical propositional programs; the naive mode exists for the
     engine-ablation benchmark.
-
-    [hashcons] scopes {!Recalg_kernel.Value.Hashcons.with_mode} over the
-    grounding — [Off] is the structural-equality ablation baseline;
-    omitted, the ambient mode is left untouched. Either mode produces an
-    identical propositional program.
 
     [order] (default [`Syntactic]) selects the body-literal ordering:
     [`Stats] ranks evaluable literals by {!Cardest} envelope estimates,

@@ -12,23 +12,16 @@ and node =
 let node v = v.node
 let id v = v.id
 
-(* When [enabled], construction interns into the global table and
-   [equal]/[compare]/[hash] exploit physical sharing and the memoized
-   hash field.  When off ([Hashcons.Off], the ablation baseline), they
-   pay the seed's full structural walks instead — every operation still
-   returns the *same answer* in either mode, only the cost differs. *)
-let enabled = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Structural order.  Must match the seed's order exactly (the Set
    canonical form and Value.product's sorted-output trick depend on it):
    Int < Str < Bool < Sym < Tuple < Set < Cstr, lexicographic children.
-   [compare_fast] short-circuits on physical equality at every level, so
-   with hash-consing on, comparing values that share subterms never
-   re-walks them; [compare_structural] is the seed's walk, kept for the
-   [Off] cost model. The two compute identical orderings. *)
+   The physical-equality check at every level means comparing values
+   that share subterms never re-walks them. *)
 
-let rec compare_node cmp na nb =
+let rec compare a b = if a == b then 0 else compare_node a.node b.node
+
+and compare_node na nb =
   match na, nb with
   | Int x, Int y -> Stdlib.compare x y
   | Int _, _ -> -1
@@ -42,48 +35,41 @@ let rec compare_node cmp na nb =
   | Sym x, Sym y -> String.compare x y
   | Sym _, _ -> -1
   | _, Sym _ -> 1
-  | Tuple x, Tuple y -> compare_list cmp x y
+  | Tuple x, Tuple y -> compare_list x y
   | Tuple _, _ -> -1
   | _, Tuple _ -> 1
-  | Set x, Set y -> compare_list cmp x y
+  | Set x, Set y -> compare_list x y
   | Set _, _ -> -1
   | _, Set _ -> 1
   | Cstr (f, x), Cstr (g, y) ->
     let c = String.compare f g in
-    if c <> 0 then c else compare_list cmp x y
+    if c <> 0 then c else compare_list x y
 
-and compare_list cmp xs ys =
+and compare_list xs ys =
   match xs, ys with
   | [], [] -> 0
   | [], _ :: _ -> -1
   | _ :: _, [] -> 1
   | x :: xs', y :: ys' ->
-    let c = cmp x y in
-    if c <> 0 then c else compare_list cmp xs' ys'
+    let c = compare x y in
+    if c <> 0 then c else compare_list xs' ys'
 
-let rec compare_fast a b =
-  if a == b then 0 else compare_node compare_fast a.node b.node
-
-let rec compare_structural a b = compare_node compare_structural a.node b.node
-
-let compare a b =
-  if !enabled then compare_fast a b else compare_structural a b
-
-let equal a b =
-  if !enabled then a == b || (a.hash = b.hash && compare_fast a b = 0)
-  else compare_structural a b = 0
+(* Every constructor interns (see [make]), so structurally equal values
+   are one node. *)
+let equal a b = a == b
 
 (* ------------------------------------------------------------------ *)
 (* Hashing.  FNV-1a over constructor tag and the children's *memoized*
    hashes — computing a node's hash is O(arity), never a deep walk.  The
    id is deliberately absent: hashes must be reproducible across runs
-   and equal for structurally equal values in either hash-consing mode. *)
+   (persisted stats files key on them). *)
 
 let fnv_offset = 0x811c9dc5
 let fnv_prime = 0x01000193
 let mix h k = ((h lxor k) * fnv_prime) land max_int
-let memo_fold h v = mix h v.hash
-let hash_children seed xs = List.fold_left memo_fold (mix fnv_offset seed) xs
+let hash v = v.hash
+let hash_fold h v = mix h v.hash
+let hash_children seed xs = List.fold_left hash_fold (mix fnv_offset seed) xs
 
 let node_hash n =
   match n with
@@ -93,25 +79,7 @@ let node_hash n =
   | Sym s -> mix (mix fnv_offset 11) (Hashtbl.hash s)
   | Tuple xs -> hash_children 13 xs
   | Set xs -> hash_children 17 xs
-  | Cstr (f, xs) -> List.fold_left memo_fold (mix (mix fnv_offset 19) (Hashtbl.hash f)) xs
-
-(* Full structural rehash — by induction it returns exactly the memoized
-   field, so a value hashed under [Off] and probed under [On] (or vice
-   versa) lands in the same bucket; only the cost differs.  Leaves read
-   the field directly: it was computed from the payload alone. *)
-let rec deep_hash v =
-  match v.node with
-  | Int _ | Str _ | Bool _ | Sym _ -> v.hash
-  | Tuple xs -> deep_children 13 xs
-  | Set xs -> deep_children 17 xs
-  | Cstr (f, xs) ->
-    List.fold_left deep_fold (mix (mix fnv_offset 19) (Hashtbl.hash f)) xs
-
-and deep_fold h v = mix h (deep_hash v)
-and deep_children seed xs = List.fold_left deep_fold (mix fnv_offset seed) xs
-
-let hash v = if !enabled then v.hash else deep_hash v
-let hash_fold h v = mix h (hash v)
+  | Cstr (f, xs) -> List.fold_left hash_fold (mix (mix fnv_offset 19) (Hashtbl.hash f)) xs
 
 (* ------------------------------------------------------------------ *)
 (* The hash-consing table.  Keys are nodes whose children are already
@@ -147,7 +115,10 @@ end)
 (* The table is sharded so concurrent domains (Pool workers) intern
    without a global bottleneck. The shard is chosen by the node's
    structural FNV-1a hash, so where a value lands is deterministic and
-   scheduling-independent; each shard carries its own mutex, taken only
+   scheduling-independent. It reads bits 24..29 of the hash: each
+   shard's Hashtbl indexes buckets by the hash's low bits, so choosing
+   the shard from those same bits would leave every shard using only
+   1/64 of its buckets. Each shard carries its own mutex, taken only
    while the pool is live ([Pool.parallel ()]), so single-domain runs
    pay no synchronisation at all. Ids come from one atomic counter:
    unique across domains, but assignment *order* depends on scheduling
@@ -180,11 +151,6 @@ let shards =
 
 let next_id = Atomic.make 0
 
-let stamp_hashed n h =
-  { node = n; id = Atomic.fetch_and_add next_id 1; hash = h }
-
-let stamp n = stamp_hashed n (node_hash n)
-
 let intern shard n h =
   match Tbl.find_opt shard.table n with
   | Some v ->
@@ -192,51 +158,30 @@ let intern shard n h =
     v
   | None ->
     shard.misses <- shard.misses + 1;
-    let v = stamp_hashed n h in
+    let v = { node = n; id = Atomic.fetch_and_add next_id 1; hash = h } in
     Tbl.add shard.table n v;
     v
 
 let make n =
-  if !enabled then begin
-    (* Chaos probe sits before the shard lock on purpose: an injected
-       intern fault must propagate with every mutex released, so a
-       faulted parallel run can keep interning afterwards. *)
-    Faultinj.hit "value/intern";
-    let h = node_hash n in
-    let shard = shards.(h land (shard_count - 1)) in
-    if Pool.parallel () then begin
-      if not (Mutex.try_lock shard.lock) then begin
-        Atomic.incr shard.contended;
-        Mutex.lock shard.lock
-      end;
-      let v = intern shard n h in
-      Mutex.unlock shard.lock;
-      v
-    end
-    else intern shard n h
+  (* Chaos probe sits before the shard lock on purpose: an injected
+     intern fault must propagate with every mutex released, so a
+     faulted parallel run can keep interning afterwards. *)
+  Faultinj.hit "value/intern";
+  let h = node_hash n in
+  let shard = shards.((h lsr 24) land (shard_count - 1)) in
+  if Pool.parallel () then begin
+    if not (Mutex.try_lock shard.lock) then begin
+      Atomic.incr shard.contended;
+      Mutex.lock shard.lock
+    end;
+    let v = intern shard n h in
+    Mutex.unlock shard.lock;
+    v
   end
-  else stamp n
-
-module Hashcons = struct
-  type mode = On | Off
-
-  let mode () = if !enabled then On else Off
-
-  let set_mode m =
-    enabled :=
-      (match m with
-      | On -> true
-      | Off -> false)
-
-  let with_mode m f =
-    let saved = mode () in
-    set_mode m;
-    Fun.protect ~finally:(fun () -> set_mode saved) f
-end
+  else intern shard n h
 
 module Stats = struct
   type snapshot = {
-    enabled : bool;
     live : int;
     buckets : int;
     max_bucket : int;
@@ -265,7 +210,6 @@ module Stats = struct
         contended := !contended + Atomic.get sh.contended)
       shards;
     {
-      enabled = !enabled;
       live = !live;
       buckets = !buckets;
       max_bucket = !max_bucket;
@@ -286,11 +230,9 @@ module Stats = struct
 
   let pp ppf s =
     Fmt.pf ppf
-      "@[<v>hashcons: %s@,\
-       live nodes: %d (in %d buckets over %d shards, longest chain %d)@,\
+      "@[<v>live nodes: %d (in %d buckets over %d shards, longest chain %d)@,\
        hits: %d  misses: %d  (hit rate %.1f%%)  lock contention: %d@,\
        ids stamped: %d@]"
-      (if s.enabled then "on" else "off")
       s.live s.buckets s.shards s.max_bucket s.hits s.misses
       (if s.hits + s.misses = 0 then 0.
        else 100. *. float_of_int s.hits /. float_of_int (s.hits + s.misses))

@@ -13,9 +13,8 @@
     on set element types (Section 2.1, footnote 1).
 
     Every value is a node stamped with a unique [id] and a precomputed
-    [hash]; with hash-consing enabled (the default) the smart constructors
-    intern each node in a global table, so structurally equal values are
-    physically equal, [equal] is (up to a hash prefilter) a pointer
+    [hash]; the smart constructors intern each node in a global table, so
+    structurally equal values are physically equal, [equal] is a pointer
     comparison, [hash] is a field read, and [compare] short-circuits on
     shared subterms. The [id] is a construction-order stamp: stable within
     a run, not across runs — it must never influence ordering or any
@@ -37,8 +36,8 @@ val node : t -> node
     constructors. *)
 
 val id : t -> int
-(** Unique stamp of the node. With hash-consing on, structurally equal
-    values share one id; ids are assigned in construction order (from
+(** Unique stamp of the node. Structurally equal values share one id;
+    ids are assigned in construction order (from
     one atomic counter, so they stay unique under concurrent interning
     from pool domains) and are not stable across runs. No observable
     result may depend on them — {!compare} and {!hash} never do. *)
@@ -67,59 +66,33 @@ val ff : t
 val compare : t -> t -> int
 (** Structural total order: [Int < Str < Bool < Sym < Tuple < Set < Cstr],
     lexicographic on children. The order itself never consults ids or
-    hashes. With hash-consing on, physically equal (sub)terms compare [0]
-    without a walk; under {!Hashcons.Off} the full structural walk of the
-    seed is performed — same ordering, baseline cost. *)
+    hashes; physically equal (sub)terms compare [0] without a walk. *)
 
 val equal : t -> t -> bool
-(** With hash-consing on: physical equality, then hash prefilter, then
-    structural walk (the fallbacks cover values built under
-    {!Hashcons.Off} and mode mixing). Under [Off]: a pure structural
-    comparison, the ablation baseline. Both return the same boolean. *)
+(** Physical equality. Every value is interned, so it coincides with
+    structural equality. *)
 
 val hash : t -> int
-(** With hash-consing on, the memoized hash — a field read, never a
-    re-walk. Under {!Hashcons.Off}, a full structural rehash that returns
-    the identical number (so tables survive mode mixing) at the seed's
-    O(size) cost. *)
+(** The memoized structural FNV-1a hash: a field read, never a re-walk.
+    It depends on structure alone, never on ids, so it is the same in
+    every run; persisted stats files rely on that. *)
 
 val hash_fold : int -> t -> int
 (** [hash_fold acc v] mixes {!hash}[ v] into [acc] with the same FNV-style
     mixer used internally; the building block for hashing aggregates
     (fact tuples, join keys) without re-walking values. *)
 
-(** {1 Hash-consing control} *)
-
-module Hashcons : sig
-  type mode =
-    | On  (** intern every node: structural equality = physical equality *)
-    | Off
-        (** structural fallback: nodes are stamped but not shared — the
-            benchmark/ablation baseline *)
-
-  val mode : unit -> mode
-  val set_mode : mode -> unit
-
-  val with_mode : mode -> (unit -> 'a) -> 'a
-  (** Run a thunk under the given mode, restoring the previous mode on
-      exit (also on exceptions). Values built under [Off] are not in the
-      table, so physical equality with later [On]-mode values is not
-      guaranteed — [equal]/[compare]/[hash] remain correct regardless.
-      The mode is global: switch it only from the main domain, outside
-      any {!Pool} task. *)
-end
-
 (** {1 Instrumentation} *)
 
+(** Counters of the intern table. *)
 module Stats : sig
   type snapshot = {
-    enabled : bool;  (** current {!Hashcons.mode} *)
     live : int;  (** nodes interned in the table *)
-    buckets : int;  (** table bucket count *)
-    max_bucket : int;  (** longest bucket chain *)
+    buckets : int;  (** table bucket count, summed over shards *)
+    max_bucket : int;  (** longest bucket chain in any shard *)
     hits : int;  (** constructor calls answered from the table *)
     misses : int;  (** constructor calls that interned a fresh node *)
-    total_ids : int;  (** ids ever stamped, including [Off]-mode builds *)
+    total_ids : int;  (** ids ever stamped; every stamp is an intern *)
     shards : int;  (** intern-table shards (fixed; selected by hash) *)
     contended : int;
         (** shard-lock acquisitions that found the lock held by another

@@ -137,9 +137,6 @@ let gauge_max t name =
   | Some g when g.samples > 0 -> Some g.max_v
   | Some _ | None -> None
 
-let fold_gauges f t acc =
-  Hashtbl.fold (fun name g acc -> f name ~last:g.last ~max:g.max_v acc) t.gauges acc
-
 let sorted_bindings tbl =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)

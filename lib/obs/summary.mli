@@ -55,11 +55,6 @@ val gauge_samples : t -> string -> int
 val gauge_last : t -> string -> float option
 val gauge_max : t -> string -> float option
 
-val fold_gauges :
-  (string -> last:float -> max:float -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over all recorded gauges in unspecified order — how the planner
-    harvests [db/card/*] cardinality gauges from a prior run's summary. *)
-
 val pp : Format.formatter -> t -> unit
 (** The EXPLAIN-style table: one section for spans, one for counters,
     one for gauges; names sorted, so output is deterministic up to

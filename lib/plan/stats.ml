@@ -1,6 +1,5 @@
 open Recalg_kernel
 module Db = Recalg_algebra.Db
-module Summary = Recalg_obs.Summary
 module Metrics = Recalg_obs.Metrics
 
 type rel = {
@@ -77,34 +76,15 @@ let of_db ?(sample = default_sample) db =
       | None -> acc)
     empty (Db.rels db)
 
-(* Harvest a prior run's [db/card/<name>] gauges (emitted by the
-   evaluators on every base-relation resolution). Cardinality only — no
-   fingerprint, no per-column distincts — so these entries estimate but
-   never win a staleness check against a live value. *)
+(* Harvest the live metrics registry mid-run: the [db/card/<name>]
+   gauges the evaluators emit on every base-relation resolution, read at
+   a fixpoint-round boundary. Cardinality only — no fingerprint, no
+   per-column distincts. Entries that carry real identity (a fingerprint
+   from a sampling pass, or sampled distincts) are kept — a live
+   card-only reading estimates, it never outranks a measured one — so
+   refreshing only ever fills gaps. *)
 let card_gauge_prefix = "db/card/"
 
-let of_summary summary =
-  Summary.fold_gauges
-    (fun name ~last ~max:_ acc ->
-      let plen = String.length card_gauge_prefix in
-      if
-        String.length name > plen
-        && String.equal (String.sub name 0 plen) card_gauge_prefix
-      then
-        let rel_name = String.sub name plen (String.length name - plen) in
-        Smap.add rel_name
-          { card = int_of_float last; fingerprint = 0; sampled = 0; distinct = [] }
-          acc
-      else acc)
-    summary empty
-
-(* Harvest the *live* metrics registry mid-run: the same [db/card/*]
-   gauges as {!of_summary}, but read from the retained registry at a
-   fixpoint-round boundary instead of from a finished run's summary.
-   Entries that carry real identity (a fingerprint from a sampling pass,
-   or sampled distincts) are kept — a live card-only reading estimates,
-   it never outranks a measured one — so refreshing only ever fills
-   gaps. *)
 let refresh_live ?snapshot t =
   let sn = match snapshot with Some s -> s | None -> Metrics.snapshot () in
   Metrics.fold_gauges

@@ -626,73 +626,6 @@ let prop_fused_rec_eval_equals_unfused =
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
 
-(* --- Hash-consing ablation (Value.Hashcons) --- *)
-
-let prop_hashconsed_eval_equals_structural =
-  (* The kernel-equivalence property behind experiment E11: evaluation
-     with interned values returns byte-identical sets and spends
-     identical fuel as the structural baseline. *)
-  QCheck.Test.make ~name:"hash-consed eval = structural (value and fuel)"
-    ~count:150
-    QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (body, edges) ->
-      let e = Expr.ifp "x" body in
-      let run mode =
-        (* Build the database inside the mode scope so the Off run works
-           on genuinely unshared values. *)
-        Value.Hashcons.with_mode mode @@ fun () ->
-        let db =
-          Db.of_list
-            [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-        in
-        let fuel = Limits.of_int 400 in
-        try
-          Ok (Eval.eval ~fuel ~hashcons:mode no_defs db e, Limits.remaining fuel)
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run Value.Hashcons.On, run Value.Hashcons.Off) with
-      | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
-let prop_hashconsed_rec_eval_equals_structural =
-  (* Same equivalence for the three-valued alternating fixpoint. *)
-  QCheck.Test.make ~name:"hash-consed rec_eval = structural (bounds and fuel)"
-    ~count:80
-    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
-    (fun (b1, b2, edges) ->
-      let subst to_ e =
-        Expr.map_rels (fun n -> Expr.rel (if n = "x" then to_ else n)) e
-      in
-      let defs =
-        Defs.make
-          [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
-      in
-      let run mode =
-        Value.Hashcons.with_mode mode @@ fun () ->
-        let db =
-          Db.of_list
-            [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
-        in
-        let fuel = Limits.of_int 5000 in
-        try
-          let sol = Rec_eval.solve ~fuel ~hashcons:mode defs db in
-          Ok
-            ( Rec_eval.constant sol "c",
-              Rec_eval.constant sol "d",
-              Limits.remaining fuel )
-        with Limits.Diverged _ -> Error `Diverged
-      in
-      match (run Value.Hashcons.On, run Value.Hashcons.Off) with
-      | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
-        Value.equal c1.Rec_eval.low c2.Rec_eval.low
-        && Value.equal c1.Rec_eval.high c2.Rec_eval.high
-        && Value.equal d1.Rec_eval.low d2.Rec_eval.low
-        && Value.equal d1.Rec_eval.high d2.Rec_eval.high
-        && f1 = f2
-      | Error `Diverged, Error `Diverged -> true
-      | _ -> false)
-
 let suite =
   suite
   @ [
@@ -709,6 +642,4 @@ let suite =
         test_join_exec_matches_filter;
       QCheck_alcotest.to_alcotest prop_fused_eval_equals_unfused;
       QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
-      QCheck_alcotest.to_alcotest prop_hashconsed_eval_equals_structural;
-      QCheck_alcotest.to_alcotest prop_hashconsed_rec_eval_equals_structural;
     ]

@@ -409,38 +409,6 @@ let prop_negation_free_semantics_coincide =
              a = b)
            (Program.idb_preds program))
 
-(* --- Hash-consing ablation on the full pipeline --- *)
-
-let prop_grounder_hashcons_identical =
-  (* Grounding with interned and with structural values must emit the
-     identical propositional program: same atoms under the same ids, same
-     rule count. *)
-  QCheck.Test.make ~name:"grounder: hash-consed = structural program" ~count:80
-    Tgen.rand_instance_arb (fun (program, edges) ->
-      let ground mode =
-        Value.Hashcons.with_mode mode @@ fun () ->
-        Grounder.ground ~hashcons:mode program (Tgen.e_edb edges)
-      in
-      let a = ground Value.Hashcons.On
-      and b = ground Value.Hashcons.Off in
-      Propgm.n_atoms a = Propgm.n_atoms b
-      && Array.length a.Propgm.rules = Array.length b.Propgm.rules
-      && List.for_all
-           (fun i ->
-             Propgm.fact_equal (Propgm.fact_of_id a i) (Propgm.fact_of_id b i))
-           (List.init (Propgm.n_atoms a) Fun.id))
-
-let prop_hashconsed_valid_equals_structural =
-  (* E11's pipeline face: ground + valid semantics computes the same
-     interpretation whether values are interned or structural. *)
-  QCheck.Test.make ~name:"valid pipeline: hash-consed = structural" ~count:80
-    Tgen.rand_instance_arb (fun (program, edges) ->
-      let run mode =
-        Value.Hashcons.with_mode mode @@ fun () ->
-        Run.valid program (Tgen.e_edb edges)
-      in
-      Interp.equal (run Value.Hashcons.On) (run Value.Hashcons.Off))
-
 let suite =
   [
     Alcotest.test_case "dterm eval" `Quick test_dterm_eval;
@@ -485,8 +453,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stable_extends_wf;
     QCheck_alcotest.to_alcotest prop_stratified_total;
     QCheck_alcotest.to_alcotest prop_negation_free_semantics_coincide;
-    QCheck_alcotest.to_alcotest prop_grounder_hashcons_identical;
-    QCheck_alcotest.to_alcotest prop_hashconsed_valid_equals_structural;
   ]
 
 (* Example 1's first definition style: an auxiliary function F(i)

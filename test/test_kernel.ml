@@ -178,23 +178,30 @@ let test_stats () =
   Alcotest.(check bool) "physically shared" true (v == v');
   Alcotest.(check bool) "live nodes positive" true (s2.Value.Stats.live > 0);
   Alcotest.(check bool) "ids stamped covers live" true
-    (s2.Value.Stats.total_ids >= s2.Value.Stats.live);
-  Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-      Alcotest.(check bool) "mode off visible in snapshot" false
-        (Value.Stats.snapshot ()).Value.Stats.enabled);
-  Alcotest.(check bool) "mode restored" true
-    (Value.Stats.snapshot ()).Value.Stats.enabled
+    (s2.Value.Stats.total_ids >= s2.Value.Stats.live)
 
-let test_hashcons_off () =
-  let mk () = Value.cstr "f" [ vi 1; vset [ vi 1; vi 2 ] ] in
-  let a = mk () in
-  Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-      let b = mk () in
-      Alcotest.(check bool) "off-mode build not interned" false (a == b);
-      Alcotest.(check bool) "distinct ids" true (Value.id a <> Value.id b);
-      Alcotest.(check bool) "still equal" true (Value.equal a b);
-      Alcotest.(check int) "compare agrees" 0 (Value.compare a b);
-      Alcotest.(check int) "same hash" (Value.hash a) (Value.hash b))
+(* The shard index must not reuse the hash bits each shard's Hashtbl
+   reads for its bucket index, or every shard fills only 1/64 of its
+   buckets and chains grow ~64x longer. *)
+let test_intern_shard_spread () =
+  for i = 0 to 49_999 do
+    ignore (Value.pair (vi (3_000_000 + i)) (vi (-i)))
+  done;
+  let s = Value.Stats.snapshot () in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest chain %d <= 16" s.Value.Stats.max_bucket)
+    true
+    (s.Value.Stats.max_bucket <= 16)
+
+(* [Value.hash] is persisted by [--stats-file] fingerprints, so it must
+   not drift between runs or releases. *)
+let test_hash_golden () =
+  let pin name expected v = Alcotest.(check int) name expected (Value.hash v) in
+  pin "int" 3770334500153769531 (vi 42);
+  pin "str" 3781613641938519860 (Value.str "recalg");
+  pin "pair" 1819254842123834088 (Value.pair (vi 1) (Value.sym "a"));
+  pin "set" 1159211840616532020 (vset [ vi 3; vi 1; vi 2 ]);
+  pin "cstr" 1455975386592306160 (Value.cstr "succ" [ Value.cstr "0" [] ])
 
 (* Reference structural order — the seed's definition, reimplemented
    independently of the kernel: Int < Str < Bool < Sym < Tuple < Set <
@@ -250,25 +257,12 @@ let prop_intern_physical =
     (fun (x, y) -> rebuild x == x && Value.equal x y = (x == y))
 
 let prop_compare_reference =
-  (* The kernel's compare (physical fast path) and its Off-mode walk both
-     agree in sign with the independent structural reference. *)
+  (* The kernel's compare (physical fast path) agrees in sign with the
+     independent structural reference. *)
   let sign c = Stdlib.compare c 0 in
   QCheck.Test.make ~name:"compare agrees with structural reference" ~count:300
     QCheck.(pair Tgen.deep_value_arb Tgen.deep_value_arb)
-    (fun (x, y) ->
-      sign (Value.compare x y) = sign (ref_compare x y)
-      && Value.Hashcons.with_mode Value.Hashcons.Off (fun () ->
-             sign (Value.compare x y) = sign (ref_compare x y)))
-
-let prop_hash_mode_agree =
-  (* hash returns the same number whether it reads the memo (On) or
-     re-walks the structure (Off); equal values hash equally. *)
-  QCheck.Test.make ~name:"hash: memoized = structural re-walk" ~count:300
-    QCheck.(pair Tgen.deep_value_arb Tgen.deep_value_arb)
-    (fun (x, y) ->
-      Value.hash x
-      = Value.Hashcons.with_mode Value.Hashcons.Off (fun () -> Value.hash x)
-      && ((not (Value.equal x y)) || Value.hash x = Value.hash y))
+    (fun (x, y) -> sign (Value.compare x y) = sign (ref_compare x y))
 
 let prop_parser_reinterns =
   (* Printing a value and parsing it back re-interns every node: the
@@ -485,11 +479,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_union_all_fold;
     QCheck_alcotest.to_alcotest prop_mem_union;
     QCheck_alcotest.to_alcotest prop_kleene_monotone;
-    Alcotest.test_case "hashcons stats" `Quick test_stats;
-    Alcotest.test_case "hashcons off mode" `Quick test_hashcons_off;
+    Alcotest.test_case "intern stats" `Quick test_stats;
+    Alcotest.test_case "intern shards spread buckets" `Quick test_intern_shard_spread;
+    Alcotest.test_case "hash golden pins" `Quick test_hash_golden;
     QCheck_alcotest.to_alcotest prop_intern_physical;
     QCheck_alcotest.to_alcotest prop_compare_reference;
-    QCheck_alcotest.to_alcotest prop_hash_mode_agree;
     QCheck_alcotest.to_alcotest prop_parser_reinterns;
     QCheck_alcotest.to_alcotest prop_mem_reference;
     QCheck_alcotest.to_alcotest prop_inter_diff_reference;
