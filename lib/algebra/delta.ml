@@ -21,6 +21,61 @@ let touches names e =
 
 let eligible names e = Positivity.has_linear_occurrence names e
 
+module Acc = struct
+  module Members = Hashtbl.Make (struct
+    type t = Value.t
+
+    let equal = Value.equal
+    let hash = Value.hash
+  end)
+
+  (* The set is [base ∪ ⋃ pending]; [pending] holds the interned round
+     deltas since the last materialisation, newest first, and [members]
+     every element of the set. *)
+  type t = {
+    members : unit Members.t;
+    mutable base : Value.t;
+    mutable pending : Value.t list;
+  }
+
+  let create () = { members = Members.create 64; base = Value.empty_set; pending = [] }
+  let cardinal a = Members.length a.members
+  let fresh a v = Value.filter (fun x -> not (Members.mem a.members x)) v
+  let record a xs = List.iter (fun x -> Members.replace a.members x ()) xs
+
+  let value a =
+    match a.pending with
+    | [] -> a.base
+    | ds ->
+      let v = Value.union_all (a.base :: ds) in
+      a.base <- v;
+      a.pending <- [];
+      v
+
+  let extend a v =
+    let d = fresh a v in
+    (match Value.elements d with
+    | [] -> ()
+    | xs ->
+      record a xs;
+      a.pending <- d :: a.pending);
+    d
+
+  let replace a v =
+    let d = fresh a v in
+    (* [v ⊆ set ∪ d] always; [v] contains the old set iff the sizes add
+       up, and then only [d] is new to the membership table. *)
+    let grows = Value.cardinal v = cardinal a + Value.cardinal d in
+    if grows then record a (Value.elements d)
+    else begin
+      Members.clear a.members;
+      record a (Value.elements v)
+    end;
+    a.base <- v;
+    a.pending <- [];
+    (d, not (grows && is_empty d))
+end
+
 let derive ~builtins ?(join = Join.Fused) ?(join_mode = fun _ -> None)
     ?(join_par = fun _ -> None) ~eval ?eval_diff_right ~deltas e =
   let eval_diff_right = Option.value eval_diff_right ~default:eval in

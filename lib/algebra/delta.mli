@@ -31,6 +31,37 @@ val eligible : string list -> Expr.t -> bool
 (** Delta derivation pays off: at least one tracked name occurs free in a
     delta-linear position. *)
 
+(** The accumulated set of a semi-naive loop, merged once.
+
+    A round adds the tuples it derived; only the ones not yet present
+    form the round's delta, found by a hash lookup per derived tuple, so
+    a round costs [O(|derived|)] rather than a merge over the whole
+    accumulator. The deltas are interned as they arrive. The accumulated
+    set itself is merged and interned once, by {!Value.union_all}, when
+    {!value} is next read — by an evaluation that needs the current
+    value, or when the loop ends. Not domain-safe: a loop owns its
+    accumulators. *)
+module Acc : sig
+  type t
+
+  val create : unit -> t
+  (** The empty set. *)
+
+  val extend : t -> Value.t -> Value.t
+  (** [extend a v] adds the set [v] and returns the delta [v \ a] (before
+      the addition), an interned set. *)
+
+  val replace : t -> Value.t -> Value.t * bool
+  (** [replace a v] makes [v] the accumulated set. It returns [v \ a]
+      and whether the set changed — a full recomputation's step, which
+      need not contain the old set. *)
+
+  val value : t -> Value.t
+  (** The canonical accumulated set. *)
+
+  val cardinal : t -> int
+end
+
 val derive :
   builtins:Builtins.t ->
   ?join:Join.mode ->

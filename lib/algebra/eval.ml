@@ -33,7 +33,7 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
     match e with
     | Expr.Rel name -> (
       match List.assoc_opt name env with
-      | Some v -> v
+      | Some v -> v ()
       | None -> eval_name visiting name)
     | Expr.Lit v -> v
     | Expr.Param x -> invalid_arg ("Eval.eval: unsubstituted parameter " ^ x)
@@ -72,7 +72,7 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
       let strategy =
         Option.value (advice.Advice.ifp_strategy x body) ~default:strategy
       in
-      let full body s = go visiting ((x, s) :: env) body in
+      let full body s = go visiting ((x, fun () -> s) :: env) body in
       (* Round-boundary re-planning: offer the planner the observed
          cardinality of the accumulating set (lazily — identity advice
          forces nothing) and adopt a re-planned body when it answers.
@@ -80,13 +80,10 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
          it the round count and fuel — is unchanged; only enumeration
          cost moves. Round 0 is skipped (nothing observed yet), and the
          semi-naive loop re-checks delta eligibility before adopting. *)
-      let refresh_body ~check_eligible round body s =
+      let refresh_body ~check_eligible round body cardinal =
         if round = 0 || Advice.is_none advice then body
         else
-          match
-            advice.Advice.refresh ~round
-              ~bound:[ (x, fun () -> Value.cardinal s) ]
-              body
+          match advice.Advice.refresh ~round ~bound:[ (x, cardinal) ] body
           with
           | Some body' when (not check_eligible) || Delta.eligible [ x ] body' ->
             body'
@@ -101,7 +98,9 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
          as degraded. Injected faults are never degradable. *)
       let naive () =
         let rec iterate round body s =
-          let body = refresh_body ~check_eligible:false round body s in
+          let body =
+            refresh_body ~check_eligible:false round body (fun () -> Value.cardinal s)
+          in
           match
             Limits.check fuel ~what:"IFP round";
             Faultinj.hit "eval/round";
@@ -125,9 +124,10 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
       | Delta.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
       | Delta.Seminaive -> (
         (* Semi-naive: after the first full pass, each round joins only
-           the delta of the previous round against the accumulated set.
-           Visits the same states as [naive] on the same rounds (and
-           spends the same fuel) — see {!Delta}. *)
+           the delta of the previous round against the accumulated set,
+           which a {!Delta.Acc} merges only when the body reads it or the
+           loop ends. Visits the same states as [naive] on the same
+           rounds (and spends the same fuel) — see {!Delta}. *)
         match
           Limits.check fuel ~what:"IFP round";
           Faultinj.hit "eval/round";
@@ -141,10 +141,15 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
           Limits.latch fuel e;
           Value.empty_set
         | s0 ->
-          let rec loop round body s d =
-            if Delta.is_empty d then s
+          let acc = Delta.Acc.create () in
+          let current () = Delta.Acc.value acc in
+          let rec loop round body d =
+            if Delta.is_empty d then current ()
             else
-              let body = refresh_body ~check_eligible:true round body s in
+              let body =
+                refresh_body ~check_eligible:true round body (fun () ->
+                    Delta.Acc.cardinal acc)
+              in
               match
                 Limits.check fuel ~what:"IFP round";
                 Faultinj.hit "eval/round";
@@ -154,20 +159,20 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
                   Delta.derive ~builtins ~join
                     ~join_mode:advice.Advice.join_mode
                     ~join_par:advice.Advice.join_par
-                    ~eval:(fun e -> go visiting ((x, s) :: env) e)
+                    ~eval:(fun e -> go visiting ((x, current) :: env) e)
                     ~deltas:[ (x, d) ]
                     body
                 in
-                let d' = Value.diff derived s in
+                let d' = Delta.Acc.extend acc derived in
                 Obs.countf "eval/ifp_delta" (fun () -> Value.cardinal d');
                 d'
               with
               | exception e when Limits.degradable fuel e ->
                 Limits.latch fuel e;
-                s
-              | d' -> loop (round + 1) body (Value.union s d') d'
+                current ()
+              | d' -> loop (round + 1) body d'
           in
-          loop 1 body s0 s0))
+          loop 1 body (Delta.Acc.extend acc s0)))
     | Expr.Call _ -> go visiting env (advise (Defs.inline defs e))
   in
   go [] [] (advise (Defs.inline defs expr))

@@ -24,35 +24,75 @@ let vset_equal a b = Value.equal a.low b.low && Value.equal a.high b.high
 
 module Smap = Map.Make (String)
 
+(* Which bounds an evaluation must produce. A phase grows one bound and
+   needs the other only where a difference subtracts it, so evaluating
+   only the needed side halves the work of every operator below it. *)
+type mask = Low | High | Both
+
+let flip = function Low -> High | High -> Low | Both -> Both
+let wants_low = function Low | Both -> true | High -> false
+let wants_high = function High | Both -> true | Low -> false
+
+let pick mask s =
+  match mask with
+  | Low -> s.low
+  | High -> s.high
+  | Both -> invalid_arg "Rec_eval.pick: Both"
+
+(* The sides of a result outside its mask are unspecified and never
+   read; the two helpers below leave them empty. *)
+let read mask low high =
+  { low = (if wants_low mask then low () else Value.empty_set);
+    high = (if wants_high mask then high () else Value.empty_set) }
+
+let map_bounds mask f s =
+  { low = (if wants_low mask then f s.low else Value.empty_set);
+    high = (if wants_high mask then f s.high else Value.empty_set) }
+
+let lift mask f a b =
+  { low = (if wants_low mask then f a.low b.low else Value.empty_set);
+    high = (if wants_high mask then f a.high b.high else Value.empty_set) }
+
+(* What an evaluation reads besides the expression. [consts] gives the
+   current bounds of every defined constant, per mask, so a phase's
+   accumulator is merged only when something reads it. *)
+type ctx = {
+  builtins : Builtins.t;
+  db : Db.t;
+  consts : (mask -> vset) Smap.t;
+  fuel : Limits.fuel;
+  strategy : Delta.strategy;
+  join : Join.mode;
+  advice : Advice.t;
+}
+
 type solution = {
   lows : Value.t Smap.t;
   highs : Value.t Smap.t;
   defs : Defs.t;  (* inlined *)
-  db : Db.t;
-  fuel : Limits.fuel;
-  window : Value.t option;
-  strategy : Delta.strategy;
-  join : Join.mode;
-  advice : Advice.t;
   rounds : int;
+  ctx : ctx;  (* as given to [solve]; [consts] empty *)
 }
 
 (* Three-valued evaluation of an inlined expression given current bounds
    for the defined constants. The difference operator realises the valid
    reading of subtraction: an element is certainly in [a - b] when it is
    certainly in [a] and not possibly in [b]; possibly in [a - b] when
-   possibly in [a] and not certainly in [b]. *)
-let rec eval_vset builtins db lows highs fuel strategy join advice env e =
-  let recur = eval_vset builtins db lows highs fuel strategy join advice in
+   possibly in [a] and not certainly in [b]. Only the bounds in [mask]
+   are computed, so a difference's right side is evaluated for the
+   flipped mask. *)
+let rec eval_vset ctx mask env e =
+  let { builtins; fuel; advice; _ } = ctx in
+  let recur = eval_vset ctx in
   match e with
   | Expr.Rel name -> (
     match List.assoc_opt name env with
-    | Some s -> s
+    | Some bounds -> bounds mask
     | None -> (
-      match Smap.find_opt name lows with
-      | Some low -> { low; high = Smap.find name highs }
+      match Smap.find_opt name ctx.consts with
+      | Some bounds -> bounds mask
       | None -> (
-        match Db.find db name with
+        match Db.find ctx.db name with
         | Some v ->
           if Obs.enabled () then
             Obs.gauge ("db/card/" ^ name) (float_of_int (Value.cardinal v));
@@ -60,19 +100,18 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
         | None -> raise (Undefined_relation name))))
   | Expr.Lit v -> exact v
   | Expr.Param x -> invalid_arg ("Rec_eval: unsubstituted parameter " ^ x)
-  | Expr.Union (a, b) -> vset_union (recur env a) (recur env b)
+  | Expr.Union (a, b) -> lift mask Value.union (recur mask env a) (recur mask env b)
   | Expr.Diff (a, b) ->
-    let sa = recur env a and sb = recur env b in
-    { low = Value.diff sa.low sb.high; high = Value.diff sa.high sb.low }
+    let sa = recur mask env a and sb = recur (flip mask) env b in
+    { low = (if wants_low mask then Value.diff sa.low sb.high else Value.empty_set);
+      high = (if wants_high mask then Value.diff sa.high sb.low else Value.empty_set) }
   | Expr.Product (a, b) ->
-    let sa = recur env a and sb = recur env b in
-    let s =
-      { low = Value.product sa.low sb.low; high = Value.product sa.high sb.high }
-    in
-    Obs.countf "eval/product_out" (fun () -> Value.cardinal s.high);
+    let s = lift mask Value.product (recur mask env a) (recur mask env b) in
+    Obs.countf "eval/product_out" (fun () ->
+        Value.cardinal (if wants_high mask then s.high else s.low));
     s
   | Expr.Select (p, a) -> (
-    let node_join = Option.value (advice.Advice.join_mode e) ~default:join in
+    let node_join = Option.value (advice.Advice.join_mode e) ~default:ctx.join in
     let par = advice.Advice.join_par e in
     let fused =
       match node_join, a with
@@ -80,10 +119,9 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
         match Join.plan p with
         | Some jp ->
           Obs.count "plan/fused" 1;
-          let sa = recur env ea and sb = recur env eb in
           Some
-            { low = Join.exec ?par builtins jp sa.low sb.low;
-              high = Join.exec ?par builtins jp sa.high sb.high }
+            (lift mask (Join.exec ?par builtins jp) (recur mask env ea)
+               (recur mask env eb))
         | None -> None)
       | (Join.Fused | Join.Unfused), _ -> None
     in
@@ -93,19 +131,19 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
       (match a with
       | Expr.Product _ -> Obs.count "plan/unfused" 1
       | _ -> ());
-      let sa = recur env a in
-      let keep v = Pred.eval builtins p v = Some true in
-      { low = Value.filter keep sa.low; high = Value.filter keep sa.high })
+      let sa = recur mask env a in
+      map_bounds mask (Value.filter (fun v -> Pred.eval builtins p v = Some true)) sa)
   | Expr.Map (f, a) ->
-    let sa = recur env a in
-    let apply = Efun.apply builtins f in
-    { low = Value.filter_map_set apply sa.low;
-      high = Value.filter_map_set apply sa.high }
+    let sa = recur mask env a in
+    map_bounds mask (Value.filter_map_set (Efun.apply builtins f)) sa
   | Expr.Ifp (x, body) ->
+    (* Iterates on both bounds whatever the mask: the loop stops only
+       when neither bound grows, so its rounds — and the fuel they
+       spend — must not depend on which bound the caller reads. *)
     let strategy =
-      Option.value (advice.Advice.ifp_strategy x body) ~default:strategy
+      Option.value (advice.Advice.ifp_strategy x body) ~default:ctx.strategy
     in
-    let full s = recur ((x, s) :: env) body in
+    let full s = recur Both ((x, fun _ -> s) :: env) body in
     let naive () =
       let rec iterate s =
         Limits.check fuel ~what:"Rec_eval: IFP iteration";
@@ -129,28 +167,34 @@ let rec eval_vset builtins db lows highs fuel strategy join advice env e =
       Limits.spend fuel ~what:"Rec_eval: IFP iteration";
       Obs.count "rec_eval/ifp_iter" 1;
       let s0 = full (exact Value.empty_set) in
-      let rec loop s d =
-        if Delta.is_empty d.low && Delta.is_empty d.high then s
+      let low = Delta.Acc.create () and high = Delta.Acc.create () in
+      let bounds mask =
+        read mask (fun () -> Delta.Acc.value low) (fun () -> Delta.Acc.value high)
+      in
+      let env = (x, bounds) :: env in
+      let rec loop d =
+        if Delta.is_empty d.low && Delta.is_empty d.high then bounds Both
         else begin
           Limits.check fuel ~what:"Rec_eval: IFP iteration";
           Limits.spend fuel ~what:"Rec_eval: IFP iteration";
           Obs.count "rec_eval/ifp_iter" 1;
-          let derive proj opp dval =
-            Delta.derive ~builtins ~join ~join_mode:advice.Advice.join_mode
-              ~join_par:advice.Advice.join_par
-              ~eval:(fun e -> proj (recur ((x, s) :: env) e))
-              ~eval_diff_right:(fun e -> opp (recur ((x, s) :: env) e))
-              ~deltas:[ (x, dval) ]
-              body
-          in
-          let dlow = derive (fun v -> v.low) (fun v -> v.high) d.low in
-          let dhigh = derive (fun v -> v.high) (fun v -> v.low) d.high in
-          let d' = { low = Value.diff dlow s.low; high = Value.diff dhigh s.high } in
-          loop (vset_union s d') d'
+          (* Both derivations read the previous iterate, so neither
+             accumulator grows before both are done. *)
+          let dlow = derive_bound ctx env Low ~deltas:[ (x, d.low) ] body in
+          let dhigh = derive_bound ctx env High ~deltas:[ (x, d.high) ] body in
+          loop { low = Delta.Acc.extend low dlow; high = Delta.Acc.extend high dhigh }
         end
       in
-      loop s0 s0)
+      loop { low = Delta.Acc.extend low s0.low; high = Delta.Acc.extend high s0.high })
   | Expr.Call _ -> invalid_arg "Rec_eval: Call survived inlining"
+
+(* The delta of [e]'s [mask] bound ({!Delta.derive}); a difference's
+   right side reads the other bound, as in [low = a.low - b.high]. *)
+and derive_bound ctx env mask ~deltas e =
+  let eval mask e = pick mask (eval_vset ctx mask env e) in
+  Delta.derive ~builtins:ctx.builtins ~join:ctx.join
+    ~join_mode:ctx.advice.Advice.join_mode ~join_par:ctx.advice.Advice.join_par
+    ~eval:(eval mask) ~eval_diff_right:(eval (flip mask)) ~deltas e
 
 let clip window v =
   match window with
@@ -209,50 +253,74 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
       if !changed then bodies' else bodies
     end
   in
+  let ctx = { builtins; db; consts = Smap.empty; fuel; strategy; join; advice } in
   let empty_map = List.fold_left (fun m n -> Smap.add n Value.empty_set m) Smap.empty names in
-  (* Least fixpoint of one phase: refine every constant from the given
-     evaluation until nothing changes. [project] picks which bound the
-     phase grows; [opposite] is the other bound, subtracted under Diff.
-     The phase operator is monotone in the growing map (a difference's
-     right side flips the bound as it flips polarity), so the Kleene
-     iterates from the empty map grow and a constant's next value is its
-     current value united with the delta-derived tuples — semi-naive and
-     full recomputation visit identical maps on identical iterations. *)
-  let phase_lfp ~bodies ~eligible ~label ~eval_bounds ~project ~opposite =
+  (* Least fixpoint of one phase: refine every constant until nothing
+     changes. [grow] is the bound the phase grows, from the empty map,
+     while the other stays at [fixed]; evaluations compute only [grow],
+     and the [fixed] side only where a difference subtracts it. The
+     phase operator is monotone in the growing map (a difference's right
+     side flips the bound as it flips polarity), so the Kleene iterates
+     grow and a constant's next value is its current value united with
+     the delta-derived tuples — semi-naive and full recomputation visit
+     identical maps on identical iterations. *)
+  let phase_lfp ~bodies ~eligible ~grow ~fixed =
     let body name = List.assoc name bodies in
-    Obs.span label @@ fun () ->
-    let rec iterate current deltas first =
+    Obs.span (if grow = Low then "low" else "high") @@ fun () ->
+    let accs = List.map (fun n -> (n, Delta.Acc.create ())) names in
+    let consts =
+      List.fold_left
+        (fun m (n, acc) ->
+          let grown () = Delta.Acc.value acc and fixed () = Smap.find n fixed in
+          let bounds mask =
+            if grow = Low then read mask grown fixed else read mask fixed grown
+          in
+          Smap.add n bounds m)
+        Smap.empty accs
+    in
+    let ctx = { ctx with consts } in
+    let rec iterate deltas first =
       Limits.check fuel ~what:"Rec_eval: phase iteration";
       Limits.spend fuel ~what:"Rec_eval: phase iteration";
       Obs.count "rec_eval/phase_iter" 1;
-      let changed = ref false in
-      let next, next_deltas =
-        List.fold_left
-          (fun (acc, ds) name ->
+      (* Every constant is evaluated against the previous iterate; the
+         accumulators take the new tuples only once all are evaluated. *)
+      let steps =
+        List.map
+          (fun (name, _) ->
             let b = body name in
-            let cur = Smap.find name current in
-            let value =
-              if first || not (eligible name) then
-                clip window (project (eval_bounds current b))
-              else
-                let derived =
-                  Delta.derive ~builtins ~join ~join_mode:advice.Advice.join_mode
-                    ~join_par:advice.Advice.join_par
-                    ~eval:(fun e -> project (eval_bounds current e))
-                    ~eval_diff_right:(fun e -> opposite (eval_bounds current e))
-                    ~deltas b
-                in
-                Value.union cur (clip window derived)
+            if first || not (eligible name) then
+              `Full (clip window (pick grow (eval_vset ctx grow [] b)))
+            else `Derived (clip window (derive_bound ctx [] grow ~deltas b)))
+          accs
+      in
+      let changed = ref false in
+      let next_deltas =
+        List.map2
+          (fun (name, acc) step ->
+            let d =
+              match step with
+              | `Full v ->
+                let d, c = Delta.Acc.replace acc v in
+                if c then changed := true;
+                d
+              | `Derived v ->
+                let d = Delta.Acc.extend acc v in
+                if not (Delta.is_empty d) then changed := true;
+                d
             in
-            if not (Value.equal value cur) then changed := true;
-            (Smap.add name value acc, (name, Value.diff value cur) :: ds))
-          (current, []) names
+            (name, d))
+          accs steps
       in
       Obs.countf "rec_eval/delta" (fun () ->
           List.fold_left (fun acc (_, d) -> acc + Value.cardinal d) 0 next_deltas);
-      if !changed then iterate next next_deltas false else next
+      if !changed then iterate next_deltas false
+      else
+        List.fold_left
+          (fun m (n, acc) -> Smap.add n (Delta.Acc.value acc) m)
+          Smap.empty accs
     in
-    iterate empty_map [] true
+    iterate [] true
   in
   (* The alternating fixpoint is not monotone round-to-round, so —
      unlike {!Eval}'s IFP — a truncated run is not a sound
@@ -273,25 +341,13 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
       Obs.spanf (fun () -> "round " ^ string_of_int rounds) @@ fun () ->
       (* High phase: lows fixed at the previous round's value, highs grow
          from the empty map to their least fixpoint. *)
-      let highs =
-        phase_lfp ~bodies ~eligible ~label:"high"
-          ~eval_bounds:(fun highs_cur e ->
-            eval_vset builtins db lows_prev highs_cur fuel strategy join advice [] e)
-          ~project:(fun s -> s.high)
-          ~opposite:(fun s -> s.low)
-      in
+      let highs = phase_lfp ~bodies ~eligible ~grow:High ~fixed:lows_prev in
       (* Low phase: highs fixed, lows grow from the empty map. *)
-      let lows =
-        phase_lfp ~bodies ~eligible ~label:"low"
-          ~eval_bounds:(fun lows_cur e ->
-            eval_vset builtins db lows_cur highs fuel strategy join advice [] e)
-          ~project:(fun s -> s.low)
-          ~opposite:(fun s -> s.high)
-      in
+      let lows = phase_lfp ~bodies ~eligible ~grow:Low ~fixed:highs in
       (highs, lows)
     in
     if Smap.equal Value.equal lows lows_prev then
-      { lows; highs; defs = inlined; db; fuel; window; strategy; join; advice; rounds }
+      { lows; highs; defs = inlined; rounds; ctx }
     else outer bodies eligible lows (rounds + 1)
   in
   outer bodies (eligible_for bodies) empty_map 1
@@ -306,12 +362,14 @@ let rounds sol = sol.rounds
 let eval ?fuel ?window ?strategy ?join ?advice defs db expr =
   let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
   let inlined_expr = Defs.inline sol.defs (Defs.inline defs expr) in
+  let advice = sol.ctx.advice in
   let inlined_expr =
-    if Advice.is_none sol.advice then inlined_expr
-    else sol.advice.Advice.rewrite inlined_expr
+    if Advice.is_none advice then inlined_expr else advice.Advice.rewrite inlined_expr
   in
-  eval_vset (Defs.builtins sol.defs) sol.db sol.lows sol.highs sol.fuel sol.strategy
-    sol.join sol.advice [] inlined_expr
+  let consts =
+    Smap.mapi (fun n low -> let high = Smap.find n sol.highs in fun _ -> { low; high }) sol.lows
+  in
+  eval_vset { sol.ctx with consts } Both [] inlined_expr
 
 let well_defined ?fuel ?window ?strategy ?join ?advice defs db =
   let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in

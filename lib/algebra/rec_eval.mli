@@ -60,17 +60,24 @@ val solve :
     delta-derived new tuples against the accumulated bound when the
     body's defined constants occur delta-linearly, falling back to full
     recomputation otherwise (and for nested [IFP]s likewise, per bound).
-    Both strategies visit byte-identical bounds on identical iterations;
-    [Naive] is the benchmark baseline.
+    Semi-naive accumulators are {!Delta.Acc}s: a round interns only its
+    delta, and the accumulated bound is merged when read or when the
+    loop ends. Both strategies visit byte-identical bounds on identical
+    iterations and spend identical fuel; [Naive] is the benchmark
+    baseline.
+
+    Each phase evaluates only the bound it grows, plus the other bound
+    where a difference subtracts it; a nested [IFP] iterates on both
+    bounds, so its rounds do not depend on which one is read.
 
     [join] (default [Fused]) evaluates [Select (p, Product _)] nodes with
-    an extractable equi-key as hash joins, on both bounds independently
-    (see {!Join}); [Unfused] materialises products and filters. Both
-    modes compute byte-identical bounds and spend identical fuel.
+    an extractable equi-key as hash joins, on each bound the evaluation
+    needs (see {!Join}); [Unfused] materialises products and filters.
+    Both modes compute byte-identical bounds and spend identical fuel.
 
     [advice] (default {!Advice.none}) installs planner hooks: every
     constant body is rewritten once before solving, and the per-node
-    overrides apply to both bounds of each advised node. Any advice
+    overrides apply to every bound evaluated at an advised node. Any advice
     built by [Recalg.Plan] preserves both bounds byte for byte. *)
 
 val constant : solution -> string -> vset

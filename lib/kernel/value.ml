@@ -353,22 +353,22 @@ let filter_map_set f v =
   canon (List.filter_map f (as_elements "Value.filter_map_set" v))
 
 let union_all vs =
-  (* Balanced divide-and-conquer: a left fold re-merges the growing
-     accumulator against every element, O(n * total); pairing neighbours
-     halves the list each round for O(total * log n). *)
-  let rec pairup vs =
-    match vs with
+  (* Balanced divide-and-conquer over the element lists: a left fold
+     re-merges the growing accumulator against every element,
+     O(n * total); pairing neighbours halves the list each round for
+     O(total * log n). Only the final list is interned. *)
+  let rec pairup ls =
+    match ls with
+    | a :: b :: rest -> merge a b :: pairup rest
+    | ([] | [ _ ]) as ls -> ls
+  in
+  let rec go ls =
+    match ls with
     | [] -> []
-    | [ v ] -> [ v ]
-    | a :: b :: rest -> union a b :: pairup rest
+    | [ l ] -> l
+    | ls -> go (pairup ls)
   in
-  let rec go vs =
-    match vs with
-    | [] -> empty_set
-    | [ v ] -> union v empty_set (* validates a lone non-set argument *)
-    | vs -> go (pairup vs)
-  in
-  go vs
+  make (Set (go (List.map (as_elements "Value.union") vs)))
 
 let proj i v =
   match v.node with

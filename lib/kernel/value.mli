@@ -140,8 +140,9 @@ val map_set : (t -> t) -> t -> t
 val filter_map_set : (t -> t option) -> t -> t
 
 val union_all : t list -> t
-(** n-way union by balanced pairwise merging, [O(total * log n)] rather
-    than the [O(n * total)] of a left fold. *)
+(** n-way union by balanced pairwise merging of the element lists,
+    [O(total * log n)] rather than the [O(n * total)] of a left fold.
+    Only the result is interned, not the intermediate merges. *)
 
 (** {1 Tuple helpers} *)
 

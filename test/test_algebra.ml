@@ -438,7 +438,7 @@ let prop_seminaive_ifp_equals_naive =
      recursive bodies — including non-monotone ones and ones forcing the
      conservative fallback — semi-naive IFP iteration reaches exactly the
      same fixpoint as naive re-evaluation, spending the same fuel. *)
-  QCheck.Test.make ~name:"semi-naive IFP = naive IFP" ~count:200
+  QCheck.Test.make ~name:"semi-naive IFP = naive IFP" ~count:(Tgen.qcount 200)
     QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
     (fun (body, edges) ->
       let db =
@@ -447,19 +447,22 @@ let prop_seminaive_ifp_equals_naive =
       in
       let e = Expr.ifp "x" body in
       let run strategy =
-        try Ok (Eval.eval ~fuel:(Limits.of_int 400) ~strategy no_defs db e)
+        let fuel = Limits.of_int 400 in
+        try Ok (Eval.eval ~fuel ~strategy no_defs db e, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       match (run Delta.Naive, run Delta.Seminaive) with
-      | Ok a, Ok b -> Value.equal a b
+      | Ok (a, f1), Ok (b, f2) -> Value.equal a b && f1 = f2
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
 
 let prop_seminaive_rec_eval_equals_naive =
   (* Same equivalence for the three-valued alternating fixpoint: a pair
      of mutually recursive constants with random bodies must get
-     byte-identical low and high bounds under both strategies. *)
-  QCheck.Test.make ~name:"semi-naive rec_eval bounds = naive" ~count:100
+     byte-identical low and high bounds, and spend the same fuel, under
+     both strategies. *)
+  QCheck.Test.make ~name:"semi-naive rec_eval bounds = naive"
+    ~count:(Tgen.qcount 100)
     QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
     (fun (b1, b2, edges) ->
       let db =
@@ -474,19 +477,79 @@ let prop_seminaive_rec_eval_equals_naive =
           [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
       in
       let run strategy =
+        let fuel = Limits.of_int 5000 in
         try
-          let sol = Rec_eval.solve ~fuel:(Limits.of_int 5000) ~strategy defs db in
-          Ok (Rec_eval.constant sol "c", Rec_eval.constant sol "d")
+          let sol = Rec_eval.solve ~fuel ~strategy defs db in
+          Ok
+            ( Rec_eval.constant sol "c",
+              Rec_eval.constant sol "d",
+              Limits.remaining fuel )
         with Limits.Diverged _ -> Error `Diverged
       in
       match (run Delta.Naive, run Delta.Seminaive) with
-      | Ok (c1, d1), Ok (c2, d2) ->
+      | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
         Value.equal c1.Rec_eval.low c2.Rec_eval.low
         && Value.equal c1.Rec_eval.high c2.Rec_eval.high
         && Value.equal d1.Rec_eval.low d2.Rec_eval.low
         && Value.equal d1.Rec_eval.high d2.Rec_eval.high
+        && f1 = f2
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
+
+(* Pinned fuel and bounds of [Rec_eval.solve], under both strategies.
+   The figures were taken from the engine before its phases evaluated
+   only the bound they grow and accumulated through [Delta.Acc]; those
+   changes must leave every round, and so the fuel, where it was. The
+   hand-written program puts an [Ifp] inside a recursive body, under a
+   difference's right side, which the random bodies of [Tgen] never
+   produce: the nested loop must still iterate on both bounds. *)
+let nested_ifp_program =
+  "let e = {[1,2],[2,3],[3,1],[3,4],[4,5],[6,7],[7,6]};\n\
+   let n = {1,2,3,4,5,6,7};\n\
+   let w = (n - ifp v. map[pi1 . pi1](sel[pi2 . pi1 = pi2](e x (w + v))))\n\
+  \  + map[pi2 . pi1](sel[pi1 . pi1 = pi2](e x w));\n"
+
+let test_rec_eval_pinned_fuel () =
+  let example name =
+    let file = Filename.concat "examples/programs" (name ^ ".alg") in
+    (* dune runtest runs in _build/default/test, dune exec at the root. *)
+    let path = if Sys.file_exists file then file else Filename.concat ".." file in
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let window = Value.set (List.init 21 vi) in
+  let cases =
+    [ ( "even", example "even", Some window, 50,
+        [ ("evens", "{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}") ] );
+      ("undefined", example "undefined", None, 4, [ ("s", "[certain {}, possible {a}]") ]);
+      ( "triangle", example "triangle", None, 14,
+        [ ("r", "{[1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3], [7, 4], [8, 4]}");
+          ("s", "{[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [7, 7], [8, 8]}");
+          ("t", "{[1, 100], [2, 200]}");
+          ( "q",
+            "{[[[1, 1], [1, 1]], [1, 100]], [[[2, 1], [1, 1]], [1, 100]], \
+             [[[3, 2], [2, 2]], [2, 200]], [[[4, 2], [2, 2]], [2, 200]]}" ) ] );
+      ( "nested ifp", nested_ifp_program, None, 57,
+        [ ("e", "{[1, 2], [2, 3], [3, 1], [3, 4], [4, 5], [6, 7], [7, 6]}");
+          ("n", "{1, 2, 3, 4, 5, 6, 7}");
+          ("w", "[certain {5}, possible {5, 6, 7}]") ] ) ]
+  in
+  List.iter
+    (fun (label, text, window, spent, bounds) ->
+      List.iter
+        (fun (sname, strategy) ->
+          let label = label ^ " (" ^ sname ^ ")" in
+          let defs = (Parser.parse_program_exn text).Parser.defs in
+          let fuel = Limits.of_int 100_000 in
+          let sol = Rec_eval.solve ~fuel ?window ~strategy defs Db.empty in
+          Alcotest.(check (option int)) (label ^ ": fuel left") (Some (100_000 - spent))
+            (Limits.remaining fuel);
+          List.iter
+            (fun (c, printed) ->
+              Alcotest.(check string) (label ^ ": " ^ c) printed
+                (Fmt.str "%a" Rec_eval.pp_vset (Rec_eval.constant sol c)))
+            bounds)
+        [ ("naive", Delta.Naive); ("semi-naive", Delta.Seminaive) ])
+    cases
 
 (* --- Join planning (select∘product fusion) --- *)
 
@@ -568,7 +631,8 @@ let prop_fused_eval_equals_unfused =
      recursive bodies — including shapes the planner cannot fuse — hash
      join evaluation returns byte-identical sets and spends identical
      fuel, under both IFP strategies. *)
-  QCheck.Test.make ~name:"fused eval = unfused eval (value and fuel)" ~count:200
+  QCheck.Test.make ~name:"fused eval = unfused eval (value and fuel)"
+    ~count:(Tgen.qcount 200)
     QCheck.(pair Tgen.ifp_body_arb Tgen.graph_arb)
     (fun (body, edges) ->
       let db =
@@ -592,7 +656,8 @@ let prop_fused_eval_equals_unfused =
 let prop_fused_rec_eval_equals_unfused =
   (* Same equivalence for the three-valued alternating fixpoint: both
      bounds of every constant, and the fuel spent, must agree. *)
-  QCheck.Test.make ~name:"fused rec_eval = unfused (bounds and fuel)" ~count:100
+  QCheck.Test.make ~name:"fused rec_eval = unfused (bounds and fuel)"
+    ~count:(Tgen.qcount 100)
     QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
     (fun (b1, b2, edges) ->
       let db =
@@ -634,6 +699,8 @@ let suite =
         test_seminaive_mixture_body;
       QCheck_alcotest.to_alcotest prop_seminaive_ifp_equals_naive;
       QCheck_alcotest.to_alcotest prop_seminaive_rec_eval_equals_naive;
+      Alcotest.test_case "rec_eval pinned fuel and bounds" `Quick
+        test_rec_eval_pinned_fuel;
       Alcotest.test_case "join plan: compose idiom" `Quick test_join_plan_compose;
       Alcotest.test_case "join plan: residual and composite keys" `Quick
         test_join_plan_residual;
