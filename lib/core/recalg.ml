@@ -46,7 +46,9 @@ module Datalog = struct
   module Literal = Recalg_datalog.Literal
   module Rule = Recalg_datalog.Rule
   module Program = Recalg_datalog.Program
+  module Tuples = Recalg_datalog.Tuples
   module Edb = Recalg_datalog.Edb
+  module Store = Recalg_datalog.Store
   module Safety = Recalg_datalog.Safety
   module Cardest = Recalg_datalog.Cardest
   module Stratify = Recalg_datalog.Stratify

@@ -1,41 +1,34 @@
 open Recalg_kernel
 module Smap = Map.Make (String)
 
-module Tuples = Set.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
 type t = Tuples.t Smap.t
 
 let empty = Smap.empty
 
-let add pred tup db =
-  let existing = Option.value ~default:Tuples.empty (Smap.find_opt pred db) in
-  Smap.add pred (Tuples.add tup existing) db
+let relation db pred =
+  Option.value ~default:Tuples.empty (Smap.find_opt pred db)
+
+let add pred tup db = Smap.add pred (Tuples.add tup (relation db pred)) db
 
 let add_all pred tups db = List.fold_left (fun db tup -> add pred tup db) db tups
 
 let of_list l =
   List.fold_left (fun db (pred, tups) -> add_all pred tups db) empty l
 
-let mem db pred tup =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.mem tup set
-  | None -> false
+let mem db pred tup = Tuples.mem tup (relation db pred)
 
-let tuples db pred =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.elements set
-  | None -> []
+let tuples db pred = Tuples.elements (relation db pred)
+
+let add_relation pred set db =
+  if Tuples.is_empty set then db
+  else
+    Smap.update pred
+      (function None -> Some set | Some old -> Some (Tuples.union old set))
+      db
 
 let preds db = List.map fst (Smap.bindings db)
 
-let cardinal db pred =
-  match Smap.find_opt pred db with
-  | Some set -> Tuples.cardinal set
-  | None -> 0
+let cardinal db pred = Tuples.cardinal (relation db pred)
 
 let remove pred tup db =
   match Smap.find_opt pred db with

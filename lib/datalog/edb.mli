@@ -17,6 +17,14 @@ val mem : t -> string -> Value.t list -> bool
 val tuples : t -> string -> Value.t list list
 (** Sorted, duplicate-free; empty list for an unknown relation. *)
 
+val relation : t -> string -> Tuples.t
+(** The relation as a set, shared with the database (no copy); empty for
+    an unknown relation. *)
+
+val add_relation : string -> Tuples.t -> t -> t
+(** Union a whole set into one relation; an empty set leaves the
+    database unchanged. *)
+
 val preds : t -> string list
 val cardinal : t -> string -> int
 

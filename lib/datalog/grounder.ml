@@ -3,68 +3,11 @@ module Obs = Recalg_obs.Obs
 
 exception Unsafe of string
 
-module Tuples = Set.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-(* [full] and [delta] are disjoint: [discover] refuses tuples already in
-   either, and [promote] only moves tuples between the sections. Probing
-   both therefore enumerates exactly [full ∪ delta], without building the
-   union set. *)
-type store = {
-  mutable full : Tuples.t;  (* envelope facts from earlier rounds *)
-  mutable delta : Tuples.t; (* facts new in the current round *)
-  mutable next : Tuples.t;  (* facts discovered during this round *)
-  indexes : (int * int, Tuples.t Vtbl.t) Hashtbl.t;
-      (* (section, argument position) -> value at that position -> tuples
-         of the section. Sections: 0 = full, 1 = delta. Built lazily on
-         first probe, discarded by [promote] when the sections change. *)
-}
-
-let fresh_store () =
-  { full = Tuples.empty;
-    delta = Tuples.empty;
-    next = Tuples.empty;
-    indexes = Hashtbl.create 8 }
-
-let section_full = 0
-let section_delta = 1
-
-let section_tuples s section =
-  if section = section_full then s.full else s.delta
-
-let index_of s section pos =
-  match Hashtbl.find_opt s.indexes (section, pos) with
-  | Some idx -> idx
-  | None ->
-    let idx = Vtbl.create 64 in
-    Tuples.iter
-      (fun tup ->
-        match List.nth_opt tup pos with
-        | Some key ->
-          let bucket =
-            Option.value (Vtbl.find_opt idx key) ~default:Tuples.empty
-          in
-          Vtbl.replace idx key (Tuples.add tup bucket)
-        | None -> ())
-      (section_tuples s section);
-    Hashtbl.add s.indexes (section, pos) idx;
-    idx
-
 type state = {
   program : Program.t;
   fuel : Limits.fuel;
   atoms : Propgm.fact Interner.t;
-  stores : (string, store) Hashtbl.t;
+  stores : (string, Store.t) Hashtbl.t;
   seen_rules : (int * int list * int list, unit) Hashtbl.t;
   mutable ground_rules : Propgm.rule list;
   (* Probe accounting, only bumped while a sink is installed; emitted as
@@ -78,7 +21,7 @@ let store_of st pred =
   match Hashtbl.find_opt st.stores pred with
   | Some s -> s
   | None ->
-    let s = fresh_store () in
+    let s = Store.create ~full:Tuples.empty ~delta:Tuples.empty in
     Hashtbl.add st.stores pred s;
     s
 
@@ -91,8 +34,7 @@ let intern_fact st fact =
 
 let discover st pred tup =
   let s = store_of st pred in
-  if not (Tuples.mem tup s.full || Tuples.mem tup s.delta || Tuples.mem tup s.next)
-  then s.next <- Tuples.add tup s.next
+  if not (Store.known s tup) then Store.add s tup
 
 let emit_rule st ~head ~pos ~neg =
   let key = (head, List.sort Int.compare pos, List.sort Int.compare neg) in
@@ -107,88 +49,27 @@ let emit_rule st ~head ~pos ~neg =
   end
 
 (* Enumerate all substitutions satisfying the ordered body within the
-   current envelope, calling [k] on each complete one. [idx] counts body
-   positions; when [delta_pos = Some d], the positive literal at position
-   [d] scans only the delta, positions before [d] scan only older facts,
-   and positions after scan everything — the semi-naive split. *)
-let rec solve st body idx delta_pos subst k =
-  let builtins = st.program.Program.builtins in
-  match body with
-  | [] -> k subst
-  | Literal.Pos a :: rest ->
-    let s = store_of st a.Literal.pred in
-    let sections =
-      match delta_pos with
-      | Some d when d = idx -> [ section_delta ]
-      | Some d when d > idx -> [ section_full ]
-      | Some _ | None -> [ section_full; section_delta ]
-    in
-    (* The first argument position fully evaluable under the current
-       substitution keys an index probe; a literal with no bound argument
-       falls back to scanning the section. *)
-    let key =
-      let rec find i args =
-        match args with
-        | [] -> None
-        | t :: args' -> (
-          match Dterm.eval builtins subst t with
-          | Some v -> Some (i, v)
-          | None -> find (i + 1) args')
-      in
-      find 0 a.Literal.args
-    in
-    let try_tuple tup =
-      let rec match_args subst args vals =
-        match args, vals with
-        | [], [] -> Some subst
-        | t :: args', v :: vals' -> (
-          match Dterm.match_value builtins t v subst with
-          | Some subst' -> match_args subst' args' vals'
-          | None -> None)
-        | _, _ -> None
-      in
-      match match_args subst a.Literal.args tup with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ()
-    in
-    List.iter
-      (fun section ->
-        match key with
-        | Some (pos, v) -> (
-          match Vtbl.find_opt (index_of s section pos) v with
-          | Some bucket ->
-            if Obs.enabled () then st.idx_hits <- st.idx_hits + 1;
-            Tuples.iter try_tuple bucket
-          | None -> if Obs.enabled () then st.idx_misses <- st.idx_misses + 1)
-        | None ->
-          if Obs.enabled () then st.scans <- st.scans + 1;
-          Tuples.iter try_tuple (section_tuples s section))
-      sections
-  | Literal.Neg _ :: rest ->
-    (* Recorded later from the complete substitution; never filters. *)
-    solve st rest (idx + 1) delta_pos subst k
-  | Literal.Eq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if Value.equal v1 v2 then solve st rest (idx + 1) delta_pos subst k
-    | Some v, None -> (
-      match Dterm.match_value builtins t2 v subst with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, Some v -> (
-      match Dterm.match_value builtins t1 v subst with
-      | Some subst' -> solve st rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, None -> ())
-  | Literal.Neq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if not (Value.equal v1 v2) then solve st rest (idx + 1) delta_pos subst k
-    | _, _ -> ())
+   current envelope, calling [k] on each complete one — the semi-naive
+   split of {!Store.split}: with [delta_pos = Some d] the positive
+   literal at position [d] reads only the delta, earlier positions only
+   older facts, later ones both. Negative literals are recorded later
+   from the complete substitution; they never filter. *)
+let solve st body delta_pos k =
+  let count (p : Store.probe) =
+    if Obs.enabled () then
+      match p with
+      | Hit -> st.idx_hits <- st.idx_hits + 1
+      | Miss -> st.idx_misses <- st.idx_misses + 1
+      | Scan -> st.scans <- st.scans + 1
+  in
+  Store.solve st.program.Program.builtins ~store:(store_of st)
+    ~sections:(Store.split delta_pos)
+    ~neg:(fun _ _ -> true)
+    ~count body k
 
 let instantiate_rule st (r : Rule.t) ordered_body ~delta_pos =
   let builtins = st.program.Program.builtins in
-  solve st ordered_body 0 delta_pos Subst.empty (fun subst ->
+  solve st ordered_body delta_pos (fun subst ->
       match Literal.ground_atom builtins subst r.Rule.head with
       | Some head_fact ->
         let head = intern_fact st head_fact in
@@ -230,19 +111,13 @@ let ordered_bodies ?(order = `Syntactic) program edb =
     program.Program.rules
 
 let promote st =
-  Hashtbl.iter
-    (fun _ s ->
-      s.full <- Tuples.union s.full s.delta;
-      s.delta <- s.next;
-      s.next <- Tuples.empty;
-      Hashtbl.reset s.indexes)
-    st.stores;
+  Hashtbl.iter (fun _ s -> Store.promote s) st.stores;
   if Obs.enabled () then begin
     let envelope, delta =
       Hashtbl.fold
         (fun _ s (e, d) ->
-          let dn = Tuples.cardinal s.delta in
-          (e + Tuples.cardinal s.full + dn, d + dn))
+          let dn = Tuples.cardinal (Store.delta s) in
+          (e + Tuples.cardinal (Store.full s) + dn, d + dn))
         st.stores (0, 0)
     in
     Obs.count "ground/envelope" envelope;
@@ -250,7 +125,9 @@ let promote st =
   end
 
 let delta_nonempty st =
-  Hashtbl.fold (fun _ s acc -> acc || not (Tuples.is_empty s.delta)) st.stores false
+  Hashtbl.fold
+    (fun _ s acc -> acc || not (Tuples.is_empty (Store.delta s)))
+    st.stores false
 
 let close_seminaive st ordered =
   while delta_nonempty st do
@@ -394,7 +271,7 @@ module Live = struct
       cp_rules = t.st.ground_rules;
       cp_stores =
         Hashtbl.fold
-          (fun pred s acc -> (pred, (s.full, s.delta, s.next)) :: acc)
+          (fun pred s acc -> (pred, Store.sections s) :: acc)
           t.st.stores [];
     }
 
@@ -413,18 +290,13 @@ module Live = struct
       cp.cp_rules;
     Hashtbl.iter
       (fun pred s ->
-        (match List.assoc_opt pred cp.cp_stores with
-        | Some (full, delta, next) ->
-          s.full <- full;
-          s.delta <- delta;
-          s.next <- next
-        | None ->
-          (* Store created by the aborted batch: empty it; an all-empty
-             store is indistinguishable from an absent one. *)
-          s.full <- Tuples.empty;
-          s.delta <- Tuples.empty;
-          s.next <- Tuples.empty);
-        Hashtbl.reset s.indexes)
+        Store.restore s
+          (match List.assoc_opt pred cp.cp_stores with
+          | Some sections -> sections
+          | None ->
+            (* Store created by the aborted batch: empty it; an all-empty
+               store is indistinguishable from an absent one. *)
+            (Tuples.empty, Tuples.empty, Tuples.empty)))
       st.stores
 
   module Iset = Set.Make (Int)
@@ -512,16 +384,15 @@ module Live = struct
        envelope. *)
     Hashtbl.iter
       (fun pred s ->
-        s.full <-
+        let full =
           Tuples.filter
             (fun tup ->
               match Interner.find_opt st.atoms (pred, tup) with
               | Some id -> Hashtbl.mem live id
               | None -> false)
-            s.full;
-        s.delta <- Tuples.empty;
-        s.next <- Tuples.empty;
-        Hashtbl.reset s.indexes)
+            (Store.full s)
+        in
+        Store.restore s (full, Tuples.empty, Tuples.empty))
       st.stores
 
   (* All-or-nothing: any exception mid-batch — fuel, a governed

@@ -5,69 +5,39 @@ exception Unsafe of string
 
 type order = [ `Syntactic | `Stats ]
 
-(* Enumerate substitutions for an ordered body against [lookup], which maps
-   a predicate and a source selector to its tuples. *)
-type source = All | Old | Delta
+(* Every predicate an evaluation reads has a {!Store}: derived predicates
+   a full/delta/next store per fixpoint, extensional ones a store over
+   the base relation. The table is complete before the first round, so
+   concurrent [collect] tasks only read it. *)
+type stores = (string, Store.t) Hashtbl.t
 
-let rec solve builtins lookup body idx delta_pos subst k =
-  match body with
-  | [] -> k subst
-  | Literal.Pos a :: rest ->
-    let src =
-      match delta_pos with
-      | Some d when d = idx -> Delta
-      | Some d when d > idx -> Old
-      | Some _ | None -> All
-    in
-    List.iter
-      (fun tup ->
-        let rec match_args subst args vals =
-          match args, vals with
-          | [], [] -> Some subst
-          | t :: args', v :: vals' -> (
-            match Dterm.match_value builtins t v subst with
-            | Some subst' -> match_args subst' args' vals'
-            | None -> None)
-          | _, _ -> None
-        in
-        match match_args subst a.Literal.args tup with
-        | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-        | None -> ())
-      (lookup a.Literal.pred src)
-  | Literal.Neg a :: rest -> (
-    (* Negation tests the fully materialised relation. *)
+let store_in (stores : stores) pred = Hashtbl.find stores pred
+
+(* A negative literal's atom is ground by safety; it passes when its
+   store — the fully materialised relation of a lower stratum or the
+   EDB — lacks it. *)
+let solve builtins stores ~sections body k =
+  let neg subst a =
     match Literal.ground_atom builtins subst a with
-    | Some (pred, args) ->
-      let holds = List.exists (List.equal Value.equal args) (lookup pred All) in
-      if not holds then solve builtins lookup rest (idx + 1) delta_pos subst k
-    | None -> ())
-  | Literal.Eq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if Value.equal v1 v2 then solve builtins lookup rest (idx + 1) delta_pos subst k
-    | Some v, None -> (
-      match Dterm.match_value builtins t2 v subst with
-      | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, Some v -> (
-      match Dterm.match_value builtins t1 v subst with
-      | Some subst' -> solve builtins lookup rest (idx + 1) delta_pos subst' k
-      | None -> ())
-    | None, None -> ())
-  | Literal.Neq (t1, t2) :: rest -> (
-    match Dterm.eval builtins subst t1, Dterm.eval builtins subst t2 with
-    | Some v1, Some v2 ->
-      if not (Value.equal v1 v2) then
-        solve builtins lookup rest (idx + 1) delta_pos subst k
-    | _, _ -> ())
+    | Some (pred, args) -> not (Store.mem (store_in stores pred) args)
+    | None -> false
+  in
+  Store.solve builtins ~store:(store_in stores) ~sections ~neg ~count:ignore
+    body k
 
-module Tuples = Set.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
-type store = { mutable full : Tuples.t; mutable delta : Tuples.t; mutable next : Tuples.t }
+(* Stores for the body predicates that no rule derives, [section pred]
+   giving each one's [(full, delta)]. *)
+let add_body_stores stores rules section =
+  List.iter
+    (fun (r : Rule.t) ->
+      List.iter
+        (fun (pred, _) ->
+          if not (Hashtbl.mem stores pred) then begin
+            let full, delta = section pred in
+            Hashtbl.add stores pred (Store.create ~full ~delta)
+          end)
+        (Rule.body_preds r))
+    rules
 
 (* [`Stats] ranks the ready literals at each ordering step by their
    envelope cardinality estimate (see {!Cardest}) — smallest relation
@@ -95,34 +65,17 @@ let ordered_rules ?(order = `Syntactic) ?live program ~base rules =
 (* The shared fixpoint loop: [stores] arrive pre-seeded (that is the only
    difference between a from-scratch run and a resumed one). The first
    round is governed by [first]: [`Full] runs it unrestricted (the
-   from-scratch seeding, and DRed's rederivation pass), while
-   [`Adds adds] fires only delta-restricted instantiations whose frontier
-   is the newly inserted extensional facts (plus any new derived-pred
-   axioms already sitting in the store deltas) — the semi-naive
-   continuation, which never rescans the materialized bulk. Afterwards,
-   delta-restricted rounds close up either way. *)
+   from-scratch seeding, and DRed's rederivation pass), while [`Delta]
+   fires only the delta-restricted instantiations, like every later
+   semi-naive round — with [resume ~adds] the extensional stores carry
+   the newly inserted facts as their delta, so the first round is the
+   semi-naive continuation, which never rescans the materialized bulk.
+   Afterwards, delta-restricted rounds close up either way. *)
 let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules =
   let builtins = program.Program.builtins in
-  let store_of pred =
-    match Hashtbl.find_opt stores pred with
-    | Some s -> s
-    | None ->
-      let s = { full = Tuples.empty; delta = Tuples.empty; next = Tuples.empty } in
-      Hashtbl.add stores pred s;
-      s
-  in
-  let lookup pred src =
-    if List.mem pred derived then begin
-      let s = store_of pred in
-      let set =
-        match src with
-        | All -> Tuples.union s.full s.delta
-        | Old -> s.full
-        | Delta -> s.delta
-      in
-      Tuples.elements set
-    end
-    else Edb.tuples base pred
+  let store = store_in stores in
+  let solve delta_pos body k =
+    solve builtins stores ~sections:(Store.split delta_pos) body k
   in
   let ordered = ordered_rules ~order program ~base rules in
   (* Under [`Stats], re-rank the body literals each round against the
@@ -137,9 +90,10 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
     | `Syntactic -> prev
     | `Stats ->
       let live pred =
-        match Hashtbl.find_opt stores pred with
-        | Some s -> Some (Tuples.cardinal s.full + Tuples.cardinal s.delta)
-        | None -> None
+        if List.mem pred derived then
+          let s = store pred in
+          Some (Tuples.cardinal (Store.full s) + Tuples.cardinal (Store.delta s))
+        else None
       in
       let next = ordered_rules ~order ~live program ~base rules in
       let same =
@@ -152,18 +106,14 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
   in
   let cur_ordered = ref ordered in
   let commit pred args =
-    let s = store_of pred in
-    if
-      not
-        (Tuples.mem args s.full || Tuples.mem args s.delta
-       || Tuples.mem args s.next)
-    then begin
+    let s = store pred in
+    if not (Store.known s args) then begin
       Limits.spend fuel ~what:"seminaive: fact";
-      s.next <- Tuples.add args s.next
+      Store.add s args
     end
   in
-  let derive lookup (r : Rule.t) body delta_pos =
-    solve builtins lookup body 0 delta_pos Subst.empty (fun subst ->
+  let derive (r : Rule.t) body delta_pos =
+    solve delta_pos body (fun subst ->
         match Literal.ground_atom builtins subst r.Rule.head with
         | Some (pred, args) -> commit pred args
         | None -> ())
@@ -174,65 +124,74 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
      sequentially in task order. That replays exactly the derivation
      sequence of the sequential loop (same facts, same order, same fuel
      spends), so stores and fuel stay byte-identical to [domains:1];
-     only the enumeration work fans out (DESIGN.md §9). Stores are
-     pre-seeded for every derived predicate by [run]/[resume], so
-     worker-side lookups never mutate [stores]. *)
-  let collect lookup (r : Rule.t) body delta_pos () =
+     only the enumeration work fans out (DESIGN.md §9). Every predicate
+     has its store before the first round, and the only shared state a
+     task can create, a store's index, is built under that store's lock
+     (see {!Store.solve}). *)
+  let collect (r : Rule.t) body delta_pos () =
     let seen : (string, Tuples.t ref) Hashtbl.t = Hashtbl.create 8 in
     let acc = ref [] in
-    solve builtins lookup body 0 delta_pos Subst.empty (fun subst ->
+    solve delta_pos body (fun subst ->
         match Literal.ground_atom builtins subst r.Rule.head with
-        | Some (pred, args) ->
-          let known =
-            match Hashtbl.find_opt stores pred with
-            | Some s -> Tuples.mem args s.full || Tuples.mem args s.delta
-            | None -> false
+        | Some (pred, args) when not (Store.mem (store pred) args) ->
+          let local =
+            match Hashtbl.find_opt seen pred with
+            | Some l -> l
+            | None ->
+              let l = ref Tuples.empty in
+              Hashtbl.add seen pred l;
+              l
           in
-          if not known then begin
-            let local =
-              match Hashtbl.find_opt seen pred with
-              | Some l -> l
-              | None ->
-                let l = ref Tuples.empty in
-                Hashtbl.add seen pred l;
-                l
-            in
-            if not (Tuples.mem args !local) then begin
-              local := Tuples.add args !local;
-              acc := (pred, args) :: !acc
-            end
+          if not (Tuples.mem args !local) then begin
+            local := Tuples.add args !local;
+            acc := (pred, args) :: !acc
           end
-        | None -> ())
-      ;
+        | Some _ | None -> ());
     List.rev !acc
   in
-  let derive_all lookup tasks =
+  let derive_all tasks =
     match tasks with
     | [] -> ()
-    | [ (r, body, delta_pos) ] -> derive lookup r body delta_pos
+    | [ (r, body, delta_pos) ] -> derive r body delta_pos
     | tasks when not (Pool.parallel ()) ->
-      List.iter (fun (r, body, delta_pos) -> derive lookup r body delta_pos) tasks
+      List.iter (fun (r, body, delta_pos) -> derive r body delta_pos) tasks
     | tasks ->
       if Obs.enabled () then Obs.count "pool/rule_tasks" (List.length tasks);
       let candidates =
         Pool.run
-          (List.map (fun (r, body, delta_pos) -> collect lookup r body delta_pos) tasks)
+          (List.map (fun (r, body, delta_pos) -> collect r body delta_pos) tasks)
       in
       List.iter (List.iter (fun (pred, args) -> commit pred args)) candidates
   in
-  let promote () =
-    Hashtbl.iter
-      (fun _ s ->
-        s.full <- Tuples.union s.full s.delta;
-        s.delta <- s.next;
-        s.next <- Tuples.empty)
-      stores
+  let full_tasks ordered = List.map (fun (r, body) -> (r, body, None)) ordered in
+  (* Every genuinely new derivation consumes at least one new fact at
+     some body position (induction over rounds); firing each position
+     whose store has a delta, with the standard old/delta/all split,
+     covers exactly those instantiations. *)
+  let delta_tasks ordered =
+    List.concat_map
+      (fun ((r : Rule.t), body) ->
+        List.concat
+          (List.mapi
+             (fun i lit ->
+               match lit with
+               | Literal.Pos a
+                 when not (Tuples.is_empty (Store.delta (store a.Literal.pred)))
+                 ->
+                 [ (r, body, Some i) ]
+               | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _
+                 -> [])
+             body))
+      ordered
   in
+  let promote () = Hashtbl.iter (fun _ s -> Store.promote s) stores in
   let delta_nonempty () =
-    Hashtbl.fold (fun _ s acc -> acc || not (Tuples.is_empty s.delta)) stores false
+    Hashtbl.fold
+      (fun _ s acc -> acc || not (Tuples.is_empty (Store.delta s)))
+      stores false
   in
   let derived_this_round () =
-    Hashtbl.fold (fun _ s acc -> acc + Tuples.cardinal s.next) stores 0
+    Hashtbl.fold (fun _ s acc -> acc + Tuples.cardinal (Store.next s)) stores 0
   in
   (* Under a [~degrade:true] budget, exhaustion anywhere in the loop is
      caught at this level: the facts derived so far (including the
@@ -242,43 +201,10 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
   (try
      Obs.count "seminaive/round" 1;
      Faultinj.hit "seminaive/round";
-     (match first with
-  | `Full ->
-    derive_all lookup (List.map (fun (r, body) -> (r, body, None)) ordered)
-  | `Adds adds ->
-    (* Every genuinely new derivation consumes at least one new fact at
-       some body position (induction over rounds); firing each position
-       whose predicate has new facts, with the standard old/delta/all
-       split, covers exactly those instantiations. *)
-    let old_base = Edb.diff base adds in
-    let seed_lookup pred src =
-      if List.mem pred derived then lookup pred src
-      else
-        match src with
-        | Delta -> Edb.tuples adds pred
-        | Old -> Edb.tuples old_base pred
-        | All -> Edb.tuples base pred
-    in
-    let delta_nonempty_for pred =
-      if List.mem pred derived then
-        not (Tuples.is_empty (store_of pred).delta)
-      else Edb.cardinal adds pred > 0
-    in
-    let tasks =
-      List.concat_map
-        (fun ((r : Rule.t), body) ->
-          List.concat
-            (List.mapi
-               (fun i lit ->
-                 match lit with
-                 | Literal.Pos a when delta_nonempty_for a.Literal.pred ->
-                   [ (r, body, Some i) ]
-                 | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _
-                   -> [])
-               body))
-        ordered
-    in
-    derive_all seed_lookup tasks);
+     derive_all
+       (match first with
+       | `Full -> full_tasks ordered
+       | `Delta -> delta_tasks ordered);
      Obs.countf "seminaive/derived" derived_this_round;
      promote ();
      while delta_nonempty () do
@@ -287,97 +213,84 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
        Obs.count "seminaive/round" 1;
        cur_ordered := live_ordered !cur_ordered;
        let ordered = !cur_ordered in
-       (match variant with
-    | `Naive ->
-      (* Full re-evaluation: recompute everything from the whole store. *)
-      derive_all lookup (List.map (fun (r, body) -> (r, body, None)) ordered)
-    | `Seminaive ->
-      let tasks =
-        List.concat_map
-          (fun ((r : Rule.t), body) ->
-            List.concat
-              (List.mapi
-                 (fun i lit ->
-                   match lit with
-                   | Literal.Pos a when List.mem a.Literal.pred derived ->
-                     [ (r, body, Some i) ]
-                   | Literal.Pos _ | Literal.Neg _ | Literal.Eq _
-                   | Literal.Neq _ ->
-                     [])
-                 body))
-          ordered
-      in
-      derive_all lookup tasks);
+       derive_all
+         (match variant with
+         | `Naive ->
+           (* Full re-evaluation: recompute everything from the whole
+              store. *)
+           full_tasks ordered
+         | `Seminaive -> delta_tasks ordered);
        Obs.countf "seminaive/derived" derived_this_round;
        promote ()
      done
    with e when Limits.degradable fuel e -> Limits.latch fuel e);
   (* Normally [delta]/[next] are empty here; after a degraded cut they
      hold the in-flight facts, all of which are genuinely derived. *)
-  Hashtbl.fold
-    (fun pred s acc ->
-      let all = Tuples.union s.full (Tuples.union s.delta s.next) in
-      Edb.add_all pred (Tuples.elements all) acc)
-    stores Edb.empty
+  List.fold_left
+    (fun acc pred -> Edb.add_relation pred (Store.all (store pred)) acc)
+    Edb.empty derived
+
+let head_preds rules = List.sort_uniq String.compare (List.map Rule.head_pred rules)
 
 let run ~variant ?(fuel = Limits.default ()) ?(order = `Syntactic) program
     ~base rules =
   Obs.span "seminaive" @@ fun () ->
-  let stores : (string, store) Hashtbl.t = Hashtbl.create 16 in
-  let derived = List.map Rule.head_pred rules in
+  let stores : stores = Hashtbl.create 16 in
+  let derived = head_preds rules in
   (* A derived predicate may also have extensional facts (ground facts of
      the same name in the database); they behave as axioms, i.e. as part
      of the initial "old" facts. *)
   List.iter
     (fun pred ->
-      if not (Hashtbl.mem stores pred) then begin
-        let s =
-          { full = Tuples.of_list (Edb.tuples base pred);
-            delta = Tuples.empty;
-            next = Tuples.empty }
-        in
-        Hashtbl.add stores pred s
-      end)
+      Hashtbl.add stores pred
+        (Store.create ~full:(Edb.relation base pred) ~delta:Tuples.empty))
     derived;
+  add_body_stores stores rules (fun pred -> (Edb.relation base pred, Tuples.empty));
   eval_loop ~variant ~first:`Full ~fuel ~order program ~base ~stores ~derived
     rules
 
 let resume ?(fuel = Limits.default ()) ?(order = `Syntactic) ?adds program
     ~base ~init rules =
   Obs.span "seminaive.resume" @@ fun () ->
-  let stores : (string, store) Hashtbl.t = Hashtbl.create 16 in
-  let derived = List.map Rule.head_pred rules in
+  let stores : stores = Hashtbl.create 16 in
+  let derived = head_preds rules in
   (* Seed full from the materialized previous state; extensional facts of
      derived predicates that are new in [base] enter as the initial delta
-     — they are new axioms. With [adds] the first round fires only the
-     delta-restricted instantiations drawn from the new facts (pure
-     semi-naive continuation, for the insert-only path); without it the
-     first round wakes every rule against the resumed state (the
-     rederivation pass DRed needs). Starting below the fixpoint of the
-     rules over [base] is the caller's obligation; from there the loop
-     converges to exactly the from-scratch result. *)
+     — they are new axioms. With [adds] the extensional stores hold the
+     new facts as their delta, and the first round fires only the
+     delta-restricted instantiations drawn from them (pure semi-naive
+     continuation, for the insert-only path); without it the first round
+     wakes every rule against the resumed state (the rederivation pass
+     DRed needs). Starting below the fixpoint of the rules over [base] is
+     the caller's obligation; from there the loop converges to exactly
+     the from-scratch result. *)
   List.iter
     (fun pred ->
-      if not (Hashtbl.mem stores pred) then begin
-        let full = Tuples.of_list (Edb.tuples init pred) in
-        let axioms = Tuples.of_list (Edb.tuples base pred) in
-        let s =
-          { full; delta = Tuples.diff axioms full; next = Tuples.empty }
-        in
-        Hashtbl.add stores pred s
-      end)
+      let full = Edb.relation init pred in
+      Hashtbl.add stores pred
+        (Store.create ~full ~delta:(Tuples.diff (Edb.relation base pred) full)))
     derived;
-  let first = match adds with None -> `Full | Some a -> `Adds a in
+  let first, sections =
+    match adds with
+    | None -> (`Full, fun pred -> (Edb.relation base pred, Tuples.empty))
+    | Some adds ->
+      ( `Delta,
+        fun pred ->
+          let delta = Edb.relation adds pred in
+          (Tuples.diff (Edb.relation base pred) delta, delta) )
+  in
+  add_body_stores stores rules sections;
   eval_loop ~variant:`Seminaive ~first ~fuel ~order program ~base ~stores
     ~derived rules
 
+(* Each store holds [base] as its full section and the frontier (a
+   subset of it) as its delta, which only the restricted position reads;
+   every other literal reads [base] alone. *)
 let delta_heads ?order program ~base ~frontier rules =
   let builtins = program.Program.builtins in
-  let lookup pred src =
-    match src with
-    | Delta -> Edb.tuples frontier pred
-    | Old | All -> Edb.tuples base pred
-  in
+  let stores : stores = Hashtbl.create 16 in
+  add_body_stores stores rules (fun pred ->
+      (Edb.relation base pred, Edb.relation frontier pred));
   let out = ref Edb.empty in
   List.iter
     (fun ((r : Rule.t), body) ->
@@ -385,7 +298,10 @@ let delta_heads ?order program ~base ~frontier rules =
         (fun i lit ->
           match lit with
           | Literal.Pos a when Edb.cardinal frontier a.Literal.pred > 0 ->
-            solve builtins lookup body 0 (Some i) Subst.empty (fun subst ->
+            solve builtins stores
+              ~sections:(fun j -> if j = i then [ Store.Delta ] else [ Store.Full ])
+              body
+              (fun subst ->
                 match Literal.ground_atom builtins subst r.Rule.head with
                 | Some (pred, args) -> out := Edb.add pred args !out
                 | None -> ())

@@ -2,7 +2,14 @@
 
     Works directly on relations of value tuples, without grounding — this
     is the production evaluation path for positive and stratified
-    programs, and the subject of the engine-ablation benchmark (E7).
+    programs, and the subject of the engine-ablation benchmark (E8).
+    Every relation a run reads sits in a {!Store}, and a positive literal
+    probes the store's per-argument hash index with its first bound
+    argument — the grounder's join mechanism; a negative literal is a
+    membership test. Relations enter from the [base] database and leave
+    in the result as the {!Tuples} sets {!Edb} holds, without
+    conversion.
+
     Negative literals are permitted only when their predicate is fully
     materialised in the [base] database (lower strata or EDB); the
     stratified evaluator below arranges exactly that. *)
@@ -65,4 +72,4 @@ val delta_heads :
 (** One delta-restricted firing: all rule-head facts derivable with some
     positive body literal drawn from [frontier] and the rest of the body
     from [base] — the single-step dependents of the frontier facts, used
-    to propagate overdeletion. *)
+    to propagate overdeletion. [frontier] is a subset of [base]. *)

@@ -294,6 +294,71 @@ let test_dl_delete () =
     got;
   Alcotest.(check bool) "pair gone" false (DI.holds t "path" (efact "a" "d"))
 
+(* Per-batch fuel and closure size of a fixed delete/refill sequence on
+   a TC DAG (3 chains of 16 nodes plus shortcuts): single-edge and
+   three-edge deletes (DRed), their refills (extend) and a mixed batch
+   and its reversal. Fuel is one unit per new fact plus one per batch
+   and DRed round, so these numbers pin the derivation work of both
+   regimes; how literals are joined must never move them. *)
+let test_dl_pinned_fuel () =
+  let program, _ =
+    Datalog.Parser.parse_exn "t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z)."
+  in
+  let fact (a, b) = [ Value.int a; Value.int b ] in
+  let len = 16 in
+  let edges =
+    List.concat_map
+      (fun c ->
+        let base = c * len in
+        List.init (len - 1) (fun i -> (base + i, base + i + 1))
+        @ List.filter_map
+            (fun i ->
+              if i mod 5 = 0 && i + 3 < len then Some (base + i, base + i + 3)
+              else None)
+            (List.init len Fun.id))
+      [ 0; 1; 2 ]
+  in
+  let edb =
+    List.fold_left
+      (fun edb e -> Datalog.Edb.add "e" (fact e) edb)
+      Datalog.Edb.empty edges
+  in
+  let batch ops =
+    List.fold_left
+      (fun u (ins, e) ->
+        if ins then DU.insert "e" (fact e) u else DU.delete "e" (fact e) u)
+      DU.empty ops
+  in
+  let budget = 1_000_000 in
+  let fuel = Limits.of_int budget in
+  let left () = Option.value ~default:0 (Limits.remaining fuel) in
+  let t =
+    match DI.init ~fuel program edb with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  let size () = Datalog.Edb.cardinal (DI.result t) "t" in
+  Alcotest.(check (pair int int)) "init: fuel, |t|" (360, 360)
+    (budget - left (), size ());
+  List.iter
+    (fun (label, ops, expected) ->
+      let before = left () in
+      ignore (DI.update t (batch ops));
+      Alcotest.(check (pair int int)) (label ^ ": fuel, |t|") expected
+        (before - left (), size ()))
+    [ ("delete 1", [ (false, (5, 6)) ], (55, 348));
+      ("refill 1", [ (true, (5, 6)) ], (13, 360));
+      ( "delete 3",
+        [ (false, (1, 2)); (false, (20, 21)); (false, (35, 38)) ],
+        (19, 290) );
+      ( "refill 3",
+        [ (true, (1, 2)); (true, (20, 21)); (true, (35, 38)) ],
+        (71, 360) );
+      ("mixed", [ (false, (10, 11)); (true, (10, 30)) ], (65, 360));
+      ("mixed reverted", [ (true, (10, 11)); (false, (10, 30)) ], (32, 360)) ];
+  Alcotest.check edb_equal "final = scratch" (dl_scratch program (DI.edb t))
+    (DI.result t)
+
 let test_dl_negation_recompute () =
   (* Stratified negation: a deletion *grows* iso — must take the
      recompute path and still agree with scratch. *)
@@ -399,6 +464,8 @@ let suite =
     Alcotest.test_case "Datalog delete runs DRed" `Quick test_dl_delete;
     Alcotest.test_case "Datalog negation recomputes" `Quick
       test_dl_negation_recompute;
+    Alcotest.test_case "Datalog pinned fuel over delete/refill" `Quick
+      test_dl_pinned_fuel;
     QCheck_alcotest.to_alcotest prop_datalog_incremental_equals_scratch;
     Alcotest.test_case "live grounding retracts" `Quick
       test_live_ground_retracts;

@@ -396,6 +396,75 @@ let test_pool_cancellation () =
   Alcotest.(check (list int)) "pool alive after cancellation" [ 0; 1; 2; 3 ]
     (Pool.map Fun.id [ 0; 1; 2; 3 ])
 
+(* Parallel semi-naive rounds on a graph big enough for concurrent index
+   creation to happen: non-linear TC fires two (rule, delta position)
+   tasks per round, both probing the [t] store by a bound first argument,
+   so their indexes are built while the tasks run. 4 chains of 50 nodes
+   with shortcuts and cross-chain edges. *)
+let test_seminaive_parallel_stress () =
+  let program, _ =
+    Datalog.Parser.parse_exn "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z)."
+  in
+  let nodes = 200 and chain = 50 in
+  let edges =
+    List.concat_map
+      (fun n ->
+        let along = if n mod chain < chain - 1 then [ (n, n + 1) ] else [] in
+        let skip =
+          if n mod 7 = 0 && (n mod chain) + 5 < chain then [ (n, n + 2 + (n mod 4)) ]
+          else []
+        in
+        let across =
+          if n mod chain = 10 && n + chain < nodes then [ (n, n + chain) ] else []
+        in
+        along @ skip @ across)
+      (List.init nodes Fun.id)
+  in
+  let base =
+    List.fold_left
+      (fun edb (a, b) -> Edb.add "e" [ Value.int a; Value.int b ] edb)
+      Edb.empty edges
+  in
+  let reachable =
+    (* Independent count of the closure, by DFS from every node. *)
+    let succ = Array.make nodes [] in
+    List.iter (fun (a, b) -> succ.(a) <- b :: succ.(a)) edges;
+    let count src =
+      let seen = Array.make nodes false in
+      let rec go n =
+        List.iter
+          (fun m ->
+            if not seen.(m) then begin
+              seen.(m) <- true;
+              go m
+            end)
+          succ.(n)
+      in
+      go src;
+      Array.fold_left (fun k b -> if b then k + 1 else k) 0 seen
+    in
+    List.fold_left (fun k n -> k + count n) 0 (List.init nodes Fun.id)
+  in
+  let run n =
+    with_domains n @@ fun () ->
+    let fuel = Limits.of_int 1_000_000 in
+    let direct =
+      Seminaive.seminaive ~fuel program ~base program.Datalog.Program.rules
+    in
+    let strat =
+      match Run.stratified ~fuel program base with
+      | Ok db -> db
+      | Error msg -> Alcotest.fail msg
+    in
+    (direct, strat, Limits.remaining fuel)
+  in
+  let d1, s1, f1 = run 1 in
+  let d4, s4, f4 = run 4 in
+  Alcotest.(check int) "closure size" reachable (Edb.cardinal d1 "t");
+  Alcotest.(check bool) "seminaive: domains 4 = domains 1" true (Edb.equal d1 d4);
+  Alcotest.(check bool) "stratified: domains 4 = domains 1" true (Edb.equal s1 s4);
+  Alcotest.(check (option int)) "fuel left" f1 f4
+
 let suite =
   [
     Alcotest.test_case "pool map preserves order" `Quick test_pool_map_order;
@@ -421,4 +490,6 @@ let suite =
       test_pool_fuel_exactly_restored;
     Alcotest.test_case "cancellation drains the pool cleanly" `Quick
       test_pool_cancellation;
+    Alcotest.test_case "seminaive stress: non-linear TC, 200 nodes" `Quick
+      test_seminaive_parallel_stress;
   ]

@@ -16,6 +16,12 @@ let chain_edb n =
   in
   go 0 Edb.empty
 
+(* The two strategies at a given budget, for comparing fuel left. *)
+let naive ~fuel program ~base rules = Seminaive.naive ~fuel program ~base rules
+
+let seminaive ~fuel program ~base rules =
+  Seminaive.seminaive ~fuel program ~base rules
+
 let eval_with f src edb =
   let program, _ = Parser.parse_exn src in
   f program edb
@@ -71,8 +77,8 @@ let test_edb_facts_for_idb_pred () =
   | Error e -> Alcotest.fail e
 
 let prop_naive_equals_seminaive =
-  QCheck.Test.make ~name:"naive = seminaive on random positive programs" ~count:80
-    Tgen.rand_instance_arb (fun (program, edges) ->
+  QCheck.Test.make ~name:"naive = seminaive on random positive programs"
+    ~count:(Tgen.qcount 80) Tgen.rand_instance_arb (fun (program, edges) ->
       (* Keep only the negation-free rules to stay in the positive
          fragment both evaluators support symmetrically. *)
       let rules =
@@ -89,13 +95,20 @@ let prop_naive_equals_seminaive =
       QCheck.assume (rules <> []);
       let program = Program.make rules in
       let edb = Tgen.e_edb edges in
-      let naive = Seminaive.naive program ~base:edb rules in
-      let semi = Seminaive.seminaive program ~base:edb rules in
-      Edb.equal naive semi)
+      (* Both strategies spend one unit per new fact, so they also agree
+         on the fuel left. *)
+      let eval f =
+        let fuel = Limits.of_int 100_000 in
+        let db = f ~fuel program ~base:edb rules in
+        (db, Limits.remaining fuel)
+      in
+      let naive, naive_fuel = eval naive in
+      let semi, semi_fuel = eval seminaive in
+      Edb.equal naive semi && naive_fuel = semi_fuel)
 
 let prop_seminaive_equals_grounding =
   QCheck.Test.make ~name:"stratified seminaive = valid engine on stratified programs"
-    ~count:60 Tgen.rand_instance_arb (fun (program, edges) ->
+    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
       QCheck.assume (Stratify.is_stratified program);
       let edb = Tgen.e_edb edges in
       match Run.stratified program edb with
@@ -109,6 +122,124 @@ let prop_seminaive_equals_grounding =
             a = b)
           (Program.idb_preds program))
 
+(* Every key shape a positive literal can probe with: the first argument
+   bound by an earlier literal (both linear TCs), a constant, a repeated
+   variable, constructor terms (bound whole, or only partly so the
+   literal scans), an interpreted function, and negative literals over
+   the EDB and over a lower stratum. Each program is evaluated stratum by
+   stratum with both strategies, by [Run.stratified] and by the valid
+   engine, which grounds instead; all four must agree, the two
+   strategies on fuel as well, and the sizes pin that each case derives
+   something. *)
+let key_shape_edb = "e(a, b). e(b, c). e(c, a). e(c, d). e(d, d). e(d, e). "
+
+let tc_right = "t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z). "
+let tc_left = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z). "
+
+let key_shapes =
+  [ ("right-linear TC", tc_right, [ ("t", 17) ]);
+    ("left-linear TC (bound variable)", tc_left, [ ("t", 17) ]);
+    ( "constant argument",
+      tc_left ^ "p(X) :- e(a, X). q(X) :- e(X, d). r(X) :- t(X, d).",
+      [ ("p", 1); ("q", 2); ("r", 4); ("t", 17) ] );
+    ( "repeated variable",
+      "loop(X) :- e(X, X). back(X, Y) :- e(X, Y), e(Y, X). \
+       cyc(X) :- e(X, Y), e(Y, Z), e(Z, X).",
+      [ ("back", 1); ("cyc", 4); ("loop", 1) ] );
+    ( "constructor term",
+      "box(f(a, b)). box(f(b, c)). box(f(c, c)). box(g(a)). \
+       w(X) :- box(f(X, Y)), e(Y, Z), e(Z, X). unbox(Y) :- box(f(a, Y)). \
+       pair(X, Y) :- e(X, Y), box(f(X, Y)). wrap(f(X, Y)) :- e(X, Y), e(Y, Y).",
+      [ ("pair", 2); ("unbox", 1); ("w", 2); ("wrap", 2) ] );
+    ( "interpreted function",
+      "boss(b, a). boss(c, b). boss(d, b). level(a, 0). \
+       level(X, N) :- boss(X, Y), level(Y, M), N = add(M, 1). \
+       num(0). num(1). num(2). num(4). succ(X) :- num(X), num(add(X, 1)).",
+      [ ("level", 4); ("succ", 2) ] );
+    ( "negative literal",
+      tc_right
+      ^ "oneway(X, Y) :- e(X, Y), not e(Y, X). \
+         far(X, Y) :- e(X, U), e(Y, V), not t(X, Y).",
+      [ ("far", 3); ("oneway", 5); ("t", 17) ] ) ]
+
+let by_strata eval program edb =
+  match Stratify.strata program with
+  | Error msg -> Alcotest.fail msg
+  | Ok groups ->
+    let fuel = Limits.of_int 100_000 in
+    let db =
+      List.fold_left
+        (fun base group ->
+          let rules =
+            List.filter
+              (fun r -> List.mem (Rule.head_pred r) group)
+              program.Program.rules
+          in
+          if rules = [] then base else Edb.union base (eval ~fuel program ~base rules))
+        edb groups
+    in
+    (db, Limits.remaining fuel)
+
+let test_key_shapes () =
+  List.iter
+    (fun (label, src, sizes) ->
+      let program, edb = Parser.parse_exn (key_shape_edb ^ src) in
+      let naive, naive_fuel = by_strata naive program edb in
+      let semi, semi_fuel = by_strata seminaive program edb in
+      let strat =
+        match Run.stratified program edb with
+        | Ok db -> db
+        | Error msg -> Alcotest.fail msg
+      in
+      let valid = Run.valid program edb in
+      Alcotest.(check bool)
+        (label ^ ": naive = semi-naive")
+        true (Edb.equal naive semi);
+      Alcotest.(check (option int)) (label ^ ": fuel") naive_fuel semi_fuel;
+      Alcotest.(check bool) (label ^ ": = stratified") true (Edb.equal semi strat);
+      let printed tuples =
+        List.sort compare (List.map (List.map Value.to_string) tuples)
+      in
+      List.iter
+        (fun pred ->
+          Alcotest.(check (list (list string)))
+            (label ^ ": " ^ pred ^ " = valid")
+            (printed (Edb.tuples semi pred))
+            (printed (Interp.true_tuples valid pred)))
+        (Program.idb_preds program);
+      List.iter
+        (fun (pred, n) ->
+          Alcotest.(check int) (label ^ ": |" ^ pred ^ "|") n (Edb.cardinal semi pred))
+        sizes)
+    key_shapes
+
+(* DRed on left-linear TC: the overdeletion and rederivation rounds probe
+   [e] by its bound first argument. *)
+let test_left_linear_dred () =
+  let program, _ = Parser.parse_exn tc_left in
+  let edb = chain_edb 12 |> Edb.add "e" [ vi 3; vi 7 ] |> Edb.add "e" [ vi 0; vi 5 ] in
+  let t =
+    match Incremental.init program edb with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  let check label =
+    match Run.stratified program (Incremental.edb t) with
+    | Ok db -> Alcotest.(check bool) label true (Edb.equal db (Incremental.result t))
+    | Error msg -> Alcotest.fail msg
+  in
+  let edge = [ vi 4; vi 5 ] in
+  ignore (Incremental.update t Edb.Update.(delete "e" edge empty));
+  check "delete = scratch";
+  Alcotest.(check bool) "0 still reaches 6" true
+    (Incremental.holds t "t" [ vi 0; vi 6 ]);
+  Alcotest.(check bool) "4 no longer reaches 6" false
+    (Incremental.holds t "t" [ vi 4; vi 6 ]);
+  ignore (Incremental.update t Edb.Update.(insert "e" edge empty));
+  check "refill = scratch";
+  Alcotest.(check bool) "4 reaches 6 again" true
+    (Incremental.holds t "t" [ vi 4; vi 6 ])
+
 let _ = eval_with
 
 let suite =
@@ -119,6 +250,8 @@ let suite =
     Alcotest.test_case "rejects non-stratified" `Quick test_stratified_rejects_nonstratified;
     Alcotest.test_case "rejects unsafe" `Quick test_stratified_rejects_unsafe;
     Alcotest.test_case "EDB facts seed IDB preds" `Quick test_edb_facts_for_idb_pred;
+    Alcotest.test_case "key shapes: naive = semi-naive = valid" `Quick test_key_shapes;
+    Alcotest.test_case "left-linear TC delete and refill" `Quick test_left_linear_dred;
     QCheck_alcotest.to_alcotest prop_naive_equals_seminaive;
     QCheck_alcotest.to_alcotest prop_seminaive_equals_grounding;
   ]
