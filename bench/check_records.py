@@ -74,13 +74,12 @@ def check_e14(records):
             f"record {i}: mode {r['mode']} but planned={plan['planned']}"
         by_workload.setdefault(r["workload"], {})[r["mode"]] = r
     for name, rows in by_workload.items():
-        for mode in ("off", "greedy", "cost"):
+        for mode in ("off", "cost"):
             assert mode in rows, f"{name}: missing mode {mode!r}"
         # The exactness contract: planned results fingerprint-equal the
         # unplanned baseline.
-        for mode in ("greedy", "cost"):
-            assert rows[mode]["fingerprint"] == rows["off"]["fingerprint"], \
-                f"{name}: {mode} fingerprint differs from off"
+        assert rows["cost"]["fingerprint"] == rows["off"]["fingerprint"], \
+            f"{name}: cost fingerprint differs from off"
         cost_plan = rows["cost"]["plan"]
         assert cost_plan["est_cost_chosen"] <= cost_plan["est_cost_original"], \
             f"{name}: cost search picked a worse plan than the input"

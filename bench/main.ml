@@ -16,16 +16,31 @@ module U = Bench_util
 
 let vi = Value.int
 
-(* One extra untimed run of [f] with a Summary sink teed in, for the
-   "obs" block of a bench record. Kept out of [U.time_ms], whose repeat
+(* One extra untimed run of [f] for the "obs" block of a bench record,
+   with the metrics registry collecting and a memory sink installed.
+   Counts and totals come from the registry snapshot; per-iteration
+   series come from the [Count] events, because the registry keeps
+   distributions, not sequences. Kept out of [U.time_ms], whose repeat
    samples would multiply every event count. *)
-let obs_summary f =
-  let sum = Obs.Summary.create () in
-  Obs.with_tee (Obs.Summary.sink sum) (fun () -> ignore (f ()));
-  sum
+let obs_run f =
+  let sink, events = Obs.Sink.memory () in
+  Obs.Metrics.reset ();
+  Obs.Metrics.with_collecting (fun () ->
+      Obs.with_sink sink (fun () -> ignore (f ())));
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  (sn, events ())
 
-let obs_series sum counter =
-  U.L (List.map (fun n -> U.I n) (Obs.Summary.counter_series sum counter))
+let obs_series events counter =
+  U.L
+    (List.filter_map
+       (function
+         | Obs.Event.Count { counter = c; n; _ } when String.equal c counter ->
+           Some (U.I n)
+         | Obs.Event.Count _ | Obs.Event.Span_begin _ | Obs.Event.Span_end _
+         | Obs.Event.Gauge _ ->
+           None)
+       events)
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 6.2: safe deduction -> algebra= round trip.            *)
@@ -114,8 +129,8 @@ let e2 () =
         && List.length tr_tuples = tc_count
       in
       let speedup = naive_ms /. semi_ms in
-      let sum =
-        obs_summary (fun () ->
+      let sn, events =
+        obs_run (fun () ->
             Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs db W.tc_ifp)
       in
       U.row "%-10d %8d %14.2f %12.2f %14.2f %8.1fx %14.2f %7b@." n tc_count
@@ -132,8 +147,8 @@ let e2 () =
           ("agree", U.B equal);
           ("obs",
            U.O
-             [ ("ifp_iters", U.I (Obs.Summary.counter_events sum "eval/ifp_iter"));
-               ("delta_sizes", obs_series sum "eval/ifp_delta") ]) ])
+             [ ("ifp_iters", U.I (Obs.Metrics.counter_events sn "eval/ifp_iter"));
+               ("delta_sizes", obs_series events "eval/ifp_delta") ]) ])
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -220,8 +235,8 @@ let e5 () =
       && Value.equal value_semi.Algebra.Rec_eval.high direct
     in
     let speedup = naive_ms /. semi_ms in
-    let sum =
-      obs_summary (fun () ->
+    let sn, events =
+      obs_run (fun () ->
           Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Seminaive elim)
     in
     U.row "%-12s %8d %8d %6d %12.2f %10.2f %14.2f %8.1fx %7b@." name
@@ -239,9 +254,9 @@ let e5 () =
         ("agree", U.B equal);
         ("obs",
          U.O
-           [ ("rounds", U.I (Obs.Summary.counter_events sum "rec_eval/round"));
-             ("phase_iters", U.I (Obs.Summary.counter_total sum "rec_eval/phase_iter"));
-             ("delta_sizes", obs_series sum "rec_eval/delta") ]) ]
+           [ ("rounds", U.I (Obs.Metrics.counter_events sn "rec_eval/round"));
+             ("phase_iters", U.I (Obs.Metrics.counter_total sn "rec_eval/phase_iter"));
+             ("delta_sizes", obs_series events "rec_eval/delta") ]) ]
   in
   run "chain-2" (W.chain 2);
   if not (U.is_smoke ()) then begin
@@ -489,14 +504,14 @@ let e12 () =
       Algebra.Incremental.init no_defs (W.db_of ~rel:"edge" base_edges) W.tc_ifp
     in
     let replay eng = List.iter (fun ops -> ignore (Algebra.Incremental.update eng (upd ops))) batches in
-    let sum = obs_summary (fun () -> replay (mk ())) in
+    let sn, _ = obs_run (fun () -> replay (mk ())) in
     let eng = mk () in
     let t_incr, () = U.time_ms ~runs:1 (fun () -> replay eng) in
     let scratch_ms, scratch_v =
       U.time_ms (fun () -> Algebra.Eval.eval no_defs (Algebra.Incremental.db eng) W.tc_ifp)
     in
     let agree = Value.equal (Algebra.Incremental.value eng) scratch_v in
-    (t_incr, scratch_ms, agree, sum)
+    (t_incr, scratch_ms, agree, sn)
   in
   let run_datalog base_edges batches =
     let upd ops =
@@ -513,7 +528,7 @@ let e12 () =
       | Error m -> failwith m
     in
     let replay t = List.iter (fun ops -> ignore (Datalog.Incremental.update t (upd ops))) batches in
-    let sum = obs_summary (fun () -> replay (mk ())) in
+    let sn, _ = obs_run (fun () -> replay (mk ())) in
     let t = mk () in
     let t_incr, () = U.time_ms ~runs:1 (fun () -> replay t) in
     let scratch_ms, scratch_r =
@@ -525,7 +540,7 @@ let e12 () =
       | Ok r -> Datalog.Edb.equal (Datalog.Incremental.result t) r
       | Error _ -> false
     in
-    (t_incr, scratch_ms, agree, sum)
+    (t_incr, scratch_ms, agree, sn)
   in
   List.iter
     (fun n ->
@@ -536,12 +551,12 @@ let e12 () =
               let k, total, base_edges, batches = config n kind b in
               List.iter
                 (fun (engine, run) ->
-                  let t_incr, scratch_ms, agree, sum = run base_edges batches in
+                  let t_incr, scratch_ms, agree, sn = run base_edges batches in
                   let per_batch = t_incr /. float_of_int k in
                   let per_update = t_incr /. float_of_int total in
                   let speedup = scratch_ms /. per_batch in
                   assert agree;
-                  let c name = Obs.Summary.counter_total sum ("incr/" ^ name) in
+                  let c name = Obs.Metrics.counter_total sn ("incr/" ^ name) in
                   U.row "%-8s %-14s %-7s %6d %4d %12.3f %14.2f %12.2f %8.1fx %6b@."
                     engine (Fmt.str "tc-chain-%d" n) kind_name b k per_update
                     per_batch scratch_ms speedup agree;
@@ -689,13 +704,12 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 (* E14 — cost-based planning on adversarial join orders: workloads
    written in the order a naive translation would produce, where the
-   syntactic plan (or the greedy left-deep one) materialises large
-   intermediates the planner avoids. Every mode must return the same
+   syntactic plan (or a greedy left-deep one) materialises large
+   intermediates the planner avoids. Both modes must return the same
    set ([assert]ed); only time and peak intermediate may differ. *)
 
 let e14 () =
-  U.hr "E14: cost-based planner vs greedy left-deep vs unplanned \
-        (byte-identical results)";
+  U.hr "E14: cost-based planner vs unplanned (byte-identical results)";
   U.row "%-18s %-7s %12s %9s %14s %6s@." "workload" "plan" "ms" "speedup"
     "peak intermed" "agree";
   let no_defs = Algebra.Defs.make [] in
@@ -714,11 +728,11 @@ let e14 () =
         let advice = Plan.Planner.advice planner in
         let eval () = Algebra.Eval.eval ~advice no_defs db expr in
         let ms, result = U.time_ms eval in
-        let sum = obs_summary eval in
+        let sn, _ = obs_run eval in
         let peak =
           max
-            (Obs.Summary.counter_max sum "join/out")
-            (Obs.Summary.counter_max sum "eval/product_out")
+            (Obs.Metrics.counter_quantile sn "join/out" 1.0)
+            (Obs.Metrics.counter_quantile sn "eval/product_out" 1.0)
         in
         let agree, speedup =
           match !base with
@@ -731,7 +745,7 @@ let e14 () =
         if Sys.getenv_opt "E14_DEBUG" <> None then
           Fmt.epr "--- %s %s ---@.%a@." name
             (Plan.Planner.mode_to_string mode)
-            Obs.Summary.pp sum;
+            (Obs.Metrics.pp_report ?top:None) sn;
         let report =
           match Plan.Planner.reports planner with r :: _ -> Some r | [] -> None
         in
@@ -768,7 +782,7 @@ let e14 () =
             ("agree", U.B agree);
             ("par_threshold", U.I !Algebra.Join.par_threshold);
             ("plan", plan_block) ])
-      [ Plan.Planner.Off; Plan.Planner.Greedy; Plan.Planner.Cost ]
+      [ Plan.Planner.Off; Plan.Planner.Cost ]
   in
   let pairs f n = List.init n (fun i -> f i) in
   (* 1. Star trap: two large relations and a tiny centre, written with
@@ -1052,7 +1066,7 @@ let e16 () =
      riding in the fixpoint body: x joins a tiny relation [t] (no equi
      edge — a cross product, but small while x is believed small) and a
      wide low-key relation [b]. Against the default bound-card estimate
-     the greedy planner starts the region with the x*t cross product;
+     the cost planner starts the region with the x*t cross product;
      once x outgrows the estimate, the refreshed plan starts with the
      selective t-b join instead. Both plans return the same (empty)
      decoy contribution — only the per-round enumeration cost moves. *)
@@ -1101,8 +1115,8 @@ let e16 () =
     Algebra.Expr.ifp "x" (Algebra.Expr.union (W.tc_body (Algebra.Expr.rel "x")) trap)
   in
   let stats = Plan.Stats.of_db drift_db in
-  let stale = Plan.Planner.create ~stats Plan.Planner.Greedy in
-  let live = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Greedy in
+  let stale = Plan.Planner.create ~stats Plan.Planner.Cost in
+  let live = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Cost in
   (* Naive strategy: every round re-joins the whole accumulated x, so
      the plan built for |x| = 64 keeps paying the cross product as x
      grows into the thousands — the drift live re-planning corrects. *)

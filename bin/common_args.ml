@@ -1,7 +1,7 @@
 (* Arguments shared by the evaluating subcommands (run, alg, query):
    the fuel budget, the planner knobs, plus the three reporting
-   switches. Declared once so every subcommand documents and parses
-   them identically. *)
+   switches (--trace, --profile, --metrics). Declared once so every
+   subcommand documents and parses them identically. *)
 
 open Recalg
 open Cmdliner
@@ -11,7 +11,6 @@ type t = {
   timeout_ms : int option;
   memory_limit_mb : int option;
   degrade : bool;
-  stats : bool;
   trace : string option;
   profile : bool;
   domains : int;
@@ -88,23 +87,20 @@ let term =
   in
   let plan =
     let parse =
-      Arg.enum
-        [ ("off", Plan.Planner.Off);
-          ("greedy", Plan.Planner.Greedy);
-          ("cost", Plan.Planner.Cost) ]
+      Arg.enum [ ("off", Plan.Planner.Off); ("cost", Plan.Planner.Cost) ]
     in
     Arg.(
       value & opt parse Plan.Planner.Off
       & info [ "plan" ] ~docv:"MODE"
           ~doc:
             "Query planning: $(b,off) evaluates expressions as written; \
-             $(b,greedy) reorders multiway joins left-deep by estimated \
-             intermediate size; $(b,cost) adds exact dynamic-programming \
-             join-order search (up to 8 relations), semijoin reducers \
-             under projections, and per-node strategy selection. Results \
-             are byte-identical in every mode. On deductive subcommands, \
-             any mode other than $(b,off) also orders rule-body literals \
-             by envelope cardinality estimates.")
+             $(b,cost) reorders multiway joins by exact \
+             dynamic-programming search (up to 8 relations, greedy \
+             left-deep above), adds semijoin reducers under projections, \
+             and selects a strategy per node. Results are byte-identical \
+             in both modes. On deductive subcommands, $(b,cost) also \
+             orders rule-body literals by envelope cardinality \
+             estimates.")
   in
   let par_threshold =
     Arg.(
@@ -129,14 +125,6 @@ let term =
              relations afterwards. Missing or unreadable files degrade \
              to no stats.")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Print hash-consing statistics (live nodes, table occupancy, \
-             hit/miss counts) to stderr after evaluation.")
-  in
   let trace =
     Arg.(
       value
@@ -152,9 +140,14 @@ let term =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Print an EXPLAIN-style profile to stderr after evaluation: \
-             span timings, fixpoint iteration counts, per-engine \
-             counters, and (with $(b,--plan)) the chosen join orders.")
+            "Collect retained metrics during the run and print them to \
+             stderr afterwards, in the $(b,recalg report) layout: the \
+             top phases by wall time and by fuel with p50/p90/p99 \
+             latency quantiles, the counter distributions (fixpoint \
+             iterations, join volumes, hash-consing hits and misses) \
+             and the gauges. On $(b,alg) with $(b,--plan) $(b,cost) it \
+             also prints the planner's EXPLAIN blocks. Results and fuel \
+             are byte-identical with or without it.")
   in
   let metrics =
     Arg.(
@@ -177,17 +170,16 @@ let term =
             "Arm mid-fixpoint re-planning: at fixpoint-round boundaries \
              the planner compares observed cardinalities against the \
              estimates the current plan was built on and re-plans on \
-             drift. Requires a $(b,--plan) mode other than $(b,off); \
-             results are byte-identical — only enumeration cost moves.")
+             drift. Requires $(b,--plan) $(b,cost); results are \
+             byte-identical — only enumeration cost moves.")
   in
-  let make fuel timeout_ms memory_limit_mb degrade stats trace profile domains
-      plan par_threshold stats_file metrics live_replan =
+  let make fuel timeout_ms memory_limit_mb degrade trace profile domains plan
+      par_threshold stats_file metrics live_replan =
     {
       fuel;
       timeout_ms;
       memory_limit_mb;
       degrade;
-      stats;
       trace;
       profile;
       domains;
@@ -199,7 +191,7 @@ let term =
     }
   in
   Term.(
-    const make $ fuel $ timeout_ms $ memory_limit_mb $ degrade $ stats $ trace
+    const make $ fuel $ timeout_ms $ memory_limit_mb $ degrade $ trace
     $ profile $ domains $ plan $ par_threshold $ stats_file $ metrics
     $ live_replan)
 
@@ -215,7 +207,7 @@ let fuel_of t =
 let order_of t : [ `Syntactic | `Stats ] =
   match t.plan with
   | Plan.Planner.Off -> `Syntactic
-  | Plan.Planner.Greedy | Plan.Planner.Cost -> `Stats
+  | Plan.Planner.Cost -> `Stats
 
 (* The planner for an algebra evaluation over [db]: stats come from the
    persisted file when one is given (stale entries pruned against the
@@ -243,9 +235,6 @@ let report_plan t planner =
   if t.profile && t.plan <> Plan.Planner.Off then
     Fmt.epr "%a" Plan.Planner.pp_reports (Plan.Planner.reports planner)
 
-let report_stats t =
-  if t.stats then Fmt.epr "%a@." Value.Stats.pp (Value.Stats.snapshot ())
-
 (* Exit-code contract (documented in the README): parse errors exit 2
    before evaluation starts; resource exhaustion maps fuel -> 3,
    deadline -> 4, and cancellation/memory -> 5. *)
@@ -256,9 +245,11 @@ let exit_code = function
 
 (* Run [f] — which receives the budget built from [t] — with whatever
    reporting [t] asks for, on the pool size [t] requests (the workers
-   are joined at process exit). A sink is always installed (null when
-   neither --trace nor --profile asked for one) so the obs layer tracks
-   span paths and a resource error can say where it died. The budget is
+   are joined at process exit). A sink is always installed (null unless
+   --trace asked for a file) so the obs layer tracks span paths and a
+   resource error can say where it died. --profile and --metrics both
+   turn the metrics registry on, and one snapshot taken after the run
+   feeds the metrics files and the profile table. The budget is
    installed as the ambient one, extending deadline/cancellation checks
    to pool tasks and join partitions. Resource errors are caught here,
    reported, and turned into the documented exit codes — after the
@@ -269,16 +260,7 @@ let with_reporting t f =
   Algebra.Join.par_threshold := t.par_threshold;
   let fuel = fuel_of t in
   let code = ref 0 in
-  let summary = if t.profile then Some (Obs.Summary.create ()) else None in
-  let go oc =
-    let sink =
-      match
-        Option.map Obs.Sink.jsonl oc, Option.map Obs.Summary.sink summary
-      with
-      | Some a, Some b -> Obs.Sink.tee a b
-      | Some s, None | None, Some s -> s
-      | None, None -> Obs.Sink.null
-    in
+  let go sink =
     Datalog.Run.with_obs sink @@ fun () ->
     try Limits.with_active fuel (fun () -> f fuel) with
     | (Limits.Diverged _ | Limits.Resource_exhausted _) as e ->
@@ -295,28 +277,30 @@ let with_reporting t f =
       Fmt.epr "error: injected fault at %s (hit %d)@." site hit;
       code := 1
   in
-  if t.metrics <> None then begin
+  let collect = t.profile || t.metrics <> None in
+  if collect then begin
     Obs.Metrics.reset ();
     Obs.Metrics.set_collecting true
   end;
   (match t.trace with
-  | None -> go None
-  | Some path -> Safe_io.with_file path (fun oc -> go (Some oc)));
+  | None -> go Obs.Sink.null
+  | Some path -> Safe_io.with_file path (fun oc -> go (Obs.Sink.jsonl oc)));
   (* Metrics files are written after the run (and after the trace file
      is complete), from a quiesced registry, via the same tmp + rename
      path as every other artifact — an aborted run still leaves whole
      files. *)
-  (match t.metrics with
-  | None -> ()
-  | Some path ->
+  if collect then begin
     Obs.Metrics.set_collecting false;
     let sn = Obs.Metrics.snapshot () in
-    Safe_io.with_file path (fun oc ->
-        output_string oc (Obs.Metrics.to_prometheus sn));
-    Safe_io.with_file (path ^ ".json") (fun oc ->
-        output_string oc (Obs.Metrics.to_json sn)));
-  Option.iter (fun s -> Fmt.epr "%a@." Obs.Summary.pp s) summary;
-  report_stats t;
+    Option.iter
+      (fun path ->
+        Safe_io.with_file path (fun oc ->
+            output_string oc (Obs.Metrics.to_prometheus sn));
+        Safe_io.with_file (path ^ ".json") (fun oc ->
+            output_string oc (Obs.Metrics.to_json sn)))
+      t.metrics;
+    if t.profile then Fmt.epr "%a@." (Obs.Metrics.pp_report ?top:None) sn
+  end;
   (match Limits.degraded fuel with
   | Some (kind, what) ->
     (* [what] is the full exhaustion message, engine context included. *)

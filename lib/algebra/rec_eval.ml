@@ -338,7 +338,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
     in
     let bodies = bodies' in
     let highs, lows =
-      Obs.spanf (fun () -> "round " ^ string_of_int rounds) @@ fun () ->
+      Obs.span "round" @@ fun () ->
       (* High phase: lows fixed at the previous round's value, highs grow
          from the empty map to their least fixpoint. *)
       let highs = phase_lfp ~bodies ~eligible ~grow:High ~fixed:lows_prev in

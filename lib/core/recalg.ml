@@ -28,13 +28,13 @@ module Zset = Recalg_kernel.Zset
 module Bitset = Recalg_kernel.Bitset
 module Interner = Recalg_kernel.Interner
 
-(** Observability: spans, counters, gauges and pluggable sinks. Every
-    engine below reports through this layer; with no sink installed it
-    is a set of zero-cost no-ops. *)
+(** Observability: spans, counters, gauges, the retained metrics
+    registry and pluggable sinks. Every engine below reports through
+    this layer; with no sink installed and the registry off it is a set
+    of zero-cost no-ops. *)
 module Obs = struct
   module Event = Recalg_obs.Event
   module Sink = Recalg_obs.Sink
-  module Summary = Recalg_obs.Summary
   module Histogram = Recalg_obs.Histogram
   module Metrics = Recalg_obs.Metrics
   include Recalg_obs.Obs

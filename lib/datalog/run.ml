@@ -74,6 +74,11 @@ let with_obs sink f =
       Obs.count "value/intern_misses" s.Recalg_kernel.Value.Stats.misses;
       Obs.count "value/live_nodes" s.Recalg_kernel.Value.Stats.live;
       Obs.count "value/intern_contended" s.Recalg_kernel.Value.Stats.contended;
+      Obs.gauge "value/buckets" (float_of_int s.Recalg_kernel.Value.Stats.buckets);
+      Obs.gauge "value/longest_chain"
+        (float_of_int s.Recalg_kernel.Value.Stats.max_bucket);
+      Obs.gauge "value/ids_stamped"
+        (float_of_int s.Recalg_kernel.Value.Stats.total_ids);
       let p = Recalg_kernel.Pool.Stats.snapshot () in
       Obs.gauge "pool/domains" (float_of_int p.Recalg_kernel.Pool.Stats.domains);
       Obs.count "pool/tasks" p.Recalg_kernel.Pool.Stats.tasks;

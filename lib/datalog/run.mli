@@ -62,6 +62,9 @@ val with_obs : Recalg_obs.Sink.t -> (unit -> 'a) -> 'a
 (** Run a thunk with the given observability sink installed
     ({!Recalg_obs.Obs.with_sink}): every engine invoked inside reports
     spans and metrics to it. Before the sink is flushed and removed, the
-    kernel's {!Value.Stats} snapshot is folded into the stream as
-    [value/intern_hits], [value/intern_misses] and [value/live_nodes]
-    counters. *)
+    kernel's {!Value.Stats} snapshot is folded into the stream — and so
+    into the metrics registry when it is collecting — as the
+    [value/intern_hits], [value/intern_misses], [value/live_nodes] and
+    [value/intern_contended] counters and the [value/buckets],
+    [value/longest_chain] and [value/ids_stamped] gauges, next to the
+    pool's [pool/*] statistics. *)

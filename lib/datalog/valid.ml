@@ -11,7 +11,7 @@ let run (pg : Propgm.t) =
   while !continue do
     incr rounds;
     Obs.count "valid/round" 1;
-    Obs.spanf (fun () -> "round " ^ string_of_int !rounds) @@ fun () ->
+    Obs.span "round" @@ fun () ->
     (* Possible: every derivation from T in which only facts not in T are
        used negatively. *)
     let t_now = !t in

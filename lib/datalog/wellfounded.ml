@@ -7,11 +7,9 @@ let solve_raw (pg : Propgm.t) =
   let t = ref (Bitset.create n) in
   let continue = ref true in
   let u = ref (Bitset.create n) in
-  let rounds = ref 0 in
   while !continue do
-    incr rounds;
     Obs.count "wellfounded/round" 1;
-    Obs.spanf (fun () -> "round " ^ string_of_int !rounds) @@ fun () ->
+    Obs.span "round" @@ fun () ->
     (* Overestimate: not a is licensed unless a is surely true. *)
     let under = !t in
     u := Fixpoint.lfp pg ~neg_ok:(fun a -> not (Bitset.get under a));

@@ -227,16 +227,6 @@ module Stats = struct
         sh.misses <- 0;
         Atomic.set sh.contended 0)
       shards
-
-  let pp ppf s =
-    Fmt.pf ppf
-      "@[<v>live nodes: %d (in %d buckets over %d shards, longest chain %d)@,\
-       hits: %d  misses: %d  (hit rate %.1f%%)  lock contention: %d@,\
-       ids stamped: %d@]"
-      s.live s.buckets s.shards s.max_bucket s.hits s.misses
-      (if s.hits + s.misses = 0 then 0.
-       else 100. *. float_of_int s.hits /. float_of_int (s.hits + s.misses))
-      s.contended s.total_ids
 end
 
 (* ------------------------------------------------------------------ *)

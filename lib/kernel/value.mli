@@ -96,17 +96,14 @@ module Stats : sig
     shards : int;  (** intern-table shards (fixed; selected by hash) *)
     contended : int;
         (** shard-lock acquisitions that found the lock held by another
-            domain — the intern-contention signal surfaced by [--stats]
-            and the observability layer; always [0] in single-domain
-            runs *)
+            domain — the intern-contention signal surfaced by the
+            observability layer; always [0] in single-domain runs *)
   }
 
   val snapshot : unit -> snapshot
 
   val reset_counters : unit -> unit
   (** Zero [hits]/[misses]; the table and id counter are untouched. *)
-
-  val pp : Format.formatter -> snapshot -> unit
 end
 
 (** {1 Set operations}

@@ -5,7 +5,7 @@
     different runs line up at zero); span [ms] is the wall-clock duration
     of the phase. The [span] field of a metric event is the full active
     span path at emission time, components joined with [" > "] — e.g.
-    ["run.valid > valid > round 3"].
+    ["run.valid > valid > round"].
 
     Span events also carry a stable monotone id: [sid] starts at 1 when a
     sink is installed over the disabled state and increments per span

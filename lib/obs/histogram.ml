@@ -85,8 +85,9 @@ let merge a b =
   t
 
 (* The value at or below which at least [ceil (q * n)] recordings fall,
-   reported as the lower bound of its bucket (clamped to the recorded
-   extrema, so exact minima and maxima stay exact). *)
+   reported as the lower bound of its bucket, clamped to the recorded
+   extrema. The top rank is the recorded maximum itself: the lower bound
+   of the maximum's bucket can sit below it. *)
 let quantile t q =
   if t.n = 0 then 0
   else begin
@@ -100,7 +101,7 @@ let quantile t q =
         else go (idx + 1) seen
       end
     in
-    go 0 0
+    if rank = t.n then t.max_v else go 0 0
   end
 
 let fold f t acc =
@@ -112,8 +113,7 @@ let fold f t acc =
   !acc
 
 (* Exact quantile of a float sample, nearest-rank convention — the
-   reference the error-bound tests compare against, and what
-   {!Summary} uses for its per-span percentiles. *)
+   reference the error-bound tests compare against. *)
 let exact_quantile values q =
   match values with
   | [] -> 0.

@@ -39,7 +39,8 @@ val quantile : t -> float -> int
 (** [quantile t q] (with [q] clamped to [0..1]) is the lower bound of
     the bucket holding the nearest-rank [q]-quantile, clamped to the
     recorded extrema; [0] when empty. Relative error is at most [1/16]
-    of the true value. *)
+    of the true value. The top rank ([q = 1.], or any [q] whose rank is
+    the last recording) answers the recorded maximum exactly. *)
 
 val fold : (low:int -> high:int -> count:int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the non-empty buckets in ascending value order, with each
@@ -47,5 +48,4 @@ val fold : (low:int -> high:int -> count:int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val exact_quantile : float list -> float -> float
 (** Exact nearest-rank quantile of a float sample ([0.] when empty) —
-    the reference for the error-bound tests, shared with
-    {!Summary}'s per-span percentiles. *)
+    the reference {!quantile}'s error-bound tests compare against. *)

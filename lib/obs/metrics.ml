@@ -224,11 +224,6 @@ let gauge_max sn name =
   | Some g when g.g_samples > 0 -> Some g.g_max
   | Some _ | None -> None
 
-let fold_gauges f sn acc =
-  Hashtbl.fold
-    (fun name g acc -> f name ~last:g.g_last ~max:g.g_max acc)
-    sn.sn_gauges acc
-
 let fold_spans f sn acc =
   Hashtbl.fold
     (fun path s acc ->

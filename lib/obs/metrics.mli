@@ -1,4 +1,6 @@
-(** The always-available retained metrics registry.
+(** The always-available retained metrics registry — the one place
+    emissions are aggregated. [--profile], [--metrics], [recalg report]
+    and the bench's [obs] blocks all read a {!snapshot} of it.
 
     The event stream ({!Sink}) is transient: spans and counters vanish
     unless a sink is attached. This registry retains them — atomic-ish
@@ -7,7 +9,8 @@
     attribution}: every completed span adds its wall time, the fuel it
     spent (two pure reads of the ambient
     {!Recalg_kernel.Limits.active_remaining} budget), and the GC words
-    it allocated, keyed by the full span path.
+    it allocated, keyed by the full span path. It keeps distributions,
+    not sequences: a per-round series needs a {!Sink.memory} beside it.
 
     {b Sharding.} State is sharded per domain ([Domain.DLS]); the hot
     path takes no lock. Shards register themselves in a mutex-protected
@@ -54,16 +57,12 @@ val counter_total : snapshot -> string -> int
 
 val counter_quantile : snapshot -> string -> float -> int
 (** Histogram quantile of the counter's emitted increments (bounded
-    relative error, see {!Histogram.quantile}). *)
+    relative error, see {!Histogram.quantile}); [1.] gives the largest
+    increment exactly. *)
 
 val gauge_samples : snapshot -> string -> int
 val gauge_last : snapshot -> string -> float option
 val gauge_max : snapshot -> string -> float option
-
-val fold_gauges :
-  (string -> last:float -> max:float -> 'a -> 'a) -> snapshot -> 'a -> 'a
-(** Fold over all gauges — how {!Stats.refresh_live} harvests
-    [db/card/*] cardinalities mid-run. *)
 
 val fold_spans :
   (string ->
@@ -100,6 +99,6 @@ val to_json : snapshot -> string
     p50/p90/p99/max latencies in ms). *)
 
 val pp_report : ?top:int -> Format.formatter -> snapshot -> unit
-(** The [recalg report] rendering: top [top] (default 12) phases by
-    wall time and by fuel with p50/p90/p99 latency quantiles, then the
-    counter distributions and gauges. *)
+(** The [recalg report] and [--profile] rendering: top [top] (default
+    12) phases by wall time and by fuel with p50/p90/p99 latency
+    quantiles, then the counter distributions and gauges. *)

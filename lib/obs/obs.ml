@@ -17,8 +17,8 @@ open Recalg_kernel
    installation happens on the main domain before any parallel region
    (visibility piggybacks on the pool's mutex ordering); emission
    serialises through [emit_lock] while the pool is live, so stateful
-   sinks (jsonl channels, memory buffers, Summary accumulators) never
-   see concurrent [emit]s. Metrics recording needs no lock: each domain
+   sinks (jsonl channels, memory buffers) never see concurrent
+   [emit]s. Metrics recording needs no lock: each domain
    writes its own registry shard. *)
 let enabled_flag = ref false
 let sink = ref Sink.null
@@ -60,9 +60,6 @@ let with_sink s f =
       sink := old_sink;
       t0 := old_t0)
     f
-
-let with_tee s f =
-  if !enabled_flag then with_sink (Sink.tee !sink s) f else with_sink s f
 
 let words_per_byte = 1. /. float_of_int (Sys.word_size / 8)
 
@@ -107,8 +104,6 @@ module Span = struct
           stack := List.tl !stack)
         f
     end
-
-  let runf namef f = if not (enabled ()) then f () else run (namef ()) f
 end
 
 module Counter = struct
@@ -128,7 +123,6 @@ module Gauge = struct
 end
 
 let span = Span.run
-let spanf = Span.runf
 let count = Counter.emit
 let countf = Counter.emitf
 let gauge = Gauge.emit

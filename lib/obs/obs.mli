@@ -4,13 +4,17 @@
     nestable timed {!Span}s for phases (a whole [valid] solve, one
     alternating-fixpoint round, one grounding), monotone {!Counter}s for
     per-iteration quantities (delta sizes, derived-fact counts, join
-    build/probe volumes, index hits) and sampled {!Gauge}s. Events flow
-    to the installed {!Sink.t} — {!Sink.null} by default.
+    build/probe volumes, index hits) and sampled {!Gauge}s. Span names
+    are fixed strings, so the set of span paths is bounded by the code,
+    not by the data: every round of a fixpoint shares one [round] path,
+    and the round index lives in the engine's own counter.
 
-    Events also feed the retained {!Metrics} registry whenever it is
-    collecting — with or without a sink — giving every run latency
-    histograms and per-phase resource attribution at the same
-    zero-interference contract.
+    Emissions have two consumers. The retained {!Metrics} registry is
+    the one aggregator: whenever it is collecting it records every span,
+    counter and gauge, giving latency histograms and per-phase resource
+    attribution ([--profile], [--metrics], [recalg report] and the bench
+    all read it). The installed {!Sink.t} receives the raw event stream
+    — the per-event timeline with span ids that [--trace] writes.
 
     {b Zero-cost-when-off invariant.} With no sink installed and the
     metrics registry off (the default), every entry point
@@ -21,7 +25,7 @@
     steers.
 
     {b Fuel context.} While the front end is live, the active span path
-    (e.g. ["run.valid > valid > round 3"]) is attached to
+    (e.g. ["run.valid > valid > round"]) is attached to
     {!Recalg_kernel.Limits.Diverged} messages, so a blown budget says
     where it died. When disabled the message is byte-identical to the
     uninstrumented one. *)
@@ -36,10 +40,6 @@ val with_sink : Sink.t -> (unit -> 'a) -> 'a
     (also on exceptions). The relative event clock restarts at 0 when
     installing over the disabled state. *)
 
-val with_tee : Sink.t -> (unit -> 'a) -> 'a
-(** Like {!with_sink}, but if a sink is already installed the new one is
-    teed onto it rather than replacing it — events reach both. *)
-
 val path : unit -> string
 (** The active span path, components joined with [" > "]; [""] outside
     any span. *)
@@ -48,10 +48,6 @@ module Span : sig
   val run : string -> (unit -> 'a) -> 'a
   (** [run name f] emits [Span_begin]/[Span_end] around [f], pushing
       [name] onto the span path; when disabled it is exactly [f ()]. *)
-
-  val runf : (unit -> string) -> (unit -> 'a) -> 'a
-  (** Lazy-name variant for dynamic names (["round 3"]): the name thunk
-      is only forced when a sink is installed. *)
 end
 
 module Counter : sig
@@ -59,8 +55,9 @@ module Counter : sig
   (** Record an increment of a monotone metric; no-op when disabled. *)
 
   val emitf : string -> (unit -> int) -> unit
-  (** Lazy variant: the increment thunk is only forced when a sink is
-      installed — use when computing it costs more than a field read. *)
+  (** Lazy variant: the increment thunk is only forced when the front
+      end is live — use when computing it costs more than a field
+      read. *)
 end
 
 module Gauge : sig
@@ -71,7 +68,6 @@ end
 (** Aliases for the common emissions, so call sites stay short. *)
 
 val span : string -> (unit -> 'a) -> 'a
-val spanf : (unit -> string) -> (unit -> 'a) -> 'a
 val count : string -> int -> unit
 val countf : string -> (unit -> int) -> unit
 val gauge : string -> float -> unit

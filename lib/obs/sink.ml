@@ -15,15 +15,3 @@ let memory () =
   let events = ref [] in
   ( { emit = (fun e -> events := e :: !events); flush = ignore },
     fun () -> List.rev !events )
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-  }

@@ -8,9 +8,13 @@
 type t = { emit : Event.t -> unit; flush : unit -> unit }
 
 val null : t
-(** Drops everything. The default: with [null] installed the {!Obs}
-    front end is disabled outright, so engine call sites short-circuit
-    before building event payloads. *)
+(** Drops everything. It is also the default sink, which the {!Obs}
+    front end does not count as installed: with no sink installed (and
+    no metrics collection) engine call sites short-circuit before
+    building event payloads. Installing [null] with {!Obs.with_sink}
+    does turn the front end on — span paths are tracked, so a resource
+    error can name the phase it died in — while every event is still
+    dropped. *)
 
 val jsonl : out_channel -> t
 (** One JSON object per line per event (see {!Event.to_json}). The
@@ -18,7 +22,6 @@ val jsonl : out_channel -> t
 
 val memory : unit -> t * (unit -> Event.t list)
 (** Collects events in memory; the second component returns them in
-    emission order. For tests and the bench harness. *)
-
-val tee : t -> t -> t
-(** Duplicates every event to both sinks, in argument order. *)
+    emission order. For tests and the bench harness — e.g. a per-round
+    series of [Count] increments, which the {!Metrics} registry keeps
+    only as a distribution. *)

@@ -6,17 +6,15 @@ module Join = Recalg_algebra.Join
 module Delta = Recalg_algebra.Delta
 module Advice = Recalg_algebra.Advice
 module Obs = Recalg_obs.Obs
-module Metrics = Recalg_obs.Metrics
 
-type mode = Off | Greedy | Cost
+type mode = Off | Cost
 
 let mode_to_string m =
-  match m with Off -> "off" | Greedy -> "greedy" | Cost -> "cost"
+  match m with Off -> "off" | Cost -> "cost"
 
 let mode_of_string s =
   match s with
   | "off" -> Some Off
-  | "greedy" -> Some Greedy
   | "cost" -> Some Cost
   | _ -> None
 
@@ -40,29 +38,28 @@ type join_report = {
 
 type t = {
   mode : mode;
-  mutable stats : Stats.t;
+  stats : Stats.t;
   joins : (Expr.t, Join.mode option * bool option) Hashtbl.t;
   ifps : (string * Expr.t, Delta.strategy) Hashtbl.t;
   reports : join_report list ref;
   refresh_on : bool;
-  drift_threshold : float;
   bound_cards : (string, int) Hashtbl.t;
       (* observed cardinalities of bound (fixpoint) relations, installed
          by [refresh] — consulted by [est_leaf] before the default-card
          fallback, so a re-plan sees the real sizes the loop reached *)
 }
 
-let default_drift_threshold = 4.0
+(* The observed/estimated cardinality ratio, in either direction, beyond
+   which a round-boundary reading triggers a re-plan. *)
+let drift_threshold = 4.0
 
-let create ?(stats = Stats.empty) ?(refresh = false)
-    ?(drift_threshold = default_drift_threshold) mode =
+let create ?(stats = Stats.empty) ?(refresh = false) mode =
   { mode;
     stats;
     joins = Hashtbl.create 32;
     ifps = Hashtbl.create 8;
     reports = ref [];
     refresh_on = refresh;
-    drift_threshold;
     bound_cards = Hashtbl.create 4 }
 
 let reports t = List.rev !(t.reports)
@@ -284,7 +281,8 @@ let rec jtree_equals_shape t s =
 
 (* Greedy left-deep: start from the pair with the smallest estimated
    output, then repeatedly append the leaf minimising the next
-   intermediate — the classic heuristic E14 is built to defeat. *)
+   intermediate — the classic heuristic E14 is built to defeat, kept as
+   [Cost]'s fallback above [dp_max_leaves]. *)
 let greedy_order ~eff ~edges n =
   let best = ref None in
   for i = 0 to n - 1 do
@@ -615,7 +613,6 @@ let rewrite t expr =
           let chosen =
             match t.mode with
             | Off -> syntactic
-            | Greedy -> greedy_order ~eff ~edges n
             | Cost ->
               if n <= dp_max_leaves then dp_order ~eff ~edges n
               else greedy_order ~eff ~edges n
@@ -766,7 +763,6 @@ let rewrite t expr =
 let refresh t ~round:_ ~bound body =
   if t.mode = Off || not t.refresh_on then None
   else begin
-    if Metrics.collecting () then t.stats <- Stats.refresh_live t.stats;
     let observed = List.map (fun (n, cardf) -> (n, cardf ())) bound in
     let drifted =
       List.exists
@@ -778,7 +774,7 @@ let refresh t ~round:_ ~bound body =
           in
           let obs = Float.max 1. (float_of_int obs) in
           let est = Float.max 1. est in
-          Float.max (obs /. est) (est /. obs) >= t.drift_threshold)
+          Float.max (obs /. est) (est /. obs) >= drift_threshold)
         observed
     in
     if not drifted then None

@@ -6,10 +6,10 @@
     an expression bottom-up; each maximal [Select]/[Product] region is
     flattened into join {e leaves} and lifted conjuncts, every conjunct
     is classified (per-leaf pushdown, equi-join edge between two leaves,
-    or general residual), a join order is searched — greedy left-deep in
-    [Greedy] mode, Selinger-style dynamic programming over leaf subsets
-    (bushy, both orientations) in [Cost] mode for up to 8 leaves — and
-    the region is rebuilt with each conjunct attached at its lowest
+    or general residual), a join order is searched — Selinger-style
+    dynamic programming over leaf subsets (bushy, both orientations) for
+    up to 8 leaves, greedy left-deep above that — and the region is
+    rebuilt with each conjunct attached at its lowest
     covering node and a final reshape [Map] restoring the original pair
     structure. Under an enclosing projection that keeps a single leaf,
     the reshape is dropped and discarded leaves touched only by
@@ -36,7 +36,6 @@ open Recalg_algebra
 
 type mode =
   | Off  (** no rewrite, {!advice} is {!Advice.none} *)
-  | Greedy  (** greedy left-deep join order — the baseline E14 defeats *)
   | Cost  (** DP join order (<= 8 leaves, greedy above) + cost model *)
 
 val mode_to_string : mode -> string
@@ -58,12 +57,11 @@ type join_report = {
 
 type t
 
-val create :
-  ?stats:Stats.t -> ?refresh:bool -> ?drift_threshold:float -> mode -> t
+val create : ?stats:Stats.t -> ?refresh:bool -> mode -> t
 (** [refresh] (default [false]) arms the mid-fixpoint re-planning hook
-    ({!refresh}); [drift_threshold] (default [4.0]) is the observed/
-    estimated cardinality ratio — in either direction — beyond which a
-    round-boundary reading triggers a re-plan. *)
+    ({!refresh}). A round-boundary reading triggers a re-plan when the
+    observed/estimated cardinality ratio, in either direction, reaches
+    [4.0]. *)
 
 val rewrite : t -> Expr.t -> Expr.t
 (** The planning rewrite, exposed for direct use and testing. [Off]
@@ -73,12 +71,12 @@ val rewrite : t -> Expr.t -> Expr.t
 val refresh :
   t -> round:int -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option
 (** The mid-fixpoint re-planning hook behind [Advice.refresh], exposed
-    for testing. With refresh armed: forces the cardinality thunks,
-    harvests live [db/card/*] metrics gauges into the stats (when
-    metrics are collecting), and — when an observed bound-relation
-    cardinality drifts beyond the threshold from the estimate the
-    current plan used — installs the observed values as estimation
-    overrides and re-plans the body. Returns [Some body'] only when the
+    for testing. With refresh armed: forces the cardinality thunks and —
+    when an observed bound-relation cardinality drifts beyond the
+    threshold from the estimate the current plan used — installs the
+    observed values as estimation overrides and re-plans the body. The
+    thunks are the only live input: the metrics registry is never read,
+    so collection on or off plans identically. Returns [Some body'] only when the
     re-plan structurally changed the expression; counts [plan/drift]
     and [plan/replan]. Refresh off (the default) returns [None] without
     forcing a thunk. *)

@@ -1,6 +1,5 @@
 open Recalg_kernel
 module Db = Recalg_algebra.Db
-module Metrics = Recalg_obs.Metrics
 
 type rel = {
   card : int;
@@ -75,38 +74,6 @@ let of_db ?(sample = default_sample) db =
       | Some v -> observe ~sample name v acc
       | None -> acc)
     empty (Db.rels db)
-
-(* Harvest the live metrics registry mid-run: the [db/card/<name>]
-   gauges the evaluators emit on every base-relation resolution, read at
-   a fixpoint-round boundary. Cardinality only — no fingerprint, no
-   per-column distincts. Entries that carry real identity (a fingerprint
-   from a sampling pass, or sampled distincts) are kept — a live
-   card-only reading estimates, it never outranks a measured one — so
-   refreshing only ever fills gaps. *)
-let card_gauge_prefix = "db/card/"
-
-let refresh_live ?snapshot t =
-  let sn = match snapshot with Some s -> s | None -> Metrics.snapshot () in
-  Metrics.fold_gauges
-    (fun name ~last ~max:_ acc ->
-      let plen = String.length card_gauge_prefix in
-      if
-        String.length name > plen
-        && String.equal (String.sub name 0 plen) card_gauge_prefix
-      then begin
-        let rel_name = String.sub name plen (String.length name - plen) in
-        match Smap.find_opt rel_name acc with
-        | Some r when r.fingerprint <> 0 || r.sampled > 0 -> acc
-        | Some _ | None ->
-          Smap.add rel_name
-            { card = int_of_float last;
-              fingerprint = 0;
-              sampled = 0;
-              distinct = [] }
-            acc
-      end
-      else acc)
-    sn t
 
 let find t name = Smap.find_opt name t
 let card t name = Option.map (fun r -> r.card) (find t name)

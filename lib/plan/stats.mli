@@ -4,18 +4,17 @@
     staleness detection, and per-column distinct-value counts estimated
     from a bounded sample (naively scaled to the full cardinality).
     Sources, in decreasing quality: a sampling pass over a live
-    {!Recalg_algebra.Db} ({!of_db}/{!observe}), a stats file persisted
-    by a prior run ({!load}/{!save}), or the live
-    {!Recalg_obs.Metrics} [db/card/*] gauges ({!refresh_live} —
-    cardinalities only).
+    {!Recalg_algebra.Db} ({!of_db}/{!observe}) or a stats file persisted
+    by a prior run ({!load}/{!save}). The planner never reads the
+    metrics registry: observation does not steer planning.
 
     The fingerprint is {!Recalg_kernel.Value.hash} of the whole set
     value: a memoized structural FNV-1a hash, stable across processes
     and interning orders, so one hash read decides whether a persisted
     entry still describes the live relation. A fingerprint of [0] marks
-    an entry with no identity (e.g. from {!refresh_live}); such entries
-    are never considered {!fresh} but survive {!prune_stale} — they are
-    estimates, not claims about a specific value. *)
+    an entry with no identity; such entries are never considered
+    {!fresh} but survive {!prune_stale} — they are estimates, not claims
+    about a specific value. *)
 
 open Recalg_kernel
 
@@ -42,14 +41,6 @@ val observe : ?sample:int -> string -> Value.t -> t -> t
 
 val of_db : ?sample:int -> Recalg_algebra.Db.t -> t
 (** The cheap sampling pass: one {!observe} per database relation. *)
-
-val refresh_live : ?snapshot:Recalg_obs.Metrics.snapshot -> t -> t
-(** Harvest the {e live} {!Recalg_obs.Metrics} registry (or the given
-    snapshot) for the [db/card/<name>] gauges the evaluators emit on
-    every base-relation resolution; called by the planner's
-    round-boundary refresh hook. Cardinalities only; fingerprints are
-    [0]. Live readings only fill gaps: entries holding a real
-    fingerprint or sampled distincts are kept unchanged. *)
 
 val find : t -> string -> rel option
 val card : t -> string -> int option

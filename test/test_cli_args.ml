@@ -36,9 +36,9 @@ let contains ~needle hay =
 let verbs = [ "run"; "alg"; "query"; "update"; "check"; "translate" ]
 
 let shared_flags =
-  [ "--fuel"; "--trace"; "--profile"; "--stats"; "--domains"; "--plan";
-    "--par-threshold"; "--stats-file"; "--timeout"; "--memory-limit";
-    "--degrade" ]
+  [ "--fuel"; "--trace"; "--profile"; "--metrics"; "--domains"; "--plan";
+    "--par-threshold"; "--stats-file"; "--live-replan"; "--timeout";
+    "--memory-limit"; "--degrade" ]
 
 let test_parity () =
   match find_exe () with

@@ -1,7 +1,8 @@
 (* Observability tests: the zero-cost-when-off invariant (traced and
    untraced runs are byte-identical in results and fuel), exact fixpoint
-   iteration counts in the Summary aggregates, the JSONL event schema,
-   and the span-path context on fuel exhaustion. *)
+   iteration counts in the metrics registry, span paths that stay fixed
+   as round counts grow, the JSONL event schema, and the span-path
+   context on fuel exhaustion. *)
 
 open Recalg
 
@@ -97,102 +98,130 @@ let test_traced_untraced_identical_valid () =
   Alcotest.(check bool) "same interp" true (Datalog.Interp.equal plain traced);
   Alcotest.(check (option int)) "same fuel" plain_fuel traced_fuel
 
-(* --- exact fixpoint iteration counts in the Summary --- *)
+(* --- exact fixpoint iteration counts in the metrics registry --- *)
+
+(* Run [f] with the registry collecting (from empty) and return its
+   result with the snapshot. *)
+let collected f =
+  Obs.Metrics.reset ();
+  let r = Obs.Metrics.with_collecting f in
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  (r, sn)
 
 let test_summary_tc_iterations () =
   (* Semi-naive IFP over chain-n: the delta shrinks by one path length
-     per round — n productive iterations plus the empty-delta one. *)
+     per round — n productive iterations plus the empty-delta one. The
+     registry counts the iterations; the exact per-round series comes
+     from the event stream, since the registry keeps distributions. *)
   let n = 6 in
-  let sum = Obs.Summary.create () in
-  let r =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs (chain_db n)
-          tc_ifp)
+  let mem, events = Obs.Sink.memory () in
+  let r, sn =
+    collected (fun () ->
+        Obs.with_sink mem (fun () ->
+            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs
+              (chain_db n) tc_ifp))
   in
   Alcotest.(check int) "tc size" (n * (n + 1) / 2) (Value.cardinal r);
   Alcotest.(check int) "ifp iterations" (n + 1)
-    (Obs.Summary.counter_events sum "eval/ifp_iter");
-  Alcotest.(check (list int)) "delta sizes" [ 6; 5; 4; 3; 2; 1; 0 ]
-    (Obs.Summary.counter_series sum "eval/ifp_delta")
+    (Obs.Metrics.counter_events sn "eval/ifp_iter");
+  let deltas =
+    List.filter_map
+      (function
+        | Obs.Event.Count { counter = "eval/ifp_delta"; n; _ } -> Some n
+        | Obs.Event.Count _ | Obs.Event.Span_begin _ | Obs.Event.Span_end _
+        | Obs.Event.Gauge _ ->
+          None)
+      (events ())
+  in
+  Alcotest.(check (list int)) "delta sizes" [ 6; 5; 4; 3; 2; 1; 0 ] deltas;
+  Alcotest.(check int) "delta total" 21
+    (Obs.Metrics.counter_total sn "eval/ifp_delta")
 
 let test_summary_valid_rounds () =
-  (* The win/move game: the profile's round count must equal the
-     engine's own alternating-fixpoint iteration count. *)
+  (* The win/move game: the registry's round count must equal the
+     engine's own alternating-fixpoint iteration count, and every round
+     runs under the one [round] span path. *)
   let edb = chain_moves 9 in
   let pg = Datalog.Grounder.ground win_program edb in
   let expected = Datalog.Valid.iterations pg in
-  let sum = Obs.Summary.create () in
-  let interp =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Datalog.Run.valid win_program edb)
-  in
+  let interp, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
   Alcotest.(check bool) "solved" true
     (Datalog.Interp.equal interp (Datalog.Valid.solve pg));
   Alcotest.(check int) "valid rounds" expected
-    (Obs.Summary.counter_events sum "valid/round");
-  let round_spans =
-    List.init expected (fun i ->
-        Obs.Summary.span_calls sum
-          (Fmt.str "run.valid > valid > round %d" (i + 1)))
-  in
-  Alcotest.(check (list int)) "one span per round"
-    (List.init expected (fun _ -> 1))
-    round_spans
+    (Obs.Metrics.counter_events sn "valid/round");
+  Alcotest.(check int) "one round span call per round" expected
+    (Obs.Metrics.span_calls sn "run.valid > valid > round")
 
 let test_summary_grounder_counters () =
   let edb = chain_moves 8 in
   let pg = Datalog.Grounder.ground win_program edb in
-  let sum = Obs.Summary.create () in
-  let _ =
-    Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-        Datalog.Grounder.ground win_program edb)
-  in
+  let _, sn = collected (fun () -> Datalog.Grounder.ground win_program edb) in
   Alcotest.(check int) "atom universe" (Datalog.Propgm.n_atoms pg)
-    (Obs.Summary.counter_total sum "ground/atoms");
+    (Obs.Metrics.counter_total sn "ground/atoms");
   Alcotest.(check bool) "rounds reported" true
-    (Obs.Summary.counter_events sum "ground/round" >= 1);
+    (Obs.Metrics.counter_events sn "ground/round" >= 1);
   Alcotest.(check bool) "envelope reported" true
-    (Obs.Summary.counter_total sum "ground/envelope" > 0)
-
-let test_summary_span_extrema () =
-  (* Per-span min/max/mean: three spans of the same name, one of which
-     does measurably more work. The clock is not ours to pin down, so
-     assert the order invariants rather than absolute times. *)
-  let sum = Obs.Summary.create () in
-  Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-      let busy n = Obs.span "w" (fun () -> ignore (Sys.opaque_identity (chain_db n))) in
-      busy 1;
-      busy 2_000;
-      busy 1);
-  let min_ms = Obs.Summary.span_min_ms sum "w"
-  and max_ms = Obs.Summary.span_max_ms sum "w"
-  and mean_ms = Obs.Summary.span_mean_ms sum "w"
-  and total_ms = Obs.Summary.span_total_ms sum "w" in
-  Alcotest.(check int) "calls" 3 (Obs.Summary.span_calls sum "w");
-  Alcotest.(check bool) "min <= mean" true (min_ms <= mean_ms);
-  Alcotest.(check bool) "mean <= max" true (mean_ms <= max_ms);
-  Alcotest.(check bool) "mean = total/calls" true
-    (Float.abs ((mean_ms *. 3.) -. total_ms) <= 1e-9 *. Float.max 1. total_ms);
-  Alcotest.(check bool) "max <= total" true (max_ms <= total_ms);
-  (* An unseen span reports zeros, not an error. *)
-  Alcotest.(check int) "unseen calls" 0 (Obs.Summary.span_calls sum "nope");
-  Alcotest.(check (float 0.)) "unseen min" 0. (Obs.Summary.span_min_ms sum "nope");
-  Alcotest.(check (float 0.)) "unseen max" 0. (Obs.Summary.span_max_ms sum "nope");
-  Alcotest.(check (float 0.)) "unseen mean" 0. (Obs.Summary.span_mean_ms sum "nope")
+    (Obs.Metrics.counter_total sn "ground/envelope" > 0)
 
 let test_summary_rewrite_cache () =
   let spec = Spec.Prelude.nat_spec in
   let rec nat k = if k = 0 then Spec.Term.const "ZERO" else Spec.Term.op "SUCC" [ nat (k - 1) ] in
   let eq = Spec.Term.op "EQ" [ nat 3; nat 3 ] in
-  let sum = Obs.Summary.create () in
-  Obs.with_sink (Obs.Summary.sink sum) (fun () ->
-      let cache = Spec.Rewrite.cache () in
-      ignore (Spec.Rewrite.normalize ~cache spec eq);
-      ignore (Spec.Rewrite.normalize ~cache spec eq));
+  let (), sn =
+    collected (fun () ->
+        let cache = Spec.Rewrite.cache () in
+        ignore (Spec.Rewrite.normalize ~cache spec eq);
+        ignore (Spec.Rewrite.normalize ~cache spec eq))
+  in
   Alcotest.(check bool) "first normalize misses" true
-    (Obs.Summary.counter_events sum "rewrite/cache_miss" >= 1);
+    (Obs.Metrics.counter_events sn "rewrite/cache_miss" >= 1);
   Alcotest.(check bool) "second normalize hits" true
-    (Obs.Summary.counter_events sum "rewrite/cache_hit" >= 1)
+    (Obs.Metrics.counter_events sn "rewrite/cache_hit" >= 1)
+
+(* --- span paths are bounded by the code, not by the round count --- *)
+
+let span_paths sn =
+  List.sort String.compare
+    (Obs.Metrics.fold_spans
+       (fun path ~calls:_ ~wall_ms:_ ~fuel:_ ~alloc_words:_ acc -> path :: acc)
+       sn [])
+
+let test_span_paths_bounded () =
+  (* Datalog: WIN chains of 8 and 64 moves take 5 and 33 alternating
+     rounds, yet list the same span paths. *)
+  let valid_run n =
+    let edb = chain_moves n in
+    let rounds = Datalog.Valid.iterations (Datalog.Grounder.ground win_program edb) in
+    let _, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
+    Alcotest.(check int)
+      (Fmt.str "chain %d: round span calls = iterations" n)
+      rounds
+      (Obs.Metrics.span_calls sn "run.valid > valid > round");
+    (rounds, span_paths sn)
+  in
+  let r8, paths8 = valid_run 8 and r64, paths64 = valid_run 64 in
+  Alcotest.(check bool) "valid rounds grow with the chain" true (r64 > r8);
+  Alcotest.(check (list string)) "valid: same span paths" paths8 paths64;
+  (* algebra=: the Prop 6.1 translation of the same game, solved by
+     Rec_eval — its outer round count grows with the chain too. *)
+  let alg_run n =
+    let tr = Translate.Datalog_to_alg.translate win_program (chain_moves n) in
+    let sol, sn =
+      collected (fun () ->
+          Algebra.Rec_eval.solve tr.Translate.Datalog_to_alg.defs
+            tr.Translate.Datalog_to_alg.db)
+    in
+    let rounds = Algebra.Rec_eval.rounds sol in
+    Alcotest.(check int)
+      (Fmt.str "chain %d: rec_eval rounds counted" n)
+      rounds
+      (Obs.Metrics.counter_events sn "rec_eval/round");
+    (rounds, span_paths sn)
+  in
+  let a8, apaths8 = alg_run 8 and a16, apaths16 = alg_run 16 in
+  Alcotest.(check bool) "rec_eval rounds grow with the chain" true (a16 > a8);
+  Alcotest.(check (list string)) "rec_eval: same span paths" apaths8 apaths16
 
 (* --- the fuel-exhaustion span context --- *)
 
@@ -259,19 +288,6 @@ let test_jsonl_schema () =
   Alcotest.(check bool) "intern stats folded in" true
     (List.exists (fun l -> contains ~sub:"value/intern_hits" l) lines)
 
-(* --- with_tee composes onto an installed sink --- *)
-
-let test_tee_composition () =
-  let outer, outer_events = Obs.Sink.memory () in
-  let sum = Obs.Summary.create () in
-  Obs.with_sink outer (fun () ->
-      Obs.with_tee (Obs.Summary.sink sum) (fun () ->
-          ignore (Algebra.Eval.eval no_defs (chain_db 3) tc_ifp)));
-  Alcotest.(check bool) "outer sink saw the events" true
-    (List.length (outer_events ()) > 0);
-  Alcotest.(check bool) "teed summary aggregated too" true
-    (Obs.Summary.counter_events sum "eval/ifp_iter" > 0)
-
 (* --- property: tracing never changes results or fuel --- *)
 
 let prop_valid_trace_transparent =
@@ -281,9 +297,9 @@ let prop_valid_trace_transparent =
       let plain, plain_fuel =
         spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb)
       in
-      let sum = Obs.Summary.create () in
+      let mem, _ = Obs.Sink.memory () in
       let traced, traced_fuel =
-        Obs.with_sink (Obs.Summary.sink sum) (fun () ->
+        Obs.with_sink mem (fun () ->
             spent 200_000 (fun ~fuel -> Datalog.Run.valid ~fuel win_program edb))
       in
       Datalog.Interp.equal plain traced && plain_fuel = traced_fuel)
@@ -327,17 +343,16 @@ let suite =
       test_summary_valid_rounds;
     Alcotest.test_case "summary: grounder counters" `Quick
       test_summary_grounder_counters;
-    Alcotest.test_case "summary: span min/max/mean" `Quick
-      test_summary_span_extrema;
     Alcotest.test_case "summary: rewrite cache hit/miss" `Quick
       test_summary_rewrite_cache;
+    Alcotest.test_case "span paths do not grow with rounds" `Quick
+      test_span_paths_bounded;
     Alcotest.test_case "fuel message clean when untraced" `Quick
       test_fuel_context_untraced;
     Alcotest.test_case "fuel message carries span path" `Quick
       test_fuel_context_traced;
     Alcotest.test_case "jsonl schema: at/ev/span/counter" `Quick
       test_jsonl_schema;
-    Alcotest.test_case "with_tee reaches both sinks" `Quick test_tee_composition;
     QCheck_alcotest.to_alcotest prop_valid_trace_transparent;
     QCheck_alcotest.to_alcotest prop_ifp_trace_transparent;
   ]

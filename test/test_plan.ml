@@ -96,18 +96,79 @@ let test_rewrite_preserves_chain () =
   let db = chain_db 30 20 10 in
   let e = chain_expr in
   let expected = Eval.eval no_defs db e in
-  List.iter
-    (fun mode ->
-      let p = Planner.create ~stats:(Stats.of_db db) mode in
-      let e' = Planner.rewrite p e in
-      Alcotest.check check_value
-        ("planned = unplanned (" ^ Planner.mode_to_string mode ^ ")")
-        expected (Eval.eval no_defs db e');
-      Alcotest.check check_value
-        ("advice path (" ^ Planner.mode_to_string mode ^ ")")
-        expected
-        (Eval.eval ~advice:(Planner.advice p) no_defs db e))
-    [ Planner.Greedy; Planner.Cost ]
+  let p = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
+  let e' = Planner.rewrite p e in
+  Alcotest.check check_value "planned = unplanned" expected
+    (Eval.eval no_defs db e');
+  Alcotest.check check_value "advice path" expected
+    (Eval.eval ~advice:(Planner.advice p) no_defs db e)
+
+(* A region above the DP bound (8 leaves) is ordered by [Cost]'s greedy
+   left-deep fallback. Nine relations inside a transitive closure: the
+   recursive [t] joined along a chain of eight hops, written left-deep
+   from [t] with each hop's selection at its own level (so the
+   unplanned run is a sequence of hash joins). One hop is tiny, so the
+   greedy order starts there instead. Planned through the rewrite and
+   through the advice path, the closure must equal the unplanned one at
+   equal fuel. *)
+let test_wide_region_greedy_fallback () =
+  let n = 12 in
+  let ident = Value.set (List.init n (fun i -> ipair i i)) in
+  let evens = Value.set (List.init n (fun i -> ipair i (i - (i mod 2)))) in
+  let small = Value.set [ ipair 0 0; ipair 2 2 ] in
+  let hops =
+    List.combine
+      [ "h1"; "h2"; "h3"; "h4"; "h5"; "h6"; "h7"; "h8" ]
+      [ ident; ident; evens; ident; small; ident; evens; ident ]
+  in
+  let db =
+    List.fold_left
+      (fun db (name, v) -> Db.add name v db)
+      (Db.add "edge" (Value.set (List.init n (fun i -> ipair i (i + 1)))) Db.empty)
+      hops
+  in
+  (* Each level joins the previous level's last leaf ([Proj 2] of its
+     left side; [t] itself at the first level) to the next hop. *)
+  let region =
+    List.fold_left
+      (fun (acc, prev) (name, _) ->
+        ( Expr.select
+            (Pred.Eq (key 2 prev, key 1 (Efun.Proj 2)))
+            (Expr.product acc (Expr.rel name)),
+          Join.compose (Efun.Proj 2) (Efun.Proj 1) ))
+      (Expr.rel "t", Efun.Proj 1)
+      hops
+    |> fst
+  in
+  let rec left k =
+    if k = 0 then Efun.Id else Join.compose (Efun.Proj 1) (left (k - 1))
+  in
+  let tc =
+    Expr.(
+      ifp "t"
+        (union (rel "edge")
+           (map (Efun.Tuple_of [ key 1 (left 8); key 2 (Efun.Proj 2) ]) region)))
+  in
+  let run ?advice e =
+    let fuel = Limits.of_int 10_000 in
+    let v = Eval.eval ~fuel ?advice no_defs db e in
+    (v, Limits.remaining fuel)
+  in
+  let v0, f0 = run tc in
+  let p = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
+  let v1, f1 = run (Planner.rewrite p tc) in
+  let v2, f2 = run ~advice:(Planner.advice p) tc in
+  Alcotest.check check_value "rewrite: planned = unplanned" v0 v1;
+  Alcotest.check check_value "advice: planned = unplanned" v0 v2;
+  Alcotest.(check (option int)) "rewrite: fuel equal" f0 f1;
+  Alcotest.(check (option int)) "advice: fuel equal" f0 f2;
+  Alcotest.(check bool) "closure grew past the edges" true
+    (Value.cardinal v0 > n);
+  match
+    List.filter (fun r -> List.length r.Planner.leaves >= 9) (Planner.reports p)
+  with
+  | [] -> Alcotest.fail "no nine-leaf region planned"
+  | r :: _ -> Alcotest.(check bool) "wide region reordered" true r.Planner.reordered
 
 let test_reorder_reported () =
   (* Two big relations crossed first syntactically, the tiny centre
@@ -418,12 +479,13 @@ let suite =
     Alcotest.test_case "rewrite off = id" `Quick test_rewrite_identity_off;
     Alcotest.test_case "rewrite preserves chain" `Quick
       test_rewrite_preserves_chain;
+    Alcotest.test_case "nine-leaf region: greedy fallback" `Quick
+      test_wide_region_greedy_fallback;
     Alcotest.test_case "reorder reported" `Quick test_reorder_reported;
     Alcotest.test_case "semijoin reported" `Quick test_semijoin_reported;
     Alcotest.test_case "pushdown attaches once" `Quick
       test_pushdown_attaches_once;
     Alcotest.test_case "fuel pinned on tc" `Quick test_fuel_pinned;
-    QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Greedy);
     QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Cost);
     QCheck_alcotest.to_alcotest test_qcheck_rec_eval_planned;
     QCheck_alcotest.to_alcotest test_qcheck_ifp_planned;
