@@ -433,11 +433,32 @@ let micro () =
   let pg = Datalog.Grounder.ground W.win_program edb in
   let a = Value.set (List.init 64 vi)
   and b = Value.set (List.init 64 (fun i -> vi (i + 32))) in
+  (* The 10,296-pair TC of a 144-node chain, probed in turn with each of
+     its pairs and that pair reversed, which is absent. *)
+  let tc =
+    Algebra.Eval.eval (Algebra.Defs.make [])
+      (W.db_of ~rel:"edge" (W.chain 143))
+      W.tc_ifp
+  in
+  let probes =
+    Array.of_list
+      (List.concat_map
+         (fun p ->
+           match Value.node p with
+           | Value.Tuple [ x; y ] -> [ p; Value.pair y x ]
+           | _ -> [])
+         (Value.elements tc))
+  in
+  let next = ref 0 in
   let results =
     U.bechamel_ns_per_run
       [
         ("value_union_64", fun () -> ignore (Value.union a b));
         ("value_product_64", fun () -> ignore (Value.product a b));
+        ("value_mem_10k", fun () ->
+          let k = !next in
+          next := (k + 1) mod Array.length probes;
+          ignore (Value.mem probes.(k) tc));
         ("ground_win_chain32", fun () ->
           ignore (Datalog.Grounder.ground W.win_program edb));
         ("valid_win_chain32", fun () -> ignore (Datalog.Valid.solve pg));

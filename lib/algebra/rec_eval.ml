@@ -5,13 +5,15 @@ exception Undefined_relation of string
 
 type vset = { low : Value.t; high : Value.t }
 
+let is_defined s = Value.equal s.low s.high
+
+(* A defined constant's two bounds are one set: one probe answers. *)
 let member s v =
   if Value.mem v s.low then Tvl.True
-  else if Value.mem v s.high then Tvl.Undef
+  else if (not (is_defined s)) && Value.mem v s.high then Tvl.Undef
   else Tvl.False
 
 let exact v = { low = v; high = v }
-let is_defined s = Value.equal s.low s.high
 
 let undef_elements s = Value.elements (Value.diff s.high s.low)
 

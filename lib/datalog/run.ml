@@ -79,6 +79,8 @@ let with_obs sink f =
         (float_of_int s.Recalg_kernel.Value.Stats.max_bucket);
       Obs.gauge "value/ids_stamped"
         (float_of_int s.Recalg_kernel.Value.Stats.total_ids);
+      Obs.count "value/mem_indexed" s.Recalg_kernel.Value.Stats.mem_indexed;
+      Obs.count "value/mem_declined" s.Recalg_kernel.Value.Stats.mem_declined;
       let p = Recalg_kernel.Pool.Stats.snapshot () in
       Obs.gauge "pool/domains" (float_of_int p.Recalg_kernel.Pool.Stats.domains);
       Obs.count "pool/tasks" p.Recalg_kernel.Pool.Stats.tasks;

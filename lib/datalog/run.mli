@@ -64,7 +64,8 @@ val with_obs : Recalg_obs.Sink.t -> (unit -> 'a) -> 'a
     spans and metrics to it. Before the sink is flushed and removed, the
     kernel's {!Value.Stats} snapshot is folded into the stream — and so
     into the metrics registry when it is collecting — as the
-    [value/intern_hits], [value/intern_misses], [value/live_nodes] and
-    [value/intern_contended] counters and the [value/buckets],
+    [value/intern_hits], [value/intern_misses], [value/live_nodes],
+    [value/intern_contended], [value/mem_indexed] and
+    [value/mem_declined] counters and the [value/buckets],
     [value/longest_chain] and [value/ids_stamped] gauges, next to the
     pool's [pool/*] statistics. *)

@@ -151,6 +151,10 @@ let shards =
 
 let next_id = Atomic.make 0
 
+(* Membership indexes built and declined (see [mem] below). *)
+let mem_indexed = Atomic.make 0
+let mem_declined = Atomic.make 0
+
 let intern shard n h =
   match Tbl.find_opt shard.table n with
   | Some v ->
@@ -190,6 +194,8 @@ module Stats = struct
     total_ids : int;
     shards : int;
     contended : int;
+    mem_indexed : int;
+    mem_declined : int;
   }
 
   let snapshot () =
@@ -218,6 +224,8 @@ module Stats = struct
       total_ids = Atomic.get next_id;
       shards = shard_count;
       contended = !contended;
+      mem_indexed = Atomic.get mem_indexed;
+      mem_declined = Atomic.get mem_declined;
     }
 
   let reset_counters () =
@@ -226,7 +234,9 @@ module Stats = struct
         sh.hits <- 0;
         sh.misses <- 0;
         Atomic.set sh.contended 0)
-      shards
+      shards;
+    Atomic.set mem_indexed 0;
+    Atomic.set mem_declined 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -263,17 +273,119 @@ let is_set v =
 
 let cardinal v = List.length (as_elements "Value.cardinal" v)
 
+(* ------------------------------------------------------------------ *)
+(* Membership.  A large set probed repeatedly is tested as its 0/1
+   characteristic vector over intern ids: bit [y.id - lo] is set for
+   every element [y].  Ids are unique per value, so the bit test gives
+   the scan's answer; they serve only as bit positions, never as an
+   order.
+
+   Indexes live in a fixed direct-mapped table keyed by the set's
+   memoized hash; a collision replaces the slot.  (An ephemeron table
+   keyed by the set would not bound them: the intern table holds every
+   set strongly, so its entries would never die.)  A large set's first
+   probe only marks its slot [Seen] and scans, so a one-off test never
+   pays for an index; its second probe builds the bitmap.  The density
+   guard declines a set whose id span needs more than [density] bitmap
+   words per element, which is never more than its own list spine (3
+   words per cons cell), so index memory stays within [slot_count]
+   slots and memory the sets already hold.  Slots hold immutable
+   records, each published after its bitmap is filled, under a lock
+   taken only while the pool is live, as for the intern shards. *)
+
+let scan_cutoff = 16
+let slot_count = 64
+let density = 3
+
+type slot =
+  | Empty
+  | Seen of t
+  | Declined of t
+  | Indexed of { set : t; lo : int; bits : Bitset.t }
+
+let slots = Array.make slot_count Empty
+let slot_lock = Mutex.create ()
+
+(* Bits 32..37 of the hash: the FNV multiply mixes them well, and they
+   lie above the bits the intern shards and their buckets read. *)
+let slot_of v = (v.hash lsr 32) land (slot_count - 1)
+
+let read_slot i =
+  if Pool.parallel () then begin
+    Mutex.lock slot_lock;
+    let s = slots.(i) in
+    Mutex.unlock slot_lock;
+    s
+  end
+  else slots.(i)
+
+(* Store [s] in slot [i] unless another domain replaced [seen] since it
+   was read; [true] when stored. *)
+let publish i seen s =
+  if Pool.parallel () then begin
+    Mutex.lock slot_lock;
+    let fresh = slots.(i) == seen in
+    if fresh then slots.(i) <- s;
+    Mutex.unlock slot_lock;
+    fresh
+  end
+  else begin
+    slots.(i) <- s;
+    true
+  end
+
 (* Scan of the sorted element list; the [c < 0] arm exits as soon as the
    scanned element exceeds the probe. *)
+let rec scan x xs =
+  match xs with
+  | [] -> false
+  | y :: rest ->
+    let c = compare x y in
+    if c = 0 then true else if c < 0 then false else scan x rest
+
+(* [List.length xs > n], walking at most [n + 1] cells. *)
+let rec longer_than n xs =
+  match xs with
+  | [] -> false
+  | _ :: rest -> n = 0 || longer_than (n - 1) rest
+
+let rec id_bounds lo hi n xs =
+  match xs with
+  | [] -> (lo, hi, n)
+  | y :: rest -> id_bounds (Int.min lo y.id) (Int.max hi y.id) (n + 1) rest
+
+let index v xs =
+  let lo, hi, n = id_bounds max_int min_int 0 xs in
+  if (hi - lo) / 64 > density * n then Declined v
+  else begin
+    let bits = Bitset.create (hi - lo + 1) in
+    List.iter (fun y -> Bitset.set bits (y.id - lo)) xs;
+    Indexed { set = v; lo; bits }
+  end
+
+let hit lo bits x =
+  let k = x.id - lo in
+  k >= 0 && k < Bitset.length bits && Bitset.get bits k
+
 let mem x v =
-  let rec search xs =
-    match xs with
-    | [] -> false
-    | y :: rest ->
-      let c = compare x y in
-      if c = 0 then true else if c < 0 then false else search rest
-  in
-  search (as_elements "Value.mem" v)
+  let xs = as_elements "Value.mem" v in
+  if not (longer_than scan_cutoff xs) then scan x xs
+  else
+    let i = slot_of v in
+    match read_slot i with
+    | Indexed { set; lo; bits } when set == v -> hit lo bits x
+    | Declined s when s == v -> scan x xs
+    | Seen s as seen when s == v -> (
+      match index v xs with
+      | Indexed { lo; bits; _ } as built ->
+        if publish i seen built then Atomic.incr mem_indexed;
+        hit lo bits x
+      | built ->
+        if publish i seen built then Atomic.incr mem_declined;
+        scan x xs)
+    | other ->
+      ignore (publish i other (Seen v));
+      scan x xs
 
 (* Merge of two sorted duplicate-free lists. *)
 let rec merge xs ys =

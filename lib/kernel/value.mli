@@ -40,7 +40,8 @@ val id : t -> int
     ids are assigned in construction order (from
     one atomic counter, so they stay unique under concurrent interning
     from pool domains) and are not stable across runs. No observable
-    result may depend on them — {!compare} and {!hash} never do. *)
+    result may depend on them — {!compare} and {!hash} never do, and
+    {!mem} reads them only as bit positions, never as an order. *)
 
 (** {1 Constructors} *)
 
@@ -98,12 +99,18 @@ module Stats : sig
         (** shard-lock acquisitions that found the lock held by another
             domain — the intern-contention signal surfaced by the
             observability layer; always [0] in single-domain runs *)
+    mem_indexed : int;  (** membership bitmaps {!mem} built and stored *)
+    mem_declined : int;
+        (** sets {!mem} declined to index because their ids are too
+            sparse; they keep being scanned *)
   }
 
   val snapshot : unit -> snapshot
 
   val reset_counters : unit -> unit
-  (** Zero [hits]/[misses]; the table and id counter are untouched. *)
+  (** Zero [hits], [misses], [contended], [mem_indexed] and
+      [mem_declined]; the table, the id counter and the membership
+      indexes are untouched. *)
 end
 
 (** {1 Set operations}
@@ -116,8 +123,16 @@ val is_set : t -> bool
 val cardinal : t -> int
 
 val mem : t -> t -> bool
-(** Scan of the strictly sorted element list, early-exiting as soon as an
-    element exceeds the probe. *)
+(** [mem x s] is [true] iff [x] is an element of [s]. A set of at most
+    16 elements is scanned, exiting as soon as an element exceeds the
+    probe. A larger set is scanned on its first probe; its second probe
+    builds a bitmap over its elements' ids, and every later probe is a
+    bit test. The bitmaps sit in a fixed table of 64 slots keyed by
+    {!hash}, so a set whose slot another set took is scanned again until
+    it is indexed anew. A set whose ids are too sparse for a bitmap no
+    larger than its own element list keeps being scanned. Every path
+    gives the same answer; {!Stats} counts the bitmaps built and the
+    sets declined. *)
 
 val union : t -> t -> t
 val inter : t -> t -> t

@@ -169,6 +169,12 @@ let test_defs_validate () =
 
 (* --- three-valued recursive evaluation --- *)
 
+let example name =
+  let file = Filename.concat "examples/programs" (name ^ ".alg") in
+  (* dune runtest runs in _build/default/test, dune exec at the root. *)
+  let path = if Sys.file_exists file then file else Filename.concat ".." file in
+  In_channel.with_open_bin path In_channel.input_all
+
 let test_rec_s_minus_s () =
   (* S = {a} - S: membership of a undefined; no initial valid model. *)
   let defs = Defs.make [ Defs.constant "s" Expr.(diff (lit [ vs "a" ]) (rel "s")) ] in
@@ -176,7 +182,19 @@ let test_rec_s_minus_s () =
   let s = Rec_eval.constant sol "s" in
   Alcotest.check check_tvl "a undef" Tvl.Undef (Rec_eval.member s (vs "a"));
   Alcotest.(check bool) "not well defined" false
-    (Rec_eval.well_defined defs Db.empty)
+    (Rec_eval.well_defined defs Db.empty);
+  (* The same program from examples/programs: an undefined constant's
+     member probes both bounds. *)
+  let p = Result.get_ok (Parser.parse_program (example "undefined")) in
+  let s = Rec_eval.constant (Rec_eval.solve p.Parser.defs Db.empty) "s" in
+  Alcotest.check check_tvl "undefined.alg: a undef" Tvl.Undef
+    (Rec_eval.member s (vs "a"));
+  Alcotest.check check_tvl "undefined.alg: b out" Tvl.False
+    (Rec_eval.member s (vs "b"));
+  (* A defined constant's one set answers both ways. *)
+  let big = Rec_eval.exact (Value.set (List.init 40 vi)) in
+  Alcotest.check check_tvl "defined: in" Tvl.True (Rec_eval.member big (vi 7));
+  Alcotest.check check_tvl "defined: out" Tvl.False (Rec_eval.member big (vi 40))
 
 let test_rec_vs_ifp_contrast () =
   (* The same body under IFP gives {a} — the Section 3.2 contrast between
@@ -510,12 +528,6 @@ let nested_ifp_program =
   \  + map[pi2 . pi1](sel[pi1 . pi1 = pi2](e x w));\n"
 
 let test_rec_eval_pinned_fuel () =
-  let example name =
-    let file = Filename.concat "examples/programs" (name ^ ".alg") in
-    (* dune runtest runs in _build/default/test, dune exec at the root. *)
-    let path = if Sys.file_exists file then file else Filename.concat ".." file in
-    In_channel.with_open_bin path In_channel.input_all
-  in
   let window = Value.set (List.init 21 vi) in
   let cases =
     [ ( "even", example "even", Some window, 50,

@@ -165,6 +165,10 @@ let prop_mem_union =
 (* --- Hash-consing kernel --- *)
 
 let test_stats () =
+  (* Index one set first, so the reset has a membership count to zero. *)
+  let warm = Value.set (List.init 20 (fun i -> Value.cstr "stats_warm" [ vi i ])) in
+  ignore (Value.mem (vi 0) warm);
+  ignore (Value.mem (vi 0) warm);
   Value.Stats.reset_counters ();
   let s0 = Value.Stats.snapshot () in
   Alcotest.(check int) "counters reset" 0 (s0.Value.Stats.hits + s0.Value.Stats.misses);
@@ -178,7 +182,17 @@ let test_stats () =
   Alcotest.(check bool) "physically shared" true (v == v');
   Alcotest.(check bool) "live nodes positive" true (s2.Value.Stats.live > 0);
   Alcotest.(check bool) "ids stamped covers live" true
-    (s2.Value.Stats.total_ids >= s2.Value.Stats.live)
+    (s2.Value.Stats.total_ids >= s2.Value.Stats.live);
+  Alcotest.(check int) "membership counters reset" 0
+    (s0.Value.Stats.mem_indexed + s0.Value.Stats.mem_declined);
+  let big = Value.set (List.init 40 (fun i -> Value.cstr "stats_probe" [ vi i ])) in
+  ignore (Value.mem v big);
+  let s3 = Value.Stats.snapshot () in
+  Alcotest.(check int) "first probe builds no bitmap" 0 s3.Value.Stats.mem_indexed;
+  ignore (Value.mem v big);
+  let s4 = Value.Stats.snapshot () in
+  Alcotest.(check int) "second probe builds one" 1 s4.Value.Stats.mem_indexed;
+  Alcotest.(check int) "dense set not declined" 0 s4.Value.Stats.mem_declined
 
 (* The shard index must not reuse the hash bits each shard's Hashtbl
    reads for its bucket index, or every shard fills only 1/64 of its
@@ -288,6 +302,117 @@ let prop_inter_diff_reference =
       && Value.equal (Value.diff a b)
            (Value.set
               (List.filter (fun x -> not (Value.mem x b)) (Value.elements a))))
+
+(* --- Membership index --- *)
+
+(* A value no other test builds, so its id is above every id stamped
+   before the call. *)
+let fresh =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Value.cstr "mem_fresh" [ vi !n ]
+
+(* Sets just above [Value.mem]'s scan cutoff. Probing each twice
+   indexes it, so the pass replaces the index in (all but a vanishing
+   share of) the 64 slots. *)
+let fillers =
+  lazy (List.init 1024 (fun _ -> Value.set (List.init 20 (fun _ -> fresh ()))))
+
+let evict_indexes () =
+  List.iter
+    (fun s ->
+      let x = List.hd (Value.elements s) in
+      ignore (Value.mem x s);
+      ignore (Value.mem x s))
+    (Lazy.force fillers)
+
+(* [Stats.snapshot] walks the whole intern table: call it sparingly. *)
+let mem_indexed () = (Value.Stats.snapshot ()).Value.Stats.mem_indexed
+
+(* Every set is probed in four interleaved rounds, so the scan (small
+   sets, first probes), build (second probes) and bit-test paths all
+   answer. Absent probes are interned before the set, between its
+   elements and after it (ids above its bitmap); the filler pass
+   before round 3 evicts every index, which round 3 rebuilds. *)
+let prop_mem_index_lifecycle =
+  QCheck.Test.make ~name:"mem index lifecycle = list membership"
+    ~count:(Tgen.qcount 100)
+    QCheck.(list_of_size (Gen.int_range 1 3) (int_range 0 300))
+    (fun sizes ->
+      let make n =
+        let before = List.init 4 (fun _ -> fresh ()) in
+        let elems, gaps =
+          List.split
+            (List.init n (fun i ->
+                 let e = fresh () in
+                 (e, if i mod 3 = 0 then [ fresh () ] else [])))
+        in
+        (Value.set elems, elems, before @ List.concat gaps)
+      in
+      let sets = List.map make sizes in
+      let built = ref 0 in
+      for round = 0 to 3 do
+        let after = List.init 4 (fun _ -> fresh ()) in
+        if round = 3 then begin
+          evict_indexes ();
+          built := mem_indexed ()
+        end;
+        List.iter
+          (fun (s, present, absent) ->
+            List.iter
+              (fun x ->
+                if not (Value.mem x s) then
+                  QCheck.Test.fail_reportf "round %d: element %a not found" round
+                    Value.pp x)
+              present;
+            List.iter
+              (fun x ->
+                if Value.mem x s then
+                  QCheck.Test.fail_reportf "round %d: absent %a found" round Value.pp x)
+              (absent @ after))
+          sets
+      done;
+      let rebuilt = mem_indexed () - !built in
+      let large = List.length (List.filter (fun n -> n > 16) sizes) in
+      if rebuilt < large then
+        QCheck.Test.fail_reportf "%d of %d large sets rebuilt after eviction" rebuilt
+          large;
+      true)
+
+(* Two halves of a set with ~100k ids stamped between them: a bitmap
+   would need over 3 words per element, so the set is declined, counted,
+   and still answered by the scan. A dense set of the same size is
+   indexed. *)
+let test_mem_density_guard () =
+  let half () = List.init 50 (fun _ -> fresh ()) in
+  let first = half () in
+  for i = 1 to 100_000 do
+    ignore (vi (50_000_000 + i))
+  done;
+  let second = half () in
+  let sparse = Value.set (first @ second) in
+  let dense_elems = List.init 100 (fun _ -> fresh ()) in
+  let dense = Value.set dense_elems in
+  let outside = [ fresh (); Value.tuple [ List.hd first ] ] in
+  let s0 = Value.Stats.snapshot () in
+  (* One set at a time, so the two never evict each other. *)
+  List.iter
+    (fun (label, s, elems) ->
+      for _ = 1 to 3 do
+        List.iter
+          (fun x -> Alcotest.(check bool) (label ^ " element") true (Value.mem x s))
+          elems;
+        List.iter
+          (fun x -> Alcotest.(check bool) (label ^ " absent") false (Value.mem x s))
+          outside
+      done)
+    [ ("sparse", sparse, first @ second); ("dense", dense, dense_elems) ];
+  let s1 = Value.Stats.snapshot () in
+  Alcotest.(check int) "sparse set declined once" 1
+    (s1.Value.Stats.mem_declined - s0.Value.Stats.mem_declined);
+  Alcotest.(check int) "dense set indexed once" 1
+    (s1.Value.Stats.mem_indexed - s0.Value.Stats.mem_indexed)
 
 (* --- Tvl --- *)
 
@@ -487,4 +612,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parser_reinterns;
     QCheck_alcotest.to_alcotest prop_mem_reference;
     QCheck_alcotest.to_alcotest prop_inter_diff_reference;
+    QCheck_alcotest.to_alcotest prop_mem_index_lifecycle;
+    Alcotest.test_case "mem density guard" `Quick test_mem_density_guard;
   ]

@@ -143,6 +143,45 @@ let test_fresh_concurrent_interning () =
   Alcotest.(check int) "ids unique" m
     (List.length (List.sort_uniq compare (List.map Value.id reference)))
 
+(* Membership indexes under contention: four domains probe the same
+   never-probed sets, so they race to mark slots, build bitmaps and
+   publish them, and 80 sets over 64 slots keep evicting one another.
+   Tasks [t] and [t + 4] walk the sets in the same order, so they race
+   on each set. Every answer must equal list membership, and so must the
+   sequential answers afterwards. *)
+let test_concurrent_mem_index () =
+  let n = 80 in
+  let sets =
+    Array.init n (fun k ->
+        let probes =
+          List.init
+            (2 * (17 + k))
+            (fun i -> Value.cstr "par_mem" [ Value.int k; Value.int i ])
+        in
+        (Value.set (List.filteri (fun i _ -> i mod 2 = 0) probes), probes))
+  in
+  let expected =
+    List.init n (fun k -> List.mapi (fun i _ -> i mod 2 = 0) (snd sets.(k)))
+  in
+  let answers offset () =
+    let out = Array.make n [] in
+    for j = 0 to n - 1 do
+      let k = (j + offset) mod n in
+      let s, probes = sets.(k) in
+      out.(k) <- List.map (fun x -> Value.mem x s) probes
+    done;
+    Array.to_list out
+  in
+  let parallel =
+    with_domains 4 (fun () ->
+        Pool.run (List.init 8 (fun t -> answers (20 * (t mod 4)))))
+  in
+  List.iteri
+    (fun t got ->
+      Alcotest.(check (list (list bool))) (Printf.sprintf "task %d" t) expected got)
+    parallel;
+  Alcotest.(check (list (list bool))) "sequential afterwards" expected (answers 0 ())
+
 (* --- domains:4 ≡ domains:1 engine properties --- *)
 
 let edge_db edges =
@@ -476,6 +515,8 @@ let suite =
       test_concurrent_interning;
     Alcotest.test_case "concurrent fresh interning is duplicate-free" `Quick
       test_fresh_concurrent_interning;
+    Alcotest.test_case "concurrent membership indexes" `Quick
+      test_concurrent_mem_index;
     QCheck_alcotest.to_alcotest prop_eval_domains;
     QCheck_alcotest.to_alcotest prop_rec_eval_domains;
     QCheck_alcotest.to_alcotest prop_seminaive_domains;
