@@ -16,6 +16,10 @@ module U = Bench_util
 
 let vi = Value.int
 
+(* The reference paths the ablations time the defaults against. *)
+let naive = Algebra.Advice.(naive none)
+let unfused = Algebra.Advice.(unfused none)
+
 (* One extra untimed run of [f] for the "obs" block of a bench record,
    with the metrics registry collecting and a memory sink installed.
    Counts and totals come from the registry snapshot; per-iteration
@@ -106,11 +110,10 @@ let e2 () =
       let no_defs = Algebra.Defs.make [] in
       let naive_ms, naive_value =
         U.time_ms (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Naive no_defs db W.tc_ifp)
+            Algebra.Eval.eval ~advice:naive no_defs db W.tc_ifp)
       in
       let semi_ms, semi_value =
-        U.time_ms (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs db W.tc_ifp)
+        U.time_ms (fun () -> Algebra.Eval.eval no_defs db W.tc_ifp)
       in
       (* The two IFP engines must produce byte-identical sets. *)
       assert (Value.equal naive_value semi_value);
@@ -130,8 +133,7 @@ let e2 () =
       in
       let speedup = naive_ms /. semi_ms in
       let sn, events =
-        obs_run (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs db W.tc_ifp)
+        obs_run (fun () -> Algebra.Eval.eval no_defs db W.tc_ifp)
       in
       U.row "%-10d %8d %14.2f %12.2f %14.2f %8.1fx %14.2f %7b@." n tc_count
         strat_ms naive_ms semi_ms speedup tr_ms equal;
@@ -220,11 +222,10 @@ let e5 () =
     (* Solve the produced algebra= program with both fixpoint engines. *)
     let naive_ms, value_naive =
       U.time_ms ~runs:3 (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Naive elim)
+          Translate.Ifp_elim.query_value ~advice:naive elim)
     in
     let semi_ms, value_semi =
-      U.time_ms ~runs:3 (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Seminaive elim)
+      U.time_ms ~runs:3 (fun () -> Translate.Ifp_elim.query_value elim)
     in
     assert (
       Value.equal value_naive.Algebra.Rec_eval.low value_semi.Algebra.Rec_eval.low
@@ -236,8 +237,7 @@ let e5 () =
     in
     let speedup = naive_ms /. semi_ms in
     let sn, events =
-      obs_run (fun () ->
-          Translate.Ifp_elim.query_value ~strategy:Algebra.Delta.Seminaive elim)
+      obs_run (fun () -> Translate.Ifp_elim.query_value elim)
     in
     U.row "%-12s %8d %8d %6d %12.2f %10.2f %14.2f %8.1fx %7b@." name
       (Value.cardinal direct) elim.Translate.Ifp_elim.stage_bound
@@ -273,17 +273,17 @@ let e6 () =
     "unfused ms" "speedup" "equal";
   let no_defs = Algebra.Defs.make [] in
   let run name db expr =
-    let eval ?fuel join = Algebra.Eval.eval ?fuel ~join no_defs db expr in
-    let fused_ms, fused_v = U.time_ms (fun () -> eval Algebra.Join.Fused) in
-    let unfused_ms, unfused_v = U.time_ms (fun () -> eval Algebra.Join.Unfused) in
+    let eval ?fuel advice = Algebra.Eval.eval ?fuel ~advice no_defs db expr in
+    let fused_ms, fused_v = U.time_ms (fun () -> eval Algebra.Advice.none) in
+    let unfused_ms, unfused_v = U.time_ms (fun () -> eval unfused) in
     (* The planner's contract: byte-identical sets, identical fuel. *)
     assert (Value.equal fused_v unfused_v);
-    let spent join =
+    let spent advice =
       let fuel = Limits.of_int 1_000_000 in
-      ignore (eval ~fuel join);
+      ignore (eval ~fuel advice);
       Limits.remaining fuel
     in
-    assert (spent Algebra.Join.Fused = spent Algebra.Join.Unfused);
+    assert (spent Algebra.Advice.none = spent unfused);
     let speedup = unfused_ms /. fused_ms in
     U.row "%-16s %8d %10.2f %12.2f %8.1fx %7b@." name (Value.cardinal fused_v)
       fused_ms unfused_ms speedup true;
@@ -673,7 +673,6 @@ let e13 () =
      behaviour (tiny joins would only pay queue overhead) but nothing to
      measure; the wide-strata curves below cover the semi-naive engine
      with coarse per-component tasks instead. *)
-  let naive = Algebra.Delta.Naive in
   (* 1. Flat-integer chain TC (E2's shape): join-dominated with cheap
      keys — the honest hard case, where partitioning overhead competes
      with very little per-tuple work. *)
@@ -681,7 +680,7 @@ let e13 () =
   let chain_db = W.db_of ~rel:"edge" (W.chain n) in
   curve
     (Printf.sprintf "tc_chain_%d" n)
-    (fun () -> Algebra.Eval.eval ~strategy:naive no_defs chain_db W.tc_ifp)
+    (fun () -> Algebra.Eval.eval ~advice:naive no_defs chain_db W.tc_ifp)
     ~equal:Value.equal ~fingerprint:Value.hash;
   (* 2. Deep-constructor TC on a cycle: every probe
      carries Peano terms, so the parallel partitions do real work. *)
@@ -689,7 +688,7 @@ let e13 () =
   let peano_db = W.peano_db ~rel:"edge" (W.cycle pn) in
   curve
     (Printf.sprintf "peano_tc_cycle_%d" pn)
-    (fun () -> Algebra.Eval.eval ~strategy:naive no_defs peano_db W.tc_ifp)
+    (fun () -> Algebra.Eval.eval ~advice:naive no_defs peano_db W.tc_ifp)
     ~equal:Value.equal ~fingerprint:Value.hash;
   (* 3. Wide strata, datalog driver: 8 independent TCs in one stratum;
      the component split gives the pool 8 coarse tasks per stratum. *)
@@ -1136,17 +1135,20 @@ let e16 () =
     Algebra.Expr.ifp "x" (Algebra.Expr.union (W.tc_body (Algebra.Expr.rel "x")) trap)
   in
   let stats = Plan.Stats.of_db drift_db in
-  let stale = Plan.Planner.create ~stats Plan.Planner.Cost in
-  let live = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Cost in
+  (* Each arm has a planner of its own: a planner keeps the
+     cardinalities it observed, so a shared one would hand the stale arm
+     the live arm's re-plans. The stale arm never re-plans. *)
+  let live = Plan.Planner.advice (Plan.Planner.create ~stats Plan.Planner.Cost) in
+  let stale =
+    { (Plan.Planner.advice (Plan.Planner.create ~stats Plan.Planner.Cost)) with
+      Algebra.Advice.refresh = Algebra.Advice.none.Algebra.Advice.refresh }
+  in
   (* Naive strategy: every round re-joins the whole accumulated x, so
      the plan built for |x| = 64 keeps paying the cross product as x
      grows into the thousands — the drift live re-planning corrects. *)
-  let eval planner () =
+  let eval advice () =
     Value.hash
-      (Algebra.Eval.eval
-         ~fuel:(fresh ())
-         ~strategy:Algebra.Delta.Naive
-         ~advice:(Plan.Planner.advice planner)
+      (Algebra.Eval.eval ~fuel:(fresh ()) ~advice:(Algebra.Advice.naive advice)
          no_defs drift_db drift_ifp)
   in
   ignore (eval stale ());

@@ -15,10 +15,8 @@ type t = {
   profile : bool;
   domains : int;
   plan : Plan.Planner.mode;
-  par_threshold : int;
   stats_file : string option;
   metrics : string option;
-  live_replan : bool;
 }
 
 let default_domains () =
@@ -28,14 +26,6 @@ let default_domains () =
     | Some n when n >= 1 -> n
     | Some _ | None -> 1)
   | None -> 1
-
-let default_par_threshold () =
-  match Sys.getenv_opt "RECALG_PAR_THRESHOLD" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> !Algebra.Join.par_threshold)
-  | None -> !Algebra.Join.par_threshold
 
 let term =
   let fuel =
@@ -97,21 +87,12 @@ let term =
              $(b,cost) reorders multiway joins by exact \
              dynamic-programming search (up to 8 relations, greedy \
              left-deep above), adds semijoin reducers under projections, \
-             and selects a strategy per node. Results are byte-identical \
-             in both modes. On deductive subcommands, $(b,cost) also \
+             selects a strategy per node, and re-plans a fixpoint body \
+             at a round boundary when the cardinalities it observes \
+             drift from the estimates. Results are byte-identical in \
+             both modes. On deductive subcommands, $(b,cost) also \
              orders rule-body literals by envelope cardinality \
              estimates.")
-  in
-  let par_threshold =
-    Arg.(
-      value
-      & opt int (default_par_threshold ())
-      & info [ "par-threshold" ] ~docv:"N"
-          ~doc:
-            "Minimum build+probe element count before a hash join fans \
-             out over the worker pool (no effect at $(b,--domains) 1). \
-             The default is $(b,RECALG_PAR_THRESHOLD) or 1024; results \
-             are byte-identical at every threshold.")
   in
   let stats_file =
     Arg.(
@@ -162,19 +143,8 @@ let term =
              observes without steering: results and fuel are \
              byte-identical with or without it.")
   in
-  let live_replan =
-    Arg.(
-      value & flag
-      & info [ "live-replan" ]
-          ~doc:
-            "Arm mid-fixpoint re-planning: at fixpoint-round boundaries \
-             the planner compares observed cardinalities against the \
-             estimates the current plan was built on and re-plans on \
-             drift. Requires $(b,--plan) $(b,cost); results are \
-             byte-identical — only enumeration cost moves.")
-  in
   let make fuel timeout_ms memory_limit_mb degrade trace profile domains plan
-      par_threshold stats_file metrics live_replan =
+      stats_file metrics =
     {
       fuel;
       timeout_ms;
@@ -184,16 +154,13 @@ let term =
       profile;
       domains;
       plan;
-      par_threshold;
       stats_file;
       metrics;
-      live_replan;
     }
   in
   Term.(
     const make $ fuel $ timeout_ms $ memory_limit_mb $ degrade $ trace
-    $ profile $ domains $ plan $ par_threshold $ stats_file $ metrics
-    $ live_replan)
+    $ profile $ domains $ plan $ stats_file $ metrics)
 
 (* Plain fuel stays on the historical zero-overhead path; any governance
    knob upgrades the budget to a governed one. *)
@@ -223,7 +190,7 @@ let planner_of t db =
       | Some persisted ->
         Plan.Stats.merge (Plan.Stats.prune_stale db persisted) sampled)
   in
-  Plan.Planner.create ~stats ~refresh:t.live_replan t.plan
+  Plan.Planner.create ~stats t.plan
 
 (* Rewrite the stats file from the relations the run actually saw. *)
 let save_stats t db =
@@ -257,7 +224,6 @@ let exit_code = function
    aborted run still leaves a whole, readable trace. *)
 let with_reporting t f =
   Pool.set_domains t.domains;
-  Algebra.Join.par_threshold := t.par_threshold;
   let fuel = fuel_of t in
   let code = ref 0 in
   let go sink =

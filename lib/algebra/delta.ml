@@ -1,7 +1,4 @@
 open Recalg_kernel
-module Obs = Recalg_obs.Obs
-
-type strategy = Naive | Seminaive
 
 let is_empty v = Value.equal v Value.empty_set
 
@@ -76,8 +73,7 @@ module Acc = struct
     (d, not (grows && is_empty d))
 end
 
-let derive ~builtins ?(join = Join.Fused) ?(join_mode = fun _ -> None)
-    ?(join_par = fun _ -> None) ~eval ?eval_diff_right ~deltas e =
+let derive ~builtins ?(advice = Advice.none) ~eval ?eval_diff_right ~deltas e =
   let eval_diff_right = Option.value eval_diff_right ~default:eval in
   let names = List.map fst deltas in
   let rec go e =
@@ -101,34 +97,13 @@ let derive ~builtins ?(join = Join.Fused) ?(join_mode = fun _ -> None)
            side a hash join probing the *current* value of the unchanged
            factor — the same split as the Product rule, without ever
            materialising a product. *)
-        let node_join = Option.value (join_mode e) ~default:join in
-        let par = join_par e in
-        let fused =
-          match node_join, a with
-          | Join.Fused, Expr.Product (ea, eb) -> (
-            match Join.plan p with
-            | Some jp ->
-              Obs.count "plan/fused" 1;
-              let da = go ea and db = go eb in
-              let left =
-                if is_empty da then Value.empty_set
-                else Join.exec ?par builtins jp da (eval eb)
-              in
-              let right =
-                if is_empty db then Value.empty_set
-                else Join.exec ?par builtins jp (eval ea) db
-              in
-              Some (Value.union left right)
-            | None -> None)
-          | (Join.Fused | Join.Unfused), _ -> None
-        in
-        match fused with
-        | Some v -> v
-        | None ->
-          (match a with
-          | Expr.Product _ -> Obs.count "plan/unfused" 1
-          | _ -> ());
-          Value.filter (fun v -> Pred.eval builtins p v = Some true) (go a))
+        match Advice.fused_join advice builtins e with
+        | Some (ea, eb, join) ->
+          let da = go ea and db = go eb in
+          let left = if is_empty da then Value.empty_set else join da (eval eb) in
+          let right = if is_empty db then Value.empty_set else join (eval ea) db in
+          Value.union left right
+        | None -> Value.filter (fun v -> Pred.eval builtins p v = Some true) (go a))
       | Expr.Map (f, a) -> Value.filter_map_set (Efun.apply builtins f) (go a)
       | Expr.Diff (a, b) ->
         if touches names b then

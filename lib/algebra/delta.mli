@@ -22,11 +22,6 @@
 
 open Recalg_kernel
 
-type strategy = Naive | Seminaive
-(** Engine selector threaded through {!Eval} and {!Rec_eval}; [Seminaive]
-    is the default everywhere and falls back per-subexpression. [Naive]
-    forces the historical full re-evaluation loops (benchmark baseline). *)
-
 val eligible : string list -> Expr.t -> bool
 (** Delta derivation pays off: at least one tracked name occurs free in a
     delta-linear position. *)
@@ -64,9 +59,7 @@ end
 
 val derive :
   builtins:Builtins.t ->
-  ?join:Join.mode ->
-  ?join_mode:(Expr.t -> Join.mode option) ->
-  ?join_par:(Expr.t -> bool option) ->
+  ?advice:Advice.t ->
   eval:(Expr.t -> Value.t) ->
   ?eval_diff_right:(Expr.t -> Value.t) ->
   deltas:(string * Value.t) list ->
@@ -81,15 +74,11 @@ val derive :
     for right arguments of [Diff] — the three-valued engine passes the
     opposite bound there, mirroring [low = a.low - b.high].
 
-    [join] (default [Fused]) plans [Select (p, Product _)] nodes as hash
-    joins ({!Join}): the delta of such a node joins each factor's delta
-    against the current value of the other factor, so delta rounds stay
-    [O(|Δ| + |probe| + |out|)] instead of materialising products.
-
-    [join_mode] and [join_par] are the planner's per-node overrides
-    ({!Advice}), called with each [Select] node: the former replaces
-    [join] for that node, the latter forces or forbids the parallel join
-    path. Both default to "no override". *)
+    [Select (p, Product _)] nodes take the path {!Advice.fused_join}
+    chooses under [advice] (default {!Advice.none}): the delta of a
+    fused node joins each factor's delta against the current value of
+    the other factor, so delta rounds stay [O(|Δ| + |probe| + |out|)]
+    instead of materialising products. *)
 
 val touches : string list -> Expr.t -> bool
 (** Some tracked name occurs free in the expression. *)

@@ -4,8 +4,7 @@ module Obs = Recalg_obs.Obs
 exception Undefined_relation of string
 exception Recursive_definition of string
 
-let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?(advice = Advice.none) defs db expr =
+let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
   Obs.span "eval" @@ fun () ->
   let builtins = Defs.builtins defs in
   (* The rewrite runs after inlining, so the planner's per-node decision
@@ -44,34 +43,13 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
       Obs.countf "eval/product_out" (fun () -> Value.cardinal v);
       v
     | Expr.Select (p, a) -> (
-      let node_join = Option.value (advice.Advice.join_mode e) ~default:join in
-      let par = advice.Advice.join_par e in
-      let fused =
-        match node_join, a with
-        | Join.Fused, Expr.Product (ea, eb) -> (
-          match Join.plan p with
-          | Some jp ->
-            Obs.count "plan/fused" 1;
-            Some
-              (Join.exec ?par builtins jp (go visiting env ea) (go visiting env eb))
-          | None -> None)
-        | (Join.Fused | Join.Unfused), _ -> None
-      in
-      match fused with
-      | Some v -> v
+      match Advice.fused_join advice builtins e with
+      | Some (ea, eb, join) -> join (go visiting env ea) (go visiting env eb)
       | None ->
-        (match a with
-        | Expr.Product _ -> Obs.count "plan/unfused" 1
-        | _ -> ());
-        Value.filter
-          (fun v -> Pred.eval builtins p v = Some true)
-          (go visiting env a))
+        Value.filter (fun v -> Pred.eval builtins p v = Some true) (go visiting env a))
     | Expr.Map (f, a) -> Value.filter_map_set (Efun.apply builtins f) (go visiting env a)
     | Expr.Ifp (x, body) ->
       Obs.span "ifp" @@ fun () ->
-      let strategy =
-        Option.value (advice.Advice.ifp_strategy x body) ~default:strategy
-      in
       let full body s = go visiting ((x, fun () -> s) :: env) body in
       (* Round-boundary re-planning: offer the planner the observed
          cardinality of the accumulating set (lazily — identity advice
@@ -119,10 +97,10 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
         in
         iterate 0 body Value.empty_set
       in
-      (match strategy with
-      | Delta.Naive -> naive ()
-      | Delta.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
-      | Delta.Seminaive -> (
+      (match Advice.strategy advice x body with
+      | Advice.Naive -> naive ()
+      | Advice.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
+      | Advice.Seminaive -> (
         (* Semi-naive: after the first full pass, each round joins only
            the delta of the previous round against the accumulated set,
            which a {!Delta.Acc} merges only when the body reads it or the
@@ -156,9 +134,7 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
                 Limits.spend fuel ~what:"IFP iteration";
                 Obs.count "eval/ifp_iter" 1;
                 let derived =
-                  Delta.derive ~builtins ~join
-                    ~join_mode:advice.Advice.join_mode
-                    ~join_par:advice.Advice.join_par
+                  Delta.derive ~builtins ~advice
                     ~eval:(fun e -> go visiting ((x, current) :: env) e)
                     ~deltas:[ (x, d) ]
                     body
@@ -176,6 +152,3 @@ let eval ?(fuel = Limits.default ()) ?(strategy = Delta.Seminaive)
     | Expr.Call _ -> go visiting env (advise (Defs.inline defs e))
   in
   go [] [] (advise (Defs.inline defs expr))
-
-let eval_closed ?fuel ?strategy ?join ?advice db expr =
-  eval ?fuel ?strategy ?join ?advice (Defs.make []) db expr

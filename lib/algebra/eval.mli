@@ -13,8 +13,6 @@ exception Recursive_definition of string
 
 val eval :
   ?fuel:Limits.fuel ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -24,29 +22,13 @@ val eval :
     constant that (transitively) refers to itself, and
     [Limits.Diverged] when an [IFP] fails to converge within fuel.
 
-    [strategy] (default [Seminaive]) selects the [IFP] loop: semi-naive
-    delta iteration where the fixpoint variable occurs delta-linearly
-    (see {!Delta}), with per-subexpression fallback to full
-    re-evaluation elsewhere. Both strategies compute byte-identical
-    results on identical rounds; [Naive] is the benchmark baseline.
-
-    [join] (default [Fused]) evaluates [Select (p, Product _)] nodes with
-    an extractable equi-key as hash joins (see {!Join}); [Unfused] always
-    materialises the product and filters. The two modes return
-    byte-identical values and spend identical fuel.
-
-    [advice] (default {!Advice.none}) installs planner hooks: the
-    rewrite runs on every inlined expression before it is walked, and
-    the per-node overrides replace [join]/[strategy] at individual
-    [Select]/[Ifp] nodes. Any advice built by [Recalg.Plan] preserves
-    results byte for byte. *)
-
-val eval_closed :
-  ?fuel:Limits.fuel ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
-  ?advice:Advice.t ->
-  Db.t ->
-  Expr.t ->
-  Value.t
-(** Evaluation with no definitions in scope. *)
+    [advice] (default {!Advice.none}) chooses the evaluation path. By
+    default an [IFP] iterates semi-naively where its variable occurs
+    delta-linearly (see {!Delta}), with per-subexpression fallback to
+    full re-evaluation elsewhere, and [Select (p, Product _)] nodes with
+    an extractable equi-key run as hash joins (see {!Join}). The
+    overlays {!Advice.naive} and {!Advice.unfused} force the reference
+    paths; every path computes byte-identical values on identical rounds
+    and spends identical fuel. A planner's advice also rewrites every
+    inlined expression before it is walked; any advice built by
+    [Recalg.Plan] preserves results byte for byte. *)

@@ -63,8 +63,6 @@ type ctx = {
   db : Db.t;
   consts : (mask -> vset) Smap.t;
   fuel : Limits.fuel;
-  strategy : Delta.strategy;
-  join : Join.mode;
   advice : Advice.t;
 }
 
@@ -113,26 +111,9 @@ let rec eval_vset ctx mask env e =
         Value.cardinal (if wants_high mask then s.high else s.low));
     s
   | Expr.Select (p, a) -> (
-    let node_join = Option.value (advice.Advice.join_mode e) ~default:ctx.join in
-    let par = advice.Advice.join_par e in
-    let fused =
-      match node_join, a with
-      | Join.Fused, Expr.Product (ea, eb) -> (
-        match Join.plan p with
-        | Some jp ->
-          Obs.count "plan/fused" 1;
-          Some
-            (lift mask (Join.exec ?par builtins jp) (recur mask env ea)
-               (recur mask env eb))
-        | None -> None)
-      | (Join.Fused | Join.Unfused), _ -> None
-    in
-    match fused with
-    | Some s -> s
+    match Advice.fused_join advice builtins e with
+    | Some (ea, eb, join) -> lift mask join (recur mask env ea) (recur mask env eb)
     | None ->
-      (match a with
-      | Expr.Product _ -> Obs.count "plan/unfused" 1
-      | _ -> ());
       let sa = recur mask env a in
       map_bounds mask (Value.filter (fun v -> Pred.eval builtins p v = Some true)) sa)
   | Expr.Map (f, a) ->
@@ -142,9 +123,6 @@ let rec eval_vset ctx mask env e =
     (* Iterates on both bounds whatever the mask: the loop stops only
        when neither bound grows, so its rounds — and the fuel they
        spend — must not depend on which bound the caller reads. *)
-    let strategy =
-      Option.value (advice.Advice.ifp_strategy x body) ~default:ctx.strategy
-    in
     let full s = recur Both ((x, fun _ -> s) :: env) body in
     let naive () =
       let rec iterate s =
@@ -156,10 +134,10 @@ let rec eval_vset ctx mask env e =
       in
       iterate (exact Value.empty_set)
     in
-    (match strategy with
-    | Delta.Naive -> naive ()
-    | Delta.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
-    | Delta.Seminaive ->
+    (match Advice.strategy advice x body with
+    | Advice.Naive -> naive ()
+    | Advice.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
+    | Advice.Seminaive ->
       (* Semi-naive on both bounds: the low (resp. high) delta of a
          linear body depends only on the low (resp. high) delta of the
          variable; a difference's right argument is variable-free here,
@@ -194,17 +172,15 @@ let rec eval_vset ctx mask env e =
    right side reads the other bound, as in [low = a.low - b.high]. *)
 and derive_bound ctx env mask ~deltas e =
   let eval mask e = pick mask (eval_vset ctx mask env e) in
-  Delta.derive ~builtins:ctx.builtins ~join:ctx.join
-    ~join_mode:ctx.advice.Advice.join_mode ~join_par:ctx.advice.Advice.join_par
-    ~eval:(eval mask) ~eval_diff_right:(eval (flip mask)) ~deltas e
+  Delta.derive ~builtins:ctx.builtins ~advice:ctx.advice ~eval:(eval mask)
+    ~eval_diff_right:(eval (flip mask)) ~deltas e
 
 let clip window v =
   match window with
   | None -> v
   | Some u -> Value.inter v u
 
-let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
-    ?(join = Join.Fused) ?(advice = Advice.none) defs db =
+let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   Obs.span "rec_eval" @@ fun () ->
   let inlined = Defs.inline_all defs in
   let builtins = Defs.builtins inlined in
@@ -215,18 +191,22 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
     List.map (fun (n, b) -> (n, advise b)) (Defs.constant_bodies inlined)
   in
   let names = List.map fst bodies in
-  (* Per-constant semi-naive eligibility: some defined constant occurs
-     delta-linearly in the body. Ineligible constants are recomputed in
-     full every phase iteration, exactly as the naive engine does.
-     Recomputed whenever re-planning swaps a body — a constant whose new
-     body loses eligibility falls back to full recomputation, which
-     visits identical maps on identical iterations. *)
+  (* Per-constant semi-naive eligibility: the advice picks the strategy
+     of the constant's fixpoint [n = b], and some defined constant must
+     occur delta-linearly in the body. Ineligible constants are
+     recomputed in full every phase iteration, exactly as the naive
+     engine does. Recomputed whenever re-planning swaps a body — a
+     constant whose new body loses eligibility falls back to full
+     recomputation, which visits identical maps on identical
+     iterations. *)
   let eligible_for bodies =
-    match strategy with
-    | Delta.Naive -> fun _ -> false
-    | Delta.Seminaive ->
-      let table = List.map (fun (n, b) -> (n, Delta.eligible names b)) bodies in
-      fun n -> List.assoc n table
+    let table =
+      List.map
+        (fun (n, b) ->
+          (n, Advice.strategy advice n b = Advice.Seminaive && Delta.eligible names b))
+        bodies
+    in
+    fun n -> List.assoc n table
   in
   (* Round-boundary re-planning: offer the planner each body with the
      observed low-bound cardinalities of every defined constant (lazily,
@@ -255,7 +235,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(strategy = Delta.Seminaive)
       if !changed then bodies' else bodies
     end
   in
-  let ctx = { builtins; db; consts = Smap.empty; fuel; strategy; join; advice } in
+  let ctx = { builtins; db; consts = Smap.empty; fuel; advice } in
   let empty_map = List.fold_left (fun m n -> Smap.add n Value.empty_set m) Smap.empty names in
   (* Least fixpoint of one phase: refine every constant until nothing
      changes. [grow] is the bound the phase grows, from the empty map,
@@ -361,8 +341,8 @@ let constant sol name =
 
 let rounds sol = sol.rounds
 
-let eval ?fuel ?window ?strategy ?join ?advice defs db expr =
-  let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
+let eval ?fuel ?window ?advice defs db expr =
+  let sol = solve ?fuel ?window ?advice defs db in
   let inlined_expr = Defs.inline sol.defs (Defs.inline defs expr) in
   let advice = sol.ctx.advice in
   let inlined_expr =
@@ -373,8 +353,8 @@ let eval ?fuel ?window ?strategy ?join ?advice defs db expr =
   in
   eval_vset { sol.ctx with consts } Both [] inlined_expr
 
-let well_defined ?fuel ?window ?strategy ?join ?advice defs db =
-  let sol = solve ?fuel ?window ?strategy ?join ?advice defs db in
+let well_defined ?fuel ?window ?advice defs db =
+  let sol = solve ?fuel ?window ?advice defs db in
   List.for_all
     (fun name -> is_defined (constant sol name))
     (Defs.constant_names sol.defs)

@@ -41,8 +41,6 @@ type solution
 val solve :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -55,30 +53,26 @@ val solve :
     outside the window cannot flow back in (true of all bundled
     examples).
 
-    [strategy] (default [Seminaive]) selects how each phase's least
-    fixpoint is computed: per defined constant, iterations join only the
-    delta-derived new tuples against the accumulated bound when the
-    body's defined constants occur delta-linearly, falling back to full
-    recomputation otherwise (and for nested [IFP]s likewise, per bound).
-    Semi-naive accumulators are {!Delta.Acc}s: a round interns only its
-    delta, and the accumulated bound is merged when read or when the
-    loop ends. Both strategies visit byte-identical bounds on identical
-    iterations and spend identical fuel; [Naive] is the benchmark
-    baseline.
+    [advice] (default {!Advice.none}) chooses the evaluation path. Each
+    phase's least fixpoint is computed, per defined constant [n = body],
+    under [Advice.strategy advice n body] — by default semi-naively:
+    iterations join only the delta-derived new tuples against the
+    accumulated bound when the body's defined constants occur
+    delta-linearly, falling back to full recomputation otherwise (and
+    for nested [IFP]s likewise, per bound). Semi-naive accumulators are
+    {!Delta.Acc}s: a round interns only its delta, and the accumulated
+    bound is merged when read or when the loop ends. [Select (p,
+    Product _)] nodes run as hash joins on each bound the evaluation
+    needs ({!Advice.fused_join}). The overlays {!Advice.naive} and
+    {!Advice.unfused} force the reference paths; every path visits
+    byte-identical bounds on identical iterations and spends identical
+    fuel. A planner's advice also rewrites every constant body once
+    before solving; any advice built by [Recalg.Plan] preserves both
+    bounds byte for byte.
 
     Each phase evaluates only the bound it grows, plus the other bound
     where a difference subtracts it; a nested [IFP] iterates on both
-    bounds, so its rounds do not depend on which one is read.
-
-    [join] (default [Fused]) evaluates [Select (p, Product _)] nodes with
-    an extractable equi-key as hash joins, on each bound the evaluation
-    needs (see {!Join}); [Unfused] materialises products and filters.
-    Both modes compute byte-identical bounds and spend identical fuel.
-
-    [advice] (default {!Advice.none}) installs planner hooks: every
-    constant body is rewritten once before solving, and the per-node
-    overrides apply to every bound evaluated at an advised node. Any advice
-    built by [Recalg.Plan] preserves both bounds byte for byte. *)
+    bounds, so its rounds do not depend on which one is read. *)
 
 val constant : solution -> string -> vset
 (** Raises {!Undefined_relation} for an unknown name. *)
@@ -89,8 +83,6 @@ val rounds : solution -> int
 val eval :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->
@@ -101,8 +93,6 @@ val eval :
 val well_defined :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
-  ?join:Join.mode ->
   ?advice:Advice.t ->
   Defs.t ->
   Db.t ->

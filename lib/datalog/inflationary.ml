@@ -10,16 +10,6 @@ let step pg current =
   end;
   out
 
-let stages (pg : Propgm.t) =
-  Obs.span "inflationary" @@ fun () ->
-  let n = Propgm.n_atoms pg in
-  let rec go acc current =
-    let next = step pg current in
-    if Bitset.equal next current then List.rev acc
-    else go (next :: acc) next
-  in
-  go [] (Bitset.create n)
-
 let solve_raw pg =
   Obs.span "inflationary" @@ fun () ->
   let n = Propgm.n_atoms pg in

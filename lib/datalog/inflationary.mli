@@ -8,7 +8,3 @@
     valid semantics. *)
 
 val solve : Propgm.t -> Interp.t
-val solve_raw : Propgm.t -> Recalg_kernel.Bitset.t
-val stages : Propgm.t -> Recalg_kernel.Bitset.t list
-(** The inflationary stages [S_1 ⊆ S_2 ⊆ ...] up to the fixpoint —
-    used to cross-check the stage-index transformation. *)

@@ -30,17 +30,13 @@ let run (pg : Propgm.t) =
   done;
   (!t, f, !rounds)
 
-let solve_raw pg =
-  let t, f, _ = run pg in
+let solve pg =
+  let true_, f, _ = run pg in
   let n = Propgm.n_atoms pg in
   let undef = Bitset.create n in
   for a = 0 to n - 1 do
-    if (not (Bitset.get t a)) && not (Bitset.get f a) then Bitset.set undef a
+    if (not (Bitset.get true_ a)) && not (Bitset.get f a) then Bitset.set undef a
   done;
-  (t, undef)
-
-let solve pg =
-  let true_, undef = solve_raw pg in
   Interp.make pg ~true_ ~undef
 
 let iterations pg =

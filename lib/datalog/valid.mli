@@ -21,7 +21,6 @@
     we generate, as the paper's Section 7 remark predicts. *)
 
 val solve : Propgm.t -> Interp.t
-val solve_raw : Propgm.t -> Recalg_kernel.Bitset.t * Recalg_kernel.Bitset.t
 
 val iterations : Propgm.t -> int
 (** Number of outer (T, F) refinement rounds until the fixpoint — exposed

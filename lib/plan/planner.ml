@@ -3,7 +3,6 @@ module Expr = Recalg_algebra.Expr
 module Pred = Recalg_algebra.Pred
 module Efun = Recalg_algebra.Efun
 module Join = Recalg_algebra.Join
-module Delta = Recalg_algebra.Delta
 module Advice = Recalg_algebra.Advice
 module Obs = Recalg_obs.Obs
 
@@ -40,9 +39,8 @@ type t = {
   mode : mode;
   stats : Stats.t;
   joins : (Expr.t, Join.mode option * bool option) Hashtbl.t;
-  ifps : (string * Expr.t, Delta.strategy) Hashtbl.t;
+  ifps : (string * Expr.t, Advice.strategy) Hashtbl.t;
   reports : join_report list ref;
-  refresh_on : bool;
   bound_cards : (string, int) Hashtbl.t;
       (* observed cardinalities of bound (fixpoint) relations, installed
          by [refresh] — consulted by [est_leaf] before the default-card
@@ -53,13 +51,12 @@ type t = {
    which a round-boundary reading triggers a re-plan. *)
 let drift_threshold = 4.0
 
-let create ?(stats = Stats.empty) ?(refresh = false) mode =
+let create ?(stats = Stats.empty) mode =
   { mode;
     stats;
     joins = Hashtbl.create 32;
     ifps = Hashtbl.create 8;
     reports = ref [];
-    refresh_on = refresh;
     bound_cards = Hashtbl.create 4 }
 
 let reports t = List.rev !(t.reports)
@@ -741,7 +738,7 @@ let rewrite t expr =
             0. (Expr.rel_names body')
         in
         if est_total <= Cost.tiny_ifp then
-          Hashtbl.replace t.ifps (x, body') Delta.Naive;
+          Hashtbl.replace t.ifps (x, body') Advice.Naive;
         Expr.Ifp (x, body')
       | Expr.Call (name, args) -> Expr.Call (name, List.map (walk bound) args)
     in
@@ -758,10 +755,10 @@ let rewrite t expr =
    installed as estimation overrides and the body is re-planned. The
    result is advice like any other — result-exact by the rewrite's
    contract — so live re-planning can change enumeration cost only,
-   never answers. Refresh off returns [None] without forcing a thunk. *)
+   never answers. [Off] returns [None] without forcing a thunk. *)
 
 let refresh t ~round:_ ~bound body =
-  if t.mode = Off || not t.refresh_on then None
+  if t.mode = Off then None
   else begin
     let observed = List.map (fun (n, cardf) -> (n, cardf ())) bound in
     let drifted =

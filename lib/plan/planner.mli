@@ -57,11 +57,7 @@ type join_report = {
 
 type t
 
-val create : ?stats:Stats.t -> ?refresh:bool -> mode -> t
-(** [refresh] (default [false]) arms the mid-fixpoint re-planning hook
-    ({!refresh}). A round-boundary reading triggers a re-plan when the
-    observed/estimated cardinality ratio, in either direction, reaches
-    [4.0]. *)
+val create : ?stats:Stats.t -> mode -> t
 
 val rewrite : t -> Expr.t -> Expr.t
 (** The planning rewrite, exposed for direct use and testing. [Off]
@@ -71,20 +67,22 @@ val rewrite : t -> Expr.t -> Expr.t
 val refresh :
   t -> round:int -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option
 (** The mid-fixpoint re-planning hook behind [Advice.refresh], exposed
-    for testing. With refresh armed: forces the cardinality thunks and —
-    when an observed bound-relation cardinality drifts beyond the
-    threshold from the estimate the current plan used — installs the
-    observed values as estimation overrides and re-plans the body. The
-    thunks are the only live input: the metrics registry is never read,
-    so collection on or off plans identically. Returns [Some body'] only when the
-    re-plan structurally changed the expression; counts [plan/drift]
-    and [plan/replan]. Refresh off (the default) returns [None] without
-    forcing a thunk. *)
+    for testing. Under [Cost]: forces the cardinality thunks and — when
+    an observed bound-relation cardinality drifts from the estimate the
+    current plan used by a ratio of [4.0] or more, in either direction —
+    installs the observed values as estimation overrides and re-plans
+    the body. The thunks are the only live input: the metrics registry
+    is never read, so collection on or off plans identically. Returns
+    [Some body'] only when the re-plan structurally changed the
+    expression; counts [plan/drift] and [plan/replan]. [Off] returns
+    [None] without forcing a thunk. *)
 
 val advice : t -> Advice.t
-(** The advice record to pass to [Eval.eval], [Rec_eval.solve], or the
-    translate entry points. {!Advice.none} when the mode is [Off], so
-    evaluators skip the hooks entirely. *)
+(** The advice record to pass to [Eval.eval], [Rec_eval.solve], or
+    [Ifp_elim.query_value]. {!Advice.none} when the mode is [Off], so
+    evaluators skip the hooks entirely. The planner records its
+    decisions in unlocked tables, so one advice must not serve
+    evaluations on several domains at once. *)
 
 val reports : t -> join_report list
 (** One report per planned join region, in planning order — the EXPLAIN

@@ -55,8 +55,8 @@ let eliminate ?fuel ?initial_bound defs db expr =
     stage_bound = bound;
   }
 
-let query_value ?fuel ?window ?strategy ?advice t =
-  let solution = Rec_eval.solve ?fuel ?window ?strategy ?advice t.defs t.db in
+let query_value ?fuel ?window ?advice t =
+  let solution = Rec_eval.solve ?fuel ?window ?advice t.defs t.db in
   let vset = Rec_eval.constant solution t.query_constant in
   let unwrap v =
     match Value.node v with

@@ -36,15 +36,13 @@ val eliminate :
 val query_value :
   ?fuel:Limits.fuel ->
   ?window:Value.t ->
-  ?strategy:Delta.strategy ->
   ?advice:Advice.t ->
   t ->
   Rec_eval.vset
 (** Solve the produced [algebra=] program and return the query constant's
-    set, unwrapped back to plain elements. [strategy] selects semi-naive
-    (default) or naive fixpoint iteration in {!Rec_eval.solve}; [advice]
-    installs planner hooks (see {!Recalg_algebra.Advice}) — results are
-    unchanged under any advice built by the planner. *)
+    set, unwrapped back to plain elements. [advice] chooses the
+    evaluation path of {!Rec_eval.solve} (see {!Recalg_algebra.Advice});
+    results are unchanged under any advice built by the planner. *)
 
 val uses_ifp : Expr.t -> bool
 val defs_use_ifp : Defs.t -> bool

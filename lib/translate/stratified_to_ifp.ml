@@ -132,8 +132,8 @@ let translate program edb =
           levels;
         })
 
-let eval_pred ?fuel ?strategy ?advice t pred =
-  let value = Eval.eval ?fuel ?strategy ?advice t.defs t.db (Expr.rel pred) in
+let eval_pred ?fuel t pred =
+  let value = Eval.eval ?fuel t.defs t.db (Expr.rel pred) in
   List.filter_map
     (fun v ->
       match Value.node v with
@@ -153,7 +153,7 @@ let untag_value pred v =
       | _ -> None)
     v
 
-let eval_all ?fuel ?strategy ?advice t =
+let eval_all ?fuel t =
   let module Obs = Recalg_obs.Obs in
   let _, out =
     List.fold_left
@@ -169,7 +169,7 @@ let eval_all ?fuel ?strategy ?advice t =
         let values =
           Pool.map
             (fun (fix_const, _) ->
-              Eval.eval ?fuel ?strategy ?advice level_defs db (Expr.rel fix_const))
+              Eval.eval ?fuel level_defs db (Expr.rel fix_const))
             comps
         in
         List.fold_left2

@@ -38,19 +38,18 @@ val schedule : t -> (string * string list) list list
     components as [(fixpoint constant, member predicates)] pairs.
     Components of one level are mutually independent. *)
 
-val eval_pred :
-  ?fuel:Limits.fuel -> ?strategy:Delta.strategy ->
-  ?advice:Recalg_algebra.Advice.t -> t -> string -> Value.t list list
-(** Evaluate one translated predicate to its set of argument tuples.
-    [strategy] selects semi-naive (default) or naive [IFP] iteration in
-    {!Recalg_algebra.Eval.eval}. *)
+val eval_pred : ?fuel:Limits.fuel -> t -> string -> Value.t list list
+(** Evaluate one translated predicate to its set of argument tuples. *)
 
-val eval_all :
-  ?fuel:Limits.fuel -> ?strategy:Delta.strategy ->
-  ?advice:Recalg_algebra.Advice.t -> t -> (string * Value.t) list
+val eval_all : ?fuel:Limits.fuel -> t -> (string * Value.t) list
 (** Materialise every translated predicate, level by level: the
     components of each level evaluate as independent
     {!Recalg_kernel.Pool} tasks (sequentially at pool size 1) against
     the database extended with all earlier levels' results, so no
     fixpoint is ever recomputed. Returns [(pred, set value)] in schedule
-    order. Results and fuel spend are identical at every pool size. *)
+    order. Results and fuel spend are identical at every pool size.
+
+    It takes no {!Recalg_algebra.Advice.t}: a planner's advice records
+    its decisions in unlocked tables as it rewrites, so the component
+    tasks, which may run on several domains at once, must not share
+    one. *)

@@ -447,8 +447,8 @@ let test_seminaive_mixture_body () =
   in
   let body x = Expr.(union (compose (rel "edge") x) (diff (rel "edge") x)) in
   let e = Expr.ifp "x" (body (Expr.rel "x")) in
-  let naive = Eval.eval ~strategy:Delta.Naive no_defs db e in
-  let semi = Eval.eval ~strategy:Delta.Seminaive no_defs db e in
+  let naive = Eval.eval ~advice:(Advice.naive Advice.none) no_defs db e in
+  let semi = Eval.eval no_defs db e in
   Alcotest.check check_value "mixture body agrees" naive semi
 
 let prop_seminaive_ifp_equals_naive =
@@ -464,12 +464,12 @@ let prop_seminaive_ifp_equals_naive =
           [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
       in
       let e = Expr.ifp "x" body in
-      let run strategy =
+      let run advice =
         let fuel = Limits.of_int 400 in
-        try Ok (Eval.eval ~fuel ~strategy no_defs db e, Limits.remaining fuel)
+        try Ok (Eval.eval ~fuel ~advice no_defs db e, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
-      match (run Delta.Naive, run Delta.Seminaive) with
+      match (run (Advice.naive Advice.none), run Advice.none) with
       | Ok (a, f1), Ok (b, f2) -> Value.equal a b && f1 = f2
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
@@ -494,17 +494,17 @@ let prop_seminaive_rec_eval_equals_naive =
         Defs.make
           [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
       in
-      let run strategy =
+      let run advice =
         let fuel = Limits.of_int 5000 in
         try
-          let sol = Rec_eval.solve ~fuel ~strategy defs db in
+          let sol = Rec_eval.solve ~fuel ~advice defs db in
           Ok
             ( Rec_eval.constant sol "c",
               Rec_eval.constant sol "d",
               Limits.remaining fuel )
         with Limits.Diverged _ -> Error `Diverged
       in
-      match (run Delta.Naive, run Delta.Seminaive) with
+      match (run (Advice.naive Advice.none), run Advice.none) with
       | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
         Value.equal c1.Rec_eval.low c2.Rec_eval.low
         && Value.equal c1.Rec_eval.high c2.Rec_eval.high
@@ -548,11 +548,11 @@ let test_rec_eval_pinned_fuel () =
   List.iter
     (fun (label, text, window, spent, bounds) ->
       List.iter
-        (fun (sname, strategy) ->
+        (fun (sname, advice) ->
           let label = label ^ " (" ^ sname ^ ")" in
           let defs = (Parser.parse_program_exn text).Parser.defs in
           let fuel = Limits.of_int 100_000 in
-          let sol = Rec_eval.solve ~fuel ?window ~strategy defs Db.empty in
+          let sol = Rec_eval.solve ~fuel ?window ~advice defs Db.empty in
           Alcotest.(check (option int)) (label ^ ": fuel left") (Some (100_000 - spent))
             (Limits.remaining fuel);
           List.iter
@@ -560,7 +560,7 @@ let test_rec_eval_pinned_fuel () =
               Alcotest.(check string) (label ^ ": " ^ c) printed
                 (Fmt.str "%a" Rec_eval.pp_vset (Rec_eval.constant sol c)))
             bounds)
-        [ ("naive", Delta.Naive); ("semi-naive", Delta.Seminaive) ])
+        [ ("naive", Advice.naive Advice.none); ("semi-naive", Advice.none) ])
     cases
 
 (* --- Join planning (select∘product fusion) --- *)
@@ -652,18 +652,18 @@ let prop_fused_eval_equals_unfused =
           [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
       in
       let e = Expr.ifp "x" body in
-      let run strategy join =
+      let run advice =
         let fuel = Limits.of_int 400 in
-        try Ok (Eval.eval ~fuel ~strategy ~join no_defs db e, Limits.remaining fuel)
+        try Ok (Eval.eval ~fuel ~advice no_defs db e, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       List.for_all
-        (fun strategy ->
-          match (run strategy Join.Fused, run strategy Join.Unfused) with
+        (fun advice ->
+          match (run advice, run (Advice.unfused advice)) with
           | Ok (v1, f1), Ok (v2, f2) -> Value.equal v1 v2 && f1 = f2
           | Error `Diverged, Error `Diverged -> true
           | _ -> false)
-        [ Delta.Naive; Delta.Seminaive ])
+        [ Advice.naive Advice.none; Advice.none ])
 
 let prop_fused_rec_eval_equals_unfused =
   (* Same equivalence for the three-valued alternating fixpoint: both
@@ -683,17 +683,17 @@ let prop_fused_rec_eval_equals_unfused =
         Defs.make
           [ Defs.constant "c" (subst "d" b1); Defs.constant "d" (subst "c" b2) ]
       in
-      let run join =
+      let run advice =
         let fuel = Limits.of_int 5000 in
         try
-          let sol = Rec_eval.solve ~fuel ~join defs db in
+          let sol = Rec_eval.solve ~fuel ~advice defs db in
           Ok
             ( Rec_eval.constant sol "c",
               Rec_eval.constant sol "d",
               Limits.remaining fuel )
         with Limits.Diverged _ -> Error `Diverged
       in
-      match (run Join.Fused, run Join.Unfused) with
+      match (run Advice.none, run (Advice.unfused Advice.none)) with
       | Ok (c1, d1, f1), Ok (c2, d2, f2) ->
         Value.equal c1.Rec_eval.low c2.Rec_eval.low
         && Value.equal c1.Rec_eval.high c2.Rec_eval.high
@@ -702,6 +702,56 @@ let prop_fused_rec_eval_equals_unfused =
         && f1 = f2
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
+
+(* The engine equivalences above compare the default path with the
+   reference paths the overlays select; if an overlay did not reach its
+   path they would compare a path with itself and still pass. Pin what
+   each path does on the TC of a 24-edge chain, as an [Ifp], as a
+   recursive constant and as a constant whose body is the [Ifp]: the
+   naive loops re-probe the whole accumulated set every round, the
+   unfused ones never join, and all take the same iterations. Columns:
+   join/probe, plan/fused, plan/unfused, eval/ifp_iter,
+   rec_eval/phase_iter, rec_eval/ifp_iter. *)
+let test_reference_paths_reached () =
+  let n = 24 in
+  let db =
+    Db.of_list [ ("edge", List.init n (fun i -> Value.pair (vi i) (vi (i + 1)))) ]
+  in
+  let body x = Expr.(union (rel "edge") (compose x (rel "edge"))) in
+  let tc_ifp = Expr.ifp "x" (body (Expr.rel "x")) in
+  let tc_defs = Defs.make [ Defs.constant "tc" (body (Expr.rel "tc")) ] in
+  let nested_defs = Defs.make [ Defs.constant "tc" tc_ifp ] in
+  let counters run =
+    Obs.Metrics.reset ();
+    Obs.Metrics.with_collecting run;
+    let sn = Obs.Metrics.snapshot () in
+    Obs.Metrics.reset ();
+    List.map
+      (fun c -> Obs.Metrics.counter_total sn c)
+      [ "join/probe"; "plan/fused"; "plan/unfused"; "eval/ifp_iter";
+        "rec_eval/phase_iter"; "rec_eval/ifp_iter" ]
+  in
+  let eval advice () = ignore (Eval.eval ~advice no_defs db tc_ifp) in
+  let solve defs advice () = ignore (Rec_eval.solve ~advice defs db) in
+  let naive = Advice.naive Advice.none and unfused = Advice.unfused Advice.none in
+  List.iter
+    (fun (label, run, expected) ->
+      Alcotest.(check (list int)) label expected (counters run))
+    [ ("eval, default", eval Advice.none, [ 300; 25; 0; 25; 0; 0 ]);
+      ("eval, naive", eval naive, [ 4900; 25; 0; 25; 0; 0 ]);
+      ("eval, unfused", eval unfused, [ 0; 0; 25; 25; 0; 0 ]);
+      ("rec_eval, default", solve tc_defs Advice.none, [ 1200; 100; 0; 0; 100; 0 ]);
+      ("rec_eval, naive", solve tc_defs naive, [ 19600; 100; 0; 0; 100; 0 ]);
+      ("rec_eval, unfused", solve tc_defs unfused, [ 0; 0; 100; 0; 100; 0 ]);
+      ( "rec_eval nested ifp, default",
+        solve nested_defs Advice.none,
+        [ 4800; 392; 0; 0; 8; 200 ] );
+      ( "rec_eval nested ifp, naive",
+        solve nested_defs naive,
+        [ 78400; 200; 0; 0; 8; 200 ] );
+      ( "rec_eval nested ifp, unfused",
+        solve nested_defs unfused,
+        [ 0; 0; 392; 0; 8; 200 ] ) ]
 
 let suite =
   suite
@@ -721,4 +771,6 @@ let suite =
         test_join_exec_matches_filter;
       QCheck_alcotest.to_alcotest prop_fused_eval_equals_unfused;
       QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
+      Alcotest.test_case "reference paths reached (pinned counters)" `Quick
+        test_reference_paths_reached;
     ]

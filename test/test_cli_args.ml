@@ -37,8 +37,7 @@ let verbs = [ "run"; "alg"; "query"; "update"; "check"; "translate" ]
 
 let shared_flags =
   [ "--fuel"; "--trace"; "--profile"; "--metrics"; "--domains"; "--plan";
-    "--par-threshold"; "--stats-file"; "--live-replan"; "--timeout";
-    "--memory-limit"; "--degrade" ]
+    "--stats-file"; "--timeout"; "--memory-limit"; "--degrade" ]
 
 let test_parity () =
   match find_exe () with

@@ -285,7 +285,7 @@ let prop_parser_reinterns =
     Tgen.printable_set_arb (fun v ->
       match Algebra.Parser.parse_expr (Value.to_string v) with
       | Error e -> QCheck.Test.fail_reportf "parse error: %s" e
-      | Ok expr -> Algebra.Eval.eval_closed Algebra.Db.empty expr == v)
+      | Ok expr -> Algebra.Eval.eval (Algebra.Defs.make []) Algebra.Db.empty expr == v)
 
 let prop_mem_reference =
   QCheck.Test.make ~name:"mem = list membership" ~count:300

@@ -485,27 +485,27 @@ let drift_body =
 let test_refresh_drift_unit () =
   let db = drift_db 16 in
   let stats = Plan.Stats.of_db db in
-  (* Refresh not armed: the hook answers None without forcing a thunk. *)
-  let off = Plan.Planner.create ~stats Plan.Planner.Cost in
+  (* Planning off: the hook answers None without forcing a thunk. *)
+  let off = Plan.Planner.create ~stats Plan.Planner.Off in
   let body_off = Plan.Planner.rewrite off drift_body in
   let forced = ref 0 in
   let probe () =
     incr forced;
     4096
   in
-  Alcotest.(check bool) "unarmed refresh is None" true
+  Alcotest.(check bool) "refresh off is None" true
     (Plan.Planner.refresh off ~round:2 ~bound:[ ("x", probe) ] body_off = None);
-  Alcotest.(check int) "unarmed refresh forces nothing" 0 !forced;
-  (* Armed, no drift: the observed cardinality matches the estimate. *)
-  let armed = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Cost in
-  let planned = Plan.Planner.rewrite armed drift_body in
+  Alcotest.(check int) "refresh off forces nothing" 0 !forced;
+  (* Cost, no drift: the observed cardinality matches the estimate. *)
+  let cost = Plan.Planner.create ~stats Plan.Planner.Cost in
+  let planned = Plan.Planner.rewrite cost drift_body in
   Alcotest.(check bool) "no drift, no re-plan" true
-    (Plan.Planner.refresh armed ~round:2 ~bound:[ ("x", fun () -> 64) ] planned
+    (Plan.Planner.refresh cost ~round:2 ~bound:[ ("x", fun () -> 64) ] planned
     = None);
-  (* Armed, drifted far beyond the threshold: the re-planned body must
+  (* Cost, drifted far beyond the threshold: the re-planned body must
      be structurally different (the join order flipped). *)
   (match
-     Plan.Planner.refresh armed ~round:3 ~bound:[ ("x", fun () -> 4096) ]
+     Plan.Planner.refresh cost ~round:3 ~bound:[ ("x", fun () -> 4096) ]
        planned
    with
   | None -> Alcotest.fail "drift beyond threshold did not re-plan"
@@ -517,7 +517,7 @@ let test_refresh_drift_unit () =
   M.with_collecting (fun () ->
       ignore
         (Plan.Planner.refresh
-           (let a = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Cost in
+           (let a = Plan.Planner.create ~stats Plan.Planner.Cost in
             ignore (Plan.Planner.rewrite a drift_body);
             a)
            ~round:3
@@ -534,20 +534,24 @@ let test_drift_live_stale_agree () =
   let stats = Plan.Stats.of_db db in
   let eval advice =
     spent 1_000_000_000 (fun ~fuel ->
-        Algebra.Eval.eval ~fuel ~strategy:Algebra.Delta.Naive ?advice no_defs
+        Algebra.Eval.eval ~fuel ~advice:(Algebra.Advice.naive advice) no_defs
           db ifp)
   in
-  let plain, _ = eval None in
-  let stale = Plan.Planner.create ~stats Plan.Planner.Cost in
-  let stale_r, _ = eval (Some (Plan.Planner.advice stale)) in
+  let plain, _ = eval Algebra.Advice.none in
+  (* The stale arm is a planner of its own that never re-plans. *)
+  let stale =
+    { (Plan.Planner.advice (Plan.Planner.create ~stats Plan.Planner.Cost)) with
+      Algebra.Advice.refresh = Algebra.Advice.none.Algebra.Advice.refresh }
+  in
+  let stale_r, _ = eval stale in
   Alcotest.(check bool) "stale plan is exact" true (Value.equal plain stale_r);
   (* Live re-planning with collection off and on: the planner reads no
      registry, so both runs re-plan alike — same result, same fuel. *)
-  let live () = Plan.Planner.create ~stats ~refresh:true Plan.Planner.Cost in
-  let off_r, off_fuel = eval (Some (Plan.Planner.advice (live ()))) in
+  let live () = Plan.Planner.create ~stats Plan.Planner.Cost in
+  let off_r, off_fuel = eval (Plan.Planner.advice (live ())) in
   M.reset ();
   let on_r, on_fuel =
-    M.with_collecting (fun () -> eval (Some (Plan.Planner.advice (live ()))))
+    M.with_collecting (fun () -> eval (Plan.Planner.advice (live ())))
   in
   let sn = M.snapshot () in
   M.reset ();

@@ -119,8 +119,7 @@ let test_summary_tc_iterations () =
   let r, sn =
     collected (fun () ->
         Obs.with_sink mem (fun () ->
-            Algebra.Eval.eval ~strategy:Algebra.Delta.Seminaive no_defs
-              (chain_db n) tc_ifp))
+            Algebra.Eval.eval no_defs (chain_db n) tc_ifp))
   in
   Alcotest.(check int) "tc size" (n * (n + 1) / 2) (Value.cardinal r);
   Alcotest.(check int) "ifp iterations" (n + 1)
@@ -315,15 +314,13 @@ let prop_ifp_trace_transparent =
       in
       let plain, plain_fuel =
         spent 200_000 (fun ~fuel ->
-            Algebra.Eval.eval ~fuel ~strategy:Algebra.Delta.Seminaive no_defs db
-              tc_ifp)
+            Algebra.Eval.eval ~fuel no_defs db tc_ifp)
       in
       let mem, _ = Obs.Sink.memory () in
       let traced, traced_fuel =
         Obs.with_sink mem (fun () ->
             spent 200_000 (fun ~fuel ->
-                Algebra.Eval.eval ~fuel ~strategy:Algebra.Delta.Seminaive no_defs
-                  db tc_ifp))
+                Algebra.Eval.eval ~fuel no_defs db tc_ifp))
       in
       Value.equal plain traced && plain_fuel = traced_fuel)
 
