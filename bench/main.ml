@@ -186,8 +186,8 @@ let e3 () =
 
 let e4 () =
   U.hr "E4 (Prop 3.4): recursive equation vs IFP on monotone bodies";
-  U.row "%-12s %8s %12s %12s %10s %7s@." "graph" "|tc|" "rec-eval ms" "IFP ms"
-    "rounds" "equal";
+  U.row "%-12s %8s %12s %12s %7s %11s %9s %7s@." "graph" "|tc|" "rec-eval ms" "IFP ms"
+    "rounds" "phase iter" "ifp iter" "equal";
   let run name edges =
     let db = W.db_of ~rel:"edge" edges in
     let rec_ms, sol = U.time_ms (fun () -> Algebra.Rec_eval.solve W.tc_defs db) in
@@ -195,13 +195,20 @@ let e4 () =
     let ifp_ms, ifp_value =
       U.time_ms (fun () -> Algebra.Eval.eval (Algebra.Defs.make []) db W.tc_ifp)
     in
-    U.row "%-12s %8d %12.2f %12.2f %10d %7b@." name (Value.cardinal ifp_value)
+    let rec_sn, _ = obs_run (fun () -> Algebra.Rec_eval.solve W.tc_defs db) in
+    let ifp_sn, _ =
+      obs_run (fun () -> Algebra.Eval.eval (Algebra.Defs.make []) db W.tc_ifp)
+    in
+    U.row "%-12s %8d %12.2f %12.2f %7d %11d %9d %7b@." name (Value.cardinal ifp_value)
       rec_ms ifp_ms
       (Algebra.Rec_eval.rounds sol)
+      (Obs.Metrics.counter_total rec_sn "rec_eval/phase_iter")
+      (Obs.Metrics.counter_total ifp_sn "eval/ifp_iter")
       (Algebra.Rec_eval.is_defined s && Value.equal s.Algebra.Rec_eval.low ifp_value)
   in
   run "chain-12" (W.chain 12);
   run "chain-20" (W.chain 20);
+  run "chain-96" (W.chain 96);
   run "cycle-10" (W.cycle 10);
   run "random-12/24" (W.random_graph ~nodes:12 ~edges:24 ~seed:5)
 

@@ -239,11 +239,8 @@ let alg_cmd =
           constants;
         (match p.Algebra.Parser.query with
         | Some q ->
-          let v =
-            Algebra.Rec_eval.eval ?window ~fuel ~advice
-              p.Algebra.Parser.defs Algebra.Db.empty q
-          in
-          Fmt.pr "@[<h>query = %a@]@." Algebra.Rec_eval.pp_vset v
+          Fmt.pr "@[<h>query = %a@]@." Algebra.Rec_eval.pp_vset
+            (Algebra.Rec_eval.query sol q)
         | None -> ());
         Common_args.report_plan common planner;
         (* Persist what this run learned: the solved constants' certain

@@ -8,6 +8,7 @@ type t = {
   join_par : Expr.t -> bool option;
   ifp_strategy : string -> Expr.t -> strategy option;
   refresh : round:int -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option;
+  split : bool;
 }
 
 let none =
@@ -15,11 +16,13 @@ let none =
     join_mode = (fun _ -> None);
     join_par = (fun _ -> None);
     ifp_strategy = (fun _ _ -> None);
-    refresh = (fun ~round:_ ~bound:_ _ -> None) }
+    refresh = (fun ~round:_ ~bound:_ _ -> None);
+    split = true }
 
 let is_none t = t == none
 let naive t = { t with ifp_strategy = (fun _ _ -> Some Naive) }
 let unfused t = { t with join_mode = (fun _ -> Some Join.Unfused) }
+let unsplit t = { t with split = false }
 let strategy t x body = Option.value (t.ifp_strategy x body) ~default:Seminaive
 
 let fused_join t builtins node =

@@ -16,9 +16,9 @@
 
     {!none} is the identity advice; evaluators default to it, and with
     it the advised code paths are byte-for-byte the unadvised ones. The
-    overlays {!naive} and {!unfused} force the reference paths — the
-    baselines the engine equivalences and benchmarks compare against —
-    on top of any advice. *)
+    overlays {!naive}, {!unfused} and {!unsplit} force the reference
+    paths — the baselines the engine equivalences and benchmarks
+    compare against — on top of any advice. *)
 
 open Recalg_kernel
 
@@ -60,6 +60,10 @@ type t = {
           eligibility) before adopting a new body, and fuel accounting
           is per round, so adopting advice never changes results or
           fuel. *)
+  split : bool;
+      (** {!Rec_eval} solves the constants component by component
+          ([true], the default); [false] is the whole-program
+          alternating fixpoint ({!unsplit}). *)
 }
 
 val none : t
@@ -75,6 +79,13 @@ val naive : t -> t
 val unfused : t -> t
 (** [t] with every [Select (p, Product _)] node evaluated by
     materialising the product and filtering it. *)
+
+val unsplit : t -> t
+(** [t] with {!Rec_eval} solving all constants as one alternating
+    component: every round runs a high and a low phase over every
+    constant until no low bound changes — the engine before component
+    ordering, kept as the reference the split is checked against. It
+    reaches the same bounds but not the same fuel. *)
 
 val strategy : t -> string -> Expr.t -> strategy
 (** [strategy t x body] is the iteration the fixpoint [x = body] gets:

@@ -152,6 +152,47 @@ let inline_all t =
     { defs = List.map (fun d -> { d with body = inline t d.body }) nullary;
       builtins = t.builtins }
 
+(* Tarjan's algorithm over the edges [n -> m], [m] a defined constant
+   free in [n]'s body. A component is complete when its root's DFS
+   returns, after every component it reaches, so the output order puts
+   dependencies first. *)
+let components t =
+  let bodies = constant_bodies t in
+  let names = List.map fst bodies in
+  let deps n = List.filter (fun m -> List.mem m names) (Expr.rel_names (List.assoc n bodies)) in
+  let index = Hashtbl.create 16 and low = Hashtbl.create 16 and on_stack = Hashtbl.create 16 in
+  let stack = ref [] and next = ref 0 and out = ref [] in
+  let rec visit v =
+    Hashtbl.replace index v !next;
+    Hashtbl.replace low v !next;
+    incr next;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          visit w;
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
+      (deps v);
+    if Hashtbl.find low v = Hashtbl.find index v then begin
+      let rec pop members =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if w = v then w :: members else pop (w :: members)
+        | [] -> assert false
+      in
+      let members = pop [] in
+      out := List.filter (fun n -> List.mem n members) names :: !out
+    end
+  in
+  List.iter (fun n -> if not (Hashtbl.mem index n) then visit n) names;
+  List.rev !out
+
 let pp ppf t =
   List.iter
     (fun d ->

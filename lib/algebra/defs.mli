@@ -50,4 +50,11 @@ val inline_all : t -> t
     ones: the result has only nullary definitions whose bodies contain no
     [Call] nodes. *)
 
+val components : t -> string list list
+(** The strongly connected components of an inlined program's
+    constants ({!inline_all}), where [n] depends on [m] when the defined
+    constant [m] occurs free in [n]'s body. Every component comes after
+    the components it depends on, and lists its members in declaration
+    order. *)
+
 val pp : Format.formatter -> t -> unit

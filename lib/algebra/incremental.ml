@@ -361,11 +361,7 @@ let rec build e =
   | Expr.Map (f, a) -> mk (Map_n (f, build a, ref Zset.empty))
   | Expr.Ifp (x, body) ->
     let inputs = List.filter (fun n -> n <> x) (Expr.rel_names body) in
-    let positive =
-      (not (Positivity.occurs_negatively body x))
-      && Positivity.positive_ifp body
-    in
-    mk (Ifp_n { var = x; body; inputs; positive })
+    mk (Ifp_n { var = x; body; inputs; positive = Positivity.monotone_in [ x ] body })
 
 let rec init_value eng node =
   let v =

@@ -75,16 +75,16 @@ let scan_linearity names e =
 let delta_linear names e = not (snd (scan_linearity names e))
 let has_linear_occurrence names e = fst (scan_linearity names e)
 
+let monotone_in names e =
+  positive_ifp e && not (List.exists (fun n -> List.mem n names) (negative_names e))
+
 let monotone_syntactic defs name =
   let inlined = Defs.inline_all defs in
-  let defined = Defs.constant_names inlined in
   match Defs.find inlined name with
   | None -> false
-  | Some d ->
-    let negs = negative_names d.Defs.body in
-    positive_ifp d.Defs.body
-    && not (List.exists (fun n -> List.mem n defined) negs)
+  | Some d -> monotone_in (Defs.constant_names inlined) d.Defs.body
 
 let positive_program defs =
   let inlined = Defs.inline_all defs in
-  List.for_all (monotone_syntactic inlined) (Defs.constant_names inlined)
+  let names = Defs.constant_names inlined in
+  List.for_all (fun (_, body) -> monotone_in names body) (Defs.constant_bodies inlined)

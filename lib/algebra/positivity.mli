@@ -32,6 +32,14 @@ val positive_ifp : Expr.t -> bool
 (** Every [Ifp (x, body)] within the expression has no negative occurrence
     of [x] in [body] — membership in the positive IFP-algebra. *)
 
+val monotone_in : string list -> Expr.t -> bool
+(** [monotone_in names e]: no name in [names] occurs negatively in the
+    inlined expression [e], and every [Ifp] within it is positive — the
+    sound, incomplete syntactic test of Definition 3.3 for [e] as a
+    function of [names]. The one polarity rule behind
+    {!monotone_syntactic}, {!positive_program} and {!Rec_eval}'s
+    positive components. *)
+
 val monotone_syntactic : Defs.t -> string -> bool
 (** The named constant's (inlined) body mentions no defined constant and
     no IFP variable negatively — a sound, incomplete monotonicity check

@@ -67,11 +67,9 @@ type ctx = {
 }
 
 type solution = {
-  lows : Value.t Smap.t;
-  highs : Value.t Smap.t;
-  defs : Defs.t;  (* inlined *)
+  ctx : ctx;  (* [consts]: every constant, solved *)
+  defs : Defs.t;  (* as given to [solve] *)
   rounds : int;
-  ctx : ctx;  (* as given to [solve]; [consts] empty *)
 }
 
 (* Three-valued evaluation of an inlined expression given current bounds
@@ -190,16 +188,17 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   let bodies =
     List.map (fun (n, b) -> (n, advise b)) (Defs.constant_bodies inlined)
   in
-  let names = List.map fst bodies in
-  (* Per-constant semi-naive eligibility: the advice picks the strategy
-     of the constant's fixpoint [n = b], and some defined constant must
-     occur delta-linearly in the body. Ineligible constants are
-     recomputed in full every phase iteration, exactly as the naive
-     engine does. Recomputed whenever re-planning swaps a body — a
-     constant whose new body loses eligibility falls back to full
-     recomputation, which visits identical maps on identical
-     iterations. *)
-  let eligible_for bodies =
+  let all_names = List.map fst bodies in
+  (* Per-constant semi-naive eligibility within a component [names]:
+     the advice picks the strategy of the constant's fixpoint [n = b],
+     and some member of the component must occur delta-linearly in the
+     body — constants of lower components are fixed inputs, not deltas.
+     Ineligible constants are recomputed in full every phase iteration,
+     exactly as the naive engine does. Recomputed whenever re-planning
+     swaps a body — a constant whose new body loses eligibility falls
+     back to full recomputation, which visits identical maps on
+     identical iterations. *)
+  let eligible_for names bodies =
     let table =
       List.map
         (fun (n, b) ->
@@ -209,17 +208,19 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
     fun n -> List.assoc n table
   in
   (* Round-boundary re-planning: offer the planner each body with the
-     observed low-bound cardinalities of every defined constant (lazily,
-     so identity advice forces nothing). Adopted bodies are result-exact
-     rewrites, so the map sequences — and the fuel they meter — are
-     unchanged. Round 1 is skipped: nothing has been observed yet. *)
+     observed low-bound cardinalities of every constant solved so far or
+     being solved (lazily, so identity advice forces nothing). Adopted
+     bodies are result-exact rewrites, so the map sequences — and the
+     fuel they meter — are unchanged. Round 1 is skipped: nothing has
+     been observed yet. *)
   let refresh_bodies bodies lows rounds =
     if rounds <= 1 || Advice.is_none advice then bodies
     else begin
       let bound =
-        List.map
-          (fun n -> (n, fun () -> Value.cardinal (Smap.find n lows)))
-          names
+        List.filter_map
+          (fun n ->
+            Option.map (fun v -> (n, fun () -> Value.cardinal v)) (lows n))
+          all_names
       in
       let changed = ref false in
       let bodies' =
@@ -235,30 +236,34 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
       if !changed then bodies' else bodies
     end
   in
-  let ctx = { builtins; db; consts = Smap.empty; fuel; advice } in
-  let empty_map = List.fold_left (fun m n -> Smap.add n Value.empty_set m) Smap.empty names in
-  (* Least fixpoint of one phase: refine every constant until nothing
-     changes. [grow] is the bound the phase grows, from the empty map,
-     while the other stays at [fixed]; evaluations compute only [grow],
-     and the [fixed] side only where a difference subtracts it. The
-     phase operator is monotone in the growing map (a difference's right
-     side flips the bound as it flips polarity), so the Kleene iterates
-     grow and a constant's next value is its current value united with
-     the delta-derived tuples — semi-naive and full recomputation visit
-     identical maps on identical iterations. *)
-  let phase_lfp ~bodies ~eligible ~grow ~fixed =
-    let body name = List.assoc name bodies in
+  (* Least fixpoint of one phase over a component's [bodies]: refine
+     every member until nothing changes. [ctx.consts] holds the
+     solved lower components. [grow] is the bound the phase grows, from
+     the empty map, while the other stays at [fixed] ([None]: the grown
+     set itself, a two-valued phase); evaluations compute only [grow],
+     and the other side only where a difference subtracts it or a nested
+     [IFP] reads both. The phase operator is monotone in the growing map
+     (a difference's right side flips the bound as it flips polarity),
+     so the Kleene iterates grow and a constant's next value is its
+     current value united with the delta-derived tuples — semi-naive and
+     full recomputation visit identical maps on identical iterations. *)
+  let phase_lfp ctx ~bodies ~eligible ~grow ~fixed =
     Obs.span (if grow = Low then "low" else "high") @@ fun () ->
-    let accs = List.map (fun n -> (n, Delta.Acc.create ())) names in
+    let accs = List.map (fun (n, _) -> (n, Delta.Acc.create ())) bodies in
     let consts =
       List.fold_left
         (fun m (n, acc) ->
-          let grown () = Delta.Acc.value acc and fixed () = Smap.find n fixed in
-          let bounds mask =
-            if grow = Low then read mask grown fixed else read mask fixed grown
+          let grown () = Delta.Acc.value acc in
+          let bounds =
+            match fixed with
+            | None -> fun mask -> read mask grown grown
+            | Some fixed ->
+              let fixed () = Smap.find n fixed in
+              if grow = Low then fun mask -> read mask grown fixed
+              else fun mask -> read mask fixed grown
           in
           Smap.add n bounds m)
-        Smap.empty accs
+        ctx.consts accs
     in
     let ctx = { ctx with consts } in
     let rec iterate deltas first =
@@ -269,12 +274,11 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
          accumulators take the new tuples only once all are evaluated. *)
       let steps =
         List.map
-          (fun (name, _) ->
-            let b = body name in
+          (fun (name, b) ->
             if first || not (eligible name) then
               `Full (clip window (pick grow (eval_vset ctx grow [] b)))
             else `Derived (clip window (derive_bound ctx [] grow ~deltas b)))
-          accs
+          bodies
       in
       let changed = ref false in
       let next_deltas =
@@ -304,54 +308,120 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
     in
     iterate [] true
   in
-  (* The alternating fixpoint is not monotone round-to-round, so —
-     unlike {!Eval}'s IFP — a truncated run is not a sound
-     under-approximation and this engine never degrades: it finishes or
-     raises. Round boundaries still probe the governed budget and carry
-     the rec_eval/round chaos point. *)
-  let rec outer bodies eligible lows_prev rounds =
+  (* Every round of every component probes the governed budget, carries
+     the rec_eval/round chaos point and is counted. *)
+  let round () =
     Limits.check fuel ~what:"Rec_eval: outer round";
     Faultinj.hit "rec_eval/round";
     Limits.spend fuel ~what:"Rec_eval: outer round";
-    Obs.count "rec_eval/round" 1;
-    let bodies' = refresh_bodies bodies lows_prev rounds in
-    let eligible =
-      if bodies' == bodies then eligible else eligible_for bodies'
-    in
-    let bodies = bodies' in
-    let highs, lows =
-      Obs.span "round" @@ fun () ->
-      (* High phase: lows fixed at the previous round's value, highs grow
-         from the empty map to their least fixpoint. *)
-      let highs = phase_lfp ~bodies ~eligible ~grow:High ~fixed:lows_prev in
-      (* Low phase: highs fixed, lows grow from the empty map. *)
-      let lows = phase_lfp ~bodies ~eligible ~grow:Low ~fixed:highs in
-      (highs, lows)
-    in
-    if Smap.equal Value.equal lows lows_prev then
-      { lows; highs; defs = inlined; rounds; ctx }
-    else outer bodies eligible lows (rounds + 1)
+    Obs.count "rec_eval/round" 1
   in
-  outer bodies (eligible_for bodies) empty_map 1
+  let empty_map bodies =
+    List.fold_left (fun m (n, _) -> Smap.add n Value.empty_set m) Smap.empty bodies
+  in
+  (* A component none of whose members occurs negatively in a member
+     body, and whose nested [IFP]s are positive, is monotone in its own
+     constants: its equations define their least fixpoint (Prop 3.4),
+     reached in one round. When every lower constant it reads is
+     two-valued, the round is one two-valued phase whose result is both
+     bounds. Otherwise it is a high phase and a low phase; as no member
+     occurs negatively, neither bound depends on the other's. *)
+  let positive ctx bodies =
+    round ();
+    let eligible = eligible_for (List.map fst bodies) bodies in
+    let two_valued m =
+      match Smap.find_opt m ctx.consts with
+      | Some bounds -> is_defined (bounds Both)
+      | None -> true
+    in
+    Obs.span "round" @@ fun () ->
+    if List.for_all (fun (_, b) -> List.for_all two_valued (Expr.rel_names b)) bodies
+    then begin
+      let exact = phase_lfp ctx ~bodies ~eligible ~grow:Low ~fixed:None in
+      (exact, exact, 1)
+    end
+    else begin
+      let high =
+        phase_lfp ctx ~bodies ~eligible ~grow:High ~fixed:(Some (empty_map bodies))
+      in
+      (phase_lfp ctx ~bodies ~eligible ~grow:Low ~fixed:(Some high), high, 1)
+    end
+  in
+  (* The alternating fixpoint over one component, whose members' lows
+     are [lows_prev] between rounds. It is not monotone round-to-round,
+     so — unlike {!Eval}'s IFP — a truncated run is not a sound
+     under-approximation and this engine never degrades: it finishes or
+     raises. *)
+  let alternate ctx bodies =
+    let names = List.map fst bodies in
+    let rec outer bodies eligible lows_prev rounds =
+      round ();
+      let known n =
+        match Smap.find_opt n lows_prev with
+        | None -> Option.map (fun bounds -> (bounds Low).low) (Smap.find_opt n ctx.consts)
+        | v -> v
+      in
+      let bodies' = refresh_bodies bodies known rounds in
+      let eligible =
+        if bodies' == bodies then eligible else eligible_for names bodies'
+      in
+      let bodies = bodies' in
+      let highs, lows =
+        Obs.span "round" @@ fun () ->
+        (* High phase: lows fixed at the previous round's value, highs
+           grow from the empty map to their least fixpoint. *)
+        let highs = phase_lfp ctx ~bodies ~eligible ~grow:High ~fixed:(Some lows_prev) in
+        (* Low phase: highs fixed, lows grow from the empty map. *)
+        let lows = phase_lfp ctx ~bodies ~eligible ~grow:Low ~fixed:(Some highs) in
+        (highs, lows)
+      in
+      if Smap.equal Value.equal lows lows_prev then (lows, highs, rounds)
+      else outer bodies eligible lows (rounds + 1)
+    in
+    outer bodies (eligible_for names bodies) (empty_map bodies) 1
+  in
+  (* Components in dependency order, each solved with the lower ones'
+     bounds fixed in [consts]; unsplit, all constants are one
+     alternating component. *)
+  let components =
+    if advice.Advice.split then Defs.components inlined else [ all_names ]
+  in
+  let ctx, rounds =
+    List.fold_left
+      (fun (ctx, rounds) names ->
+        let comp = List.map (fun n -> (n, List.assoc n bodies)) names in
+        let lows, highs, r =
+          if advice.Advice.split
+             && List.for_all (fun (_, b) -> Positivity.monotone_in names b) comp
+          then positive ctx comp
+          else alternate ctx comp
+        in
+        (* A solved constant's bounds, whatever the mask asks for. *)
+        let consts =
+          Smap.fold
+            (fun n low consts ->
+              let s = { low; high = Smap.find n highs } in
+              Smap.add n (fun _ -> s) consts)
+            lows ctx.consts
+        in
+        ({ ctx with consts }, rounds + r))
+      ({ builtins; db; consts = Smap.empty; fuel; advice }, 0)
+      components
+  in
+  { ctx; defs; rounds }
 
 let constant sol name =
-  match Smap.find_opt name sol.lows with
-  | Some low -> { low; high = Smap.find name sol.highs }
+  match Smap.find_opt name sol.ctx.consts with
+  | Some bounds -> bounds Both
   | None -> raise (Undefined_relation name)
 
 let rounds sol = sol.rounds
 
-let eval ?fuel ?window ?advice defs db expr =
-  let sol = solve ?fuel ?window ?advice defs db in
-  let inlined_expr = Defs.inline sol.defs (Defs.inline defs expr) in
+let query sol expr =
   let advice = sol.ctx.advice in
-  let inlined_expr =
-    if Advice.is_none advice then inlined_expr else advice.Advice.rewrite inlined_expr
-  in
-  let consts =
-    Smap.mapi (fun n low -> let high = Smap.find n sol.highs in fun _ -> { low; high }) sol.lows
-  in
-  eval_vset { sol.ctx with consts } Both [] inlined_expr
+  let expr = Defs.inline sol.defs expr in
+  let expr = if Advice.is_none advice then expr else advice.Advice.rewrite expr in
+  eval_vset sol.ctx Both [] expr
 
 let well_defined ?fuel ?window ?advice defs db =
   let sol = solve ?fuel ?window ?advice defs db in

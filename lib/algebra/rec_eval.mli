@@ -15,7 +15,9 @@
     fixed, the new lows are the least fixpoint of conservative evaluation
     (difference subtracts all possible members). Elements in [high \ low]
     have undefined membership — e.g. [a] in the [S = {a} - S] example, or
-    positions on [MOVE]-cycles in the WIN game (Example 3).
+    positions on [MOVE]-cycles in the WIN game (Example 3). {!solve}
+    runs the alternation only where it is needed: component by
+    component, and only in components that negate themselves.
 
     When the program is well defined (has an initial valid model, e.g. all
     IFP-algebra translations — Theorem 3.1), every queried membership is
@@ -45,30 +47,51 @@ val solve :
   Defs.t ->
   Db.t ->
   solution
-(** Run the alternating fixpoint for all nullary constants. [window], when
-    given, intersects every constant with a finite universe after each
-    step — the domain-independence "window" that makes intentionally
-    infinite sets (the even numbers [S^e_c]) queryable; answers are then
-    only meaningful for elements inside the window, and only when values
-    outside the window cannot flow back in (true of all bundled
-    examples).
+(** Solve all nullary constants. The constants' dependency graph ([n]
+    depends on [m] when the defined [m] occurs in [n]'s inlined body) is
+    split into strongly connected components ({!Defs.components}), which
+    are solved in dependency order; a solved component's bounds are
+    fixed inputs for the components above it.
+
+    - A component none of whose members occurs negatively in a member
+      body, and whose nested [IFP]s are positive
+      ({!Positivity.monotone_in}), is monotone: its equations and their
+      least fixpoint define the same sets (Prop 3.4), so one round
+      solves it. When every lower constant it reads is two-valued, the
+      round is one phase, whose result is returned physically as both
+      bounds; otherwise it is a high and a low phase, with no
+      alternation.
+    - Any other component runs the alternating fixpoint over its own
+      constants only, until its lows stop changing.
+
+    [window], when given, intersects every constant with a finite
+    universe after each step — the domain-independence "window" that
+    makes intentionally infinite sets (the even numbers [S^e_c])
+    queryable; answers are then only meaningful for elements inside the
+    window, and only when values outside the window cannot flow back in
+    (true of all bundled examples).
 
     [advice] (default {!Advice.none}) chooses the evaluation path. Each
     phase's least fixpoint is computed, per defined constant [n = body],
     under [Advice.strategy advice n body] — by default semi-naively:
     iterations join only the delta-derived new tuples against the
-    accumulated bound when the body's defined constants occur
-    delta-linearly, falling back to full recomputation otherwise (and
-    for nested [IFP]s likewise, per bound). Semi-naive accumulators are
-    {!Delta.Acc}s: a round interns only its delta, and the accumulated
-    bound is merged when read or when the loop ends. [Select (p,
-    Product _)] nodes run as hash joins on each bound the evaluation
-    needs ({!Advice.fused_join}). The overlays {!Advice.naive} and
-    {!Advice.unfused} force the reference paths; every path visits
-    byte-identical bounds on identical iterations and spends identical
-    fuel. A planner's advice also rewrites every constant body once
-    before solving; any advice built by [Recalg.Plan] preserves both
-    bounds byte for byte.
+    accumulated bound when the body's constants of the same component
+    occur delta-linearly, falling back to full recomputation otherwise
+    (and for nested [IFP]s likewise, per bound). Semi-naive accumulators
+    are {!Delta.Acc}s: a round interns only its delta, and the
+    accumulated bound is merged when read or when the loop ends.
+    [Select (p, Product _)] nodes run as hash joins on each bound the
+    evaluation needs ({!Advice.fused_join}). The overlays {!Advice.naive}
+    and {!Advice.unfused} force the reference paths; every such path
+    visits byte-identical bounds on identical iterations and spends
+    identical fuel. The overlay {!Advice.unsplit} solves all constants
+    as one alternating component — the engine without component order —
+    and reaches byte-identical bounds, but not the same fuel: fuel
+    follows the work, and [k] independent recursive components each pay
+    their own iterations where one loop ran them side by side. A
+    planner's advice also rewrites every constant body once before
+    solving; any advice built by [Recalg.Plan] preserves both bounds
+    byte for byte.
 
     Each phase evaluates only the bound it grows, plus the other bound
     where a difference subtracts it; a nested [IFP] iterates on both
@@ -78,17 +101,14 @@ val constant : solution -> string -> vset
 (** Raises {!Undefined_relation} for an unknown name. *)
 
 val rounds : solution -> int
-(** Outer alternating-fixpoint rounds used — benchmark instrumentation. *)
+(** The rounds of every component, summed: one for a positive
+    component, the alternation's rounds for any other. Each round spends
+    one fuel unit and counts one [rec_eval/round] event. *)
 
-val eval :
-  ?fuel:Limits.fuel ->
-  ?window:Value.t ->
-  ?advice:Advice.t ->
-  Defs.t ->
-  Db.t ->
-  Expr.t ->
-  vset
-(** Solve, then evaluate a query expression in the solution. *)
+val query : solution -> Expr.t -> vset
+(** Evaluate a query expression in a solved program: its calls are
+    inlined against the solved definitions and its defined constants
+    read their solved bounds. *)
 
 val well_defined :
   ?fuel:Limits.fuel ->

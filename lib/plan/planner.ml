@@ -792,7 +792,8 @@ let refresh t ~round:_ ~bound body =
 let advice t =
   if t.mode = Off then Advice.none
   else
-    { Advice.rewrite = (fun e -> rewrite t e);
+    { Advice.none with
+      rewrite = (fun e -> rewrite t e);
       join_mode =
         (fun node ->
           match Hashtbl.find_opt t.joins node with

@@ -13,7 +13,7 @@ let eval_str ?window src =
   | Ok p -> (
     match p.Parser.query with
     | None -> Alcotest.fail "expected a query"
-    | Some q -> Rec_eval.eval ?window p.Parser.defs Db.empty q)
+    | Some q -> Rec_eval.query (Rec_eval.solve ?window p.Parser.defs Db.empty) q)
 
 let test_parse_set_ops () =
   let v = eval_str "query ({1, 2} + {3}) - {2};" in

@@ -514,13 +514,18 @@ let prop_seminaive_rec_eval_equals_naive =
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
 
-(* Pinned fuel and bounds of [Rec_eval.solve], under both strategies.
-   The figures were taken from the engine before its phases evaluated
-   only the bound they grow and accumulated through [Delta.Acc]; those
-   changes must leave every round, and so the fuel, where it was. The
-   hand-written program puts an [Ifp] inside a recursive body, under a
-   difference's right side, which the random bodies of [Tgen] never
-   produce: the nested loop must still iterate on both bounds. *)
+(* Pinned fuel and bounds of [Rec_eval.solve], under both strategies,
+   split into components and unsplit. The unsplit figures were taken
+   from the engine before its phases evaluated only the bound they grow
+   and accumulated through [Delta.Acc], and before it solved component
+   by component; those changes must leave every round of the
+   whole-program alternation, and so its fuel, where it was. The split
+   figures pin the component order: [even] and [triangle] are positive
+   components solved in one phase each, [undefined] is one alternating
+   component either way. The hand-written program puts an [Ifp] inside
+   a recursive body, under a difference's right side, which the random
+   bodies of [Tgen] never produce: the nested loop must still iterate on
+   both bounds. *)
 let nested_ifp_program =
   "let e = {[1,2],[2,3],[3,1],[3,4],[4,5],[6,7],[7,6]};\n\
    let n = {1,2,3,4,5,6,7};\n\
@@ -529,26 +534,27 @@ let nested_ifp_program =
 
 let test_rec_eval_pinned_fuel () =
   let window = Value.set (List.init 21 vi) in
+  (* label, program, window, fuel unsplit, fuel split, bounds *)
   let cases =
-    [ ( "even", example "even", Some window, 50,
+    [ ( "even", example "even", Some window, 50, 13,
         [ ("evens", "{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}") ] );
-      ("undefined", example "undefined", None, 4, [ ("s", "[certain {}, possible {a}]") ]);
-      ( "triangle", example "triangle", None, 14,
+      ("undefined", example "undefined", None, 4, 4, [ ("s", "[certain {}, possible {a}]") ]);
+      ( "triangle", example "triangle", None, 14, 12,
         [ ("r", "{[1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3], [7, 4], [8, 4]}");
           ("s", "{[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [7, 7], [8, 8]}");
           ("t", "{[1, 100], [2, 200]}");
           ( "q",
             "{[[[1, 1], [1, 1]], [1, 100]], [[[2, 1], [1, 1]], [1, 100]], \
              [[[3, 2], [2, 2]], [2, 200]], [[[4, 2], [2, 2]], [2, 200]]}" ) ] );
-      ( "nested ifp", nested_ifp_program, None, 57,
+      ( "nested ifp", nested_ifp_program, None, 57, 46,
         [ ("e", "{[1, 2], [2, 3], [3, 1], [3, 4], [4, 5], [6, 7], [7, 6]}");
           ("n", "{1, 2, 3, 4, 5, 6, 7}");
           ("w", "[certain {5}, possible {5, 6, 7}]") ] ) ]
   in
   List.iter
-    (fun (label, text, window, spent, bounds) ->
+    (fun (label, text, window, unsplit_spent, split_spent, bounds) ->
       List.iter
-        (fun (sname, advice) ->
+        (fun (sname, advice, spent) ->
           let label = label ^ " (" ^ sname ^ ")" in
           let defs = (Parser.parse_program_exn text).Parser.defs in
           let fuel = Limits.of_int 100_000 in
@@ -560,7 +566,10 @@ let test_rec_eval_pinned_fuel () =
               Alcotest.(check string) (label ^ ": " ^ c) printed
                 (Fmt.str "%a" Rec_eval.pp_vset (Rec_eval.constant sol c)))
             bounds)
-        [ ("naive", Advice.naive Advice.none); ("semi-naive", Advice.none) ])
+        [ ("naive, unsplit", Advice.unsplit (Advice.naive Advice.none), unsplit_spent);
+          ("semi-naive, unsplit", Advice.unsplit Advice.none, unsplit_spent);
+          ("naive", Advice.naive Advice.none, split_spent);
+          ("semi-naive", Advice.none, split_spent) ])
     cases
 
 (* --- Join planning (select∘product fusion) --- *)
@@ -734,24 +743,141 @@ let test_reference_paths_reached () =
   let eval advice () = ignore (Eval.eval ~advice no_defs db tc_ifp) in
   let solve defs advice () = ignore (Rec_eval.solve ~advice defs db) in
   let naive = Advice.naive Advice.none and unfused = Advice.unfused Advice.none in
+  let unsplit = Advice.unsplit in
   List.iter
     (fun (label, run, expected) ->
       Alcotest.(check (list int)) label expected (counters run))
     [ ("eval, default", eval Advice.none, [ 300; 25; 0; 25; 0; 0 ]);
       ("eval, naive", eval naive, [ 4900; 25; 0; 25; 0; 0 ]);
       ("eval, unfused", eval unfused, [ 0; 0; 25; 25; 0; 0 ]);
-      ("rec_eval, default", solve tc_defs Advice.none, [ 1200; 100; 0; 0; 100; 0 ]);
-      ("rec_eval, naive", solve tc_defs naive, [ 19600; 100; 0; 0; 100; 0 ]);
-      ("rec_eval, unfused", solve tc_defs unfused, [ 0; 0; 100; 0; 100; 0 ]);
+      ( "rec_eval unsplit, default",
+        solve tc_defs (unsplit Advice.none),
+        [ 1200; 100; 0; 0; 100; 0 ] );
+      ("rec_eval unsplit, naive", solve tc_defs (unsplit naive), [ 19600; 100; 0; 0; 100; 0 ]);
+      ("rec_eval unsplit, unfused", solve tc_defs (unsplit unfused), [ 0; 0; 100; 0; 100; 0 ]);
+      ( "rec_eval nested ifp unsplit, default",
+        solve nested_defs (unsplit Advice.none),
+        [ 4800; 392; 0; 0; 8; 200 ] );
+      ( "rec_eval nested ifp unsplit, naive",
+        solve nested_defs (unsplit naive),
+        [ 78400; 200; 0; 0; 8; 200 ] );
+      ( "rec_eval nested ifp unsplit, unfused",
+        solve nested_defs (unsplit unfused),
+        [ 0; 0; 392; 0; 8; 200 ] );
+      (* Split, each program is one positive component: one phase. *)
+      ("rec_eval, default", solve tc_defs Advice.none, [ 300; 25; 0; 0; 25; 0 ]);
+      ("rec_eval, naive", solve tc_defs naive, [ 4900; 25; 0; 0; 25; 0 ]);
+      ("rec_eval, unfused", solve tc_defs unfused, [ 0; 0; 25; 0; 25; 0 ]);
       ( "rec_eval nested ifp, default",
         solve nested_defs Advice.none,
-        [ 4800; 392; 0; 0; 8; 200 ] );
-      ( "rec_eval nested ifp, naive",
-        solve nested_defs naive,
-        [ 78400; 200; 0; 0; 8; 200 ] );
-      ( "rec_eval nested ifp, unfused",
-        solve nested_defs unfused,
-        [ 0; 0; 392; 0; 8; 200 ] ) ]
+        [ 1200; 98; 0; 0; 2; 50 ] );
+      ("rec_eval nested ifp, naive", solve nested_defs naive, [ 19600; 50; 0; 0; 2; 50 ]);
+      ("rec_eval nested ifp, unfused", solve nested_defs unfused, [ 0; 0; 98; 0; 2; 50 ]) ]
+
+(* --- Component order ---------------------------------------------- *)
+
+let prop_rec_eval_split_equals_unsplit =
+  (* Solving component by component must not move a bound. Three
+     constants over [edge] take random bodies, each body's variable
+     wired to a constant: as a chain [c <- d <- e] (three components), a
+     mutual pair [c <-> d] read by [e] (two) or a three-cycle (one).
+     Components come out positive or self-negating, two-valued or not,
+     and the split engine must give byte-identical bounds to the
+     whole-program alternation. Fuel is not compared: the split spends
+     what its components need. *)
+  let wiring =
+    QCheck.make
+      ~print:(fun (w, _) -> w)
+      (QCheck.Gen.oneofl
+         [ ("chain", ("d", "e", "e")); ("pair", ("d", "c", "d")); ("cycle", ("d", "e", "c")) ])
+  in
+  QCheck.Test.make ~name:"rec_eval split = unsplit (bounds)" ~count:(Tgen.qcount 100)
+    QCheck.(
+      pair (triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.ifp_body_arb)
+        (pair wiring Tgen.graph_arb))
+    (fun ((b1, b2, b3), ((_, (tc, td, te)), edges)) ->
+      let db =
+        Db.of_list
+          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
+      in
+      let subst to_ e =
+        Expr.map_rels (fun n -> Expr.rel (if n = "x" then to_ else n)) e
+      in
+      let defs =
+        Defs.make
+          [ Defs.constant "c" (subst tc b1);
+            Defs.constant "d" (subst td b2);
+            Defs.constant "e" (subst te b3) ]
+      in
+      let run advice =
+        try
+          let sol = Rec_eval.solve ~fuel:(Limits.of_int 100_000) ~advice defs db in
+          Ok (List.map (Rec_eval.constant sol) [ "c"; "d"; "e" ])
+        with Limits.Diverged _ -> Error `Diverged
+      in
+      match (run Advice.none, run (Advice.unsplit Advice.none)) with
+      | Ok split, Ok unsplit ->
+        List.for_all2
+          (fun a b ->
+            Value.equal a.Rec_eval.low b.Rec_eval.low
+            && Value.equal a.Rec_eval.high b.Rec_eval.high)
+          split unsplit
+      | Error `Diverged, Error `Diverged -> true
+      | _ -> false)
+
+(* One program with every kind of component, in dependency order: [s]
+   negates itself, [t] is positive over the undefined [s], [e] and [n]
+   are literals, [tc] is positive and recursive over [e], and [far]
+   subtracts [tc]. Split, [s] alone alternates (one round: a high phase
+   of 2 iterations, a low phase of 1); [t] takes one round of a high and
+   a low phase (2 + 2) and no alternation; [e], [tc], [n] and [far] take
+   one two-valued low phase each (2, 4, 2, 2 iterations). Unsplit, the
+   whole program alternates for 2 rounds of two 5-iteration phases: 22
+   fuel against the split's 23, which the reference does not bound.
+   Columns: rec_eval/round, rec_eval/phase_iter, high phases, low
+   phases. *)
+let mixed_program =
+  "let s = {a} - s;\n\
+   let t = s + {b};\n\
+   let e = {[1,2],[2,3],[3,4]};\n\
+   let tc = e + map[[pi1 . pi1, pi2 . pi2]](sel[pi2 . pi1 = pi1 . pi2](e x tc));\n\
+   let n = {1,2,3,4};\n\
+   let far = (n x n) - tc;\n"
+
+let test_rec_eval_components () =
+  let defs = (Parser.parse_program_exn mixed_program).Parser.defs in
+  Alcotest.(check (list (list string))) "components, dependencies first"
+    [ [ "s" ]; [ "t" ]; [ "e" ]; [ "tc" ]; [ "n" ]; [ "far" ] ]
+    (Defs.components (Defs.inline_all defs));
+  let bounds =
+    [ ("s", "[certain {}, possible {a}]");
+      ("t", "[certain {b}, possible {a, b}]");
+      ("e", "{[1, 2], [2, 3], [3, 4]}");
+      ("tc", "{[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]}");
+      ("n", "{1, 2, 3, 4}");
+      ( "far",
+        "{[1, 1], [2, 1], [2, 2], [3, 1], [3, 2], [3, 3], [4, 1], [4, 2], [4, 3], [4, 4]}"
+      ) ]
+  in
+  List.iter
+    (fun (label, advice, expected) ->
+      Obs.Metrics.reset ();
+      let sol = Obs.Metrics.with_collecting (fun () -> Rec_eval.solve ~advice defs Db.empty) in
+      let sn = Obs.Metrics.snapshot () in
+      Obs.Metrics.reset ();
+      List.iter
+        (fun (c, printed) ->
+          Alcotest.(check string) (label ^ ": " ^ c) printed
+            (Fmt.str "%a" Rec_eval.pp_vset (Rec_eval.constant sol c)))
+        bounds;
+      Alcotest.(check (list int)) (label ^ ": rounds, iterations, phases") expected
+        [ Obs.Metrics.counter_events sn "rec_eval/round";
+          Obs.Metrics.counter_total sn "rec_eval/phase_iter";
+          Obs.Metrics.span_calls sn "rec_eval > round > high";
+          Obs.Metrics.span_calls sn "rec_eval > round > low" ];
+      Alcotest.(check int) (label ^ ": rounds") (List.hd expected) (Rec_eval.rounds sol))
+    [ ("split", Advice.none, [ 6; 17; 2; 6 ]);
+      ("unsplit", Advice.unsplit Advice.none, [ 2; 20; 2; 2 ]) ]
 
 let suite =
   suite
@@ -773,4 +899,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
       Alcotest.test_case "reference paths reached (pinned counters)" `Quick
         test_reference_paths_reached;
+      QCheck_alcotest.to_alcotest prop_rec_eval_split_equals_unsplit;
+      Alcotest.test_case "rec_eval components (pinned bounds and counters)" `Quick
+        test_rec_eval_components;
     ]

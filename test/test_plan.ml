@@ -384,9 +384,9 @@ let test_qcheck_rec_eval_planned =
     ~count:(Tgen.qcount 100) Tgen.graph_arb (fun edges ->
       let db = db_of_edges edges in
       let q = Expr.rel "tc" in
-      let expected = Rec_eval.eval tc_defs db q in
+      let expected = Rec_eval.query (Rec_eval.solve tc_defs db) q in
       let p = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
-      let got = Rec_eval.eval ~advice:(Planner.advice p) tc_defs db q in
+      let got = Rec_eval.query (Rec_eval.solve ~advice:(Planner.advice p) tc_defs db) q in
       Value.equal expected.Rec_eval.low got.Rec_eval.low
       && Value.equal expected.Rec_eval.high got.Rec_eval.high)
 

@@ -38,7 +38,7 @@ let vset_equal (a : Algebra.Rec_eval.vset) (b : Algebra.Rec_eval.vset) =
 (* Evaluate an algebra= query two ways: directly (Rec_eval) and through
    the Proposition 5.4 translation + valid datalog semantics. *)
 let both_ways defs db query =
-  let direct = Algebra.Rec_eval.eval defs db query in
+  let direct = Algebra.Rec_eval.query (Algebra.Rec_eval.solve defs db) query in
   let tr = Alg_to_datalog.translate defs db query in
   let interp = Datalog.Run.valid tr.Alg_to_datalog.program tr.Alg_to_datalog.edb in
   let via_datalog = Alg_to_datalog.set_of_interp interp tr.Alg_to_datalog.query_pred in
