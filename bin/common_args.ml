@@ -87,12 +87,13 @@ let term =
              $(b,cost) reorders multiway joins by exact \
              dynamic-programming search (up to 8 relations, greedy \
              left-deep above), adds semijoin reducers under projections, \
-             selects a strategy per node, and re-plans a fixpoint body \
-             at a round boundary when the cardinalities it observes \
-             drift from the estimates. Results are byte-identical in \
-             both modes. On deductive subcommands, $(b,cost) also \
-             orders rule-body literals by envelope cardinality \
-             estimates.")
+             and re-plans a fixpoint body at a round boundary when the \
+             cardinalities it observes drift from the estimates. It \
+             changes only which expression runs; how each operator runs \
+             is the evaluator's choice in both modes. Results are \
+             byte-identical in both modes. On deductive subcommands, \
+             $(b,cost) also orders rule-body literals by envelope \
+             cardinality estimates.")
   in
   let stats_file =
     Arg.(

@@ -7,8 +7,8 @@ exception Recursive_definition of string
 let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
   Obs.span "eval" @@ fun () ->
   let builtins = Defs.builtins defs in
-  (* The rewrite runs after inlining, so the planner's per-node decision
-     tables key on the exact node values the recursion below visits. *)
+  (* The rewrite runs after inlining, so the planner sees every join
+     region whole, across definition boundaries. *)
   let advise e = if Advice.is_none advice then e else advice.Advice.rewrite e in
   let memo : (string, Value.t) Hashtbl.t = Hashtbl.create 8 in
   let rec eval_name visiting name =
@@ -61,8 +61,7 @@ let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
       let refresh_body ~check_eligible round body cardinal =
         if round = 0 || Advice.is_none advice then body
         else
-          match advice.Advice.refresh ~round ~bound:[ (x, cardinal) ] body
-          with
+          match advice.Advice.refresh ~bound:[ (x, cardinal) ] body with
           | Some body' when (not check_eligible) || Delta.eligible [ x ] body' ->
             body'
           | Some _ | None -> body
@@ -97,10 +96,8 @@ let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
         in
         iterate 0 body Value.empty_set
       in
-      (match Advice.strategy advice x body with
-      | Advice.Naive -> naive ()
-      | Advice.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
-      | Advice.Seminaive -> (
+      if not (advice.Advice.seminaive && Delta.eligible [ x ] body) then naive ()
+      else (
         (* Semi-naive: after the first full pass, each round joins only
            the delta of the previous round against the accumulated set,
            which a {!Delta.Acc} merges only when the body reads it or the
@@ -148,7 +145,7 @@ let eval ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
                 current ()
               | d' -> loop (round + 1) body d'
           in
-          loop 1 body (Delta.Acc.extend acc s0)))
+          loop 1 body (Delta.Acc.extend acc s0))
     | Expr.Call _ -> go visiting env (advise (Defs.inline defs e))
   in
   go [] [] (advise (Defs.inline defs expr))

@@ -1,8 +1,6 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
-type mode = Fused | Unfused
-
 (* Which half of a product pair an element function depends on.
    [Either_side] means the function ignores its input entirely (it is
    built from constants only), so it computes the same value on the pair
@@ -233,7 +231,7 @@ let exec_parallel builtins plan keep xs ys =
   in
   Value.union_all (Pool.run (List.init nparts part))
 
-let exec ?par builtins plan left right =
+let exec builtins plan left right =
   let xs = Value.elements left in
   let ys = Value.elements right in
   let nx = List.length xs and ny = List.length ys in
@@ -245,15 +243,9 @@ let exec ?par builtins plan left right =
   let keep v =
     List.for_all (fun c -> Pred.eval builtins c v = Some true) plan.residual
   in
-  let go_parallel =
-    Pool.parallel ()
-    &&
-    match par with
-    | Some b -> b
-    | None -> nx + ny >= !par_threshold
-  in
   let out =
-    if go_parallel then exec_parallel builtins plan keep xs ys
+    if Pool.parallel () && nx + ny >= !par_threshold then
+      exec_parallel builtins plan keep xs ys
     else begin
       let index = Vtbl.create (ny + 1) in
       List.iter

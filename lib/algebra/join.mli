@@ -17,10 +17,6 @@
     residual checks test), and identical fuel accounting (no evaluator
     spends fuel inside a single algebra operator). *)
 
-type mode =
-  | Fused  (** plan [Select (p, Product _)] nodes as hash joins (default) *)
-  | Unfused  (** always materialise the product and filter *)
-
 (** Which half of a product pair an element function depends on.
     [Left_only g] means [f [x, y] = g x] {e exactly}, including
     definedness (symmetrically [Right_only]); [Either_side g] means [f]
@@ -87,20 +83,15 @@ val par_threshold : int ref
     cost knob; tests and benches lower it to force the parallel path on
     small inputs. *)
 
-val exec : ?par:bool -> Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t ->
+val exec : Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t ->
   Recalg_kernel.Value.t -> Recalg_kernel.Value.t
 (** [exec builtins plan left right] hash-joins the two sets: it indexes
     [right] by [right_key], probes with [left_key] per left element, and
     keeps the pairs passing [residual]. Equals
     [filter (p = Some true) (product left right)] for the planned [p],
     byte for byte. With a parallel pool and at least {!par_threshold}
-    elements, both sides are partitioned by key hash and the partitions
-    join as independent pool tasks — same result, merged canonically.
-
-    [par] overrides the threshold heuristic per call — the planner's
-    per-node sequential/parallel choice: [Some true] partitions whenever
-    the pool is parallel, [Some false] forces the sequential path. The
-    result is byte-identical on every path. When observability is on,
-    each call also emits its output cardinality as the [join/out]
-    counter, so a summary's [counter_max] reports the peak join
-    intermediate. *)
+    elements in the two sets together, both sides are partitioned by key
+    hash and the partitions join as independent pool tasks — same
+    result, merged canonically. When observability is on, each call
+    also emits its output cardinality as the [join/out] counter, so a
+    summary's [counter_max] reports the peak join intermediate. *)

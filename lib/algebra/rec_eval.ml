@@ -132,10 +132,8 @@ let rec eval_vset ctx mask env e =
       in
       iterate (exact Value.empty_set)
     in
-    (match Advice.strategy advice x body with
-    | Advice.Naive -> naive ()
-    | Advice.Seminaive when not (Delta.eligible [ x ] body) -> naive ()
-    | Advice.Seminaive ->
+    if not (advice.Advice.seminaive && Delta.eligible [ x ] body) then naive ()
+    else (
       (* Semi-naive on both bounds: the low (resp. high) delta of a
          linear body depends only on the low (resp. high) delta of the
          variable; a difference's right argument is variable-free here,
@@ -182,27 +180,27 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   Obs.span "rec_eval" @@ fun () ->
   let inlined = Defs.inline_all defs in
   let builtins = Defs.builtins inlined in
-  (* Rewrite each body once, up front — the per-node advice tables then
-     key on exactly the node values every phase below revisits. *)
+  (* Rewrite each body once, up front: every phase below revisits the
+     planned bodies rather than re-planning them. *)
   let advise e = if Advice.is_none advice then e else advice.Advice.rewrite e in
   let bodies =
     List.map (fun (n, b) -> (n, advise b)) (Defs.constant_bodies inlined)
   in
   let all_names = List.map fst bodies in
   (* Per-constant semi-naive eligibility within a component [names]:
-     the advice picks the strategy of the constant's fixpoint [n = b],
-     and some member of the component must occur delta-linearly in the
-     body — constants of lower components are fixed inputs, not deltas.
-     Ineligible constants are recomputed in full every phase iteration,
-     exactly as the naive engine does. Recomputed whenever re-planning
-     swaps a body — a constant whose new body loses eligibility falls
-     back to full recomputation, which visits identical maps on
-     identical iterations. *)
+     the advice must not force the naive reference, and some member of
+     the component must occur delta-linearly in the constant's body
+     [n = b] — constants of lower components are fixed inputs, not
+     deltas. Ineligible constants are recomputed in full every phase
+     iteration, exactly as the naive engine does. Recomputed whenever
+     re-planning swaps a body — a constant whose new body loses
+     eligibility falls back to full recomputation, which visits
+     identical maps on identical iterations. *)
   let eligible_for names bodies =
     let table =
       List.map
         (fun (n, b) ->
-          (n, Advice.strategy advice n b = Advice.Seminaive && Delta.eligible names b))
+          (n, advice.Advice.seminaive && Delta.eligible names b))
         bodies
     in
     fun n -> List.assoc n table
@@ -226,7 +224,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
       let bodies' =
         List.map
           (fun (n, b) ->
-            match advice.Advice.refresh ~round:rounds ~bound b with
+            match advice.Advice.refresh ~bound b with
             | Some b' ->
               changed := true;
               (n, b')

@@ -73,11 +73,11 @@ val solve :
 
     [advice] (default {!Advice.none}) chooses the evaluation path. Each
     phase's least fixpoint is computed, per defined constant [n = body],
-    under [Advice.strategy advice n body] — by default semi-naively:
-    iterations join only the delta-derived new tuples against the
-    accumulated bound when the body's constants of the same component
-    occur delta-linearly, falling back to full recomputation otherwise
-    (and for nested [IFP]s likewise, per bound). Semi-naive accumulators
+    semi-naively unless the advice clears [Advice.seminaive]: iterations
+    join only the delta-derived new tuples against the accumulated bound
+    when the body's constants of the same component occur
+    delta-linearly, falling back to full recomputation otherwise (and
+    for nested [IFP]s likewise, per bound). Semi-naive accumulators
     are {!Delta.Acc}s: a round interns only its delta, and the
     accumulated bound is merged when read or when the loop ends.
     [Select (p, Product _)] nodes run as hash joins on each bound the

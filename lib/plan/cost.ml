@@ -16,15 +16,6 @@ let default_card = 64.
 let pushdown_selectivity = 0.5
 let build_weight = 0.25
 
-let tiny_join = 4.
-(* Estimated |L| * |R| at or below this: hash-join bookkeeping costs more
-   than filtering the tiny product — the per-node [Unfused] override. *)
-
-let tiny_ifp = 16.
-(* Total estimated base cardinality under an [Ifp] body at or below
-   this: delta bookkeeping cannot beat naive re-evaluation — the
-   per-node [Naive] override. *)
-
 let reshape_weight = 1.
 (* A reordered region that is not under a projection pays one final
    [Map] rebuilding every result tuple in the original shape — charged

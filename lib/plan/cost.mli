@@ -13,14 +13,6 @@ val build_weight : float
 (** Weight of a join node's build (right) side in {!join_node_cost} —
     breaks ties toward hash-indexing the smaller side. *)
 
-val tiny_join : float
-(** Estimated [|L| * |R|] at or below which a node is advised [Unfused]:
-    filtering the tiny product beats hash-join bookkeeping. *)
-
-val tiny_ifp : float
-(** Total estimated base cardinality at or below which an [Ifp] node is
-    advised [Naive]: delta bookkeeping cannot pay for itself. *)
-
 val reshape_weight : float
 (** Cost of the final reshape [Map] a reordered region owes when it is
     not under a projection, as a multiple of the estimated output (1) —

@@ -11,12 +11,6 @@ type mode = Off | Cost
 let mode_to_string m =
   match m with Off -> "off" | Cost -> "cost"
 
-let mode_of_string s =
-  match s with
-  | "off" -> Some Off
-  | "cost" -> Some Cost
-  | _ -> None
-
 (* DP join-order search is exponential in the leaf count; above this we
    fall back to the greedy order (ISSUE: DP for <= 8 relations). *)
 let dp_max_leaves = 8
@@ -25,21 +19,17 @@ type join_report = {
   leaves : string list;
   original : string;
   chosen : string;
-  mode_used : mode;
   est_cost_original : float;
   est_cost_chosen : float;
   est_out : float;
   semijoins : int;
   pushdowns : int;
-  par_joins : int;
   reordered : bool;
 }
 
 type t = {
   mode : mode;
   stats : Stats.t;
-  joins : (Expr.t, Join.mode option * bool option) Hashtbl.t;
-  ifps : (string * Expr.t, Advice.strategy) Hashtbl.t;
   reports : join_report list ref;
   bound_cards : (string, int) Hashtbl.t;
       (* observed cardinalities of bound (fixpoint) relations, installed
@@ -52,12 +42,7 @@ type t = {
 let drift_threshold = 4.0
 
 let create ?(stats = Stats.empty) mode =
-  { mode;
-    stats;
-    joins = Hashtbl.create 32;
-    ifps = Hashtbl.create 8;
-    reports = ref [];
-    bound_cards = Hashtbl.create 4 }
+  { mode; stats; reports = ref []; bound_cards = Hashtbl.create 4 }
 
 let reports t = List.rev !(t.reports)
 
@@ -248,9 +233,6 @@ let est_set ~eff ~edges mask =
     edges;
   Cost.clamp !card
 
-let rec tree_mask t =
-  match t with JLeaf i -> bit i | JNode (l, r) -> tree_mask l lor tree_mask r
-
 let tree_cost ~eff ~edges t =
   let rec go t =
     match t with
@@ -368,14 +350,11 @@ let rec reshape_of paths s =
 
 type region = {
   factors : Expr.t array;  (* walked leaf expressions *)
-  eff : float array;
-  edges : (int * float) list;
   pushes : (int * Pred.t) list;
   equis : equi list;  (* keys already rewritten for reduced leaves *)
   generals : general list;
   reduced : (int * Efun.t) list;  (* leaf -> key projection *)
   attach_count : int ref;
-  record_select : Expr.t -> left:float -> right:float -> unit;
 }
 
 let build_tree region t =
@@ -440,12 +419,7 @@ let build_tree region t =
       let node =
         match equi_preds @ general_preds with
         | [] -> Expr.Product (el, er)
-        | preds ->
-          let node = Expr.Select (and_all preds, Expr.Product (el, er)) in
-          region.record_select node
-            ~left:(est_set ~eff:region.eff ~edges:region.edges (tree_mask l))
-            ~right:(est_set ~eff:region.eff ~edges:region.edges (tree_mask r));
-          node
+        | preds -> Expr.Select (and_all preds, Expr.Product (el, er))
       in
       (node, paths)
   in
@@ -468,12 +442,11 @@ let rec render_tree factors t =
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "join [%s] mode=%s@,  original: %s (est cost %.0f)@,  chosen:   %s (est cost \
-     %.0f, est out %.0f)@,  reordered=%b pushdowns=%d semijoins=%d par_joins=%d"
+    "join [%s]@,  original: %s (est cost %.0f)@,  chosen:   %s (est cost %.0f, \
+     est out %.0f)@,  reordered=%b pushdowns=%d semijoins=%d"
     (String.concat ", " r.leaves)
-    (mode_to_string r.mode_used)
     r.original r.est_cost_original r.chosen r.est_cost_chosen r.est_out r.reordered
-    r.pushdowns r.semijoins r.par_joins
+    r.pushdowns r.semijoins
 
 let pp_reports ppf rs =
   if rs = [] then Fmt.pf ppf "plan: no joins planned@."
@@ -608,11 +581,8 @@ let rewrite t expr =
           in
           let syntactic = jtree_of_shape shape in
           let chosen =
-            match t.mode with
-            | Off -> syntactic
-            | Cost ->
-              if n <= dp_max_leaves then dp_order ~eff ~edges n
-              else greedy_order ~eff ~edges n
+            if n <= dp_max_leaves then dp_order ~eff ~edges n
+            else greedy_order ~eff ~edges n
           in
           (* A reordered region outside a projection pays a final reshape
              [Map] over the whole result; keep the syntactic order unless
@@ -634,26 +604,14 @@ let rewrite t expr =
             end
           in
           let walked = Array.map (walk bound) factors in
-          let par_joins = ref 0 in
-          let record_select node ~left ~right =
-            let join_mode =
-              if left *. right <= Cost.tiny_join then Some Join.Unfused else None
-            in
-            let par = left +. right >= float_of_int !Join.par_threshold in
-            if par then incr par_joins;
-            Hashtbl.replace t.joins node (join_mode, Some par)
-          in
           let attach_count = ref 0 in
           let region =
             { factors = walked;
-              eff;
-              edges;
               pushes;
               equis;
               generals;
               reduced = !reduced;
-              attach_count;
-              record_select }
+              attach_count }
           in
           let root, paths = build_tree region chosen in
           if !attach_count <> List.length conjs then begin
@@ -680,13 +638,11 @@ let rewrite t expr =
               { leaves = List.init n (leaf_label factors);
                 original = render_tree factors syntactic;
                 chosen = render_tree factors chosen;
-                mode_used = t.mode;
                 est_cost_original = tree_cost ~eff ~edges syntactic;
                 est_cost_chosen = tree_cost ~eff ~edges chosen;
                 est_out = est_set ~eff ~edges ((1 lsl n) - 1);
                 semijoins = !semijoins;
                 pushdowns = List.length pushes;
-                par_joins = !par_joins;
                 reordered = not same_order }
             in
             (* The advice rewrite hook replans the same region once per
@@ -723,23 +679,7 @@ let rewrite t expr =
         match plan_region bound ~proj:None e walk with
         | Some e' -> e'
         | None -> Expr.Product (walk bound a, walk bound b))
-      | Expr.Ifp (x, body) ->
-        let body' = walk (x :: bound) body in
-        let est_total =
-          List.fold_left
-            (fun acc n ->
-              if List.mem n (x :: bound) then acc
-              else
-                acc
-                +.
-                match Stats.card t.stats n with
-                | Some c -> float_of_int c
-                | None -> Cost.default_card)
-            0. (Expr.rel_names body')
-        in
-        if est_total <= Cost.tiny_ifp then
-          Hashtbl.replace t.ifps (x, body') Advice.Naive;
-        Expr.Ifp (x, body')
+      | Expr.Ifp (x, body) -> Expr.Ifp (x, walk (x :: bound) body)
       | Expr.Call (name, args) -> Expr.Call (name, List.map (walk bound) args)
     in
     walk [] expr
@@ -757,7 +697,7 @@ let rewrite t expr =
    contract — so live re-planning can change enumeration cost only,
    never answers. [Off] returns [None] without forcing a thunk. *)
 
-let refresh t ~round:_ ~bound body =
+let refresh t ~bound body =
   if t.mode = Off then None
   else begin
     let observed = List.map (fun (n, cardf) -> (n, cardf ())) bound in
@@ -794,15 +734,4 @@ let advice t =
   else
     { Advice.none with
       rewrite = (fun e -> rewrite t e);
-      join_mode =
-        (fun node ->
-          match Hashtbl.find_opt t.joins node with
-          | Some (m, _) -> m
-          | None -> None);
-      join_par =
-        (fun node ->
-          match Hashtbl.find_opt t.joins node with
-          | Some (_, p) -> p
-          | None -> None);
-      ifp_strategy = (fun x body -> Hashtbl.find_opt t.ifps (x, body));
-      refresh = (fun ~round ~bound body -> refresh t ~round ~bound body) }
+      refresh = (fun ~bound body -> refresh t ~bound body) }

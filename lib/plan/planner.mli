@@ -1,5 +1,5 @@
 (** The cost-based planner: n-ary join ordering, selection pushdown,
-    semijoin reduction, and per-node strategy advice.
+    semijoin reduction, and re-planning on cardinality drift.
 
     A planner value holds {!Stats} plus a {!mode} and produces an
     {!Recalg_algebra.Advice.t} the evaluators consume. Its rewrite walks
@@ -25,12 +25,11 @@
     accounting) in principle; the QCheck properties pin result equality,
     and the test suite pins fuel equality on the shapes we ship.
 
-    Per-node strategy advice rides along: joins with a tiny estimated
-    product are advised [Unfused], joins whose estimated input reaches
-    [!Recalg_algebra.Join.par_threshold] are advised parallel, and [Ifp]
-    nodes over tiny estimated bases are advised [Naive]. Advice tables
-    are keyed on the rewritten nodes themselves, which the evaluators
-    hand back verbatim. *)
+    The planner chooses only {e which expression} runs. How each
+    operator runs — semi-naive or naive, hash join or product, parallel
+    or sequential — the evaluators decide from what they observe, so a
+    planned run takes the same operator paths as an unplanned run of the
+    rewritten expression. *)
 
 open Recalg_algebra
 
@@ -39,19 +38,16 @@ type mode =
   | Cost  (** DP join order (<= 8 leaves, greedy above) + cost model *)
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
 
 type join_report = {
   leaves : string list;  (** leaf labels, original left-to-right order *)
   original : string;  (** rendered syntactic join tree *)
   chosen : string;  (** rendered planned join tree *)
-  mode_used : mode;
   est_cost_original : float;
   est_cost_chosen : float;
   est_out : float;  (** estimated final output cardinality *)
   semijoins : int;
   pushdowns : int;
-  par_joins : int;  (** nodes advised to run the parallel join path *)
   reordered : bool;
 }
 
@@ -61,11 +57,10 @@ val create : ?stats:Stats.t -> mode -> t
 
 val rewrite : t -> Expr.t -> Expr.t
 (** The planning rewrite, exposed for direct use and testing. [Off]
-    returns the expression unchanged. Also populates the per-node advice
-    tables and the {!reports} log as a side effect. *)
+    returns the expression unchanged. Also appends to the {!reports} log
+    as a side effect. *)
 
-val refresh :
-  t -> round:int -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option
+val refresh : t -> bound:(string * (unit -> int)) list -> Expr.t -> Expr.t option
 (** The mid-fixpoint re-planning hook behind [Advice.refresh], exposed
     for testing. Under [Cost]: forces the cardinality thunks and — when
     an observed bound-relation cardinality drifts from the estimate the
@@ -79,10 +74,12 @@ val refresh :
 
 val advice : t -> Advice.t
 (** The advice record to pass to [Eval.eval], [Rec_eval.solve], or
-    [Ifp_elim.query_value]. {!Advice.none} when the mode is [Off], so
-    evaluators skip the hooks entirely. The planner records its
-    decisions in unlocked tables, so one advice must not serve
-    evaluations on several domains at once. *)
+    [Ifp_elim.query_value]: the planner's {!rewrite} and {!refresh},
+    with every other field as in {!Advice.none}. {!Advice.none} itself
+    when the mode is [Off], so evaluators skip the hooks entirely. The
+    planner keeps its reports and observed cardinalities in unlocked
+    state, so one advice must not serve evaluations on several domains
+    at once. *)
 
 val reports : t -> join_report list
 (** One report per planned join region, in planning order — the EXPLAIN

@@ -49,7 +49,7 @@ val eval_all : ?fuel:Limits.fuel -> t -> (string * Value.t) list
     fixpoint is ever recomputed. Returns [(pred, set value)] in schedule
     order. Results and fuel spend are identical at every pool size.
 
-    It takes no {!Recalg_algebra.Advice.t}: a planner's advice records
-    its decisions in unlocked tables as it rewrites, so the component
-    tasks, which may run on several domains at once, must not share
-    one. *)
+    It takes no {!Recalg_algebra.Advice.t}: a planner's advice keeps
+    its reports and observed cardinalities in unlocked state as it
+    rewrites, so the component tasks, which may run on several domains
+    at once, must not share one. *)

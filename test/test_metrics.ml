@@ -494,18 +494,18 @@ let test_refresh_drift_unit () =
     4096
   in
   Alcotest.(check bool) "refresh off is None" true
-    (Plan.Planner.refresh off ~round:2 ~bound:[ ("x", probe) ] body_off = None);
+    (Plan.Planner.refresh off ~bound:[ ("x", probe) ] body_off = None);
   Alcotest.(check int) "refresh off forces nothing" 0 !forced;
   (* Cost, no drift: the observed cardinality matches the estimate. *)
   let cost = Plan.Planner.create ~stats Plan.Planner.Cost in
   let planned = Plan.Planner.rewrite cost drift_body in
   Alcotest.(check bool) "no drift, no re-plan" true
-    (Plan.Planner.refresh cost ~round:2 ~bound:[ ("x", fun () -> 64) ] planned
+    (Plan.Planner.refresh cost ~bound:[ ("x", fun () -> 64) ] planned
     = None);
   (* Cost, drifted far beyond the threshold: the re-planned body must
      be structurally different (the join order flipped). *)
   (match
-     Plan.Planner.refresh cost ~round:3 ~bound:[ ("x", fun () -> 4096) ]
+     Plan.Planner.refresh cost ~bound:[ ("x", fun () -> 4096) ]
        planned
    with
   | None -> Alcotest.fail "drift beyond threshold did not re-plan"
@@ -520,7 +520,6 @@ let test_refresh_drift_unit () =
            (let a = Plan.Planner.create ~stats Plan.Planner.Cost in
             ignore (Plan.Planner.rewrite a drift_body);
             a)
-           ~round:3
            ~bound:[ ("x", fun () -> 4096) ]
            planned));
   let sn = M.snapshot () in

@@ -274,6 +274,50 @@ let test_fuel_pinned () =
   Alcotest.check check_value "tc equal" v0 v1;
   Alcotest.(check (option int)) "fuel equal" f0 f1
 
+(* The planner changes which expression runs, never how an operator
+   runs: under a [Cost] planner's advice, evaluation takes the paths —
+   probes, fused joins, fixpoint rounds — that the rewritten expression
+   takes under the default advice. Both cases are tiny, where a
+   size-based override of the evaluators' choice would fire: a closure
+   over a 12-edge chain and a 2x2 equi-join. *)
+let test_advice_takes_default_paths () =
+  let chain =
+    Db.add "edge" (Value.set (List.init 12 (fun i -> ipair i (i + 1)))) Db.empty
+  in
+  let tc =
+    Expr.(
+      ifp "x"
+        (union (rel "edge")
+           (map
+              (Efun.Tuple_of
+                 [ Efun.Compose (Efun.Proj 1, Efun.Proj 1);
+                   Efun.Compose (Efun.Proj 2, Efun.Proj 2) ])
+              (select
+                 (Pred.Eq (key 2 (Efun.Proj 1), key 1 (Efun.Proj 2)))
+                 (product (rel "x") (rel "edge"))))))
+  in
+  let join =
+    Result.get_ok
+      (Parser.parse_expr "sel[pi1 . pi1 = pi1 . pi2]({[1,2],[2,3]} x {[1,5],[2,6]})")
+  in
+  let counters run =
+    Obs.Metrics.reset ();
+    Obs.Metrics.with_collecting (fun () -> ignore (run ()));
+    let sn = Obs.Metrics.snapshot () in
+    Obs.Metrics.reset ();
+    List.map (Obs.Metrics.counter_total sn)
+      [ "join/probe"; "plan/fused"; "plan/unfused"; "eval/ifp_iter" ]
+  in
+  List.iter
+    (fun (label, db, e) ->
+      let planner () = Planner.create ~stats:(Stats.of_db db) Planner.Cost in
+      let advice = Planner.advice (planner ()) in
+      let rewritten = Planner.rewrite (planner ()) e in
+      Alcotest.(check (list int)) label
+        (counters (fun () -> Eval.eval no_defs db rewritten))
+        (counters (fun () -> Eval.eval ~advice no_defs db e)))
+    [ ("tc over a 12-edge chain", chain, tc); ("2x2 join", Db.empty, join) ]
+
 (* --- QCheck: planned == unplanned on random join regions --- *)
 
 (* Random region: a random product shape over 2-4 literal leaves of
@@ -485,6 +529,8 @@ let suite =
     Alcotest.test_case "pushdown attaches once" `Quick
       test_pushdown_attaches_once;
     Alcotest.test_case "fuel pinned on tc" `Quick test_fuel_pinned;
+    Alcotest.test_case "planned advice takes the default paths" `Quick
+      test_advice_takes_default_paths;
     QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Cost);
     QCheck_alcotest.to_alcotest test_qcheck_rec_eval_planned;
     QCheck_alcotest.to_alcotest test_qcheck_ifp_planned;
