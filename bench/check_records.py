@@ -41,7 +41,7 @@ def check_e13(records):
     by_workload = {}
     for i, r in enumerate(records):
         require(r, i, ("workload", "domains", "cores", "ms", "speedup_vs_1",
-                       "pool_tasks", "par_threshold", "fingerprint", "agree"))
+                       "pool_tasks", "fingerprint", "agree"))
         assert r["agree"] is True, \
             f"record {i}: result diverged from domains:1"
         by_workload.setdefault(r["workload"], {})[r["domains"]] = r
@@ -63,10 +63,8 @@ def check_e14(records):
     by_workload = {}
     for i, r in enumerate(records):
         require(r, i, ("workload", "mode", "ms", "speedup_vs_off",
-                       "peak_intermediate", "fingerprint", "agree",
-                       "par_threshold", "plan"))
+                       "peak_intermediate", "fingerprint", "agree", "plan"))
         assert r["agree"] is True, f"record {i}: planned != unplanned"
-        assert r["par_threshold"] > 0, f"record {i}: bogus par_threshold"
         plan = r["plan"]
         assert isinstance(plan, dict), f"record {i}: plan is not an object"
         require(plan, i, plan_keys)

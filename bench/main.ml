@@ -658,13 +658,11 @@ let e13 () =
             ("ms", U.F ms);
             ("speedup_vs_1", U.F speedup);
             ("pool_tasks", U.I tasks);
-            ("par_threshold", U.I !Algebra.Join.par_threshold);
             ("fingerprint", U.I (fingerprint result));
             ("agree", U.B agree) ])
       domain_counts;
     Pool.set_domains 1
   in
-  let no_defs = Algebra.Defs.make [] in
   (* Per-fact structural hashes, xor-combined: order-independent and
      stable across processes (Value.hash is the memoized FNV mix). *)
   let edb_fingerprint edb =
@@ -673,32 +671,9 @@ let e13 () =
         acc lxor Value.hash (Value.tuple (Value.sym pred :: args)))
       edb 0
   in
-  (* The IFP curves run the naive strategy deliberately: its per-round
-     join probes the whole accumulated set (thousands of elements), so
-     the partitioned parallel join actually engages. Semi-naive deltas
-     on these graphs stay below {!Algebra.Join.par_threshold} — correct
-     behaviour (tiny joins would only pay queue overhead) but nothing to
-     measure; the wide-strata curves below cover the semi-naive engine
-     with coarse per-component tasks instead. *)
-  (* 1. Flat-integer chain TC (E2's shape): join-dominated with cheap
-     keys — the honest hard case, where partitioning overhead competes
-     with very little per-tuple work. *)
-  let n = if U.is_smoke () then 48 else 96 in
-  let chain_db = W.db_of ~rel:"edge" (W.chain n) in
-  curve
-    (Printf.sprintf "tc_chain_%d" n)
-    (fun () -> Algebra.Eval.eval ~advice:naive no_defs chain_db W.tc_ifp)
-    ~equal:Value.equal ~fingerprint:Value.hash;
-  (* 2. Deep-constructor TC on a cycle: every probe
-     carries Peano terms, so the parallel partitions do real work. *)
-  let pn = if U.is_smoke () then 16 else 32 in
-  let peano_db = W.peano_db ~rel:"edge" (W.cycle pn) in
-  curve
-    (Printf.sprintf "peano_tc_cycle_%d" pn)
-    (fun () -> Algebra.Eval.eval ~advice:naive no_defs peano_db W.tc_ifp)
-    ~equal:Value.equal ~fingerprint:Value.hash;
-  (* 3. Wide strata, datalog driver: 8 independent TCs in one stratum;
-     the component split gives the pool 8 coarse tasks per stratum. *)
+  (* 1. Wide strata through [Run.stratified]: 8 independent TCs in one
+     stratum; the component split gives the pool 8 coarse tasks per
+     stratum. *)
   let k = 8 in
   let wn = if U.is_smoke () then 16 else 32 in
   let wide_program = W.wide_strata_program k in
@@ -710,7 +685,7 @@ let e13 () =
       | Ok db -> db
       | Error e -> failwith e)
     ~equal:Datalog.Edb.equal ~fingerprint:edb_fingerprint;
-  (* 4. The same wide workload through the Theorem 4.3 translation:
+  (* 2. The same wide workload through the Theorem 4.3 translation:
      each component becomes its own IFP constant, evaluated as a pool
      task by [eval_all]. *)
   curve
@@ -807,7 +782,6 @@ let e14 () =
             ("peak_intermediate", U.I peak);
             ("fingerprint", U.I (Value.hash result));
             ("agree", U.B agree);
-            ("par_threshold", U.I !Algebra.Join.par_threshold);
             ("plan", plan_block) ])
       [ Plan.Planner.Off; Plan.Planner.Cost ]
   in

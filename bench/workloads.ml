@@ -39,22 +39,6 @@ let half_cyclic n =
   let half = max 1 (n / 2) in
   chain half @ List.map (fun (a, b) -> (a + half, b + half)) (cycle (n - half))
 
-(* --- deep constructor terms --- *)
-
-(* Peano numeral succ^i(zero): a depth-[i] constructor term. The
-   hash-consed kernel answers equality and hashing on it in O(1). *)
-let peano i =
-  let rec go acc i = if i = 0 then acc else go (Value.cstr "succ" [ acc ]) (i - 1) in
-  go (Value.cstr "zero" []) i
-
-(* Edge relations over Peano nodes: an int graph with node [i] replaced
-   by [succ^i(zero)]. Transitive closure then joins, deduplicates and
-   sorts depth-O(n) terms every round. On a cycle every tc pair is
-   re-derived round after round. *)
-let peano_db ~rel edges =
-  Algebra.Db.of_list
-    [ (rel, List.map (fun (a, b) -> Value.pair (peano a) (peano b)) edges) ]
-
 let edb_of ~pred edges =
   List.fold_left
     (fun edb (a, b) -> Datalog.Edb.add pred [ vi a; vi b ] edb)

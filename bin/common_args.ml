@@ -39,9 +39,8 @@ let term =
           ~doc:
             "Wall-clock deadline for the whole evaluation, in \
              milliseconds. Exceeding it aborts with a structured \
-             resource error and exit code 4. Checked at fixpoint-round, \
-             pool-task and join-partition boundaries and every 64th \
-             fuel tick.")
+             resource error and exit code 4. Checked at fixpoint-round \
+             and pool-task boundaries and every 64th fuel tick.")
   in
   let memory_limit_mb =
     Arg.(
@@ -70,9 +69,9 @@ let term =
       & opt int (default_domains ())
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Evaluate with $(docv) worker domains: parallel hash joins, \
-             per-rule semi-naive rounds and independent strata. Results \
-             are byte-identical at every domain count; the default is \
+            "Evaluate with $(docv) worker domains: per-rule semi-naive \
+             rounds and independent stratum components. Results are \
+             byte-identical at every domain count; the default is \
              $(b,RECALG_DOMAINS) or 1 (sequential).")
   in
   let plan =

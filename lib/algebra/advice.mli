@@ -11,11 +11,10 @@
     inlines an expression, and a re-planning hook the fixpoint loops call
     at round boundaries. Advice changes only {e which expression} runs,
     never how an operator runs: the evaluators pick an operator's path
-    from what they observe (delta eligibility, an equi-key, the actual
-    join sizes against [Join.par_threshold]). Every rewrite installed
-    here must be {e result-exact}: the advised evaluation returns
-    byte-identical sets (fuel is pinned by tests but not promised by this
-    interface; see DESIGN.md §10).
+    from what they observe (delta eligibility, an equi-key). Every
+    rewrite installed here must be {e result-exact}: the advised
+    evaluation returns byte-identical sets (fuel is pinned by tests but
+    not promised by this interface; see DESIGN.md §10).
 
     {!none} is the identity advice; evaluators default to it, and with
     it the advised code paths are byte-for-byte the unadvised ones. The

@@ -16,42 +16,37 @@ let constant_names t =
 let constant_bodies t =
   List.filter_map (fun d -> if d.params = [] then Some (d.name, d.body) else None) t.defs
 
-(* Dependency edges among parameterised definitions through Call nodes. *)
-let param_def_deps t =
-  List.concat_map
-    (fun d ->
-      if d.params = [] then []
-      else
-        List.filter_map
-          (fun callee ->
-            match find t callee with
-            | Some callee_def when callee_def.params <> [] -> Some (d.name, callee)
-            | Some _ | None -> None)
-          (Expr.called_ops d.body))
-    t.defs
+(* Graph vertices [0 .. n-1] for [names], numbered in list order: the
+   lookup from a name to its vertex. *)
+let numbering names =
+  let ids = Hashtbl.create 16 in
+  List.iteri (fun i name -> Hashtbl.replace ids name i) names;
+  Hashtbl.find_opt ids
 
-let has_cycle edges nodes =
-  (* Longest-path style detection: if following edges more than |nodes|
-     steps is possible, there is a cycle. *)
-  let n = List.length nodes in
-  let reachable_steps = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace reachable_steps v 0) nodes;
-  let changed = ref true in
-  let cycle = ref None in
-  while !changed && !cycle = None do
-    changed := false;
-    List.iter
-      (fun (a, b) ->
-        let da = Option.value ~default:0 (Hashtbl.find_opt reachable_steps a) in
-        let db = Option.value ~default:0 (Hashtbl.find_opt reachable_steps b) in
-        if db < da + 1 then begin
-          Hashtbl.replace reachable_steps b (da + 1);
-          if da + 1 > n then cycle := Some (a, b);
-          changed := true
-        end)
-      edges
-  done;
-  !cycle
+(* The first call edge between parameterised definitions whose two ends
+   share a strongly connected component: an edge on a cycle. *)
+let param_cycle t =
+  let defs = Array.of_list t.defs in
+  let n = Array.length defs in
+  let id = numbering (List.map (fun d -> d.name) t.defs) in
+  let callees =
+    Array.map
+      (fun d ->
+        if d.params = [] then []
+        else
+          List.filter
+            (fun j -> defs.(j).params <> [])
+            (List.filter_map id (Expr.called_ops d.body)))
+      defs
+  in
+  let comp = Graph.index n (Graph.sccs n (Array.get callees)) in
+  List.find_map
+    (fun i ->
+      List.find_map
+        (fun j ->
+          if comp.(i) = comp.(j) then Some (defs.(i).name, defs.(j).name) else None)
+        callees.(i))
+    (List.init n Fun.id)
 
 let validate t =
   let names = List.map (fun d -> d.name) t.defs in
@@ -102,10 +97,7 @@ let validate t =
       match bad_call with
       | Some msg -> Error msg
       | None -> (
-        let param_names =
-          List.filter_map (fun d -> if d.params <> [] then Some d.name else None) t.defs
-        in
-        match has_cycle (param_def_deps t) param_names with
+        match param_cycle t with
         | Some (a, b) ->
           Error
             (Fmt.str
@@ -152,46 +144,14 @@ let inline_all t =
     { defs = List.map (fun d -> { d with body = inline t d.body }) nullary;
       builtins = t.builtins }
 
-(* Tarjan's algorithm over the edges [n -> m], [m] a defined constant
-   free in [n]'s body. A component is complete when its root's DFS
-   returns, after every component it reaches, so the output order puts
-   dependencies first. *)
+(* The SCCs of the edges [n -> m], [m] a defined constant free in
+   [n]'s body, with the constants numbered in declaration order. *)
 let components t =
-  let bodies = constant_bodies t in
-  let names = List.map fst bodies in
-  let deps n = List.filter (fun m -> List.mem m names) (Expr.rel_names (List.assoc n bodies)) in
-  let index = Hashtbl.create 16 and low = Hashtbl.create 16 and on_stack = Hashtbl.create 16 in
-  let stack = ref [] and next = ref 0 and out = ref [] in
-  let rec visit v =
-    Hashtbl.replace index v !next;
-    Hashtbl.replace low v !next;
-    incr next;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          visit w;
-          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find index w)))
-      (deps v);
-    if Hashtbl.find low v = Hashtbl.find index v then begin
-      let rec pop members =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if w = v then w :: members else pop (w :: members)
-        | [] -> assert false
-      in
-      let members = pop [] in
-      out := List.filter (fun n -> List.mem n members) names :: !out
-    end
-  in
-  List.iter (fun n -> if not (Hashtbl.mem index n) then visit n) names;
-  List.rev !out
+  let bodies = Array.of_list (constant_bodies t) in
+  let id = numbering (List.map fst (Array.to_list bodies)) in
+  Graph.sccs (Array.length bodies) (fun i ->
+      List.filter_map id (Expr.rel_names (snd bodies.(i))))
+  |> List.map (List.map (fun i -> fst bodies.(i)))
 
 let pp ppf t =
   List.iter

@@ -36,7 +36,8 @@ val constant_bodies : t -> (string * Expr.t) list
 
 val validate : t -> (unit, string) result
 (** Checks: names distinct; bodies use only declared parameters; call
-    arities match; no recursion through parameterised definitions. *)
+    arities match; no recursion through parameterised definitions (the
+    error names a call edge on the cycle). *)
 
 val inline : t -> Expr.t -> Expr.t
 (** Expand every [Call] to a parameterised definition (and [Rel]

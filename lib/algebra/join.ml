@@ -172,106 +172,41 @@ let exec_zset builtins plan left right =
     probe;
   Zset.of_list !out
 
-(* Below this many build+probe elements a parallel join cannot recoup
-   the queue/merge overhead on any pool size; smaller joins (and every
-   join while the pool is size 1) take the sequential path, which is
-   byte-for-byte the pre-multicore code. A ref so tests and benches can
-   force the parallel path on small inputs — the result is identical
-   either way. *)
-let par_threshold = ref 1024
-
-(* Hash-partitioned parallel hash join: both sides split by the key's
-   structural hash, so matching tuples meet in the same partition;
-   partitions build+probe independently on the pool and each returns a
-   canonical set, merged with [Value.union_all]'s divide-and-conquer.
-   The output is the canonical set of exactly the kept pairs — the same
-   value the sequential fold constructs — whatever the interleaving
-   (DESIGN.md §9). Keys are extracted once, sequentially, before the
-   fan-out, so worker tasks only probe, pair and canonicalise. *)
-let exec_parallel builtins plan keep xs ys =
-  let nparts = 2 * Pool.domains () in
-  let build = Array.make nparts [] in
-  let probe = Array.make nparts [] in
+let exec builtins plan left right =
+  let xs = Value.elements left in
+  let ys = Value.elements right in
+  let ny = List.length ys in
+  if Obs.enabled () then begin
+    Obs.count "join/exec" 1;
+    Obs.count "join/build" ny;
+    Obs.count "join/probe" (List.length xs)
+  end;
+  let keep v =
+    List.for_all (fun c -> Pred.eval builtins c v = Some true) plan.residual
+  in
+  let index = Vtbl.create (ny + 1) in
   List.iter
     (fun y ->
       match Efun.apply builtins plan.right_key y with
-      | Some k -> (
-        let i = Value.hash k mod nparts in
-        build.(i) <- (k, y) :: build.(i))
+      | Some k ->
+        let bucket = Option.value (Vtbl.find_opt index k) ~default:[] in
+        Vtbl.replace index k (y :: bucket)
       | None -> ())
     ys;
-  List.iter
-    (fun x ->
-      match Efun.apply builtins plan.left_key x with
-      | Some k -> (
-        let i = Value.hash k mod nparts in
-        probe.(i) <- (k, x) :: probe.(i))
-      | None -> ())
-    xs;
-  if Obs.enabled () then Obs.count "pool/join_tasks" nparts;
-  let part i () =
-    let index = Vtbl.create (List.length build.(i) + 1) in
-    List.iter
-      (fun (k, y) ->
-        let bucket = Option.value (Vtbl.find_opt index k) ~default:[] in
-        Vtbl.replace index k (y :: bucket))
-      build.(i);
-    let out =
-      List.fold_left
-        (fun acc (k, x) ->
+  let out =
+    List.fold_left
+      (fun acc x ->
+        match Efun.apply builtins plan.left_key x with
+        | None -> acc
+        | Some k ->
           List.fold_left
             (fun acc y ->
               let v = Value.pair x y in
               if keep v then v :: acc else acc)
             acc
             (Option.value (Vtbl.find_opt index k) ~default:[]))
-        [] probe.(i)
-    in
-    Value.set out
+      [] xs
   in
-  Value.union_all (Pool.run (List.init nparts part))
-
-let exec builtins plan left right =
-  let xs = Value.elements left in
-  let ys = Value.elements right in
-  let nx = List.length xs and ny = List.length ys in
-  if Obs.enabled () then begin
-    Obs.count "join/exec" 1;
-    Obs.count "join/build" ny;
-    Obs.count "join/probe" nx
-  end;
-  let keep v =
-    List.for_all (fun c -> Pred.eval builtins c v = Some true) plan.residual
-  in
-  let out =
-    if Pool.parallel () && nx + ny >= !par_threshold then
-      exec_parallel builtins plan keep xs ys
-    else begin
-      let index = Vtbl.create (ny + 1) in
-      List.iter
-        (fun y ->
-          match Efun.apply builtins plan.right_key y with
-          | Some k ->
-            let bucket = Option.value (Vtbl.find_opt index k) ~default:[] in
-            Vtbl.replace index k (y :: bucket)
-          | None -> ())
-        ys;
-      let out =
-        List.fold_left
-          (fun acc x ->
-            match Efun.apply builtins plan.left_key x with
-            | None -> acc
-            | Some k ->
-              List.fold_left
-                (fun acc y ->
-                  let v = Value.pair x y in
-                  if keep v then v :: acc else acc)
-                acc
-                (Option.value (Vtbl.find_opt index k) ~default:[]))
-          [] xs
-      in
-      Value.set out
-    end
-  in
+  let out = Value.set out in
   if Obs.enabled () then Obs.countf "join/out" (fun () -> Value.cardinal out);
   out

@@ -74,24 +74,12 @@ val exec_zset :
     indexed, the larger probed; the result does not depend on the
     choice. *)
 
-val par_threshold : int ref
-(** Minimum build+probe size (element count) for {!exec} to fan out over
-    the {!Recalg_kernel.Pool} when it is parallel; below it — and always
-    at pool size 1 — the join runs sequentially. Default [1024]. The
-    result is byte-identical on both paths (hash partitioning splits the
-    pairs, [Value.union_all] merges canonical sets), so this is purely a
-    cost knob; tests and benches lower it to force the parallel path on
-    small inputs. *)
-
 val exec : Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t ->
   Recalg_kernel.Value.t -> Recalg_kernel.Value.t
 (** [exec builtins plan left right] hash-joins the two sets: it indexes
     [right] by [right_key], probes with [left_key] per left element, and
     keeps the pairs passing [residual]. Equals
     [filter (p = Some true) (product left right)] for the planned [p],
-    byte for byte. With a parallel pool and at least {!par_threshold}
-    elements in the two sets together, both sides are partitioned by key
-    hash and the partitions join as independent pool tasks — same
-    result, merged canonically. When observability is on, each call
-    also emits its output cardinality as the [join/out] counter, so a
-    summary's [counter_max] reports the peak join intermediate. *)
+    byte for byte. When observability is on, each call also emits its
+    output cardinality as the [join/out] counter, so a summary's
+    [counter_max] reports the peak join intermediate. *)

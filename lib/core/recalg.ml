@@ -27,6 +27,7 @@ module Safe_io = Recalg_kernel.Safe_io
 module Zset = Recalg_kernel.Zset
 module Bitset = Recalg_kernel.Bitset
 module Interner = Recalg_kernel.Interner
+module Graph = Recalg_kernel.Graph
 
 (** Observability: spans, counters, gauges, the retained metrics
     registry and pluggable sinks. Every engine below reports through

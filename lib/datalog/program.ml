@@ -9,19 +9,31 @@ let rules_for p pred =
 
 let add_unique x acc = if List.mem x acc then acc else x :: acc
 
-let idb_preds p =
-  List.rev (List.fold_left (fun acc r -> add_unique (Rule.head_pred r) acc) [] p.rules)
+(* [xs] without repeats, each kept at its first occurrence. *)
+let distinct xs =
+  let seen = Hashtbl.create 16 in
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         if Hashtbl.mem seen x then acc
+         else begin
+           Hashtbl.add seen x ();
+           x :: acc
+         end)
+       [] xs)
+
+let idb_preds p = distinct (List.map Rule.head_pred p.rules)
 
 let all_preds p =
-  let from_rule acc r =
-    let acc = add_unique (Rule.head_pred r) acc in
-    List.fold_left (fun acc (q, _) -> add_unique q acc) acc (Rule.body_preds r)
-  in
-  List.rev (List.fold_left from_rule [] p.rules)
+  distinct
+    (List.concat_map
+       (fun r -> Rule.head_pred r :: List.map fst (Rule.body_preds r))
+       p.rules)
 
 let edb_preds p =
-  let idb = idb_preds p in
-  List.filter (fun q -> not (List.mem q idb)) (all_preds p)
+  let idb = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace idb (Rule.head_pred r) ()) p.rules;
+  List.filter (fun q -> not (Hashtbl.mem idb q)) (all_preds p)
 
 let dependencies p =
   List.concat_map

@@ -1,47 +1,53 @@
+open Recalg_kernel
+
 type analysis =
   | Stratified of string list list
   | Not_stratified of string * string
 
-module Smap = Map.Make (String)
+(* Graph vertices [0 .. n-1] for [names], numbered in array order. *)
+let numbering names =
+  let ids = Hashtbl.create 16 in
+  Array.iteri (fun i name -> Hashtbl.replace ids name i) names;
+  ids
 
-(* Stratum numbers by the classic fixpoint: stratum q >= stratum p for a
-   positive edge p->q's body predicate... We use the standard formulation:
-   for a rule h :- ... q ..., stratum(h) >= stratum(q); for h :- ... not q
-   ..., stratum(h) >= stratum(q) + 1. Iterate; if some stratum exceeds the
-   number of predicates, there is a negative cycle. *)
+(* The least stratification: stratum(h) >= stratum(q) for every rule
+   with head h and a positive body literal on q, and stratum(h) >=
+   stratum(q) + 1 when the literal is negated. It exists iff no negative
+   edge lies inside a strongly connected component. The members of a
+   component then share one stratum: the largest that its edges into
+   earlier components force. *)
 let analyse p =
-  let preds = Program.all_preds p in
-  let n = List.length preds in
+  let preds = Array.of_list (Program.all_preds p) in
+  let n = Array.length preds in
+  let id = Hashtbl.find (numbering preds) in
   let deps = Program.dependencies p in
-  let strat = ref (List.fold_left (fun m q -> Smap.add q 0 m) Smap.empty preds) in
-  let get q = Option.value ~default:0 (Smap.find_opt q !strat) in
-  let changed = ref true in
-  let overflow = ref None in
-  while !changed && !overflow = None do
-    changed := false;
-    List.iter
-      (fun (h, q, pol) ->
-        let need =
-          match pol with
-          | `Pos -> get q
-          | `Neg -> get q + 1
-        in
-        if get h < need then begin
-          strat := Smap.add h need !strat;
-          if need > n then overflow := Some (h, q);
-          changed := true
-        end)
-      deps
-  done;
-  match !overflow with
-  | Some (h, q) -> Not_stratified (h, q)
+  let edges = Array.make n [] in
+  List.iter (fun (h, q, pol) -> edges.(id h) <- (id q, pol) :: edges.(id h)) deps;
+  let comps = Graph.sccs n (fun i -> List.map fst edges.(i)) in
+  let comp = Graph.index n comps in
+  match
+    List.find_opt (fun (h, q, pol) -> pol = `Neg && comp.(id h) = comp.(id q)) deps
+  with
+  | Some (h, q, _) -> Not_stratified (h, q)
   | None ->
-    let max_stratum = Smap.fold (fun _ s acc -> max s acc) !strat 0 in
-    let groups =
-      List.init (max_stratum + 1) (fun i ->
-          List.filter (fun q -> get q = i) preds)
-    in
-    Stratified (List.filter (fun g -> g <> []) groups)
+    let stratum = Array.make n 0 in
+    List.iter
+      (fun members ->
+        let need s i =
+          List.fold_left
+            (fun s (j, pol) ->
+              if comp.(j) = comp.(i) then s
+              else max s (if pol = `Neg then stratum.(j) + 1 else stratum.(j)))
+            s edges.(i)
+        in
+        let s = List.fold_left need 0 members in
+        List.iter (fun i -> stratum.(i) <- s) members)
+      comps;
+    let groups = Array.make (Array.fold_left max 0 stratum + 1) [] in
+    for i = n - 1 downto 0 do
+      groups.(stratum.(i)) <- preds.(i) :: groups.(stratum.(i))
+    done;
+    Stratified (List.filter (fun g -> g <> []) (Array.to_list groups))
 
 let is_stratified p =
   match analyse p with
@@ -55,46 +61,26 @@ let strata p =
     Error (Fmt.str "not stratified: %s depends negatively on %s through a cycle" h q)
 
 (* Connected components of the dependency graph restricted to [preds]
-   (edges taken as undirected). Two predicates of one stratum that share
-   no component cannot reach each other's relations at all, so their
-   fixpoints are independent — the refinement both parallel stratum
-   evaluators (Seminaive.stratified, Stratified_to_ifp) fan out over.
-   Deterministic: components are ordered by their first member's
-   position in [preds], members by position too. *)
+   (edges taken as undirected): the SCCs of the symmetrised graph. Two
+   predicates of one stratum that share no component cannot reach each
+   other's relations at all, so their fixpoints are independent — the
+   refinement both parallel stratum evaluators (Seminaive.stratified,
+   Stratified_to_ifp) fan out over. Vertices are numbered in [preds]
+   order, so members come in that order, and sorting the components
+   orders them by first member. *)
 let components p preds =
-  let deps = Program.dependencies p in
-  let in_preds q = List.mem q preds in
-  let adj : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
-  let neighbours q =
-    match Hashtbl.find_opt adj q with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.add adj q l;
-      l
-  in
+  let names = Array.of_list preds in
+  let n = Array.length names in
+  let ids = numbering names in
+  let adj = Array.make n [] in
   List.iter
     (fun (h, q, _pol) ->
-      if h <> q && in_preds h && in_preds q then begin
-        let nh = neighbours h and nq = neighbours q in
-        nh := q :: !nh;
-        nq := h :: !nq
-      end)
-    deps;
-  let visited = Hashtbl.create 16 in
-  let rec walk q acc =
-    if Hashtbl.mem visited q then acc
-    else begin
-      Hashtbl.add visited q ();
-      let ns = match Hashtbl.find_opt adj q with Some l -> !l | None -> [] in
-      List.fold_left (fun acc n -> walk n acc) (q :: acc) ns
-    end
-  in
-  let comps =
-    List.filter_map
-      (fun q -> if Hashtbl.mem visited q then None else Some (walk q []))
-      preds
-  in
-  (* Re-order each component by position in [preds] so the output is
-     independent of traversal order. *)
-  List.map (fun comp -> List.filter (fun q -> List.mem q comp) preds) comps
+      match (Hashtbl.find_opt ids h, Hashtbl.find_opt ids q) with
+      | Some i, Some j ->
+        adj.(i) <- j :: adj.(i);
+        adj.(j) <- i :: adj.(j)
+      | _ -> ())
+    (Program.dependencies p);
+  Graph.sccs n (Array.get adj)
+  |> List.sort compare
+  |> List.map (List.map (Array.get names))

@@ -7,12 +7,18 @@
 
 type analysis =
   | Stratified of string list list
-      (** Predicate groups in evaluation order; each group is one stratum
-          (possibly merging several SCCs of equal stratum number). *)
+      (** The least stratification: predicate groups in evaluation
+          order, each one stratum (possibly merging several SCCs of
+          equal stratum number), members in {!Program.all_preds}
+          order. *)
   | Not_stratified of string * string
-      (** A negative edge [p -> q] inside a cycle. *)
+      (** A negative edge [p -> q] on a cycle ([q] reaches [p]): the
+          first such edge in rule order. *)
 
 val analyse : Program.t -> analysis
+(** One pass over the SCCs of the predicate dependency graph
+    ({!Recalg_kernel.Graph.sccs}): linear in the size of the program. *)
+
 val is_stratified : Program.t -> bool
 
 val strata : Program.t -> (string list list, string) result

@@ -173,8 +173,8 @@ let fail_degraded t =
 
 (* The ambient active budget: installed by the top-level driver
    ([Common_args.with_reporting], or a chaos test) so layers with no
-   fuel parameter of their own — pool tasks, join partitions — can
-   still honor the deadline/cancellation ceilings. A single global cell
+   fuel parameter of their own — pool tasks — can still honor the
+   deadline/cancellation ceilings. A single global cell
    is enough: drivers nest on one domain, and worker domains only read. *)
 let active : fuel option Atomic.t = Atomic.make None
 

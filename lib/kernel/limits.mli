@@ -84,8 +84,8 @@ val spend : fuel -> what:string -> unit
 
 val check : fuel -> what:string -> unit
 (** Probe the governed ceilings without consuming fuel — the call
-    engines make at fixpoint-round, pool-task, and join-partition
-    boundaries. No-op for ungoverned fuel. *)
+    engines make at fixpoint-round and pool-task boundaries. No-op for
+    ungoverned fuel. *)
 
 val remaining : fuel -> int option
 (** [None] for {!unlimited} (and fuel-less governed budgets). *)
@@ -125,9 +125,9 @@ val fail_degraded : fuel -> 'a
 
 (** {2 Ambient budget}
 
-    Layers with no fuel parameter of their own — pool tasks, join
-    partitions — honor deadlines and cancellation through an ambient
-    budget the top-level driver installs. *)
+    Layers with no fuel parameter of their own — pool tasks — honor
+    deadlines and cancellation through an ambient budget installed at
+    the top level (see {!with_active}). *)
 
 val with_active : fuel -> (unit -> 'a) -> 'a
 (** Install [fuel] as the ambient budget for the duration of the

@@ -15,9 +15,9 @@ let jobs : (unit -> unit) Queue.t = Queue.create ()
 let stop = ref false (* guarded by [lock] *)
 let workers : unit Domain.t list ref = ref [] (* main domain only *)
 
-(* [requested] is the configured size (what [domains ()] reports);
-   [live] is whether worker domains currently exist — the flag the
-   parallel fast paths and the intern-shard locks actually check. *)
+(* [requested] is the configured size (what [Stats] reports); [live]
+   is whether worker domains currently exist — the flag the parallel
+   fast paths and the intern-shard locks actually check. *)
 let requested = Atomic.make 1
 let live = Atomic.make false
 
@@ -39,7 +39,6 @@ module Stats = struct
     Atomic.set batches 0
 end
 
-let domains () = Atomic.get requested
 let parallel () = Atomic.get live
 
 let rec worker () =

@@ -1,10 +1,10 @@
 (** A small fixed work-pool over stdlib [Domain] — the multicore engine
-    room shared by every parallel evaluation path (sharded joins,
-    per-rule semi-naive rounds, independent strata).
+    room shared by every parallel evaluation path (per-rule semi-naive
+    rounds, independent stratum components).
 
-    The pool is global and opt-in: the default is [domains () = 1], in
-    which {!run} and {!map} degenerate to plain sequential evaluation
-    with zero synchronisation — single-domain behaviour (results, fuel,
+    The pool is global and opt-in: the default size is [1], at which
+    {!run} and {!map} degenerate to plain sequential evaluation with
+    zero synchronisation — single-domain behaviour (results, fuel,
     traces) is exactly the pre-multicore engine. With [set_domains n]
     for [n > 1], [n - 1] persistent worker domains serve a shared job
     queue and the submitting domain works the queue alongside them
@@ -25,9 +25,9 @@
     remaining tasks of the batch run (or fail fast at their own
     ambient-budget probe, for cancellation), the workers return to the
     queue, and the very next {!run} behaves normally. Every task probes
-    [Limits.check_active] on entry, which is how join partitions and
-    parallel rounds honor deadlines and cancellation without threading
-    a budget through their signatures. *)
+    [Limits.check_active] on entry, which is how parallel rounds and
+    stratum components honor deadlines and cancellation without
+    threading a budget through their signatures. *)
 
 val set_domains : int -> unit
 (** Resize the pool to [n] total domains ([n - 1] workers plus the
@@ -35,13 +35,10 @@ val set_domains : int -> unit
     Must be called from outside any pool task (it joins the old
     workers). Idempotent when the size is unchanged. *)
 
-val domains : unit -> int
-(** The configured size; [1] until {!set_domains} raises it. *)
-
 val parallel : unit -> bool
-(** [domains () > 1] — the one-load guard parallel call sites (and the
-    kernel's intern-shard locks) check before paying any
-    synchronisation. *)
+(** Whether worker domains are live (the size is above [1]) — the
+    one-load guard parallel call sites (and the kernel's intern-shard
+    locks) check before paying any synchronisation. *)
 
 val run : (unit -> 'a) list -> 'a list
 (** Evaluate the thunks, possibly concurrently, returning results in

@@ -165,7 +165,27 @@ let test_defs_validate () =
     Defs.make [ Defs.define "f" [ "x" ] (Expr.call "f" [ Expr.Param "x" ]) ]
   in
   Alcotest.(check bool) "recursive parameterised rejected" true
-    (Result.is_error (Defs.validate rec_param))
+    (Result.is_error (Defs.validate rec_param));
+  (* The named pair lies on the cycle g -> h -> g; h's call to k does
+     not. *)
+  let call f = Expr.call f [ Expr.Param "a" ] in
+  let through_cycle =
+    Defs.make
+      [
+        Defs.define "f" [ "a" ] (call "g");
+        Defs.define "g" [ "a" ] (call "h");
+        Defs.define "h" [ "a" ] (Expr.Union (call "g", call "k"));
+        Defs.define "k" [ "a" ] (Expr.Param "a");
+      ]
+  in
+  let names_cycle msg =
+    List.exists
+      (fun pair -> String.starts_with ~prefix:("parameterised definitions " ^ pair) msg)
+      [ "g and h "; "h and g " ]
+  in
+  match Defs.validate through_cycle with
+  | Error msg -> Alcotest.(check bool) ("names g and h: " ^ msg) true (names_cycle msg)
+  | Ok () -> Alcotest.fail "expected recursive definitions to be rejected"
 
 (* --- three-valued recursive evaluation --- *)
 

@@ -150,7 +150,14 @@ let test_stratified_yes () =
 
 let test_stratified_no () =
   let program, _ = parse "win(X) :- move(X, Y), not win(Y)." in
-  Alcotest.(check bool) "not stratified" false (Stratify.is_stratified program)
+  Alcotest.(check bool) "not stratified" false (Stratify.is_stratified program);
+  (* The reported edge lies on a cycle: [h] reads [a] negatively, but
+     only [a]'s edge to itself is on one. *)
+  let program, _ = parse "a :- not a. h :- not a." in
+  match Stratify.analyse program with
+  | Stratify.Not_stratified (h, q) ->
+    Alcotest.(check (pair string string)) "edge on the cycle" ("a", "a") (h, q)
+  | Stratify.Stratified _ -> Alcotest.fail "expected Not_stratified"
 
 let test_strata_order () =
   let program, _ = parse "a(X) :- e(X). b(X) :- e(X), not a(X). c(X) :- e(X), not b(X)." in
@@ -409,6 +416,45 @@ let prop_negation_free_semantics_coincide =
              a = b)
            (Program.idb_preds program))
 
+(* Stratify.analyse against its definition: the least stratification,
+   or a negative edge on a cycle. *)
+let prop_stratify_least =
+  QCheck.Test.make ~name:"stratify: least strata or a negative edge on a cycle"
+    ~count:(Tgen.qcount 300) Tgen.rand_program_arb (fun program ->
+      let preds = Program.all_preds program in
+      let deps = Program.dependencies program in
+      let rec reaches seen q h =
+        q = h
+        || (not (List.mem q seen))
+           && List.exists
+                (fun (p, r, _) -> p = q && reaches (q :: seen) r h)
+                deps
+      in
+      match Stratify.analyse program with
+      | Stratify.Not_stratified (h, q) ->
+        List.mem (h, q, `Neg) deps && reaches [] q h
+      | Stratify.Stratified groups ->
+        let stratum q =
+          let rec find i = function
+            | [] -> -1
+            | g :: rest -> if List.mem q g then i else find (i + 1) rest
+          in
+          find 0 groups
+        in
+        let need (_, q, pol) = stratum q + if pol = `Neg then 1 else 0 in
+        List.for_all (fun ((h, _, _) as d) -> stratum h >= need d) deps
+        && List.for_all
+             (fun h ->
+               stratum h = 0
+               || List.exists
+                    (fun ((p, _, _) as d) -> p = h && need d = stratum h)
+                    deps)
+             preds
+        && List.for_all
+             (fun g -> g <> [] && g = List.filter (fun q -> List.mem q g) preds)
+             groups
+        && List.sort compare (List.concat groups) = List.sort compare preds)
+
 let suite =
   [
     Alcotest.test_case "dterm eval" `Quick test_dterm_eval;
@@ -453,6 +499,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stable_extends_wf;
     QCheck_alcotest.to_alcotest prop_stratified_total;
     QCheck_alcotest.to_alcotest prop_negation_free_semantics_coincide;
+    QCheck_alcotest.to_alcotest prop_stratify_least;
   ]
 
 (* Example 1's first definition style: an auxiliary function F(i)

@@ -1,4 +1,5 @@
-(* Kernel tests: values, three-valued logic, bitsets, interner, limits. *)
+(* Kernel tests: values, three-valued logic, bitsets, interner, limits,
+   graphs. *)
 
 open Recalg
 
@@ -569,6 +570,51 @@ let test_builtins_sets () =
   Alcotest.(check bool) "set_add on non-set undefined" true
     (Builtins.apply b "set_add" [ vi 1; vi 2 ] = None)
 
+(* --- Graph --- *)
+
+(* Random directed graphs over 0..n-1, self-loops allowed. *)
+let int_graph_arb =
+  QCheck.make
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d %s" n
+        (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) edges)))
+    QCheck.Gen.(
+      let* n = int_range 0 12 in
+      if n = 0 then return (0, [])
+      else
+        let vertex = int_bound (n - 1) in
+        let* edges = list_size (int_range 0 (3 * n)) (pair vertex vertex) in
+        return (n, edges))
+
+let prop_graph_sccs =
+  QCheck.Test.make ~name:"Graph.sccs = mutual reachability, in dependency order"
+    ~count:(Tgen.qcount 300) int_graph_arb (fun (n, edges) ->
+      let succ v =
+        List.filter_map (fun (a, b) -> if a = v then Some b else None) edges
+      in
+      let comps = Graph.sccs n succ in
+      let comp = Graph.index n comps in
+      (* Reflexive-transitive closure by brute force. *)
+      let reach = Array.init n (fun u -> Array.init n (fun v -> u = v)) in
+      List.iter (fun (a, b) -> reach.(a).(b) <- true) edges;
+      for k = 0 to n - 1 do
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if reach.(u).(k) && reach.(k).(v) then reach.(u).(v) <- true
+          done
+        done
+      done;
+      let vertices = List.init n Fun.id in
+      List.sort compare (List.concat comps) = vertices
+      && List.for_all (fun c -> c <> [] && List.sort_uniq compare c = c) comps
+      && List.for_all (fun (a, b) -> comp.(b) <= comp.(a)) edges
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v -> comp.(u) = comp.(v) = (reach.(u).(v) && reach.(v).(u)))
+               vertices)
+           vertices)
+
 let suite =
   [
     Alcotest.test_case "set canonical" `Quick test_set_canonical;
@@ -614,4 +660,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_inter_diff_reference;
     QCheck_alcotest.to_alcotest prop_mem_index_lifecycle;
     Alcotest.test_case "mem density guard" `Quick test_mem_density_guard;
+    QCheck_alcotest.to_alcotest prop_graph_sccs;
   ]

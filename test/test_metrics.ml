@@ -63,17 +63,11 @@ let spent fuel_budget f =
   let r = f ~fuel in
   (r, Limits.remaining fuel)
 
-(* Evaluate [f] on a pool of [n] domains, restoring size 1 (and the
-   join threshold) even on failure — later suites assume a quiet pool. *)
+(* Evaluate [f] on a pool of [n] domains, restoring size 1 even on
+   failure — later suites assume a quiet pool. *)
 let with_domains n f =
-  let saved = !Algebra.Join.par_threshold in
   Pool.set_domains n;
-  Algebra.Join.par_threshold := 8;
-  Fun.protect
-    ~finally:(fun () ->
-      Algebra.Join.par_threshold := saved;
-      Pool.set_domains 1)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_domains 1) f
 
 (* --- histogram laws --- *)
 

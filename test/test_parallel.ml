@@ -1,8 +1,7 @@
 (* Multicore scale-out: the pool itself, concurrent interning, and the
    domains:N ≡ domains:1 determinism contract — every engine must return
    byte-identical results and spend identical fuel at every pool size
-   (DESIGN.md §9). The join parallel threshold is forced low here so the
-   random instances actually exercise the partitioned join path. *)
+   (DESIGN.md §9). *)
 
 open Recalg
 module Eval = Algebra.Eval
@@ -10,7 +9,6 @@ module Rec_eval = Algebra.Rec_eval
 module Expr = Algebra.Expr
 module Defs = Algebra.Defs
 module Db = Algebra.Db
-module Join = Algebra.Join
 module Edb = Datalog.Edb
 module Seminaive = Datalog.Seminaive
 module Run = Datalog.Run
@@ -22,17 +20,11 @@ module S2i = Translate.Stratified_to_ifp
 let vs = Value.sym
 let no_defs = Defs.make []
 
-(* Evaluate [f] on a pool of [n] domains, restoring size 1 (and the
-   join threshold) even on failure — later suites assume a quiet pool. *)
+(* Evaluate [f] on a pool of [n] domains, restoring size 1 even on
+   failure — later suites assume a quiet pool. *)
 let with_domains n f =
-  let saved = !Join.par_threshold in
   Pool.set_domains n;
-  Join.par_threshold := 8;
-  Fun.protect
-    ~finally:(fun () ->
-      Join.par_threshold := saved;
-      Pool.set_domains 1)
-    f
+  Fun.protect ~finally:(fun () -> Pool.set_domains 1) f
 
 (* --- Pool unit tests --- *)
 
