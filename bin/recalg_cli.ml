@@ -100,9 +100,17 @@ let translate_cmd =
     Common_args.with_reporting common @@ fun _fuel ->
     let program, edb = load file in
     let tr = Translate.Datalog_to_alg.translate program edb in
-    Fmt.pr "-- algebra= program (Proposition 6.1) --@.";
-    Fmt.pr "%a@." Algebra.Defs.pp tr.Translate.Datalog_to_alg.defs;
-    Fmt.pr "-- database --@.%a@." Algebra.Db.pp tr.Translate.Datalog_to_alg.db
+    (* Rendered whole first, so a name with no [.alg] syntax leaves
+       stdout empty. *)
+    match
+      Fmt.str "%% database@.%a@.%% algebra= program (Proposition 6.1)@.%a@."
+        Algebra.Db.pp tr.Translate.Datalog_to_alg.db
+        Algebra.Defs.pp tr.Translate.Datalog_to_alg.defs
+    with
+    | text -> print_string text
+    | exception Invalid_argument msg ->
+      Fmt.epr "error: %s@." msg;
+      exit 1
   in
   Cmd.v
     (Cmd.info "translate"

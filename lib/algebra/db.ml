@@ -16,4 +16,7 @@ let rels db = List.map fst (Smap.bindings db)
 let equal a b = Smap.equal Value.equal a b
 
 let pp ppf db =
-  Smap.iter (fun name set -> Fmt.pf ppf "%s = %a@ " name Value.pp set) db
+  let pp_rel ppf (name, set) =
+    Fmt.pf ppf "@[<h>let %a = %a;@]" Efun.pp_name name Efun.pp_value set
+  in
+  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_rel) (Smap.bindings db)

@@ -15,3 +15,5 @@ val find : t -> string -> Value.t option
 val rels : t -> string list
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+(** One [let name = {...};] line per relation: the database as [.alg]
+    constant definitions ({!Efun.pp_value}). *)

@@ -154,10 +154,11 @@ let components t =
   |> List.map (List.map (fun i -> fst bodies.(i)))
 
 let pp ppf t =
-  List.iter
-    (fun d ->
-      match d.params with
-      | [] -> Fmt.pf ppf "%s = %a@ " d.name Expr.pp d.body
-      | ps ->
-        Fmt.pf ppf "%s(%a) = %a@ " d.name Fmt.(list ~sep:comma string) ps Expr.pp d.body)
-    t.defs
+  let params ppf = function
+    | [] -> ()
+    | ps -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ", ") Efun.pp_name) ps
+  in
+  let pp_def ppf d =
+    Fmt.pf ppf "@[<h>let %a%a = %a;@]" Efun.pp_name d.name params d.params Expr.pp d.body
+  in
+  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_def) t.defs

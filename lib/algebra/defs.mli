@@ -59,3 +59,5 @@ val components : t -> string list list
     order. *)
 
 val pp : Format.formatter -> t -> unit
+(** One [let name = body;] line per definition, in the [.alg] syntax
+    ({!Expr.pp}). *)

@@ -50,12 +50,48 @@ let mul_const k = App ("mul", [ Id; Const (Value.int k) ])
 let pi i = Proj i
 let pair_of f g = App ("pair", [ f; g ])
 
+(* The words the [.alg] syntax reserves ({!Parser}). *)
+let keywords =
+  [ "let"; "query"; "sel"; "map"; "ifp"; "id"; "and"; "or"; "not"; "true";
+    "false"; "is"; "arg" ]
+
+let proj_of_ident w =
+  if String.length w > 2 && String.sub w 0 2 = "pi" then
+    int_of_string_opt (String.sub w 2 (String.length w - 2))
+  else None
+
+let check_name w =
+  let ident_char c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+  in
+  if w = "" || (w.[0] >= '0' && w.[0] <= '9') || not (String.for_all ident_char w)
+     || List.mem w keywords || proj_of_ident w <> None
+  then invalid_arg (Fmt.str "%S has no concrete syntax: it is reserved or not an identifier" w)
+
+let pp_name ppf w = check_name w; Fmt.string ppf w
+
+let rec check_names v =
+  match Value.node v with
+  | Value.Sym w -> check_name w
+  | Value.Cstr (w, vs) -> check_name w; List.iter check_names vs
+  | Value.Tuple vs | Value.Set vs -> List.iter check_names vs
+  | Value.Int _ | Value.Str _ | Value.Bool _ -> ()
+
+let pp_value ppf v = check_names v; Value.pp ppf v
+
 let rec pp ppf f =
+  let args = Fmt.(list ~sep:(any ", ") pp) in
   match f with
   | Id -> Fmt.string ppf "id"
   | Proj i -> Fmt.pf ppf "pi%d" i
-  | Tuple_of fs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:comma pp) fs
-  | Const v -> Value.pp ppf v
-  | App (name, fs) -> Fmt.pf ppf "%s(%a)" name Fmt.(list ~sep:comma pp) fs
-  | Arg (name, i) -> Fmt.pf ppf "%s^-1.%d" name i
-  | Compose (g, h) -> Fmt.pf ppf "(%a . %a)" pp g pp h
+  | Tuple_of fs -> Fmt.pf ppf "[%a]" args fs
+  | Const v -> (
+    match Value.node v with
+    | Value.Tuple _ | Value.Cstr _ ->
+      (* [[a, b]] and [f(a)] would read back as [Tuple_of] and [App]. *)
+      invalid_arg (Fmt.str "the constant %a has no element-function syntax" Value.pp v)
+    | Value.Int _ | Value.Str _ | Value.Bool _ | Value.Sym _ | Value.Set _ -> pp_value ppf v)
+  | App (name, fs) -> Fmt.pf ppf "%a(%a)" pp_name name args fs
+  | Arg (name, i) -> Fmt.pf ppf "arg(%a, %d)" pp_name name i
+  | Compose ((Compose _ as g), h) -> Fmt.pf ppf "(%a) . %a" pp g pp h
+  | Compose (g, h) -> Fmt.pf ppf "%a . %a" pp g pp h

@@ -32,4 +32,27 @@ val add_const : int -> t
 val mul_const : int -> t
 val pi : int -> t
 val pair_of : t -> t -> t
+
+(** {1 Concrete syntax}
+
+    Every [pp] of the algebra prints the [.alg] syntax {!Parser} reads:
+    a printed term parses back to itself, or [pp] raises
+    [Invalid_argument] naming what has no syntax in its position. *)
+
+val keywords : string list
+(** The reserved words. *)
+
+val proj_of_ident : string -> int option
+(** [Some i] when an identifier reads as the projection [pi<i>]. *)
+
+val pp_name : Format.formatter -> string -> unit
+(** Raises [Invalid_argument] naming a name that is not an identifier,
+    or is spelled like a reserved word or a projection. *)
+
+val pp_value : Format.formatter -> Value.t -> unit
+(** [Value.pp], after checking each symbol and constructor name as
+    {!pp_name} does. *)
+
 val pp : Format.formatter -> t -> unit
+(** Also raises on a tuple or constructor constant, which would read
+    back as [Tuple_of] or [App]. *)

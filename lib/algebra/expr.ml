@@ -117,15 +117,21 @@ let equal a b = compare a b = 0
 
 let rec pp ppf e =
   match e with
-  | Rel name -> Fmt.string ppf name
-  | Lit v -> Value.pp ppf v
-  | Param x -> Fmt.pf ppf "$%s" x
-  | Union (a, b) -> Fmt.pf ppf "(%a U %a)" pp a pp b
-  | Diff (a, b) -> Fmt.pf ppf "(%a - %a)" pp a pp b
-  | Product (a, b) -> Fmt.pf ppf "(%a x %a)" pp a pp b
-  | Select (p, a) -> Fmt.pf ppf "sigma[%a](%a)" Pred.pp p pp a
+  | Rel name -> Efun.pp_name ppf name
+  | Lit v -> Efun.pp_value ppf v
+  | Param x -> Fmt.pf ppf "$%a" Efun.pp_name x
+  | Union (a, b) -> Fmt.pf ppf "%a + %a" pp_operand a pp_operand b
+  | Diff (a, b) -> Fmt.pf ppf "%a - %a" pp_operand a pp_operand b
+  | Product (a, b) -> Fmt.pf ppf "%a x %a" pp_operand a pp_operand b
+  | Select (p, a) -> Fmt.pf ppf "sel[%a](%a)" Pred.pp p pp a
   | Map (f, a) -> Fmt.pf ppf "map[%a](%a)" Efun.pp f pp a
-  | Ifp (x, a) -> Fmt.pf ppf "ifp %s. %a" x pp a
-  | Call (name, args) -> Fmt.pf ppf "%s(%a)" name Fmt.(list ~sep:comma pp) args
+  | Ifp (x, a) -> Fmt.pf ppf "ifp %a. %a" Efun.pp_name x pp a
+  | Call (name, args) ->
+    Fmt.pf ppf "%a(%a)" Efun.pp_name name Fmt.(list ~sep:(any ", ") pp) args
 
-let to_string e = Fmt.str "%a" pp e
+and pp_operand ppf e =
+  match e with
+  | Union _ | Diff _ | Product _ | Ifp _ -> Fmt.pf ppf "(%a)" pp e
+  | Rel _ | Lit _ | Param _ | Select _ | Map _ | Call _ -> pp ppf e
+
+let to_string e = Fmt.str "@[<h>%a@]" pp e

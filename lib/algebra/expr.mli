@@ -68,4 +68,8 @@ val subst_params : (string * t) list -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+(** The [.alg] syntax: [Parser.parse_expr (to_string e) = Ok e], or
+    [Invalid_argument] naming what has no concrete syntax
+    ({!Efun.pp_name}). *)
+
 val to_string : t -> string

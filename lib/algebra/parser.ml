@@ -5,11 +5,12 @@ type program = { defs : Defs.t; query : Expr.t option }
 type token =
   | IDENT of string
   | INT of int
+  | STRING of string
   | LPAREN | RPAREN
   | LBRACKET | RBRACKET
   | LBRACE | RBRACE
   | COMMA | SEMI | DOT | DOLLAR
-  | PLUS | MINUS | CROSS
+  | PLUS | MINUS
   | EQUAL | NOTEQUAL | LT | LEQ
   | EOF
 
@@ -17,8 +18,32 @@ exception Parse_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Parse_error s)) fmt
 
-let keywords = [ "let"; "query"; "sel"; "map"; "ifp"; "id"; "and"; "or"; "not";
-                 "true"; "false"; "is"; "arg"; "x" ]
+(* The string literal whose opening quote is at [i], decoding the
+   escapes OCaml's [%S] writes; returns it with the offset after its
+   closing quote. *)
+let read_string src i =
+  let n = String.length src in
+  let b = Buffer.create 16 in
+  let rec go j =
+    if j >= n then error "unterminated string literal"
+    else
+      match src.[j] with
+      | '"' -> j + 1
+      | '\\' when j + 1 < n -> (
+        match src.[j + 1] with
+        | 'n' -> Buffer.add_char b '\n'; go (j + 2)
+        | 't' -> Buffer.add_char b '\t'; go (j + 2)
+        | 'r' -> Buffer.add_char b '\r'; go (j + 2)
+        | 'b' -> Buffer.add_char b '\b'; go (j + 2)
+        | '0' .. '9' -> (
+          match int_of_string_opt (String.sub src (j + 1) (min 3 (n - j - 1))) with
+          | Some k when k < 256 -> Buffer.add_char b (Char.chr k); go (j + 4)
+          | _ -> error "bad escape at offset %d" j)
+        | c -> Buffer.add_char b c; go (j + 2))
+      | c -> Buffer.add_char b c; go (j + 1)
+  in
+  let next = go (i + 1) in
+  (Buffer.contents b, next)
 
 let tokenize src =
   let n = String.length src in
@@ -44,11 +69,15 @@ let tokenize src =
     else if c = '.' then (emit DOT; incr i)
     else if c = '$' then (emit DOLLAR; incr i)
     else if c = '+' then (emit PLUS; incr i)
-    else if c = '-' then (emit MINUS; incr i)
     else if c = '=' then (emit EQUAL; incr i)
     else if c = '!' && !i + 1 < n && src.[!i + 1] = '=' then (emit NOTEQUAL; i := !i + 2)
     else if c = '<' && !i + 1 < n && src.[!i + 1] = '=' then (emit LEQ; i := !i + 2)
     else if c = '<' then (emit LT; incr i)
+    else if c = '"' then begin
+      let str, next = read_string src !i in
+      emit (STRING str);
+      i := next
+    end
     else if (c >= '0' && c <= '9')
             || (c = '-' && !i + 1 < n && src.[!i + 1] >= '0' && src.[!i + 1] <= '9')
     then begin
@@ -57,11 +86,11 @@ let tokenize src =
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do incr i done;
       emit (INT (int_of_string (String.sub src start (!i - start))))
     end
+    else if c = '-' then (emit MINUS; incr i)
     else if is_ident c then begin
       let start = !i in
       while !i < n && is_ident src.[!i] do incr i done;
-      let word = String.sub src start (!i - start) in
-      if String.equal word "x" then emit CROSS else emit (IDENT word)
+      emit (IDENT (String.sub src start (!i - start)))
     end
     else error "unexpected character %C at offset %d" c !i
   done;
@@ -71,7 +100,6 @@ let tokenize src =
 type stream = { mutable toks : token list }
 
 let peek s = match s.toks with t :: _ -> t | [] -> EOF
-let peek2 s = match s.toks with _ :: t :: _ -> t | _ -> EOF
 let advance s = match s.toks with _ :: rest -> s.toks <- rest | [] -> ()
 
 let expect s tok name = if peek s = tok then advance s else error "expected %s" name
@@ -81,34 +109,45 @@ let ident s =
   | IDENT w -> advance s; w
   | _ -> error "expected an identifier"
 
+let index s what =
+  match peek s with
+  | INT k -> advance s; k
+  | _ -> error "expected %s" what
+
+let parens s p =
+  expect s LPAREN "(";
+  let x = p s in
+  expect s RPAREN ")";
+  x
+
+(* One or more [p], comma-separated. *)
+let rec comma_list s p =
+  let x = p s in
+  if peek s = COMMA then (advance s; x :: comma_list s p) else [ x ]
+
+(* Zero or more [p], comma-separated, then the token [close]. *)
+let list_to s close name p =
+  let xs = if peek s = close then [] else comma_list s p in
+  expect s close name;
+  xs
+
 (* --- values (inside set literals) --- *)
 
 let rec parse_value s =
   match peek s with
   | INT k -> advance s; Value.int k
-  | IDENT w -> advance s; Value.sym w
-  | LBRACKET ->
+  | STRING str -> advance s; Value.str str
+  | IDENT "true" -> advance s; Value.bool true
+  | IDENT "false" -> advance s; Value.bool false
+  | IDENT w ->
     advance s;
-    let vs = if peek s = RBRACKET then [] else parse_value_list s in
-    expect s RBRACKET "]";
-    Value.tuple vs
-  | LBRACE ->
-    advance s;
-    let vs = if peek s = RBRACE then [] else parse_value_list s in
-    expect s RBRACE "}";
-    Value.set vs
+    if peek s = LPAREN then (advance s; Value.cstr w (list_to s RPAREN ")" parse_value))
+    else Value.sym w
+  | LBRACKET -> advance s; Value.tuple (list_to s RBRACKET "]" parse_value)
+  | LBRACE -> advance s; Value.set (list_to s RBRACE "}" parse_value)
   | _ -> error "expected a value"
 
-and parse_value_list s =
-  let first = parse_value s in
-  if peek s = COMMA then (advance s; first :: parse_value_list s) else [ first ]
-
 (* --- element functions --- *)
-
-let proj_of_ident w =
-  if String.length w > 2 && String.sub w 0 2 = "pi" then
-    int_of_string_opt (String.sub w 2 (String.length w - 2))
-  else None
 
 let rec parse_efun s =
   let base = parse_efun_atom s in
@@ -121,50 +160,26 @@ let rec parse_efun s =
 
 and parse_efun_atom s =
   match peek s with
-  | LPAREN ->
-    advance s;
-    let f = parse_efun s in
-    expect s RPAREN ")";
-    f
+  | LPAREN -> parens s parse_efun
   | IDENT "id" -> advance s; Efun.Id
-  | INT k -> advance s; Efun.Const (Value.int k)
-  | LBRACKET ->
-    advance s;
-    let fs = if peek s = RBRACKET then [] else parse_efun_list s in
-    expect s RBRACKET "]";
-    Efun.Tuple_of fs
-  | LBRACE ->
-    (* set constant used as an element function *)
-    let v = parse_value s in
-    Efun.Const v
+  | INT _ | STRING _ | LBRACE | IDENT ("true" | "false") -> Efun.Const (parse_value s)
+  | LBRACKET -> advance s; Efun.Tuple_of (list_to s RBRACKET "]" parse_efun)
   | IDENT "arg" ->
     advance s;
     expect s LPAREN "(";
     let name = ident s in
     expect s COMMA ",";
-    let idx = match peek s with
-      | INT k -> advance s; k
-      | _ -> error "expected an index in arg(name, i)"
-    in
+    let idx = index s "an index in arg(name, i)" in
     expect s RPAREN ")";
     Efun.Arg (name, idx)
   | IDENT w -> (
-    match proj_of_ident w with
+    match Efun.proj_of_ident w with
     | Some k -> advance s; Efun.Proj k
     | None ->
       advance s;
-      if peek s = LPAREN then begin
-        advance s;
-        let args = if peek s = RPAREN then [] else parse_efun_list s in
-        expect s RPAREN ")";
-        Efun.App (w, args)
-      end
+      if peek s = LPAREN then (advance s; Efun.App (w, list_to s RPAREN ")" parse_efun))
       else Efun.Const (Value.sym w))
   | _ -> error "expected an element function"
-
-and parse_efun_list s =
-  let first = parse_efun s in
-  if peek s = COMMA then (advance s; first :: parse_efun_list s) else [ first ]
 
 (* --- selection tests --- *)
 
@@ -184,39 +199,29 @@ and parse_pred_and s =
 
 and parse_pred_atom s =
   match peek s with
-  | IDENT "true" -> advance s; Pred.True
-  | IDENT "false" -> advance s; Pred.False
   | IDENT "not" -> advance s; Pred.Not (parse_pred_atom s)
   | IDENT "is" ->
     advance s;
     expect s LPAREN "(";
     let name = ident s in
     expect s COMMA ",";
-    let arity = match peek s with
-      | INT k -> advance s; k
-      | _ -> error "expected an arity in is(name, arity, f)"
-    in
+    let arity = index s "an arity in is(name, arity, f)" in
     expect s COMMA ",";
     let f = parse_efun s in
     expect s RPAREN ")";
     Pred.Is_cstr (name, arity, f)
-  | LPAREN -> (
-    (* Ambiguous: "(test)" or a parenthesised element function starting a
-       comparison, e.g. "(pi2 . pi1) = pi2". Try the test reading first
-       and backtrack on failure. *)
+  | LPAREN | IDENT ("true" | "false") -> (
+    (* Ambiguous: a test -- "(p or q)", "true" -- or the start of a
+       comparison -- "(pi2 . pi1) = pi2", "true = pi1". Read a comparison
+       first, and the test when none parses. *)
     let saved = s.toks in
-    match
-      (try
-         advance s;
-         let p = parse_pred s in
-         expect s RPAREN ")";
-         Some p
-       with Parse_error _ -> None)
-    with
-    | Some p -> p
-    | None ->
+    try parse_comparison s
+    with Parse_error _ -> (
       s.toks <- saved;
-      parse_comparison s)
+      match peek s with
+      | IDENT "true" -> advance s; Pred.True
+      | IDENT "false" -> advance s; Pred.False
+      | _ -> parens s parse_pred))
   | _ -> parse_comparison s
 
 and parse_comparison s =
@@ -236,16 +241,12 @@ let rec parse_expr_s s =
   match peek s with
   | PLUS -> advance s; Expr.Union (left, parse_expr_s s)
   | MINUS -> advance s; Expr.Diff (left, parse_expr_s s)
-  | CROSS -> advance s; Expr.Product (left, parse_expr_s s)
+  | IDENT "x" -> advance s; Expr.Product (left, parse_expr_s s)
   | _ -> left
 
 and parse_expr_atom s =
   match peek s with
-  | LPAREN ->
-    advance s;
-    let e = parse_expr_s s in
-    expect s RPAREN ")";
-    e
+  | LPAREN -> parens s parse_expr_s
   | LBRACE ->
     let v = parse_value s in
     if not (Value.is_set v) then error "a literal expression must be a set";
@@ -258,19 +259,13 @@ and parse_expr_atom s =
     expect s LBRACKET "[";
     let p = parse_pred s in
     expect s RBRACKET "]";
-    expect s LPAREN "(";
-    let e = parse_expr_s s in
-    expect s RPAREN ")";
-    Expr.Select (p, e)
+    Expr.Select (p, parens s parse_expr_s)
   | IDENT "map" ->
     advance s;
     expect s LBRACKET "[";
     let f = parse_efun s in
     expect s RBRACKET "]";
-    expect s LPAREN "(";
-    let e = parse_expr_s s in
-    expect s RPAREN ")";
-    Expr.Map (f, e)
+    Expr.Map (f, parens s parse_expr_s)
   | IDENT "ifp" ->
     advance s;
     let v = ident s in
@@ -278,47 +273,21 @@ and parse_expr_atom s =
     let e = parse_expr_s s in
     Expr.Ifp (v, e)
   | IDENT w -> (
-    match proj_of_ident w with
-    | Some k ->
-      advance s;
-      expect s LPAREN "(";
-      let e = parse_expr_s s in
-      expect s RPAREN ")";
-      Expr.Map (Efun.Proj k, e)
+    advance s;
+    match Efun.proj_of_ident w with
+    | Some k -> Expr.Map (Efun.Proj k, parens s parse_expr_s)
     | None ->
-      advance s;
-      if peek s = LPAREN then begin
-        advance s;
-        let args = if peek s = RPAREN then [] else parse_expr_list s in
-        expect s RPAREN ")";
-        Expr.Call (w, args)
-      end
+      if peek s = LPAREN then (advance s; Expr.Call (w, list_to s RPAREN ")" parse_expr_s))
       else Expr.Rel w)
   | _ -> error "expected an expression"
-
-and parse_expr_list s =
-  let first = parse_expr_s s in
-  if peek s = COMMA then (advance s; first :: parse_expr_list s) else [ first ]
 
 (* --- programs --- *)
 
 let parse_def s =
   expect s (IDENT "let") "let";
   let name = ident s in
-  if List.mem name keywords then error "%s is a reserved word" name;
-  let params =
-    if peek s = LPAREN then begin
-      advance s;
-      let rec go () =
-        let p = ident s in
-        if peek s = COMMA then (advance s; p :: go ()) else [ p ]
-      in
-      let ps = go () in
-      expect s RPAREN ")";
-      ps
-    end
-    else []
-  in
+  if List.mem name Efun.keywords then error "%s is a reserved word" name;
+  let params = if peek s = LPAREN then parens s (fun s -> comma_list s ident) else [] in
   expect s EQUAL "=";
   let body = parse_expr_s s in
   expect s SEMI ";";
@@ -355,5 +324,3 @@ let parse_program_exn ?builtins src =
   match parse_program ?builtins src with
   | Ok p -> p
   | Error msg -> invalid_arg ("Algebra parser: " ^ msg)
-
-let _ = peek2

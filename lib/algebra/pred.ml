@@ -65,8 +65,8 @@ let rec pp ppf p =
   | Neq (f, g) -> Fmt.pf ppf "%a != %a" Efun.pp f Efun.pp g
   | Lt (f, g) -> Fmt.pf ppf "%a < %a" Efun.pp f Efun.pp g
   | Leq (f, g) -> Fmt.pf ppf "%a <= %a" Efun.pp f Efun.pp g
-  | Is_cstr (name, arity, f) -> Fmt.pf ppf "is_%s/%d(%a)" name arity Efun.pp f
+  | Is_cstr (name, arity, f) -> Fmt.pf ppf "is(%a, %d, %a)" Efun.pp_name name arity Efun.pp f
   | Mem (f, g) -> Fmt.pf ppf "%a in %a" Efun.pp f Efun.pp g
   | And (p1, p2) -> Fmt.pf ppf "(%a and %a)" pp p1 pp p2
   | Or (p1, p2) -> Fmt.pf ppf "(%a or %a)" pp p1 pp p2
-  | Not p1 -> Fmt.pf ppf "(not %a)" pp p1
+  | Not p1 -> Fmt.pf ppf "not %a" pp p1

@@ -30,3 +30,4 @@ val eq_const : Value.t -> t
 (** [sigma_{EQ(x, a)}]: the element equals the given constant. *)
 
 val pp : Format.formatter -> t -> unit
+(** The [.alg] syntax of a test, as {!Expr.pp}. *)

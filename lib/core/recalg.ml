@@ -82,7 +82,6 @@ module Algebra = struct
   module Incremental = Recalg_algebra.Incremental
   module Positivity = Recalg_algebra.Positivity
   module Parser = Recalg_algebra.Parser
-  module Printer = Recalg_algebra.Printer
 end
 
 (** The stats-driven cost-based planner: relation statistics, the cost

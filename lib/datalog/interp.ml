@@ -79,14 +79,9 @@ let is_total t = Facts.is_empty t.undef
 
 let equal a b = Facts.equal a.true_ b.true_ && Facts.equal a.undef b.undef
 
-let pp_fact ppf (pred, args) =
-  match args with
-  | [] -> Fmt.string ppf pred
-  | _ -> Fmt.pf ppf "%s(%a)" pred Fmt.(list ~sep:comma Value.pp) args
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>true: %a@ undef: %a@]"
-    Fmt.(list ~sep:sp pp_fact)
+    Fmt.(list ~sep:sp Propgm.pp_fact)
     (Facts.elements t.true_)
-    Fmt.(list ~sep:sp pp_fact)
+    Fmt.(list ~sep:sp Propgm.pp_fact)
     (Facts.elements t.undef)

@@ -24,4 +24,8 @@ type t = {
 val n_atoms : t -> int
 val fact_of_id : t -> int -> fact
 val id_of_fact : t -> fact -> int option
+
+val pp_fact : Format.formatter -> fact -> unit
+(** [p(v1, ..., vn)], or the bare [p] of a nullary fact. *)
+
 val pp : Format.formatter -> t -> unit

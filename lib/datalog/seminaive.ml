@@ -316,6 +316,19 @@ let naive ?fuel ?order program ~base rules =
 let seminaive ?fuel ?order program ~base rules =
   run ~variant:`Seminaive ?fuel ?order program ~base rules
 
+(* The rules whose head is in each group, one bucket per group, each in
+   program order: one pass over the rules, not one per group. *)
+let bucket_rules groups rules =
+  let group_of = Hashtbl.create 64 in
+  List.iteri (fun i g -> List.iter (fun p -> Hashtbl.replace group_of p i) g) groups;
+  let buckets = Array.make (List.length groups) [] in
+  List.iter
+    (fun r ->
+      Option.iter (fun i -> buckets.(i) <- r :: buckets.(i))
+        (Hashtbl.find_opt group_of (Rule.head_pred r)))
+    (List.rev rules);
+  Array.to_list buckets
+
 let stratified ?fuel ?order program edb =
   match Safety.check program with
   | Error violations ->
@@ -327,10 +340,7 @@ let stratified ?fuel ?order program edb =
     match Stratify.strata program with
     | Error msg -> Error msg
     | Ok groups ->
-      let eval_rules base group =
-        let rules =
-          List.filter (fun r -> List.mem (Rule.head_pred r) group) program.Program.rules
-        in
+      let eval_rules base rules =
         if rules = [] then Edb.empty
         else seminaive ?fuel ?order program ~base rules
       in
@@ -343,17 +353,17 @@ let stratified ?fuel ?order program edb =
          the component fixpoints partition the stratum's derived facts
          (DESIGN.md §9). At pool size 1 the stratum is evaluated whole,
          exactly the pre-multicore path. *)
-      let eval_group base group =
+      let eval_group base (group, rules) =
         let comps =
           if Pool.parallel () then Stratify.components program group
           else [ group ]
         in
         match comps with
         | [] -> base
-        | [ comp ] -> Edb.union base (eval_rules base comp)
+        | [ _ ] -> Edb.union base (eval_rules base rules)
         | comps ->
           if Obs.enabled () then Obs.count "pool/strata_tasks" (List.length comps);
-          let results = Pool.map (fun comp -> eval_rules base comp) comps in
+          let results = Pool.map (eval_rules base) (bucket_rules comps rules) in
           List.fold_left Edb.union base results
       in
       (* Degradation stops at the stratum that ran out: its facts are a
@@ -372,4 +382,6 @@ let stratified ?fuel ?order program edb =
           let base' = eval_group base g in
           if degraded_now () then base' else fold_groups base' rest
       in
-      Ok (fold_groups edb groups))
+      Ok
+        (fold_groups edb
+           (List.combine groups (bucket_rules groups program.Program.rules))))

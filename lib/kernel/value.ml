@@ -481,12 +481,10 @@ let rec pp ppf v =
   match v.node with
   | Int x -> Fmt.int ppf x
   | Str s -> Fmt.pf ppf "%S" s
-  | Bool true -> Fmt.string ppf "T"
-  | Bool false -> Fmt.string ppf "F"
+  | Bool b -> Fmt.bool ppf b
   | Sym s -> Fmt.string ppf s
   | Tuple xs -> Fmt.pf ppf "@[<h>[%a]@]" Fmt.(list ~sep:comma pp) xs
   | Set xs -> Fmt.pf ppf "@[<h>{%a}@]" Fmt.(list ~sep:comma pp) xs
-  | Cstr (f, []) -> Fmt.string ppf f
   | Cstr (f, xs) -> Fmt.pf ppf "@[<h>%s(%a)@]" f Fmt.(list ~sep:comma pp) xs
 
 let to_string v = Fmt.str "%a" pp v

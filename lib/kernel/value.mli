@@ -165,4 +165,8 @@ val proj : int -> t -> t option
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
+(** A literal the [.alg] parser reads back: [true]/[false], strings
+    escaped as by [%S], [f()] for a nullary constructor (the symbol [f]
+    prints bare), tuples as [[...]], sets as [{...}]. *)
+
 val to_string : t -> string

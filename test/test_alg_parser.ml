@@ -91,7 +91,7 @@ let prop_print_parse_roundtrip =
      generator's expression family. *)
   QCheck.Test.make ~name:"print/parse round trip" ~count:200 Tgen.expr_arb
     (fun e ->
-      match Parser.parse_expr (Printer.expr_to_string e) with
+      match Parser.parse_expr (Expr.to_string e) with
       | Ok e' -> Expr.equal e e'
       | Error _ -> false)
 
@@ -101,7 +101,10 @@ let test_program_roundtrip () =
      let inter(a, b) = ($a - ($a - $b));\nquery inter({1, 2}, {2});\n"
   in
   let p = Parser.parse_program_exn src in
-  let printed = Printer.program_to_string ?query:p.Parser.query p.Parser.defs in
+  let printed =
+    Fmt.str "%a@.query %s;@." Defs.pp p.Parser.defs
+      (Expr.to_string (Option.get p.Parser.query))
+  in
   let p' = Parser.parse_program_exn printed in
   Alcotest.(check bool) "defs survive" true
     (List.equal
@@ -113,12 +116,20 @@ let test_program_roundtrip () =
     | Some a, Some b -> Expr.equal a b
     | _ -> false)
 
+(* Every literal kind prints and parses back; a symbol spelled like a
+   reserved word is refused, by name. *)
 let test_printer_rejects_unprintable () =
-  Alcotest.(check bool) "booleans unprintable" true
-    (try
-       ignore (Printer.expr_to_string (Expr.Lit (Value.set [ Value.bool true ])));
-       false
-     with Invalid_argument _ -> true)
+  let lit = Expr.lit [ Value.bool true; Value.str "a\"b"; Value.cstr "f" []; Value.sym "f" ] in
+  Alcotest.(check string) "printed" {|{"a\"b", true, f, f()}|} (Expr.to_string lit);
+  Alcotest.(check bool) "round trip" true
+    (match Parser.parse_expr (Expr.to_string lit) with
+    | Ok e -> Expr.equal e lit
+    | Error _ -> false);
+  match Expr.to_string (Expr.lit [ Value.sym "sel" ]) with
+  | s -> Alcotest.failf "printed a reserved word: %s" s
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("names sel: " ^ msg) true
+      (String.starts_with ~prefix:{|"sel"|} msg)
 
 let suite =
   suite

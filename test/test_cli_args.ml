@@ -3,6 +3,8 @@
    they all route through Common_args.term, and this pins that no verb
    drifts out of the shared block again. *)
 
+open Recalg
+
 let exe_candidates =
   [
     "../bin/recalg_cli.exe";            (* dune runtest: cwd = _build/default/test *)
@@ -79,9 +81,95 @@ let test_exit_codes () =
         Alcotest.(check int) "degraded run reports the exhausted resource" 3
           (run "--fuel 1000 --degrade"))
 
+(* The exit code and stdout of [exe args]. *)
+let capture exe args =
+  let out = Filename.temp_file "recalg_out" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote exe) args
+             (Filename.quote out))
+      in
+      (rc, In_channel.with_open_bin out In_channel.input_all))
+
+(* dune runtest runs in _build/default/test, dune exec at the root. *)
+let example_dir =
+  if Sys.file_exists "examples/programs" then "examples/programs"
+  else "../examples/programs"
+
+(* Thm 6.2 on the printed artifact: [translate f.dl] prints an [.alg]
+   program that [alg] runs, and whose constants give each IDB predicate
+   of [f.dl] its valid semantics -- the true tuples certain, the
+   undefined ones possible. *)
+let test_translate_runs_under_alg () =
+  match find_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let check_value = Alcotest.testable Value.pp Value.equal in
+    let files =
+      List.filter (fun f -> Filename.check_suffix f ".dl")
+        (Array.to_list (Sys.readdir example_dir))
+    in
+    if files = [] then Alcotest.fail "no example programs";
+    List.iter
+      (fun f ->
+        let path = Filename.concat example_dir f in
+        let rc, out = capture exe ("translate " ^ Filename.quote path) in
+        Alcotest.(check int) (f ^ ": translate exit code") 0 rc;
+        let alg = Filename.temp_file "recalg_translated" ".alg" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove alg with Sys_error _ -> ())
+          (fun () ->
+            Out_channel.with_open_bin alg (fun oc -> output_string oc out);
+            Alcotest.(check int) (f ^ ": alg exit code") 0
+              (fst (capture exe ("alg " ^ Filename.quote alg))));
+        let sol =
+          match Algebra.Parser.parse_program out with
+          | Ok p -> Algebra.Rec_eval.solve p.Algebra.Parser.defs Algebra.Db.empty
+          | Error msg -> Alcotest.failf "%s: %s" f msg
+        in
+        let program, edb =
+          Datalog.Parser.parse_exn (In_channel.with_open_bin path In_channel.input_all)
+        in
+        let interp = Datalog.Run.valid program edb in
+        List.iter
+          (fun pred ->
+            let set tuples = Value.set (List.map Value.tuple tuples) in
+            let t = Datalog.Interp.true_tuples interp pred
+            and u = Datalog.Interp.undef_tuples interp pred in
+            let v = Algebra.Rec_eval.constant sol pred in
+            Alcotest.check check_value (f ^ ": certain " ^ pred) (set t)
+              v.Algebra.Rec_eval.low;
+            Alcotest.check check_value (f ^ ": possible " ^ pred) (set (t @ u))
+              v.Algebra.Rec_eval.high)
+          (Datalog.Program.idb_preds program))
+      files
+
+(* A translation naming a reserved word is refused whole: exit 1 and
+   nothing on stdout. *)
+let test_translate_refuses_reserved () =
+  match find_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let dl = Filename.temp_file "recalg_reserved" ".dl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove dl with Sys_error _ -> ())
+      (fun () ->
+        Out_channel.with_open_bin dl (fun oc ->
+            output_string oc "e(a, b). p(X) :- e(X, Y), Y = id.\n");
+        let rc, out = capture exe ("translate " ^ Filename.quote dl) in
+        Alcotest.(check int) "exit code" 1 rc;
+        Alcotest.(check string) "stdout" "" out)
+
 let suite =
   [
     Alcotest.test_case "all verbs share --fuel/--trace/--profile" `Quick
       test_parity;
     Alcotest.test_case "resource exhaustion exit codes" `Quick test_exit_codes;
+    Alcotest.test_case "translate prints a program alg runs (Thm 6.2)" `Quick
+      test_translate_runs_under_alg;
+    Alcotest.test_case "translate refuses a reserved word" `Quick
+      test_translate_refuses_reserved;
   ]

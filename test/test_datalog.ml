@@ -82,12 +82,33 @@ let test_parse_comments_strings () =
   Alcotest.(check int) "rule" 1 (List.length program.Program.rules)
 
 let test_parse_print_roundtrip () =
-  let src = "win(X) :- move(X, Y), not win(Y)." in
+  let src =
+    "win(X) :- move(X, Y), not win(Y).\n\
+     even(Y) :- even(X), Y = add(X, 2), bound(B), leq(Y, B) = true."
+  in
   let program, _ = parse src in
   let printed = Program.to_string program in
   let program2, _ = parse printed in
   Alcotest.(check bool) "round trip" true
     (List.equal Rule.equal program.Program.rules program2.Program.rules)
+
+(* The nullary constructor f() and the symbol f print apart, and each
+   parses back to itself under both parsers. *)
+let test_nullary_constructor_prints () =
+  let cstr = Value.cstr "f" [] and sym = vs "f" in
+  Alcotest.(check bool) "printed apart" false
+    (String.equal (Value.to_string cstr) (Value.to_string sym));
+  List.iter
+    (fun v ->
+      let s = Value.to_string v in
+      let _, edb = parse (Fmt.str "p(%s)." s) in
+      Alcotest.(check bool) ("datalog reads " ^ s) true
+        (List.equal (List.equal Value.equal) (Edb.tuples edb "p") [ [ v ] ]);
+      Alcotest.(check bool) ("algebra reads " ^ s) true
+        (match Algebra.Parser.parse_expr ("{" ^ s ^ "}") with
+        | Ok (Algebra.Expr.Lit l) -> Value.equal l (Value.set [ v ])
+        | Ok _ | Error _ -> false))
+    [ cstr; sym ]
 
 (* --- Safety (Definition 4.1) --- *)
 
@@ -466,6 +487,8 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "parse comments/strings" `Quick test_parse_comments_strings;
     Alcotest.test_case "parse/print round trip" `Quick test_parse_print_roundtrip;
+    Alcotest.test_case "nullary constructor prints apart from symbol" `Quick
+      test_nullary_constructor_prints;
     Alcotest.test_case "safety positive" `Quick test_safety_positive;
     Alcotest.test_case "safety negative-only var" `Quick test_safety_negative_only_var;
     Alcotest.test_case "safety head var" `Quick test_safety_head_var;

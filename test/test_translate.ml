@@ -299,7 +299,36 @@ let test_p42_domain_closure () =
   Alcotest.(check bool) "2 in domain (closure)" true
     (List.exists (Value.equal (vi 2)) dom)
 
+(* A constant with no concrete syntax is refused by name: printing the
+   constant id as is would read back as the identity function. *)
+let test_p61_reserved_constant_refused () =
+  let _, _, tr, _ = run_p61 "e(a, b). p(X) :- e(X, Y), Y = id." in
+  let body = (List.hd (Algebra.Defs.defs tr.Datalog_to_alg.defs)).Algebra.Defs.body in
+  match Algebra.Expr.to_string body with
+  | s -> Alcotest.failf "printed %s" s
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("names id: " ^ msg) true
+      (String.starts_with ~prefix:{|"id"|} msg)
+
 (* --- Thm 6.2 round trips on random instances --- *)
+
+(* The translation printed as one [.alg] program (database, then
+   definitions), parsed back and solved over the empty database, gives
+   every constant the bounds it has in [sol]. *)
+let printed_agrees tr sol =
+  let text =
+    Fmt.str "%a@.%a@." Algebra.Db.pp tr.Datalog_to_alg.db Algebra.Defs.pp
+      tr.Datalog_to_alg.defs
+  in
+  match Algebra.Parser.parse_program text with
+  | Error msg -> QCheck.Test.fail_reportf "%s in:@.%s" msg text
+  | Ok p ->
+    let sol' = Algebra.Rec_eval.solve p.Algebra.Parser.defs Algebra.Db.empty in
+    List.for_all
+      (fun name ->
+        vset_equal (Algebra.Rec_eval.constant sol name)
+          (Algebra.Rec_eval.constant sol' name))
+      (Algebra.Defs.constant_names tr.Datalog_to_alg.defs)
 
 let prop_t62_roundtrip_win =
   QCheck.Test.make ~name:"Thm 6.2: win round trip on random graphs" ~count:60
@@ -310,7 +339,7 @@ let prop_t62_roundtrip_win =
       let edb = Tgen.move_edb edges in
       let tr = Datalog_to_alg.translate program edb in
       let sol = Algebra.Rec_eval.solve tr.Datalog_to_alg.defs tr.Datalog_to_alg.db in
-      agree_on program edb tr sol "win")
+      agree_on program edb tr sol "win" && printed_agrees tr sol)
 
 let prop_t62_roundtrip_random_programs =
   QCheck.Test.make ~name:"Thm 6.2: random safe programs -> algebra= agree" ~count:60
@@ -320,7 +349,8 @@ let prop_t62_roundtrip_random_programs =
       let sol = Algebra.Rec_eval.solve tr.Datalog_to_alg.defs tr.Datalog_to_alg.db in
       List.for_all
         (fun pred -> agree_on program edb tr sol pred)
-        (Datalog.Program.idb_preds program))
+        (Datalog.Program.idb_preds program)
+      && printed_agrees tr sol)
 
 let prop_p54_roundtrip_back =
   QCheck.Test.make ~name:"Prop 5.4: algebra= -> datalog agree on random graphs"
@@ -370,6 +400,8 @@ let suite =
     Alcotest.test_case "P6.1 consecutive negatives" `Quick
       test_p61_consecutive_negatives;
     Alcotest.test_case "P6.1 unsafe rejected" `Quick test_p61_unsafe_rejected;
+    Alcotest.test_case "P6.1 reserved-word constant refused" `Quick
+      test_p61_reserved_constant_refused;
     Alcotest.test_case "T3.5 transitive closure" `Quick test_t35_tc;
     Alcotest.test_case "T3.5 non-monotone IFP" `Quick test_t35_nonmonotone;
     Alcotest.test_case "P4.2 guards unrestricted" `Quick test_p42_guards_unrestricted;

@@ -242,7 +242,7 @@ let deep_value_gen =
     let leaf =
       oneof
         [ map Value.int (int_range (-3) 6);
-          map Value.str (oneofl [ "s"; "t" ]);
+          map Value.str (oneofl [ "s"; "t"; "a\"b\\" ]);
           map Value.bool bool;
           map Value.sym (oneofl [ "a"; "b"; "c" ]) ]
     in
@@ -261,27 +261,6 @@ let deep_value_gen =
     node 4)
 
 let deep_value_arb = QCheck.make ~print:Value.to_string deep_value_gen
-
-(* Set values from the printable fragment shared by [Value.pp] and the
-   algebra parser's literal syntax: integers, symbols, tuples, nested
-   sets. *)
-let printable_set_gen =
-  QCheck.Gen.(
-    let leaf =
-      oneof
-        [ map Value.int (int_range 0 9); map Value.sym (oneofl [ "a"; "b"; "c" ]) ]
-    in
-    let rec node depth =
-      if depth = 0 then leaf
-      else
-        frequency
-          [ (3, leaf);
-            (1, map Value.tuple (list_size (int_range 1 3) (node (depth - 1))));
-            (1, map Value.set (list_size (int_range 0 3) (node (depth - 1)))) ]
-    in
-    map Value.set (list_size (int_range 0 4) (node 2)))
-
-let printable_set_arb = QCheck.make ~print:Value.to_string printable_set_gen
 
 (* Random Z-sets over small integer values, weights in [-3, 3] — the
    instance family for the Z-set group and boundary laws. *)
