@@ -58,14 +58,17 @@ let equal a b = Smap.equal Tuples.equal a b
 let fold f db acc =
   Smap.fold (fun pred set acc -> Tuples.fold (fun tup acc -> f pred tup acc) set acc) db acc
 
+(* [sign pred(tup).] as one string token, then a break hint: line breaks
+   fall only between facts (see [Propgm.pp_fact]). *)
+let pp_signed_fact ppf sign pred tup =
+  let b = Buffer.create 32 in
+  Buffer.add_string b sign;
+  Value.cstr_to_buffer b pred tup;
+  Buffer.add_char b '.';
+  Fmt.pf ppf "%s@ " (Buffer.contents b)
+
 let pp ppf db =
-  let pp_tuple ppf tup =
-    Fmt.pf ppf "(%a)" Fmt.(list ~sep:comma Value.pp) tup
-  in
-  Smap.iter
-    (fun pred set ->
-      Tuples.iter (fun tup -> Fmt.pf ppf "%s%a.@ " pred pp_tuple tup) set)
-    db
+  Smap.iter (fun pred set -> Tuples.iter (pp_signed_fact ppf "" pred) set) db
 
 (* ------------------------------------------------------------------ *)
 (* Update batches: signed fact multisets, Z-set style. Opposite-signed
@@ -129,12 +132,7 @@ module Update = struct
     Smap.iter
       (fun pred m ->
         Tmap.iter
-          (fun tup w ->
-            Fmt.pf ppf "%s%s(%a).@ "
-              (if w > 0 then "+" else "-")
-              pred
-              Fmt.(list ~sep:comma Value.pp)
-              tup)
+          (fun tup w -> pp_signed_fact ppf (if w > 0 then "+" else "-") pred tup)
           m)
       u
 end

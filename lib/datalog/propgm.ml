@@ -12,10 +12,16 @@ let n_atoms t = Interner.size t.atoms
 let fact_of_id t id = Interner.get t.atoms id
 let id_of_fact t f = Interner.find_opt t.atoms f
 
+(* One string token, so a fact never breaks across lines. An [h] box
+   would keep it whole too, but Format breaks the line before a box that
+   opens past its maximum indentation, after the space already printed. *)
 let pp_fact ppf (pred, args) =
   match args with
   | [] -> Fmt.string ppf pred
-  | _ -> Fmt.pf ppf "%s(%a)" pred Fmt.(list ~sep:comma Value.pp) args
+  | _ ->
+    let b = Buffer.create 32 in
+    Value.cstr_to_buffer b pred args;
+    Fmt.string ppf (Buffer.contents b)
 
 let pp ppf t =
   let pp_rule ppf r =

@@ -477,14 +477,61 @@ let proj i v =
   | Tuple xs -> List.nth_opt xs (i - 1)
   | Int _ | Str _ | Bool _ | Sym _ | Set _ | Cstr _ -> None
 
-let rec pp ppf v =
-  match v.node with
-  | Int x -> Fmt.int ppf x
-  | Str s -> Fmt.pf ppf "%S" s
-  | Bool b -> Fmt.bool ppf b
-  | Sym s -> Fmt.string ppf s
-  | Tuple xs -> Fmt.pf ppf "@[<h>[%a]@]" Fmt.(list ~sep:comma pp) xs
-  | Set xs -> Fmt.pf ppf "@[<h>{%a}@]" Fmt.(list ~sep:comma pp) xs
-  | Cstr (f, xs) -> Fmt.pf ppf "@[<h>%s(%a)@]" f Fmt.(list ~sep:comma pp) xs
+(* Digits of [n >= 0], most significant first, straight into [b]:
+   [Int.to_string] goes through [caml_format_int], which cost most of a
+   large set's print. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
-let to_string v = Fmt.str "%a" pp v
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (Int.to_string n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let rec to_buffer b v =
+  match v.node with
+  | Int n -> add_int b n
+  | Str s ->
+    Buffer.add_char b '"';
+    Buffer.add_string b (String.escaped s);
+    Buffer.add_char b '"'
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Sym s -> Buffer.add_string b s
+  | Tuple xs -> add_seq b '[' xs ']'
+  | Set xs -> add_seq b '{' xs '}'
+  | Cstr (f, xs) -> cstr_to_buffer b f xs
+
+and cstr_to_buffer b f xs =
+  Buffer.add_string b f;
+  add_seq b '(' xs ')'
+
+and add_seq b opening xs closing =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      to_buffer b x)
+    xs;
+  Buffer.add_char b closing
+
+let to_string v =
+  match v.node with
+  | Sym s -> s
+  | Int _ | Str _ | Bool _ | Tuple _ | Set _ | Cstr _ ->
+    let b = Buffer.create 16 in
+    to_buffer b v;
+    Buffer.contents b
+
+(* The [h] box keeps the line break Format puts before a box that opens
+   past [pp_max_indent] in an hov, hv, v or b box. *)
+let pp ppf v =
+  match v.node with
+  | Int _ | Str _ | Bool _ | Sym _ -> Format.pp_print_string ppf (to_string v)
+  | Tuple _ | Set _ | Cstr _ ->
+    Format.pp_open_hbox ppf ();
+    Format.pp_print_string ppf (to_string v);
+    Format.pp_close_box ppf ()

@@ -164,9 +164,25 @@ val proj : int -> t -> t option
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
-(** A literal the [.alg] parser reads back: [true]/[false], strings
-    escaped as by [%S], [f()] for a nullary constructor (the symbol [f]
-    prints bare), tuples as [[...]], sets as [{...}]. *)
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer b v] appends [v] to [b] as a literal the [.alg] parser
+    reads back: integers in decimal, [true]/[false], strings escaped as
+    by [%S], symbols bare, tuples as [[a, b]], sets as [{a, b}] and
+    constructor values as [f(a, b)] or [f()] (the symbol [f] prints
+    bare). One walk over the value: every other printer of values goes
+    through it. *)
+
+val cstr_to_buffer : Buffer.t -> string -> t list -> unit
+(** [cstr_to_buffer b f args] appends what {!to_buffer} writes for
+    [cstr f args], without interning that value: how a fact prints. *)
 
 val to_string : t -> string
+(** The bytes {!to_buffer} writes. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}[ v]. A scalar is one string token. A tuple, set
+    or constructor value is one string inside one [h] box, so it lays
+    out in any enclosing box as a box per element, with [", "] between
+    elements, would: it never breaks inside, and Format breaks the line
+    before it where it would open past the formatter's maximum
+    indentation. *)

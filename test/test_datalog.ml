@@ -287,6 +287,30 @@ let test_valid_even_cycle_undefined () =
   Alcotest.check check_tvl "win(a) undef" Tvl.Undef (run_holds interp "win" [ vs "a" ]);
   Alcotest.check check_tvl "win(b) undef" Tvl.Undef (run_holds interp "win" [ vs "b" ])
 
+(* Facts print as single tokens, so line breaks fall only between them:
+   [Interp.pp] puts one fact on each line of its [v] box. *)
+let test_interp_pp_fact_per_line () =
+  let program, edb =
+    parse "move(a, b). move(b, c). move(c, d). win(X) :- move(X, Y), not win(Y)."
+  in
+  Alcotest.(check string) "one fact per line"
+    "true: move(a, b)\nmove(b, c)\nmove(c, d)\nwin(a)\nwin(c)\nundef: "
+    (Fmt.str "%a" Interp.pp (Run.valid program edb))
+
+(* [Edb.pp] fills the facts into lines of the enclosing box and breaks
+   only between them: no line ends inside a fact, and the text is the
+   facts in order once newlines read as spaces. *)
+let test_edb_pp_breaks_between_facts () =
+  let facts = List.init 150 (fun i -> Fmt.str "e(%d, %d)." i (i + 1)) in
+  let _, edb = parse (String.concat "\n" facts) in
+  let text = Fmt.str "%a" Edb.pp edb in
+  Alcotest.(check (list string)) "no line ends mid-fact" []
+    (List.filter
+       (fun line -> String.ends_with ~suffix:"," line)
+       (String.split_on_char '\n' text));
+  Alcotest.(check string) "facts in order" (String.concat " " facts ^ " ")
+    (String.map (fun c -> if c = '\n' then ' ' else c) text)
+
 let test_wellfounded_unfounded_set () =
   (* p :- q. q :- p. — an unfounded loop is false, not undefined. *)
   let program, edb = parse "p :- q. q :- p." in
@@ -509,6 +533,10 @@ let suite =
     Alcotest.test_case "valid win chain" `Quick test_valid_win_chain;
     Alcotest.test_case "valid win self-loop" `Quick test_valid_win_cycle;
     Alcotest.test_case "valid win 2-cycle" `Quick test_valid_even_cycle_undefined;
+    Alcotest.test_case "Interp.pp prints one fact per line" `Quick
+      test_interp_pp_fact_per_line;
+    Alcotest.test_case "Edb.pp breaks only between facts" `Quick
+      test_edb_pp_breaks_between_facts;
     Alcotest.test_case "wf unfounded set" `Quick test_wellfounded_unfounded_set;
     Alcotest.test_case "stable two models" `Quick test_stable_two_models;
     Alcotest.test_case "stable none" `Quick test_stable_none;

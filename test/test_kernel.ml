@@ -417,6 +417,78 @@ let test_mem_density_guard () =
   Alcotest.(check int) "dense set indexed once" 1
     (s1.Value.Stats.mem_indexed - s0.Value.Stats.mem_indexed)
 
+(* --- Printing --- *)
+
+let edge_ints = [ min_int; min_int + 1; max_int; max_int - 1; 0; 9; -9; 10; -10 ]
+
+let test_int_to_string () =
+  let rng = Random.State.make [| 23 |] in
+  let random =
+    List.init 2000 (fun _ ->
+        Int64.to_int (Random.State.bits64 rng) asr Random.State.int rng 63)
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) "digits" (Int.to_string n) (Value.to_string (vi n)))
+    (edge_ints @ random)
+
+(* The printer's edge cases: deep values, integers over the full range,
+   strings [%S] escapes, and tuples and sets of those. *)
+let printed_value_gen =
+  QCheck.Gen.(
+    let scalar =
+      oneof
+        [ map vi (oneofl edge_ints);
+          map vi int;
+          map Value.str (oneofl [ "say \"hi\""; "back\\slash"; "two\nlines"; "" ]) ]
+    in
+    frequency
+      [ (4, Tgen.deep_value_gen);
+        (2, scalar);
+        (2, map Value.tuple (list_size (int_range 0 3) scalar));
+        (1, map Value.set (list_size (int_range 0 4) scalar)) ])
+
+(* After a pad, the values separated by break hints at the top level and
+   inside each kind of box, and filled as [p(v).] facts the way [Edb.pp]
+   printed them. *)
+let layout_contexts =
+  let boxed fmt pp ppf (pad, vs) = Fmt.pf ppf fmt pp pad Fmt.(list ~sep:sp pp) vs in
+  [ ("top", boxed "%a %a");
+    ("hov 2", boxed "@[<hov 2>%a %a@]");
+    ("v", boxed "@[<v>%a %a@]");
+    ("hv", boxed "@[<hv>%a %a@]");
+    ("b 1", boxed "@[<b 1>%a %a@]");
+    ("h", boxed "@[<h>%a %a@]");
+    ( "facts",
+      fun pp ppf (pad, vs) ->
+        Fmt.pf ppf "%a@ " pp pad;
+        List.iter (fun v -> Fmt.pf ppf "p(%a).@ " pp v) vs ) ]
+
+let render context pp input =
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  Fmt.pf ppf "%a@?" (context pp) input;
+  Buffer.contents b
+
+let prop_pp_layout =
+  QCheck.Test.make ~name:"Value.pp lays out like per-element boxes"
+    ~count:(Tgen.qcount 300)
+    (QCheck.make
+       ~print:(fun (n, vs) ->
+         Printf.sprintf "pad %d: %s" n
+           (String.concat "; " (List.map Value.to_string vs)))
+       QCheck.Gen.(
+         pair (int_range 1 90) (list_size (int_range 1 12) printed_value_gen)))
+    (fun (n, vs) ->
+      let input = (Value.sym (String.make n 'x'), vs) in
+      List.for_all
+        (fun (name, context) ->
+          let got = render context Value.pp input in
+          let want = render context Tgen.reference_pp input in
+          String.equal got want
+          || QCheck.Test.fail_reportf "%s:@ %S@ <>@ %S" name got want)
+        layout_contexts)
+
 (* --- Tvl --- *)
 
 let test_kleene_tables () =
@@ -663,4 +735,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mem_index_lifecycle;
     Alcotest.test_case "mem density guard" `Quick test_mem_density_guard;
     QCheck_alcotest.to_alcotest prop_graph_sccs;
+    Alcotest.test_case "int prints as Int.to_string" `Quick test_int_to_string;
+    QCheck_alcotest.to_alcotest prop_pp_layout;
   ]

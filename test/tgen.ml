@@ -262,6 +262,20 @@ let deep_value_gen =
 
 let deep_value_arb = QCheck.make ~print:Value.to_string deep_value_gen
 
+(* The printer [Value.pp] replaced: an [h] box per tuple, set and
+   constructor value, with [Fmt.comma] between elements. [Value.pp] must
+   lay out exactly like it inside any enclosing box. *)
+let rec reference_pp ppf v =
+  let elems = Fmt.(list ~sep:comma reference_pp) in
+  match Value.node v with
+  | Value.Int x -> Fmt.int ppf x
+  | Value.Str s -> Fmt.pf ppf "%S" s
+  | Value.Bool b -> Fmt.bool ppf b
+  | Value.Sym s -> Fmt.string ppf s
+  | Value.Tuple xs -> Fmt.pf ppf "@[<h>[%a]@]" elems xs
+  | Value.Set xs -> Fmt.pf ppf "@[<h>{%a}@]" elems xs
+  | Value.Cstr (f, xs) -> Fmt.pf ppf "@[<h>%s(%a)@]" f elems xs
+
 (* Random Z-sets over small integer values, weights in [-3, 3] — the
    instance family for the Z-set group and boundary laws. *)
 let zset_gen =
