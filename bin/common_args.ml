@@ -90,9 +90,7 @@ let term =
              cardinalities it observes drift from the estimates. It \
              changes only which expression runs; how each operator runs \
              is the evaluator's choice in both modes. Results are \
-             byte-identical in both modes. On deductive subcommands, \
-             $(b,cost) also orders rule-body literals by envelope \
-             cardinality estimates.")
+             byte-identical in both modes.")
   in
   let stats_file =
     Arg.(
@@ -170,11 +168,6 @@ let fuel_of t =
   | _ ->
     Limits.governed ~fuel:t.fuel ?timeout_ms:t.timeout_ms
       ?memory_limit_mb:t.memory_limit_mb ~degrade:t.degrade ()
-
-let order_of t : [ `Syntactic | `Stats ] =
-  match t.plan with
-  | Plan.Planner.Off -> `Syntactic
-  | Plan.Planner.Cost -> `Stats
 
 (* The planner for an algebra evaluation over [db]: stats come from the
    persisted file when one is given (stale entries pruned against the

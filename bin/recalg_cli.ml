@@ -49,20 +49,19 @@ let run_cmd =
   in
   let run file semantics common =
     let program, edb = load file in
-    let order = Common_args.order_of common in
     Common_args.with_reporting common @@ fun fuel ->
     match semantics with
-    | `Valid -> pp_interp (Datalog.Run.valid ~fuel ~order program edb)
-    | `Wf -> pp_interp (Datalog.Run.wellfounded ~fuel ~order program edb)
-    | `Inf -> pp_interp (Datalog.Run.inflationary ~fuel ~order program edb)
+    | `Valid -> pp_interp (Datalog.Run.valid ~fuel program edb)
+    | `Wf -> pp_interp (Datalog.Run.wellfounded ~fuel program edb)
+    | `Inf -> pp_interp (Datalog.Run.inflationary ~fuel program edb)
     | `Strat -> (
-      match Datalog.Run.stratified ~fuel ~order program edb with
+      match Datalog.Run.stratified ~fuel program edb with
       | Ok db -> Fmt.pr "%a@." Datalog.Edb.pp db
       | Error e ->
         Fmt.epr "error: %s@." e;
         exit 1)
     | `Stable ->
-      let models = Datalog.Run.stable ~fuel ~order program edb in
+      let models = Datalog.Run.stable ~fuel program edb in
       Fmt.pr "%d stable model(s)@." (List.length models);
       List.iteri
         (fun i m ->
@@ -195,11 +194,7 @@ let update_cmd =
       let semantics =
         match s with `Valid -> `Valid | `Wf -> `Wellfounded | `Inf -> `Inflationary
       in
-      let live =
-        Datalog.Run.Live.start ~fuel
-          ~order:(Common_args.order_of common)
-          ~semantics program edb
-      in
+      let live = Datalog.Run.Live.start ~fuel ~semantics program edb in
       let final =
         List.fold_left (fun _ u -> Datalog.Run.Live.update live u)
           (Datalog.Run.Live.interp live) batches
@@ -281,11 +276,10 @@ let query_cmd =
       exit 2
     | Ok rule ->
       let head = rule.Datalog.Rule.head in
-      let order = Common_args.order_of common in
       if Datalog.Literal.atom_vars head = [] then
-        Fmt.pr "%a@." Tvl.pp (Datalog.Query.holds ~fuel ~order program edb head)
+        Fmt.pr "%a@." Tvl.pp (Datalog.Query.holds ~fuel program edb head)
       else
-      let answers = Datalog.Query.ask ~fuel ~order program edb head in
+      let answers = Datalog.Query.ask ~fuel program edb head in
       if answers = [] then Fmt.pr "no@."
       else
         List.iter
@@ -320,16 +314,15 @@ let report_cmd =
   in
   let report file semantics top common =
     let program, edb = load file in
-    let order = Common_args.order_of common in
     Obs.Metrics.reset ();
     Common_args.with_reporting common @@ fun fuel ->
     Obs.Metrics.with_collecting (fun () ->
         match semantics with
-        | `Valid -> ignore (Datalog.Run.valid ~fuel ~order program edb)
-        | `Wf -> ignore (Datalog.Run.wellfounded ~fuel ~order program edb)
-        | `Inf -> ignore (Datalog.Run.inflationary ~fuel ~order program edb)
+        | `Valid -> ignore (Datalog.Run.valid ~fuel program edb)
+        | `Wf -> ignore (Datalog.Run.wellfounded ~fuel program edb)
+        | `Inf -> ignore (Datalog.Run.inflationary ~fuel program edb)
         | `Strat -> (
-          match Datalog.Run.stratified ~fuel ~order program edb with
+          match Datalog.Run.stratified ~fuel program edb with
           | Ok _ -> ()
           | Error e ->
             Fmt.epr "error: %s@." e;

@@ -51,7 +51,6 @@ module Datalog = struct
   module Edb = Recalg_datalog.Edb
   module Store = Recalg_datalog.Store
   module Safety = Recalg_datalog.Safety
-  module Cardest = Recalg_datalog.Cardest
   module Stratify = Recalg_datalog.Stratify
   module Grounder = Recalg_datalog.Grounder
   module Propgm = Recalg_datalog.Propgm

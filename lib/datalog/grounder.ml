@@ -1,11 +1,12 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
-exception Unsafe of string
+exception Unsafe = Store.Unsafe
 
 type state = {
   program : Program.t;
   fuel : Limits.fuel;
+  rules : (Rule.t * Literal.t list) list;  (* bodies in evaluation order *)
   atoms : Propgm.fact Interner.t;
   stores : (string, Store.t) Hashtbl.t;
   seen_rules : (int * int list * int list, unit) Hashtbl.t;
@@ -36,8 +37,12 @@ let discover st pred tup =
   let s = store_of st pred in
   if not (Store.known s tup) then Store.add s tup
 
+(* A rule instance is its head with its positive and negative body atoms
+   as sets. *)
+let rule_key head pos neg = (head, List.sort Int.compare pos, List.sort Int.compare neg)
+
 let emit_rule st ~head ~pos ~neg =
-  let key = (head, List.sort Int.compare pos, List.sort Int.compare neg) in
+  let key = rule_key head pos neg in
   if not (Hashtbl.mem st.seen_rules key) then begin
     Hashtbl.add st.seen_rules key ();
     Limits.spend st.fuel ~what:"grounder: rule instance";
@@ -47,6 +52,18 @@ let emit_rule st ~head ~pos ~neg =
     let pred, tup = Interner.get st.atoms head in
     discover st pred tup
   end
+
+(* Replace the materialized rules and re-key the instance table. *)
+let set_rules st rules =
+  st.ground_rules <- rules;
+  Hashtbl.reset st.seen_rules;
+  List.iter
+    (fun (r : Propgm.rule) ->
+      Hashtbl.replace st.seen_rules
+        (rule_key r.Propgm.head (Array.to_list r.Propgm.pos)
+           (Array.to_list r.Propgm.neg))
+        ())
+    rules
 
 (* Enumerate all substitutions satisfying the ordered body within the
    current envelope, calling [k] on each complete one — the semi-naive
@@ -67,7 +84,7 @@ let solve st body delta_pos k =
     ~neg:(fun _ _ -> true)
     ~count body k
 
-let instantiate_rule st (r : Rule.t) ordered_body ~delta_pos =
+let instantiate st ((r : Rule.t), ordered_body, delta_pos) =
   let builtins = st.program.Program.builtins in
   solve st ordered_body delta_pos (fun subst ->
       match Literal.ground_atom builtins subst r.Rule.head with
@@ -91,87 +108,10 @@ let instantiate_rule st (r : Rule.t) ordered_body ~delta_pos =
         emit_rule st ~head ~pos:(List.rev pos_ids) ~neg:(List.rev neg_ids)
       | None -> ())
 
-(* [`Stats] scans the smallest estimated relation first (see {!Cardest});
-   any evaluable ordering instantiates the same ground rules on the same
-   rounds, so the propositional program is identical either way. *)
-let ordered_bodies ?(order = `Syntactic) program edb =
-  let prefer =
-    match order with
-    | `Syntactic -> fun _ -> 0
-    | `Stats -> Cardest.prefer program edb
-  in
-  List.map
-    (fun (r : Rule.t) ->
-      match
-        Safety.evaluation_order_with program.Program.builtins ~prefer
-          r.Rule.body
-      with
-      | Ok body -> (r, body)
-      | Error msg -> raise (Unsafe msg))
-    program.Program.rules
-
-let promote st =
-  Hashtbl.iter (fun _ s -> Store.promote s) st.stores;
-  if Obs.enabled () then begin
-    let envelope, delta =
-      Hashtbl.fold
-        (fun _ s (e, d) ->
-          let dn = Tuples.cardinal (Store.delta s) in
-          (e + Tuples.cardinal (Store.full s) + dn, d + dn))
-        st.stores (0, 0)
-    in
-    Obs.count "ground/envelope" envelope;
-    Obs.count "ground/delta" delta
-  end
-
-let delta_nonempty st =
-  Hashtbl.fold
-    (fun _ s acc -> acc || not (Tuples.is_empty (Store.delta s)))
-    st.stores false
-
-let close_seminaive st ordered =
-  while delta_nonempty st do
-    Limits.check st.fuel ~what:"grounder: round";
-    Faultinj.hit "ground/round";
-    Obs.count "ground/round" 1;
-    List.iter
-      (fun (r, body) ->
-        List.iteri
-          (fun i lit ->
-            match lit with
-            | Literal.Pos _ -> instantiate_rule st r body ~delta_pos:(Some i)
-            | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> ())
-          body)
-      ordered;
-    promote st
-  done
-
-let fresh_state ~fuel program =
-  {
-    program;
-    fuel;
-    atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ();
-    stores = Hashtbl.create 16;
-    seen_rules = Hashtbl.create 256;
-    ground_rules = [];
-    idx_hits = 0;
-    idx_misses = 0;
-    scans = 0;
-  }
-
-(* Seed the envelope with the extensional database; EDB facts become
-   body-less ground rules so every semantics sees them as axioms. *)
-let seed_axioms st edb =
-  Edb.fold
-    (fun pred tup () ->
-      let id = intern_fact st (pred, tup) in
-      emit_rule st ~head:id ~pos:[] ~neg:[])
-    edb ()
-
 let propgm_of st =
   { Propgm.atoms = st.atoms; rules = Array.of_list (List.rev st.ground_rules) }
 
-let flush_probe_counters st =
+let flush_counters st =
   if Obs.enabled () then begin
     Obs.count "ground/index_hit" st.idx_hits;
     Obs.count "ground/index_miss" st.idx_misses;
@@ -179,34 +119,48 @@ let flush_probe_counters st =
     st.idx_hits <- 0;
     st.idx_misses <- 0;
     st.scans <- 0;
+    Obs.count "ground/envelope"
+      (Hashtbl.fold (fun _ s n -> n + Tuples.cardinal (Store.full s)) st.stores 0);
     Obs.count "ground/atoms" (Interner.size st.atoms);
     Obs.count "ground/rules" (List.length st.ground_rules)
   end
 
-let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?order program
-    edb =
-  Obs.span "ground" @@ fun () ->
-  let st = fresh_state ~fuel program in
-  seed_axioms st edb;
-  let ordered = ordered_bodies ?order program edb in
-  promote st;
-  (* First pass without a delta restriction covers rules whose bodies have
-     no positive literal and seeds everything else. *)
-  List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-  promote st;
-  (match strategy with
-  | `Seminaive -> close_seminaive st ordered
-  | `Naive ->
-    let changed = ref true in
-    while !changed do
-      Obs.count "ground/round" 1;
-      let before = Hashtbl.length st.seen_rules in
-      List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-      promote st;
-      changed := Hashtbl.length st.seen_rules > before || delta_nonempty st
-    done);
-  flush_probe_counters st;
-  propgm_of st
+(* Add [axioms] to the envelope as body-less ground rules, so every
+   semantics sees them as axioms, and run the rule loop to its
+   fixpoint. The axioms are the first round's delta. *)
+let close st axioms ~first ~variant =
+  Edb.fold
+    (fun pred tup () ->
+      let id = intern_fact st (pred, tup) in
+      emit_rule st ~head:id ~pos:[] ~neg:[])
+    axioms ();
+  Hashtbl.iter (fun _ s -> Store.promote s) st.stores;
+  Store.rounds ~fuel:st.fuel ~what:"grounder: round" ~site:"ground/round"
+    ~derived:"ground/delta" ~first ~variant
+    ~fire:(List.iter (instantiate st))
+    st.stores st.rules;
+  flush_counters st
+
+let grounding ~fuel ~strategy program edb =
+  let st =
+    {
+      program;
+      fuel;
+      rules = Store.ordered program.Program.builtins program.Program.rules;
+      atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ();
+      stores = Hashtbl.create 16;
+      seen_rules = Hashtbl.create 256;
+      ground_rules = [];
+      idx_hits = 0;
+      idx_misses = 0;
+      scans = 0;
+    }
+  in
+  close st edb ~first:`Full ~variant:strategy;
+  st
+
+let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) program edb =
+  Obs.span "ground" @@ fun () -> propgm_of (grounding ~fuel ~strategy program edb)
 
 (* Resident grounding under update batches.
 
@@ -223,29 +177,17 @@ let ground ?(fuel = Limits.default ()) ?(strategy = `Seminaive) ?order program
    store tuples are pruned. One conservative corner: a fact that is both
    extensional and the head of a body-less rule instance shares a single
    materialized rule with its axiom, so retraction can overdelete it —
-   the full re-instantiation pass that follows rederives it, DRed-style.
+   the unrestricted first round that follows rederives it, DRed-style.
 
    Atoms stay interned forever: the interner cannot shrink, but a stale
    atom heads no rule, so every semantics maps it to false and
    interpretation-level equality with a from-scratch grounding holds. *)
 module Live = struct
-  type nonrec t = {
-    st : state;
-    ordered : (Rule.t * Literal.t list) list;
-    mutable edb : Edb.t;
-  }
+  type nonrec t = { st : state; mutable edb : Edb.t }
 
-  let start ?(fuel = Limits.default ()) ?order program edb =
+  let start ?(fuel = Limits.default ()) program edb =
     Obs.span "ground.live_start" @@ fun () ->
-    let st = fresh_state ~fuel program in
-    seed_axioms st edb;
-    let ordered = ordered_bodies ?order program edb in
-    promote st;
-    List.iter (fun (r, body) -> instantiate_rule st r body ~delta_pos:None) ordered;
-    promote st;
-    close_seminaive st ordered;
-    flush_probe_counters st;
-    { st; ordered; edb }
+    { st = grounding ~fuel ~strategy:`Seminaive program edb; edb }
 
   let edb t = t.edb
   let propgm t = propgm_of t.st
@@ -278,16 +220,7 @@ module Live = struct
   let restore t cp =
     let st = t.st in
     t.edb <- cp.cp_edb;
-    st.ground_rules <- cp.cp_rules;
-    Hashtbl.reset st.seen_rules;
-    List.iter
-      (fun (r : Propgm.rule) ->
-        Hashtbl.replace st.seen_rules
-          ( r.Propgm.head,
-            List.sort Int.compare (Array.to_list r.Propgm.pos),
-            List.sort Int.compare (Array.to_list r.Propgm.neg) )
-          ())
-      cp.cp_rules;
+    set_rules st cp.cp_rules;
     Hashtbl.iter
       (fun pred s ->
         Store.restore s
@@ -300,11 +233,6 @@ module Live = struct
       st.stores
 
   module Iset = Set.Make (Int)
-
-  let rule_key (r : Propgm.rule) =
-    ( r.Propgm.head,
-      List.sort Int.compare (Array.to_list r.Propgm.pos),
-      List.sort Int.compare (Array.to_list r.Propgm.neg) )
 
   let retract t dels =
     let st = t.st in
@@ -329,56 +257,25 @@ module Live = struct
     (* Atom liveness over the remaining rules, as a least fixpoint from
        scratch — support counts cannot simply be decremented, because
        facts may have supported each other in a cycle reachable only
-       through a deleted fact. Counting worklist: each rule holds the
-       number of its not-yet-live positive occurrences; a rule reaching
-       zero makes its head live, waking the rules waiting on it. *)
-    let live : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-    let waiting : (int, (int ref * Propgm.rule) list) Hashtbl.t =
-      Hashtbl.create 256
+       through a deleted fact. Negative literals never filter the
+       envelope, so they are licensed; a rule is kept when all its
+       positive atoms are live. One unit of fuel per live atom. *)
+    let live =
+      Fixpoint.lfp
+        { Propgm.atoms = st.atoms; rules = Array.of_list candidates }
+        ~neg_ok:(fun _ -> true)
     in
-    let queue = Queue.create () in
-    let mark id =
-      if not (Hashtbl.mem live id) then begin
-        Hashtbl.add live id ();
-        Queue.push id queue
-      end
-    in
-    let entries =
-      List.map
-        (fun (r : Propgm.rule) ->
-          let unmet = ref (Array.length r.Propgm.pos) in
-          Array.iter
-            (fun a ->
-              let l = Option.value (Hashtbl.find_opt waiting a) ~default:[] in
-              Hashtbl.replace waiting a ((unmet, r) :: l))
-            r.Propgm.pos;
-          if !unmet = 0 then mark r.Propgm.head;
-          (unmet, r))
-        candidates
-    in
-    while not (Queue.is_empty queue) do
-      let a = Queue.pop queue in
-      Limits.spend st.fuel ~what:"grounder: liveness";
-      match Hashtbl.find_opt waiting a with
-      | None -> ()
-      | Some l ->
-        Hashtbl.remove waiting a;
-        List.iter
-          (fun (unmet, (r : Propgm.rule)) ->
-            decr unmet;
-            if !unmet = 0 then mark r.Propgm.head)
-          l
+    for _ = 1 to Bitset.count live do
+      Limits.spend st.fuel ~what:"grounder: liveness"
     done;
     let kept =
-      List.filter_map
-        (fun (unmet, r) -> if !unmet = 0 then Some r else None)
-        entries
+      List.filter
+        (fun (r : Propgm.rule) -> Array.for_all (Bitset.get live) r.Propgm.pos)
+        candidates
     in
     Obs.countf "incr/ground_pruned_rules" (fun () ->
         List.length st.ground_rules - List.length kept);
-    st.ground_rules <- kept;
-    Hashtbl.reset st.seen_rules;
-    List.iter (fun r -> Hashtbl.replace st.seen_rules (rule_key r) ()) kept;
+    set_rules st kept;
     (* Prune dead envelope tuples and invalidate the per-store indexes.
        Between updates [delta]/[next] are empty, so [full] is the whole
        envelope. *)
@@ -388,7 +285,7 @@ module Live = struct
           Tuples.filter
             (fun tup ->
               match Interner.find_opt st.atoms (pred, tup) with
-              | Some id -> Hashtbl.mem live id
+              | Some id -> Bitset.get live id
               | None -> false)
             (Store.full s)
         in
@@ -413,19 +310,12 @@ module Live = struct
         Limits.spend t.st.fuel ~what:"grounder: update batch";
         Faultinj.hit "incr/batch";
         if n_dels > 0 then retract t dels;
-        seed_axioms t.st adds;
-        promote t.st;
-        if n_dels > 0 then begin
-          (* Rederive: one unrestricted pass re-fires every rule against
-             the pruned envelope, resurrecting the conservatively
-             overdeleted instances noted above, before closing up. *)
-          List.iter
-            (fun (r, body) -> instantiate_rule t.st r body ~delta_pos:None)
-            t.ordered;
-          promote t.st
-        end;
-        close_seminaive t.st t.ordered;
-        flush_probe_counters t.st
+        (* After a retraction the first round re-fires every rule
+           against the pruned envelope, resurrecting the conservatively
+           overdeleted instances noted above; an insertion alone
+           continues from the new axioms. *)
+        close t.st adds ~first:(if n_dels > 0 then `Full else `Delta)
+          ~variant:`Seminaive
       end;
       propgm_of t.st
     with e ->

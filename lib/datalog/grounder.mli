@@ -13,23 +13,18 @@
     (inflationary, well-founded, valid, stable) applied afterwards. *)
 
 exception Unsafe of string
-(** Raised when a rule body admits no evaluable literal ordering. *)
+(** Raised when a rule body admits no evaluable literal ordering; the
+    same exception as {!Store.Unsafe} and {!Seminaive.Unsafe}. *)
 
 val ground :
   ?fuel:Recalg_kernel.Limits.fuel ->
   ?strategy:[ `Seminaive | `Naive ] ->
-  ?order:[ `Syntactic | `Stats ] ->
   Program.t -> Edb.t -> Propgm.t
 (** [strategy] (default [`Seminaive]) selects delta-restricted
     instantiation or full re-instantiation every round — the two produce
     identical propositional programs; the naive mode exists for the
-    engine-ablation benchmark.
-
-    [order] (default [`Syntactic]) selects the body-literal ordering:
-    [`Stats] ranks evaluable literals by {!Cardest} envelope estimates,
-    scanning the smallest relation first. Every evaluable ordering emits
-    the same rule instances, so the propositional program is identical —
-    only enumeration cost changes. *)
+    engine-ablation benchmark. The rounds are {!Store.rounds}, with every
+    rule body in its written order ({!Store.ordered}). *)
 
 (** Resident grounding maintained under {!Edb.Update} batches.
 
@@ -37,9 +32,10 @@ val ground :
     literals never filter during grounding), so insertions continue the
     semi-naive instantiation from the materialized state. Deletions
     retract: the deleted facts' axiom rules are removed, atom liveness is
-    recomputed over the materialized ground rules (a counting-worklist
-    least fixpoint), dead rules and dead envelope tuples are pruned, and
-    a rederivation pass plus closing rounds restore exactness.
+    recomputed over the remaining ground rules ({!Fixpoint.lfp} with
+    every negative literal licensed), dead rules and dead envelope
+    tuples are pruned, and an unrestricted first round plus the closing
+    rounds restore exactness.
 
     Interned atoms are never forgotten — a stale atom heads no rule and
     is therefore false under every semantics, so the maintained program
@@ -49,12 +45,9 @@ val ground :
 module Live : sig
   type t
 
-  val start :
-    ?fuel:Recalg_kernel.Limits.fuel -> ?order:[ `Syntactic | `Stats ] ->
-    Program.t -> Edb.t -> t
-  (** Ground [program] over [edb] and keep the instantiation state
-      resident. [order] as in {!ground}, applied to the initial
-      grounding (updates reuse the chosen orderings). *)
+  val start : ?fuel:Recalg_kernel.Limits.fuel -> Program.t -> Edb.t -> t
+  (** Ground [program] over [edb], as {!ground} does, and keep the
+      instantiation state resident. *)
 
   val edb : t -> Edb.t
   (** The current (post-update) extensional database. *)

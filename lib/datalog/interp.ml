@@ -45,30 +45,29 @@ let holds t pred args =
 
 let holds_fact t (pred, args) = holds t pred args
 
-let tuples_of set pred =
-  Facts.fold (fun (p, args) acc -> if String.equal p pred then args :: acc else acc)
-    set []
-  |> List.rev
+(* [Facts] is ordered by predicate first, and [(pred, [])] sorts before
+   every fact of [pred], so one predicate's facts are one range. *)
+let range set pred =
+  Facts.to_seq_from (pred, []) set
+  |> Seq.take_while (fun (p, _) -> String.equal p pred)
 
+let tuples_of set pred = List.of_seq (Seq.map snd (range set pred))
 let true_tuples t pred = tuples_of t.true_ pred
 let undef_tuples t pred = tuples_of t.undef pred
 
 let false_tuples t pred =
-  Facts.fold
-    (fun ((p, args) as f) acc ->
-      if String.equal p pred && (not (Facts.mem f t.true_)) && not (Facts.mem f t.undef)
-      then args :: acc
-      else acc)
-    t.base []
-  |> List.rev
+  range t.base pred
+  |> Seq.filter (fun f -> not (Facts.mem f t.true_ || Facts.mem f t.undef))
+  |> Seq.map snd |> List.of_seq
 
 let preds t =
-  let add set acc =
-    Facts.fold
-      (fun (p, _) acc -> if List.mem p acc then acc else p :: acc)
-      set acc
-  in
-  List.rev (add t.base [])
+  Facts.fold
+    (fun (p, _) acc ->
+      match acc with
+      | q :: _ when String.equal p q -> acc
+      | _ :: _ | [] -> p :: acc)
+    t.base []
+  |> List.rev
 
 let to_edb t =
   Facts.fold (fun (p, args) edb -> Edb.add p args edb) t.true_ Edb.empty

@@ -37,11 +37,11 @@ let ask_interp interp builtins (goal : Literal.atom) =
   of_tuples Tvl.True (Interp.true_tuples interp goal.Literal.pred)
   @ of_tuples Tvl.Undef (Interp.undef_tuples interp goal.Literal.pred)
 
-let ask ?fuel ?order program edb goal =
-  ask_interp (Run.valid ?fuel ?order program edb) program.Program.builtins goal
+let ask ?fuel program edb goal =
+  ask_interp (Run.valid ?fuel program edb) program.Program.builtins goal
 
-let holds ?fuel ?order program edb (goal : Literal.atom) =
+let holds ?fuel program edb (goal : Literal.atom) =
   match Literal.ground_atom program.Program.builtins Subst.empty goal with
   | None -> invalid_arg "Query.holds: goal must be ground"
   | Some (pred, args) ->
-    Interp.holds (Run.valid ?fuel ?order program edb) pred args
+    Interp.holds (Run.valid ?fuel program edb) pred args

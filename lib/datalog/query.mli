@@ -14,17 +14,13 @@ type answer = {
   status : Tvl.t;  (** [True] or [Undef]; false tuples are not listed *)
 }
 
-val ask :
-  ?fuel:Limits.fuel -> ?order:Run.order -> Program.t -> Edb.t ->
-  Literal.atom -> answer list
+val ask : ?fuel:Limits.fuel -> Program.t -> Edb.t -> Literal.atom -> answer list
 (** Evaluate under the valid semantics and match the goal against every
     true and undefined fact of its predicate. *)
 
 val ask_interp : Interp.t -> Builtins.t -> Literal.atom -> answer list
 (** Same, against an already computed interpretation. *)
 
-val holds :
-  ?fuel:Limits.fuel -> ?order:Run.order -> Program.t -> Edb.t ->
-  Literal.atom -> Tvl.t
+val holds : ?fuel:Limits.fuel -> Program.t -> Edb.t -> Literal.atom -> Tvl.t
 (** Ground goal only: its three-valued status. Raises [Invalid_argument]
     on a non-ground goal. *)

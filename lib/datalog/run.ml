@@ -1,26 +1,24 @@
 module Obs = Recalg_obs.Obs
 
-type order = [ `Syntactic | `Stats ]
-
-let valid ?fuel ?order program edb =
+let valid ?fuel program edb =
   Obs.span "run.valid" @@ fun () ->
-  Valid.solve (Grounder.ground ?fuel ?order program edb)
+  Valid.solve (Grounder.ground ?fuel program edb)
 
-let wellfounded ?fuel ?order program edb =
+let wellfounded ?fuel program edb =
   Obs.span "run.wellfounded" @@ fun () ->
-  Wellfounded.solve (Grounder.ground ?fuel ?order program edb)
+  Wellfounded.solve (Grounder.ground ?fuel program edb)
 
-let inflationary ?fuel ?order program edb =
+let inflationary ?fuel program edb =
   Obs.span "run.inflationary" @@ fun () ->
-  Inflationary.solve (Grounder.ground ?fuel ?order program edb)
+  Inflationary.solve (Grounder.ground ?fuel program edb)
 
-let stable ?fuel ?max_residue ?order program edb =
+let stable ?fuel ?max_residue program edb =
   Obs.span "run.stable" @@ fun () ->
-  Stable.models ?max_residue (Grounder.ground ?fuel ?order program edb)
+  Stable.models ?max_residue (Grounder.ground ?fuel program edb)
 
-let stratified ?fuel ?order program edb =
+let stratified ?fuel program edb =
   Obs.span "run.stratified" @@ fun () ->
-  Seminaive.stratified ?fuel ?order program edb
+  Seminaive.stratified ?fuel program edb
 
 let holds ?fuel program edb pred args = Interp.holds (valid ?fuel program edb) pred args
 
@@ -39,9 +37,9 @@ module Live = struct
     | `Wellfounded -> Wellfounded.solve pg
     | `Inflationary -> Inflationary.solve pg
 
-  let start ?fuel ?order ~semantics program edb =
+  let start ?fuel ~semantics program edb =
     Obs.span "run.live_start" @@ fun () ->
-    let ground = Grounder.Live.start ?fuel ?order program edb in
+    let ground = Grounder.Live.start ?fuel program edb in
     { semantics; ground; interp = solve semantics (Grounder.Live.propgm ground) }
 
   let interp t = t.interp

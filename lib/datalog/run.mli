@@ -3,28 +3,18 @@
 
 open Recalg_kernel
 
-type order = [ `Syntactic | `Stats ]
-(** Body-literal ordering for the underlying grounder or relational
-    evaluator ([`Stats] = smallest estimated relation first, see
-    {!Cardest}); results, rounds, and fuel are identical under every
-    ordering — only enumeration cost changes. *)
-
-val valid : ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t -> Interp.t
+val valid : ?fuel:Limits.fuel -> Program.t -> Edb.t -> Interp.t
 (** The paper's semantics of choice (Section 2.2). *)
 
-val wellfounded :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t -> Interp.t
-
-val inflationary :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t -> Interp.t
+val wellfounded : ?fuel:Limits.fuel -> Program.t -> Edb.t -> Interp.t
+val inflationary : ?fuel:Limits.fuel -> Program.t -> Edb.t -> Interp.t
 
 val stable :
-  ?fuel:Limits.fuel -> ?max_residue:int -> ?order:order -> Program.t ->
-  Edb.t -> Interp.t list
+  ?fuel:Limits.fuel -> ?max_residue:int -> Program.t -> Edb.t ->
+  Interp.t list
 
 val stratified :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t ->
-  (Edb.t, string) result
+  ?fuel:Limits.fuel -> Program.t -> Edb.t -> (Edb.t, string) result
 
 val holds :
   ?fuel:Limits.fuel -> Program.t -> Edb.t -> string -> Value.t list -> Tvl.t
@@ -46,8 +36,7 @@ module Live : sig
   type semantics = [ `Valid | `Wellfounded | `Inflationary ]
 
   val start :
-    ?fuel:Limits.fuel -> ?order:order -> semantics:semantics -> Program.t ->
-    Edb.t -> t
+    ?fuel:Limits.fuel -> semantics:semantics -> Program.t -> Edb.t -> t
 
   val interp : t -> Interp.t
   (** The current interpretation (post last update). *)

@@ -1,9 +1,7 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
-exception Unsafe of string
-
-type order = [ `Syntactic | `Stats ]
+exception Unsafe = Store.Unsafe
 
 (* Every predicate an evaluation reads has a {!Store}: derived predicates
    a full/delta/next store per fixpoint, extensional ones a store over
@@ -39,72 +37,22 @@ let add_body_stores stores rules section =
         (Rule.body_preds r))
     rules
 
-(* [`Stats] ranks the ready literals at each ordering step by their
-   envelope cardinality estimate (see {!Cardest}) — smallest relation
-   first. Any valid ordering derives the same facts on the same rounds,
-   so the choice affects enumeration cost only, never results or fuel. *)
-let ordered_rules ?(order = `Syntactic) ?live program ~base rules =
-  let prefer =
-    match order with
-    | `Syntactic -> fun _ -> 0
-    | `Stats -> (
-      match live with
-      | None -> Cardest.prefer program base
-      | Some live -> Cardest.prefer_with ~live program base)
-  in
-  List.map
-    (fun (r : Rule.t) ->
-      match
-        Safety.evaluation_order_with program.Program.builtins ~prefer
-          r.Rule.body
-      with
-      | Ok body -> (r, body)
-      | Error msg -> raise (Unsafe msg))
-    rules
-
 (* The shared fixpoint loop: [stores] arrive pre-seeded (that is the only
-   difference between a from-scratch run and a resumed one). The first
-   round is governed by [first]: [`Full] runs it unrestricted (the
-   from-scratch seeding, and DRed's rederivation pass), while [`Delta]
-   fires only the delta-restricted instantiations, like every later
-   semi-naive round — with [resume ~adds] the extensional stores carry
-   the newly inserted facts as their delta, so the first round is the
-   semi-naive continuation, which never rescans the materialized bulk.
-   Afterwards, delta-restricted rounds close up either way. *)
-let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules =
+   difference between a from-scratch run and a resumed one), and
+   {!Store.rounds} runs the rounds. The first is governed by [first]:
+   [`Full] runs it unrestricted (the from-scratch seeding, and DRed's
+   rederivation pass), while [`Delta] fires only the delta-restricted
+   instantiations, like every later semi-naive round — with [resume
+   ~adds] the extensional stores carry the newly inserted facts as their
+   delta, so the first round is the semi-naive continuation, which never
+   rescans the materialized bulk. *)
+let eval_loop ~variant ~first ~fuel program ~stores ~derived rules =
   let builtins = program.Program.builtins in
   let store = store_in stores in
   let solve delta_pos body k =
     solve builtins stores ~sections:(Store.split delta_pos) body k
   in
-  let ordered = ordered_rules ~order program ~base rules in
-  (* Under [`Stats], re-rank the body literals each round against the
-     live store cardinalities: as derived relations grow past their
-     static envelopes, the cheapest enumeration order changes. Every
-     valid ordering derives the same facts on the same rounds, so the
-     re-rank moves enumeration cost only — results and fuel are
-     untouched — and it reads the stores, not the metrics registry, so
-     runs are identical with metrics on or off. *)
-  let live_ordered prev =
-    match order with
-    | `Syntactic -> prev
-    | `Stats ->
-      let live pred =
-        if List.mem pred derived then
-          let s = store pred in
-          Some (Tuples.cardinal (Store.full s) + Tuples.cardinal (Store.delta s))
-        else None
-      in
-      let next = ordered_rules ~order ~live program ~base rules in
-      let same =
-        List.for_all2
-          (fun (_, b1) (_, b2) -> List.for_all2 ( == ) b1 b2)
-          prev next
-      in
-      if not same then Obs.count "seminaive/reorder" 1;
-      next
-  in
-  let cur_ordered = ref ordered in
+  let rules = Store.ordered builtins rules in
   let commit pred args =
     let s = store pred in
     if not (Store.known s args) then begin
@@ -163,66 +111,15 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
       in
       List.iter (List.iter (fun (pred, args) -> commit pred args)) candidates
   in
-  let full_tasks ordered = List.map (fun (r, body) -> (r, body, None)) ordered in
-  (* Every genuinely new derivation consumes at least one new fact at
-     some body position (induction over rounds); firing each position
-     whose store has a delta, with the standard old/delta/all split,
-     covers exactly those instantiations. *)
-  let delta_tasks ordered =
-    List.concat_map
-      (fun ((r : Rule.t), body) ->
-        List.concat
-          (List.mapi
-             (fun i lit ->
-               match lit with
-               | Literal.Pos a
-                 when not (Tuples.is_empty (Store.delta (store a.Literal.pred)))
-                 ->
-                 [ (r, body, Some i) ]
-               | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _
-                 -> [])
-             body))
-      ordered
-  in
-  let promote () = Hashtbl.iter (fun _ s -> Store.promote s) stores in
-  let delta_nonempty () =
-    Hashtbl.fold
-      (fun _ s acc -> acc || not (Tuples.is_empty (Store.delta s)))
-      stores false
-  in
-  let derived_this_round () =
-    Hashtbl.fold (fun _ s acc -> acc + Tuples.cardinal (Store.next s)) stores 0
-  in
   (* Under a [~degrade:true] budget, exhaustion anywhere in the loop is
      caught at this level: the facts derived so far (including the
      not-yet-promoted current round) are a sound under-approximation of
      the monotone fixpoint, returned with the budget latched as
      degraded. Injected faults and other exceptions propagate. *)
   (try
-     Obs.count "seminaive/round" 1;
-     Faultinj.hit "seminaive/round";
-     derive_all
-       (match first with
-       | `Full -> full_tasks ordered
-       | `Delta -> delta_tasks ordered);
-     Obs.countf "seminaive/derived" derived_this_round;
-     promote ();
-     while delta_nonempty () do
-       Limits.check fuel ~what:"seminaive: round";
-       Faultinj.hit "seminaive/round";
-       Obs.count "seminaive/round" 1;
-       cur_ordered := live_ordered !cur_ordered;
-       let ordered = !cur_ordered in
-       derive_all
-         (match variant with
-         | `Naive ->
-           (* Full re-evaluation: recompute everything from the whole
-              store. *)
-           full_tasks ordered
-         | `Seminaive -> delta_tasks ordered);
-       Obs.countf "seminaive/derived" derived_this_round;
-       promote ()
-     done
+     Store.rounds ~fuel ~what:"seminaive: round" ~site:"seminaive/round"
+       ~derived:"seminaive/derived" ~first ~variant ~fire:derive_all stores
+       rules
    with e when Limits.degradable fuel e -> Limits.latch fuel e);
   (* Normally [delta]/[next] are empty here; after a degraded cut they
      hold the in-flight facts, all of which are genuinely derived. *)
@@ -232,8 +129,7 @@ let eval_loop ~variant ~first ~fuel ~order program ~base ~stores ~derived rules 
 
 let head_preds rules = List.sort_uniq String.compare (List.map Rule.head_pred rules)
 
-let run ~variant ?(fuel = Limits.default ()) ?(order = `Syntactic) program
-    ~base rules =
+let run ~variant ?(fuel = Limits.default ()) program ~base rules =
   Obs.span "seminaive" @@ fun () ->
   let stores : stores = Hashtbl.create 16 in
   let derived = head_preds rules in
@@ -246,11 +142,9 @@ let run ~variant ?(fuel = Limits.default ()) ?(order = `Syntactic) program
         (Store.create ~full:(Edb.relation base pred) ~delta:Tuples.empty))
     derived;
   add_body_stores stores rules (fun pred -> (Edb.relation base pred, Tuples.empty));
-  eval_loop ~variant ~first:`Full ~fuel ~order program ~base ~stores ~derived
-    rules
+  eval_loop ~variant ~first:`Full ~fuel program ~stores ~derived rules
 
-let resume ?(fuel = Limits.default ()) ?(order = `Syntactic) ?adds program
-    ~base ~init rules =
+let resume ?(fuel = Limits.default ()) ?adds program ~base ~init rules =
   Obs.span "seminaive.resume" @@ fun () ->
   let stores : stores = Hashtbl.create 16 in
   let derived = head_preds rules in
@@ -280,41 +174,35 @@ let resume ?(fuel = Limits.default ()) ?(order = `Syntactic) ?adds program
           (Tuples.diff (Edb.relation base pred) delta, delta) )
   in
   add_body_stores stores rules sections;
-  eval_loop ~variant:`Seminaive ~first ~fuel ~order program ~base ~stores
-    ~derived rules
+  eval_loop ~variant:`Seminaive ~first ~fuel program ~stores ~derived rules
 
 (* Each store holds [base] as its full section and the frontier (a
    subset of it) as its delta, which only the restricted position reads;
    every other literal reads [base] alone. *)
-let delta_heads ?order program ~base ~frontier rules =
+let delta_heads program ~base ~frontier rules =
   let builtins = program.Program.builtins in
   let stores : stores = Hashtbl.create 16 in
   add_body_stores stores rules (fun pred ->
       (Edb.relation base pred, Edb.relation frontier pred));
   let out = ref Edb.empty in
   List.iter
-    (fun ((r : Rule.t), body) ->
-      List.iteri
-        (fun i lit ->
-          match lit with
-          | Literal.Pos a when Edb.cardinal frontier a.Literal.pred > 0 ->
-            solve builtins stores
-              ~sections:(fun j -> if j = i then [ Store.Delta ] else [ Store.Full ])
-              body
-              (fun subst ->
-                match Literal.ground_atom builtins subst r.Rule.head with
-                | Some (pred, args) -> out := Edb.add pred args !out
-                | None -> ())
-          | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> ())
-        body)
-    (ordered_rules ?order program ~base rules);
+    (fun ((r : Rule.t), body, delta_pos) ->
+      let sections j =
+        match delta_pos with
+        | Some d when d = j -> [ Store.Delta ]
+        | Some _ | None -> [ Store.Full ]
+      in
+      solve builtins stores ~sections body (fun subst ->
+          match Literal.ground_atom builtins subst r.Rule.head with
+          | Some (pred, args) -> out := Edb.add pred args !out
+          | None -> ()))
+    (Store.delta_tasks stores (Store.ordered builtins rules));
   !out
 
-let naive ?fuel ?order program ~base rules =
-  run ~variant:`Naive ?fuel ?order program ~base rules
+let naive ?fuel program ~base rules = run ~variant:`Naive ?fuel program ~base rules
 
-let seminaive ?fuel ?order program ~base rules =
-  run ~variant:`Seminaive ?fuel ?order program ~base rules
+let seminaive ?fuel program ~base rules =
+  run ~variant:`Seminaive ?fuel program ~base rules
 
 (* The rules whose head is in each group, one bucket per group, each in
    program order: one pass over the rules, not one per group. *)
@@ -329,7 +217,7 @@ let bucket_rules groups rules =
     (List.rev rules);
   Array.to_list buckets
 
-let stratified ?fuel ?order program edb =
+let stratified ?fuel program edb =
   match Safety.check program with
   | Error violations ->
     Error
@@ -342,7 +230,7 @@ let stratified ?fuel ?order program edb =
     | Ok groups ->
       let eval_rules base rules =
         if rules = [] then Edb.empty
-        else seminaive ?fuel ?order program ~base rules
+        else seminaive ?fuel program ~base rules
       in
       (* With a live pool, a stratum splits into the connected components
          of its dependency graph: components cannot read each other's

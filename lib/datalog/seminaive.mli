@@ -5,10 +5,11 @@
     programs, and the subject of the engine-ablation benchmark (E8).
     Every relation a run reads sits in a {!Store}, and a positive literal
     probes the store's per-argument hash index with its first bound
-    argument — the grounder's join mechanism; a negative literal is a
-    membership test. Relations enter from the [base] database and leave
-    in the result as the {!Tuples} sets {!Edb} holds, without
-    conversion.
+    argument; a negative literal is a membership test. The rounds are
+    {!Store.rounds}, the grounder's rule loop, with every rule body in
+    its written order ({!Store.ordered}). Relations enter from the
+    [base] database and leave in the result as the {!Tuples} sets {!Edb}
+    holds, without conversion.
 
     Negative literals are permitted only when their predicate is fully
     materialised in the [base] database (lower strata or EDB); the
@@ -17,29 +18,18 @@
 open Recalg_kernel
 
 exception Unsafe of string
+(** The same exception as {!Store.Unsafe}. *)
 
-type order = [ `Syntactic | `Stats ]
-(** Body-literal ordering policy. [`Syntactic] (the default everywhere)
-    takes the first evaluable literal at each step; [`Stats] ranks the
-    evaluable literals by {!Cardest} envelope estimates, scanning the
-    smallest relation first. Ordering changes enumeration cost only:
-    every valid ordering derives identical facts on identical rounds, so
-    results {e and fuel} are the same under both policies. *)
-
-val naive :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> base:Edb.t ->
-  Rule.t list -> Edb.t
+val naive : ?fuel:Limits.fuel -> Program.t -> base:Edb.t -> Rule.t list -> Edb.t
 (** Evaluate [rules] to their least fixpoint over [base] by full
     re-evaluation each round. Returns only the newly derived relations. *)
 
 val seminaive :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> base:Edb.t ->
-  Rule.t list -> Edb.t
+  ?fuel:Limits.fuel -> Program.t -> base:Edb.t -> Rule.t list -> Edb.t
 (** Same result with delta-restricted re-evaluation. *)
 
 val stratified :
-  ?fuel:Limits.fuel -> ?order:order -> Program.t -> Edb.t ->
-  (Edb.t, string) result
+  ?fuel:Limits.fuel -> Program.t -> Edb.t -> (Edb.t, string) result
 (** Stratify and evaluate stratum by stratum (semi-naive within each);
     [Error] when the program is not stratified or not safe. The result
     contains EDB and all derived relations. *)
@@ -51,8 +41,8 @@ val stratified :
     delta-restricted round for delete propagation. *)
 
 val resume :
-  ?fuel:Limits.fuel -> ?order:order -> ?adds:Edb.t -> Program.t ->
-  base:Edb.t -> init:Edb.t -> Rule.t list -> Edb.t
+  ?fuel:Limits.fuel -> ?adds:Edb.t -> Program.t -> base:Edb.t ->
+  init:Edb.t -> Rule.t list -> Edb.t
 (** Continue semi-naive evaluation from the materialized state [init]
     (the derived relations of a previous run, possibly shrunk by an
     overdeletion pass). With [adds] — the newly inserted extensional
@@ -67,8 +57,7 @@ val resume :
     programs), the result equals {!seminaive} from scratch. *)
 
 val delta_heads :
-  ?order:order -> Program.t -> base:Edb.t -> frontier:Edb.t -> Rule.t list ->
-  Edb.t
+  Program.t -> base:Edb.t -> frontier:Edb.t -> Rule.t list -> Edb.t
 (** One delta-restricted firing: all rule-head facts derivable with some
     positive body literal drawn from [frontier] and the rest of the body
     from [base] — the single-step dependents of the frontier facts, used

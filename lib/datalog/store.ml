@@ -1,4 +1,7 @@
 open Recalg_kernel
+module Obs = Recalg_obs.Obs
+
+exception Unsafe of string
 
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
@@ -33,8 +36,6 @@ let create ~full ~delta =
   }
 
 let full s = s.full
-let delta s = s.delta
-let next s = s.next
 let all s = Tuples.union s.full (Tuples.union s.delta s.next)
 let mem s tup = Tuples.mem tup s.full || Tuples.mem tup s.delta
 let known s tup = mem s tup || Tuples.mem tup s.next
@@ -155,3 +156,59 @@ let solve builtins ~store ~sections ~neg ~count body k =
       | _, _ -> ())
   in
   go body 0 Subst.empty
+
+let ordered builtins rules =
+  List.map
+    (fun (r : Rule.t) ->
+      match Safety.evaluation_order builtins r.Rule.body with
+      | Ok body -> (r, body)
+      | Error msg -> raise (Unsafe msg))
+    rules
+
+type task = Rule.t * Literal.t list * int option
+
+let has_delta s = not (Tuples.is_empty s.delta)
+
+(* Every genuinely new derivation consumes a fact new in the previous
+   round at some positive body position (induction over rounds); firing
+   each position whose store has a delta, with the split of [split],
+   covers exactly those. A position whose store has none would probe an
+   empty section after enumerating everything before it. *)
+let delta_tasks stores rules =
+  let pred_has_delta pred =
+    match Hashtbl.find_opt stores pred with
+    | Some s -> has_delta s
+    | None -> false
+  in
+  List.concat_map
+    (fun ((r : Rule.t), body) ->
+      List.concat
+        (List.mapi
+           (fun i lit ->
+             match lit with
+             | Literal.Pos a when pred_has_delta a.Literal.pred -> [ (r, body, Some i) ]
+             | Literal.Pos _ | Literal.Neg _ | Literal.Eq _ | Literal.Neq _ -> [])
+           body))
+    rules
+
+let rounds ~fuel ~what ~site ~derived ~first ~variant ~fire stores rules =
+  let full_tasks () = List.map (fun (r, body) -> (r, body, None)) rules in
+  let round tasks =
+    Faultinj.hit site;
+    Obs.count site 1;
+    fire tasks;
+    Hashtbl.iter (fun _ s -> promote s) stores;
+    Obs.countf derived (fun () ->
+        Hashtbl.fold (fun _ s n -> n + Tuples.cardinal s.delta) stores 0)
+  in
+  round
+    (match first with
+    | `Full -> full_tasks ()
+    | `Delta -> delta_tasks stores rules);
+  while Hashtbl.fold (fun _ s acc -> acc || has_delta s) stores false do
+    Limits.check fuel ~what;
+    round
+      (match variant with
+      | `Naive -> full_tasks ()
+      | `Seminaive -> delta_tasks stores rules)
+  done

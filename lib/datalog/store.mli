@@ -1,5 +1,6 @@
-(** Sectioned relation stores with lazy per-argument hash indexes — the
-    one join mechanism of the bottom-up engines ({!Seminaive} and the
+(** Sectioned relation stores with lazy per-argument hash indexes, and
+    the semi-naive round driver over them — the one join mechanism and
+    the one rule loop of the bottom-up engines ({!Seminaive} and the
     {!Grounder}).
 
     A store holds a relation in three sections: [full] (facts
@@ -24,8 +25,6 @@ val create : full:Tuples.t -> delta:Tuples.t -> t
     as the fixpoint loops keep them. *)
 
 val full : t -> Tuples.t
-val delta : t -> Tuples.t
-val next : t -> Tuples.t
 
 val all : t -> Tuples.t
 (** The union of the three sections. *)
@@ -81,3 +80,43 @@ val solve :
     Domain safety: index creation and lookup take the store's lock while
     [Pool.parallel ()], so concurrent [solve]s may share stores as long
     as nothing mutates their sections meanwhile. *)
+
+exception Unsafe of string
+(** Raised when a rule body admits no evaluable literal ordering. *)
+
+val ordered :
+  Builtins.t -> Rule.t list -> (Rule.t * Literal.t list) list
+(** Each rule with its body in {!Safety.evaluation_order}: the written
+    order, a literal deferred only until its variables are bound. Raises
+    {!Unsafe}. *)
+
+type task = Rule.t * Literal.t list * int option
+(** A rule, its ordered body, and the body position that reads only the
+    delta ([None]: every literal reads both sections), as in {!split}. *)
+
+val delta_tasks :
+  (string, t) Hashtbl.t -> (Rule.t * Literal.t list) list -> task list
+(** One task per positive literal whose predicate's store has a delta,
+    in rule order and then body order. *)
+
+val rounds :
+  fuel:Limits.fuel ->
+  what:string ->
+  site:string ->
+  derived:string ->
+  first:[ `Full | `Delta ] ->
+  variant:[ `Naive | `Seminaive ] ->
+  fire:(task list -> unit) ->
+  (string, t) Hashtbl.t ->
+  (Rule.t * Literal.t list) list ->
+  unit
+(** [rounds ~fuel ~what ~site ~derived ~first ~variant ~fire stores
+    rules] runs the rule loop to its fixpoint over [stores], every
+    predicate's store. Each round hits the fault site [site], counts one
+    [site] event, hands its tasks to [fire] (which adds what they derive
+    to the stores' [next] sections), promotes every store and counts the
+    facts now in a delta as [derived]. The first round fires every rule
+    unrestricted ([`Full]) or only the delta tasks ([`Delta]); then,
+    while some store has a delta, {!Limits.check} [fuel ~what] precedes
+    a round of every rule unrestricted ([`Naive]) or of the delta tasks
+    ([`Seminaive]). *)

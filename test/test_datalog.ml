@@ -248,6 +248,33 @@ let test_grounding_diverges () =
        false
      with Limits.Diverged _ -> true)
 
+(* A semi-naive round fires a body position only when its store has a
+   delta, so each closing round of a left-linear chain probes a constant
+   number of index buckets. Re-firing the [edge] position, whose delta is
+   empty after the first round, enumerates all of [reach] each round:
+   about n^2/2 index misses. *)
+let test_grounding_linear () =
+  let n = 300 in
+  let edges = List.init n (fun i -> Printf.sprintf "edge(%d, %d)." i (i + 1)) in
+  let program, edb =
+    parse (String.concat " " ("reach(0). reach(Y) :- reach(X), edge(X, Y)." :: edges))
+  in
+  Obs.Metrics.reset ();
+  let pg = Obs.Metrics.with_collecting (fun () -> Grounder.ground program edb) in
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  let probes =
+    List.fold_left
+      (fun acc c -> acc + Obs.Metrics.counter_total sn c)
+      0
+      [ "ground/index_hit"; "ground/index_miss"; "ground/scan" ]
+  in
+  Alcotest.(check int) "atoms" ((2 * n) + 1) (Propgm.n_atoms pg);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes <= 4 per edge" probes)
+    true
+    (probes <= 4 * n)
+
 let test_grounding_unsafe_rejected () =
   let program, edb = parse "p(X) :- not q(X)." in
   Alcotest.(check bool) "unsafe raises" true
@@ -529,6 +556,8 @@ let suite =
     Alcotest.test_case "grounding interns negatives" `Quick test_grounding_negative_atoms_interned;
     Alcotest.test_case "grounding diverges with fuel" `Quick test_grounding_diverges;
     Alcotest.test_case "grounding rejects unsafe" `Quick test_grounding_unsafe_rejected;
+    Alcotest.test_case "grounding is linear on left-linear recursion" `Quick
+      test_grounding_linear;
     Alcotest.test_case "Example 4: valid vs inflationary" `Quick test_valid_example4;
     Alcotest.test_case "valid win chain" `Quick test_valid_win_chain;
     Alcotest.test_case "valid win self-loop" `Quick test_valid_win_cycle;

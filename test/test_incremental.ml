@@ -431,6 +431,30 @@ let test_live_ground_retracts () =
     (Datalog.Interp.equal i
        (Datalog.Run.valid dl_tc_program (Datalog.Run.Live.edb live)))
 
+(* Deleting the only support of a cycle: p(a) and q(a) support each
+   other, but both rest on s(a). Liveness is a least fixpoint, so the
+   cycle does not keep itself alive. *)
+let test_live_ground_cycle () =
+  let program, edb =
+    Datalog.Parser.parse_exn "s(a). p(a) :- s(a). p(a) :- q(a). q(a) :- p(a)."
+  in
+  let live = Datalog.Run.Live.start ~semantics:`Valid program edb in
+  let holds i pred = Datalog.Interp.holds i pred [ Value.sym "a" ] in
+  List.iter
+    (fun pred ->
+      Alcotest.(check bool) (pred ^ "(a) true") true
+        (Tvl.equal (holds (Datalog.Run.Live.interp live) pred) Tvl.True))
+    [ "p"; "q" ];
+  let i = Datalog.Run.Live.update live (DU.delete "s" [ Value.sym "a" ] DU.empty) in
+  List.iter
+    (fun pred ->
+      Alcotest.(check bool) (pred ^ "(a) gone") true
+        (Tvl.equal (holds i pred) Tvl.False))
+    [ "p"; "q"; "s" ];
+  Alcotest.(check bool) "= scratch" true
+    (Datalog.Interp.equal i
+       (Datalog.Run.valid program (Datalog.Run.Live.edb live)))
+
 let prop_live_ground_equals_scratch =
   QCheck.Test.make
     ~name:"live grounding ≡ from-scratch (valid semantics, random updates)"
@@ -469,5 +493,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_datalog_incremental_equals_scratch;
     Alcotest.test_case "live grounding retracts" `Quick
       test_live_ground_retracts;
+    Alcotest.test_case "live grounding drops an unsupported cycle" `Quick
+      test_live_ground_cycle;
     QCheck_alcotest.to_alcotest prop_live_ground_equals_scratch;
   ]

@@ -458,62 +458,6 @@ let test_qcheck_ifp_planned =
         (fun advice -> Value.equal expected (Eval.eval ~advice no_defs db tc))
         [ advice; Advice.naive advice ])
 
-(* --- datalog: stats-driven body-literal ordering --- *)
-
-(* Reordering a rule body never changes which facts a round derives, so
-   stratified evaluation under [`Stats] must match [`Syntactic] exactly —
-   including fuel, which is spent per derived fact. *)
-let test_qcheck_order_stratified =
-  QCheck.Test.make ~name:"stratified order stats=syntactic"
-    ~count:(Tgen.qcount 100) Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let run order =
-        let fuel = Limits.of_int 50_000 in
-        let r = Datalog.Run.stratified ~fuel ~order program edb in
-        (r, Limits.remaining fuel)
-      in
-      match run `Syntactic, run `Stats with
-      | (Ok a, fa), (Ok b, fb) -> Datalog.Edb.equal a b && fa = fb
-      | (Error _, _), (Error _, _) -> true
-      | (Ok _, _), (Error _, _) | (Error _, _), (Ok _, _) -> false)
-
-(* The grounder emits the same rule instances under any evaluable
-   ordering, so the valid model is Interp-equal. *)
-let test_qcheck_order_valid =
-  QCheck.Test.make ~name:"valid order stats=syntactic"
-    ~count:(Tgen.qcount 60) Tgen.rand_instance_arb (fun (program, edges) ->
-      let edb = Tgen.e_edb edges in
-      let a = Datalog.Run.valid ~order:`Syntactic program edb in
-      let b = Datalog.Run.valid ~order:`Stats program edb in
-      Datalog.Interp.equal a b)
-
-let test_cardest_ranks () =
-  (* tiny(1 fact) must rank before edge(4 facts); the derived closure
-     saturates above both. *)
-  let x = Datalog.Dterm.var "X" and y = Datalog.Dterm.var "Y" in
-  let z = Datalog.Dterm.var "Z" in
-  let program =
-    Datalog.Program.make
-      [ Datalog.Rule.make (Datalog.Literal.atom "tc" [ x; y ])
-          [ Datalog.Literal.pos "edge" [ x; y ] ];
-        Datalog.Rule.make (Datalog.Literal.atom "tc" [ x; z ])
-          [ Datalog.Literal.pos "edge" [ x; y ];
-            Datalog.Literal.pos "tc" [ y; z ] ] ]
-  in
-  let edb =
-    Datalog.Edb.of_list
-      [ ("edge",
-         [ [ vi 1; vi 2 ]; [ vi 2; vi 3 ]; [ vi 3; vi 4 ]; [ vi 4; vi 1 ] ]);
-        ("tiny", [ [ vi 1; vi 2 ] ]) ]
-  in
-  let est = Datalog.Cardest.estimates program edb in
-  Alcotest.(check bool) "tiny < edge" true (est "tiny" < est "edge");
-  Alcotest.(check bool) "edge <= tc" true (est "edge" <= est "tc");
-  let prefer = Datalog.Cardest.prefer program edb in
-  Alcotest.(check bool) "pos tiny preferred" true
-    (prefer (Datalog.Literal.pos "tiny" [ x; y ])
-    < prefer (Datalog.Literal.pos "edge" [ x; y ]))
-
 let suite =
   [
     Alcotest.test_case "stats observe" `Quick test_stats_observe;
@@ -534,7 +478,4 @@ let suite =
     QCheck_alcotest.to_alcotest (test_qcheck_eval_planned Planner.Cost);
     QCheck_alcotest.to_alcotest test_qcheck_rec_eval_planned;
     QCheck_alcotest.to_alcotest test_qcheck_ifp_planned;
-    Alcotest.test_case "cardest ranks relations" `Quick test_cardest_ranks;
-    QCheck_alcotest.to_alcotest test_qcheck_order_stratified;
-    QCheck_alcotest.to_alcotest test_qcheck_order_valid;
   ]

@@ -70,17 +70,23 @@ let test_interp_counts () =
   Alcotest.(check bool) "not total" false (Interp.is_total interp)
 
 let test_grounder_strategies_agree () =
-  let program, edb =
-    parse "e(1,2). e(2,3). e(3,1). t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z)."
+  let reach =
+    "reach(0). reach(Y) :- reach(X), edge(X, Y)."
+    ^ String.concat "" (List.init 30 (fun i -> Printf.sprintf " edge(%d, %d)." i (i + 1)))
   in
-  let a = Grounder.ground ~strategy:`Seminaive program edb in
-  let b = Grounder.ground ~strategy:`Naive program edb in
-  Alcotest.(check int) "same atoms" (Propgm.n_atoms a) (Propgm.n_atoms b);
-  Alcotest.(check int) "same rules" (Array.length a.Propgm.rules)
-    (Array.length b.Propgm.rules);
-  (* And the same valid model. *)
-  Alcotest.(check bool) "same model" true
-    (Interp.equal (Valid.solve a) (Valid.solve b))
+  List.iter
+    (fun src ->
+      let program, edb = parse src in
+      let a = Grounder.ground ~strategy:`Seminaive program edb in
+      let b = Grounder.ground ~strategy:`Naive program edb in
+      Alcotest.(check int) "same atoms" (Propgm.n_atoms a) (Propgm.n_atoms b);
+      Alcotest.(check int) "same rules" (Array.length a.Propgm.rules)
+        (Array.length b.Propgm.rules);
+      (* And the same valid model. *)
+      Alcotest.(check bool) "same model" true
+        (Interp.equal (Valid.solve a) (Valid.solve b)))
+    [ "e(1,2). e(2,3). e(3,1). t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z).";
+      reach ]
 
 let prop_grounder_strategies_agree =
   QCheck.Test.make ~name:"naive and seminaive grounding give equal models" ~count:60
@@ -89,6 +95,80 @@ let prop_grounder_strategies_agree =
       let a = Grounder.ground ~strategy:`Seminaive program edb in
       let b = Grounder.ground ~strategy:`Naive program edb in
       Interp.equal (Valid.solve a) (Valid.solve b))
+
+(* The interpretation readers take one predicate's range of a fact set
+   ordered by predicate first. The whole-set filters they replaced are
+   the reference, over random interpretations of up to 50 predicates,
+   whose names ("p1" < "p10" < "p2") sort apart from their numbers. *)
+let prop_interp_readers_are_filters =
+  let gen =
+    QCheck.Gen.(
+      let* npreds = int_range 1 50 in
+      let fact =
+        pair
+          (map (Printf.sprintf "p%d") (int_bound (npreds - 1)))
+          (list_size (int_bound 2) (map vi (int_bound 3)))
+      in
+      (* Each fact is true (0), undefined (1) or false (2). *)
+      pair (list_size (int_bound 150) (pair fact (int_bound 2))) (return npreds))
+  in
+  let print (marked, _) =
+    String.concat " "
+      (List.map
+         (fun (f, m) -> Fmt.str "%a:%d" Propgm.pp_fact f m)
+         marked)
+  in
+  QCheck.Test.make ~name:"interp readers = whole-set filters"
+    ~count:(Tgen.qcount 200) (QCheck.make ~print gen) (fun (marked, npreds) ->
+      let atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal () in
+      let marks = Hashtbl.create 64 in
+      List.iter
+        (fun (f, m) ->
+          let id = Interner.intern atoms f in
+          if not (Hashtbl.mem marks id) then Hashtbl.add marks id m)
+        marked;
+      let pg = { Propgm.atoms; rules = [||] } in
+      let n = Propgm.n_atoms pg in
+      let true_ = Bitset.create n and undef = Bitset.create n in
+      Hashtbl.iter
+        (fun id m ->
+          if m = 0 then Bitset.set true_ id else if m = 1 then Bitset.set undef id)
+        marks;
+      let interp = Interp.make pg ~true_ ~undef in
+      let sorted bits =
+        List.sort_uniq
+          (fun (p, a) (q, b) ->
+            let c = String.compare p q in
+            if c <> 0 then c else List.compare Value.compare a b)
+          (List.map (Propgm.fact_of_id pg) (Bitset.to_list bits))
+      in
+      let all = Bitset.create n in
+      for i = 0 to n - 1 do Bitset.set all i done;
+      let base = sorted all and t = sorted true_ and u = sorted undef in
+      let tuples_of set pred =
+        List.filter_map (fun (p, args) -> if String.equal p pred then Some args else None) set
+      in
+      let false_tuples pred =
+        List.filter_map
+          (fun ((p, args) as f) ->
+            if String.equal p pred && (not (List.mem f t)) && not (List.mem f u)
+            then Some args
+            else None)
+          base
+      in
+      let preds =
+        List.rev
+          (List.fold_left
+             (fun acc (p, _) -> if List.mem p acc then acc else p :: acc)
+             [] base)
+      in
+      Interp.preds interp = preds
+      && List.for_all
+           (fun pred ->
+             Interp.true_tuples interp pred = tuples_of t pred
+             && Interp.undef_tuples interp pred = tuples_of u pred
+             && Interp.false_tuples interp pred = false_tuples pred)
+           ("p" :: "q" :: List.init (npreds + 1) (Printf.sprintf "p%d")))
 
 let test_subst_ops () =
   let s = Subst.bind "X" (vi 1) Subst.empty in
@@ -124,4 +204,5 @@ let suite =
     Alcotest.test_case "subst operations" `Quick test_subst_ops;
     Alcotest.test_case "rule utilities" `Quick test_rule_utilities;
     QCheck_alcotest.to_alcotest prop_grounder_strategies_agree;
+    QCheck_alcotest.to_alcotest prop_interp_readers_are_filters;
   ]
