@@ -118,6 +118,28 @@ let wide_strata_edb k n =
         edb (chain n))
     Datalog.Edb.empty (List.init k Fun.id)
 
+(* --- one component: six recursive rules in one stratum --- *)
+
+(* [t(X, Y) :- e0(X, Y).] plus [t(X, Z) :- ei(X, Y), t(Y, Z).] for
+   i = 0..5: one stratum holding one component, so the only parallel
+   work it offers is inside its semi-naive rounds. *)
+let one_component_program =
+  fst
+    (Datalog.Parser.parse_exn
+       ("t(X, Y) :- e0(X, Y). "
+       ^ String.concat " "
+           (List.init 6 (fun i -> Printf.sprintf "t(X, Z) :- e%d(X, Y), t(Y, Z)." i))))
+
+(* Six random relations e0..e5 of up to [edges] edges on [nodes] nodes. *)
+let one_component_edb ~nodes ~edges =
+  List.fold_left
+    (fun edb i ->
+      List.fold_left
+        (fun edb (a, b) -> Datalog.Edb.add (Printf.sprintf "e%d" i) [ vi a; vi b ] edb)
+        edb
+        (random_graph ~nodes ~edges ~seed:(i + 1)))
+    Datalog.Edb.empty (List.init 6 Fun.id)
+
 let sg_body x =
   let open Algebra.Expr in
   let nodes = union (pi 1 (rel "edge")) (pi 2 (rel "edge")) in

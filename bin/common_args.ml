@@ -69,10 +69,10 @@ let term =
       & opt int (default_domains ())
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Evaluate with $(docv) worker domains: per-rule semi-naive \
-             rounds and independent stratum components. Results are \
-             byte-identical at every domain count; the default is \
-             $(b,RECALG_DOMAINS) or 1 (sequential).")
+            "Evaluate with $(docv) worker domains: the independent \
+             components of a stratum run as parallel tasks. Results and \
+             fuel are byte-identical at every domain count; the default \
+             is $(b,RECALG_DOMAINS) or 1 (sequential).")
   in
   let plan =
     let parse =
@@ -214,7 +214,8 @@ let exit_code = function
    to pool tasks and join partitions. Resource errors are caught here,
    reported, and turned into the documented exit codes — after the
    trace file (written via tmp + rename) has been completed, so an
-   aborted run still leaves a whole, readable trace. *)
+   aborted run still leaves a whole, readable trace. An unsafe program
+   exits 1, as the verbs that check safety up front do. *)
 let with_reporting t f =
   Pool.set_domains t.domains;
   let fuel = fuel_of t in
@@ -229,6 +230,11 @@ let with_reporting t f =
         (match e with
         | Limits.Resource_exhausted { kind; _ } -> exit_code kind
         | _ -> exit_code Limits.Fuel)
+    | Datalog.Store.Unsafe msg | Translate.Datalog_to_alg.Untranslatable msg ->
+      (* A rule body with no evaluable order: the grounder, the
+         relational engine and the translation all find it lazily. *)
+      Fmt.epr "error: unsafe program: %s@." msg;
+      code := 1
     | Faultinj.Injected { site; hit } ->
       (* Chaos runs (RECALG_FAULTS) die cleanly like any other abort:
          state already rolled back by the engines, trace file completed

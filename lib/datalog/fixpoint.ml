@@ -42,14 +42,47 @@ let lfp (pg : Propgm.t) ~neg_ok =
   end;
   truths
 
-let one_step (pg : Propgm.t) ~current ~neg_ok =
+(* Counting propagation by stages: a rule is decided once, at the first
+   stage whose set holds all its positive atoms. It fires if no negative
+   atom is in that set; the set only grows, so a rule blocked there is
+   blocked for good, and one that fired has nothing left to add. A
+   stage's heads join the set only after every rule of the stage is
+   decided. *)
+let stages (pg : Propgm.t) ~stage =
   let n = Propgm.n_atoms pg in
-  let out = Bitset.create n in
-  Array.iter
-    (fun rule ->
-      if
-        Array.for_all (Bitset.get current) rule.Propgm.pos
-        && Array.for_all neg_ok rule.Propgm.neg
-      then Bitset.set out rule.Propgm.head)
-    pg.Propgm.rules;
-  out
+  let truths = Bitset.create n in
+  let rules = pg.Propgm.rules in
+  let remaining = Array.map (fun rule -> Array.length rule.Propgm.pos) rules in
+  let watch = Array.make n [] in
+  let ready = ref [] in
+  Array.iteri
+    (fun ri rule ->
+      Array.iter (fun a -> watch.(a) <- ri :: watch.(a)) rule.Propgm.pos;
+      if remaining.(ri) = 0 then ready := ri :: !ready)
+    rules;
+  let fires ri =
+    let rule = rules.(ri) in
+    if Array.exists (Bitset.get truths) rule.Propgm.neg then None
+    else Some rule.Propgm.head
+  in
+  let rec go () =
+    let heads = List.filter_map fires !ready in
+    ready := [];
+    let added = ref 0 in
+    List.iter
+      (fun a ->
+        if not (Bitset.get truths a) then begin
+          Bitset.set truths a;
+          incr added;
+          List.iter
+            (fun ri ->
+              remaining.(ri) <- remaining.(ri) - 1;
+              if remaining.(ri) = 0 then ready := ri :: !ready)
+            watch.(a)
+        end)
+      heads;
+    stage !added;
+    if !added > 0 then go ()
+  in
+  go ();
+  truths

@@ -12,7 +12,11 @@ open Recalg_kernel
 val lfp : Propgm.t -> neg_ok:(int -> bool) -> Bitset.t
 (** Linear-time counting propagation. *)
 
-val one_step : Propgm.t -> current:Bitset.t -> neg_ok:(int -> bool) -> Bitset.t
-(** Immediate-consequence operator: atoms derivable in one rule application
-    from [current] (the result includes [current]'s consequences only, not
-    [current] itself). *)
+val stages : Propgm.t -> stage:(int -> unit) -> Bitset.t
+(** The inflationary fixpoint: from the empty set, each stage adds the
+    heads of the rules whose positive atoms are all in the set and whose
+    negative atoms are all out of it, until a stage adds nothing.
+    [stage k] is called once per stage, the last one included, with the
+    number [k] of atoms it added. Linear in the size of the program: each
+    rule is decided once, at the first stage holding all its positive
+    atoms. *)

@@ -4,8 +4,17 @@ type t = { rules : Rule.t list; builtins : Builtins.t }
 
 let make ?(builtins = Builtins.default) rules = { rules; builtins }
 
-let rules_for p pred =
-  List.filter (fun r -> String.equal (Rule.head_pred r) pred) p.rules
+(* One pass over the rules, not one per group. *)
+let bucket_rules groups rules =
+  let group_of = Hashtbl.create 64 in
+  List.iteri (fun i g -> List.iter (fun p -> Hashtbl.replace group_of p i) g) groups;
+  let buckets = Array.make (List.length groups) [] in
+  List.iter
+    (fun r ->
+      Option.iter (fun i -> buckets.(i) <- r :: buckets.(i))
+        (Hashtbl.find_opt group_of (Rule.head_pred r)))
+    (List.rev rules);
+  Array.to_list buckets
 
 let add_unique x acc = if List.mem x acc then acc else x :: acc
 

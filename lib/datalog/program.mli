@@ -8,7 +8,11 @@ type t = { rules : Rule.t list; builtins : Builtins.t }
 val make : ?builtins:Builtins.t -> Rule.t list -> t
 (** Defaults to {!Recalg_kernel.Builtins.default}. *)
 
-val rules_for : t -> string -> Rule.t list
+val bucket_rules : string list list -> Rule.t list -> Rule.t list list
+(** [bucket_rules groups rules] is, for each group of predicates, the
+    rules whose head is in it, in the order of [rules]: one pass over
+    [rules]. A rule whose head is in no group is dropped. *)
+
 val idb_preds : t -> string list
 (** Predicates defined by some rule head. *)
 

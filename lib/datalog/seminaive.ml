@@ -5,8 +5,8 @@ exception Unsafe = Store.Unsafe
 
 (* Every predicate an evaluation reads has a {!Store}: derived predicates
    a full/delta/next store per fixpoint, extensional ones a store over
-   the base relation. The table is complete before the first round, so
-   concurrent [collect] tasks only read it. *)
+   the base relation. Each evaluation builds its own table, so no two
+   domains share a store. *)
 type stores = (string, Store.t) Hashtbl.t
 
 let store_in (stores : stores) pred = Hashtbl.find stores pred
@@ -60,56 +60,14 @@ let eval_loop ~variant ~first ~fuel program ~stores ~derived rules =
       Store.add s args
     end
   in
-  let derive (r : Rule.t) body delta_pos =
-    solve delta_pos body (fun subst ->
-        match Literal.ground_atom builtins subst r.Rule.head with
-        | Some (pred, args) -> commit pred args
-        | None -> ())
-  in
-  (* Parallel round shape: every (rule, delta position) task enumerates
-     its instantiations against the frozen stores — reads only, with a
-     task-local dedup — and the candidate streams are then committed
-     sequentially in task order. That replays exactly the derivation
-     sequence of the sequential loop (same facts, same order, same fuel
-     spends), so stores and fuel stay byte-identical to [domains:1];
-     only the enumeration work fans out (DESIGN.md §9). Every predicate
-     has its store before the first round, and the only shared state a
-     task can create, a store's index, is built under that store's lock
-     (see {!Store.solve}). *)
-  let collect (r : Rule.t) body delta_pos () =
-    let seen : (string, Tuples.t ref) Hashtbl.t = Hashtbl.create 8 in
-    let acc = ref [] in
-    solve delta_pos body (fun subst ->
-        match Literal.ground_atom builtins subst r.Rule.head with
-        | Some (pred, args) when not (Store.mem (store pred) args) ->
-          let local =
-            match Hashtbl.find_opt seen pred with
-            | Some l -> l
-            | None ->
-              let l = ref Tuples.empty in
-              Hashtbl.add seen pred l;
-              l
-          in
-          if not (Tuples.mem args !local) then begin
-            local := Tuples.add args !local;
-            acc := (pred, args) :: !acc
-          end
-        | Some _ | None -> ());
-    List.rev !acc
-  in
-  let derive_all tasks =
-    match tasks with
-    | [] -> ()
-    | [ (r, body, delta_pos) ] -> derive r body delta_pos
-    | tasks when not (Pool.parallel ()) ->
-      List.iter (fun (r, body, delta_pos) -> derive r body delta_pos) tasks
-    | tasks ->
-      if Obs.enabled () then Obs.count "pool/rule_tasks" (List.length tasks);
-      let candidates =
-        Pool.run
-          (List.map (fun (r, body, delta_pos) -> collect r body delta_pos) tasks)
-      in
-      List.iter (List.iter (fun (pred, args) -> commit pred args)) candidates
+  let fire tasks =
+    List.iter
+      (fun ((r : Rule.t), body, delta_pos) ->
+        solve delta_pos body (fun subst ->
+            match Literal.ground_atom builtins subst r.Rule.head with
+            | Some (pred, args) -> commit pred args
+            | None -> ()))
+      tasks
   in
   (* Under a [~degrade:true] budget, exhaustion anywhere in the loop is
      caught at this level: the facts derived so far (including the
@@ -118,8 +76,7 @@ let eval_loop ~variant ~first ~fuel program ~stores ~derived rules =
      degraded. Injected faults and other exceptions propagate. *)
   (try
      Store.rounds ~fuel ~what:"seminaive: round" ~site:"seminaive/round"
-       ~derived:"seminaive/derived" ~first ~variant ~fire:derive_all stores
-       rules
+       ~derived:"seminaive/derived" ~first ~variant ~fire stores rules
    with e when Limits.degradable fuel e -> Limits.latch fuel e);
   (* Normally [delta]/[next] are empty here; after a degraded cut they
      hold the in-flight facts, all of which are genuinely derived. *)
@@ -204,19 +161,6 @@ let naive ?fuel program ~base rules = run ~variant:`Naive ?fuel program ~base ru
 let seminaive ?fuel program ~base rules =
   run ~variant:`Seminaive ?fuel program ~base rules
 
-(* The rules whose head is in each group, one bucket per group, each in
-   program order: one pass over the rules, not one per group. *)
-let bucket_rules groups rules =
-  let group_of = Hashtbl.create 64 in
-  List.iteri (fun i g -> List.iter (fun p -> Hashtbl.replace group_of p i) g) groups;
-  let buckets = Array.make (List.length groups) [] in
-  List.iter
-    (fun r ->
-      Option.iter (fun i -> buckets.(i) <- r :: buckets.(i))
-        (Hashtbl.find_opt group_of (Rule.head_pred r)))
-    (List.rev rules);
-  Array.to_list buckets
-
 let stratified ?fuel program edb =
   match Safety.check program with
   | Error violations ->
@@ -225,34 +169,23 @@ let stratified ?fuel program edb =
          Fmt.(list ~sep:sp Safety.pp_violation)
          violations)
   | Ok () -> (
-    match Stratify.strata program with
+    match Stratify.schedule program with
     | Error msg -> Error msg
-    | Ok groups ->
-      let eval_rules base rules =
-        if rules = [] then Edb.empty
-        else seminaive ?fuel program ~base rules
-      in
-      (* With a live pool, a stratum splits into the connected components
-         of its dependency graph: components cannot read each other's
-         relations, so their fixpoints evaluate as independent tasks
-         against the same base and merge in component order. Fuel is
-         per-derived-fact, so the shared budget spends the same total as
-         the joint sequential loop; the merged EDB is identical because
-         the component fixpoints partition the stratum's derived facts
-         (DESIGN.md §9). At pool size 1 the stratum is evaluated whole,
-         exactly the pre-multicore path. *)
-      let eval_group base (group, rules) =
-        let comps =
-          if Pool.parallel () then Stratify.components program group
-          else [ group ]
-        in
-        match comps with
-        | [] -> base
-        | [ _ ] -> Edb.union base (eval_rules base rules)
-        | comps ->
-          if Obs.enabled () then Obs.count "pool/strata_tasks" (List.length comps);
-          let results = Pool.map (eval_rules base) (bucket_rules comps rules) in
-          List.fold_left Edb.union base results
+    | Ok strata ->
+      (* A stratum's components read only lower strata and the EDB, never
+         each other's relations, so their fixpoints evaluate as
+         independent {!Pool} tasks against the same base (in order, on
+         the caller, at pool size 1) and merge in component order. Fuel
+         is per derived fact and the components partition the stratum's
+         facts, so results and fuel are the same at every pool size
+         (DESIGN.md §9). *)
+      let eval_stratum base (comps, rules) =
+        if Obs.enabled () && List.length comps > 1 then
+          Obs.count "pool/strata_tasks" (List.length comps);
+        Pool.map
+          (fun rules -> seminaive ?fuel program ~base rules)
+          (Program.bucket_rules comps rules)
+        |> List.fold_left Edb.union base
       in
       (* Degradation stops at the stratum that ran out: its facts are a
          sound under-approximation, but evaluating *later* strata
@@ -264,12 +197,13 @@ let stratified ?fuel program edb =
         | Some f -> Limits.degraded f <> None
         | None -> false
       in
-      let rec fold_groups base = function
+      let rec fold_strata base = function
         | [] -> base
-        | g :: rest ->
-          let base' = eval_group base g in
-          if degraded_now () then base' else fold_groups base' rest
+        | s :: rest ->
+          let base' = eval_stratum base s in
+          if degraded_now () then base' else fold_strata base' rest
       in
-      Ok
-        (fold_groups edb
-           (List.combine groups (bucket_rules groups program.Program.rules))))
+      let rules =
+        Program.bucket_rules (List.map List.concat strata) program.Program.rules
+      in
+      Ok (fold_strata edb (List.combine strata rules)))

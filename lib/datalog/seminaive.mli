@@ -30,9 +30,11 @@ val seminaive :
 
 val stratified :
   ?fuel:Limits.fuel -> Program.t -> Edb.t -> (Edb.t, string) result
-(** Stratify and evaluate stratum by stratum (semi-naive within each);
-    [Error] when the program is not stratified or not safe. The result
-    contains EDB and all derived relations. *)
+(** Evaluate stratum by stratum, a stratum's components
+    ({!Stratify.schedule}) as independent {!Recalg_kernel.Pool} tasks,
+    semi-naive within each; [Error] when the program is not stratified
+    or not safe. The result contains EDB and all derived relations, the
+    same at every pool size, and so is the fuel spent. *)
 
 (** {1 Incremental building blocks}
 

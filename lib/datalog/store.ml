@@ -23,17 +23,10 @@ type t = {
   indexes : (section * int, Tuples.t Vtbl.t) Hashtbl.t;
       (* (section, argument position) -> value at that position -> tuples
          of the section. Built lazily on first probe. *)
-  lock : Mutex.t;  (* guards [indexes] while the pool is parallel *)
 }
 
 let create ~full ~delta =
-  {
-    full;
-    delta;
-    next = Tuples.empty;
-    indexes = Hashtbl.create 8;
-    lock = Mutex.create ();
-  }
+  { full; delta; next = Tuples.empty; indexes = Hashtbl.create 8 }
 
 let full s = s.full
 let all s = Tuples.union s.full (Tuples.union s.delta s.next)
@@ -71,19 +64,13 @@ let build tuples pos =
     tuples;
   idx
 
-(* An index is published into [indexes] only once fully built, and never
-   mutated afterwards, so readers holding one need no lock. Sequential
-   runs skip the lock, as the intern shards do. *)
 let index s section pos =
-  let find_or_build () =
-    match Hashtbl.find_opt s.indexes (section, pos) with
-    | Some idx -> idx
-    | None ->
-      let idx = build (section_tuples s section) pos in
-      Hashtbl.add s.indexes (section, pos) idx;
-      idx
-  in
-  if Pool.parallel () then Mutex.protect s.lock find_or_build else find_or_build ()
+  match Hashtbl.find_opt s.indexes (section, pos) with
+  | Some idx -> idx
+  | None ->
+    let idx = build (section_tuples s section) pos in
+    Hashtbl.add s.indexes (section, pos) idx;
+    idx
 
 type probe = Hit | Miss | Scan
 

@@ -75,11 +75,8 @@ val solve :
     predicate's store, in section order; a negative literal lets the
     substitution through when [neg] says so; (in)equalities evaluate or
     bind as in {!Dterm.match_value}. [count] sees one {!probe} per
-    section probed.
-
-    Domain safety: index creation and lookup take the store's lock while
-    [Pool.parallel ()], so concurrent [solve]s may share stores as long
-    as nothing mutates their sections meanwhile. *)
+    section probed. A probe may build and cache an index, so a store
+    belongs to one domain at a time. *)
 
 exception Unsafe of string
 (** Raised when a rule body admits no evaluable literal ordering. *)

@@ -24,10 +24,15 @@ val is_stratified : Program.t -> bool
 val strata : Program.t -> (string list list, string) result
 (** [Ok groups] or [Error message]. *)
 
-val components : Program.t -> string list -> string list list
-(** [components p preds] splits [preds] into the connected components of
-    [p]'s predicate dependency graph restricted to [preds] (edges taken
-    as undirected), ordered by first occurrence in [preds]. Predicates
-    of one stratum in different components have disjoint, mutually
-    unreachable fixpoints — the parallel stratum evaluators compute the
-    components as independent tasks. *)
+val schedule : Program.t -> (string list list list, string) result
+(** The stratified evaluators' schedule, from the same pass as
+    {!analyse}: for each stratum in evaluation order, its derived
+    predicates (those some rule defines) split into connected
+    components. Two derived predicates of a stratum share a component
+    when a chain of dependency edges between derived predicates of that
+    stratum, taken as undirected, links them. Members come in
+    {!Program.all_preds} order and components in order of first member;
+    strata with no derived predicate are left out. Components of one
+    stratum read only lower strata and the extensional database, never
+    each other, so their fixpoints are independent and together
+    partition the stratum's derived facts. [Error] as in {!strata}. *)

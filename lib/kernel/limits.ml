@@ -62,7 +62,7 @@ type budget = {
 }
 
 (* The budget cell is atomic so a fuel value shared across pool tasks
-   (parallel strata, per-rule rounds) loses no spends: every successful
+   (the components of a stratum) loses no spends: every successful
    [spend] subtracts exactly one, so the total — and hence [remaining]
    after a completed evaluation — is the sequential number regardless of
    interleaving. A failed spend restores its decrement before raising,

@@ -1,6 +1,7 @@
 (** A small fixed work-pool over stdlib [Domain] — the multicore engine
-    room shared by every parallel evaluation path (per-rule semi-naive
-    rounds, independent stratum components).
+    room shared by every parallel evaluation path: the independent
+    components of a stratum, in [Seminaive.stratified] and
+    [Stratified_to_ifp.eval_all].
 
     The pool is global and opt-in: the default size is [1], at which
     {!run} and {!map} degenerate to plain sequential evaluation with
@@ -13,11 +14,11 @@
 
     Determinism contract: {!run} and {!map} return results in input
     order, and every parallel call site in the repository is structured
-    so the combined result is independent of execution interleaving
-    (canonical-set merges, or parallel derivation with sequential
-    commit — see DESIGN.md §9). If several tasks raise, the exception
-    of the earliest task (lowest index) is re-raised, so failure is as
-    deterministic as success.
+    so the combined result is independent of execution interleaving:
+    each task computes its own fixpoint over shared immutable inputs,
+    and the results merge in task order (DESIGN.md §9). If several
+    tasks raise, the exception of the earliest task (lowest index) is
+    re-raised, so failure is as deterministic as success.
 
     Failure containment contract (see DESIGN.md §11): a task that
     raises — including a [Faultinj.Injected] fault or a
@@ -25,9 +26,9 @@
     remaining tasks of the batch run (or fail fast at their own
     ambient-budget probe, for cancellation), the workers return to the
     queue, and the very next {!run} behaves normally. Every task probes
-    [Limits.check_active] on entry, which is how parallel rounds and
-    stratum components honor deadlines and cancellation without
-    threading a budget through their signatures. *)
+    [Limits.check_active] on entry, which is how stratum components
+    honor deadlines and cancellation without threading a budget through
+    their signatures. *)
 
 val set_domains : int -> unit
 (** Resize the pool to [n] total domains ([n - 1] workers plus the
@@ -37,8 +38,8 @@ val set_domains : int -> unit
 
 val parallel : unit -> bool
 (** Whether worker domains are live (the size is above [1]) — the
-    one-load guard parallel call sites (and the kernel's intern-shard
-    locks) check before paying any synchronisation. *)
+    one-load guard the kernel's intern-shard and membership-index locks
+    and the obs emit lock check before paying any synchronisation. *)
 
 val run : (unit -> 'a) list -> 'a list
 (** Evaluate the thunks, possibly concurrently, returning results in

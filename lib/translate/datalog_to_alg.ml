@@ -192,7 +192,7 @@ let compile_literal builtins resolve env lit =
 let literal_preference uncertain l =
   match l with
   | Literal.Eq _ | Literal.Neq _ -> 0
-  | Literal.Pos a -> if List.mem a.Literal.pred uncertain then 3 else 1
+  | Literal.Pos a -> if uncertain a.Literal.pred then 3 else 1
   | Literal.Neg _ -> 2
 
 let compile_rule builtins ~uncertain resolve (r : Rule.t) =
@@ -245,12 +245,15 @@ let edb_alias p = p ^ "__edb"
 let translate program edb =
   let builtins = program.Program.builtins in
   let idb = Program.idb_preds program in
-  let resolve pred = if List.mem pred idb then Expr.rel pred else Expr.rel pred in
+  let idb_tbl = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace idb_tbl p ()) idb;
+  let is_idb = Hashtbl.mem idb_tbl in
   let defs =
-    List.map
-      (fun pred ->
-        let rules = Program.rules_for program pred in
-        let rule_exprs = List.map (compile_rule builtins ~uncertain:idb resolve) rules in
+    List.map2
+      (fun pred rules ->
+        let rule_exprs =
+          List.map (compile_rule builtins ~uncertain:is_idb Expr.rel) rules
+        in
         let with_edb =
           if Edb.tuples edb pred <> [] then Expr.rel (edb_alias pred) :: rule_exprs
           else rule_exprs
@@ -262,6 +265,7 @@ let translate program edb =
         in
         Defs.constant pred body)
       idb
+      (Program.bucket_rules (List.map (fun p -> [ p ]) idb) program.Program.rules)
   in
   let db =
     (* EDB relations under their own name; relations sharing a name with a
@@ -270,7 +274,7 @@ let translate program edb =
     List.fold_left
       (fun db pred ->
         let tuples = List.map tuple_of_args (Edb.tuples edb pred) in
-        if List.mem pred idb then Db.add_elems (edb_alias pred) tuples db
+        if is_idb pred then Db.add_elems (edb_alias pred) tuples db
         else Db.add_elems pred tuples db)
       Db.empty (Edb.preds edb)
   in

@@ -48,12 +48,12 @@ val pred_tuples :
 
 val compile_rule :
   Recalg_kernel.Builtins.t ->
-  uncertain:string list ->
+  uncertain:(string -> bool) ->
   (string -> Expr.t) -> Rule.t -> Expr.t
 (** Compile one safe rule body into the algebra expression computing its
     derived head tuples, resolving each body predicate through the given
     function — the rule-level simulation function, shared with the
     stratified translation of Theorem 4.3 ({!Stratified_to_ifp}).
-    [uncertain] lists predicates whose extension is approximate (used
-    for precision-aware literal ordering; pass [[]] for two-valued
-    targets). *)
+    [uncertain] holds of the predicates whose extension is approximate
+    (used for precision-aware literal ordering; pass [fun _ -> false]
+    for two-valued targets). *)

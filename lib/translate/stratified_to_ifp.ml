@@ -29,25 +29,28 @@ let translate program edb =
     Error
       (Fmt.str "unsafe program: %a" Fmt.(list ~sep:sp Safety.pp_violation) violations)
   | Ok () -> (
-    match Stratify.strata program with
+    match Stratify.schedule program with
     | Error msg -> Error msg
-    | Ok groups ->
+    | Ok strata ->
       let builtins = program.Program.builtins in
       let idb = Program.idb_preds program in
+      let rules_of = Hashtbl.create 64 in
+      List.iter2 (Hashtbl.replace rules_of) idb
+        (Program.bucket_rules (List.map (fun p -> [ p ]) idb) program.Program.rules);
       let fix_var = "w" in
-      (* Per-component translation: a stratum splits into the connected
-         components of its dependency graph (Stratify.components) — each
-         is one simultaneous fixpoint; splitting is sound because
-         components never read each other's tag space, so the joint
-         inflationary fixpoint is exactly the disjoint union of the
-         component fixpoints. Predicates of earlier strata (or sibling
-         components) resolve to their finished constants; same-component
-         predicates resolve to the untagged part of the fixpoint
-         variable. A single-component stratum produces the same constant
-         this translation always produced. *)
+      (* Per-component translation: each component of a stratum (see
+         Stratify.schedule) is one simultaneous fixpoint; splitting is
+         sound because components never read each other's tag space, so
+         the joint inflationary fixpoint is exactly the disjoint union of
+         the component fixpoints. Predicates of earlier strata (or
+         sibling components) resolve to their finished constants;
+         same-component predicates resolve to the untagged part of the
+         fixpoint variable. *)
       let translate_component preds =
+        let own = Hashtbl.create 16 in
+        List.iter (fun p -> Hashtbl.replace own p ()) preds;
         let resolve pred =
-          if List.mem pred preds then untag pred (Expr.rel fix_var)
+          if Hashtbl.mem own pred then untag pred (Expr.rel fix_var)
           else Expr.rel pred
         in
         let step_body =
@@ -60,8 +63,11 @@ let translate program edb =
               with_edb
               @ List.map
                   (fun r ->
-                    tag pred (Datalog_to_alg.compile_rule builtins ~uncertain:[] resolve r))
-                  (Program.rules_for program pred))
+                    tag pred
+                      (Datalog_to_alg.compile_rule builtins
+                         ~uncertain:(fun _ -> false)
+                         resolve r))
+                  (Hashtbl.find rules_of pred))
             preds
         in
         let body =
@@ -78,15 +84,7 @@ let translate program edb =
         in
         (fix_const, preds, fix_def, pred_defs)
       in
-      let level_comps =
-        List.filter_map
-          (fun group ->
-            let preds = List.filter (fun p -> List.mem p idb) group in
-            if preds = [] then None
-            else
-              Some (List.map translate_component (Stratify.components program preds)))
-          groups
-      in
+      let level_comps = List.map (List.map translate_component) strata in
       let defs =
         List.concat_map
           (fun comps ->
@@ -115,7 +113,7 @@ let translate program edb =
             let tuples =
               List.map Datalog_to_alg.tuple_of_args (Edb.tuples edb pred)
             in
-            if List.mem pred idb then Db.add_elems (edb_alias pred) tuples db
+            if Hashtbl.mem rules_of pred then Db.add_elems (edb_alias pred) tuples db
             else Db.add_elems pred tuples db)
           Db.empty (Edb.preds edb)
       in

@@ -26,10 +26,9 @@ type t = {
 }
 
 val translate : Program.t -> Edb.t -> (t, string) result
-(** [Error] when the program is unsafe or not stratified. Each stratum
-    is split into the connected components of its dependency graph
-    ({!Recalg_datalog.Stratify.components}); every component gets its
-    own simultaneous fixpoint constant — sound because components never
+(** [Error] when the program is unsafe or not stratified. Each
+    component of {!Recalg_datalog.Stratify.schedule} gets its own
+    simultaneous fixpoint constant — sound because components never
     read each other's tag space, so the joint inflationary fixpoint is
     the disjoint union of the component fixpoints. *)
 

@@ -163,6 +163,50 @@ let test_translate_refuses_reserved () =
         Alcotest.(check int) "exit code" 1 rc;
         Alcotest.(check string) "stdout" "" out)
 
+(* An unsafe program is a reported error on every verb that evaluates
+   or translates it: exit 1 and an [error: unsafe program] line, whether
+   the verb checks safety up front or an engine finds a body with no
+   evaluable order. *)
+let test_unsafe_exits_1 () =
+  match find_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let dl = Filename.temp_file "recalg_unsafe" ".dl" in
+    let upd = Filename.temp_file "recalg_unsafe" ".upd" in
+    let err = Filename.temp_file "recalg_unsafe" ".err" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ dl; upd; err ])
+      (fun () ->
+        Out_channel.with_open_bin dl (fun oc ->
+            output_string oc "q(a). p(X) :- not q(X).\n");
+        Out_channel.with_open_bin upd (fun oc -> output_string oc "+q(b).\n");
+        let file = Filename.quote dl and updates = Filename.quote upd in
+        let under verb rest sems =
+          List.map
+            (fun s ->
+              ( verb ^ " --semantics " ^ s,
+                Printf.sprintf "%s --semantics %s %s%s" verb s file rest ))
+            sems
+        in
+        let three = [ "valid"; "wellfounded"; "inflationary" ] in
+        List.iter
+          (fun (label, args) ->
+            let rc =
+              Sys.command
+                (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args
+                   (Filename.quote err))
+            in
+            let stderr = In_channel.with_open_bin err In_channel.input_all in
+            Alcotest.(check int) (label ^ ": exit code") 1 rc;
+            if not (String.starts_with ~prefix:"error: unsafe program" stderr) then
+              Alcotest.failf "%s: stderr %S" label stderr)
+          (under "run" "" (three @ [ "stable"; "stratified" ])
+          @ under "update" (" " ^ updates) ("stratified" :: three)
+          @ under "report" "" (three @ [ "stratified" ])
+          @ [ ("query", Printf.sprintf "query %s 'p(X)'" file);
+              ("translate", "translate " ^ file) ]))
+
 let suite =
   [
     Alcotest.test_case "all verbs share --fuel/--trace/--profile" `Quick
@@ -172,4 +216,6 @@ let suite =
       test_translate_runs_under_alg;
     Alcotest.test_case "translate refuses a reserved word" `Quick
       test_translate_refuses_reserved;
+    Alcotest.test_case "unsafe programs exit 1 on every verb" `Quick
+      test_unsafe_exits_1;
   ]

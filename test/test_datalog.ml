@@ -196,34 +196,33 @@ let test_strata_order () =
     Alcotest.(check bool) "b before c" true (stratum_of "b" < stratum_of "c")
   | Error e -> Alcotest.fail e
 
-let check_components = Alcotest.(check (list (list string)))
+let check_schedule =
+  Alcotest.(check (result (list (list (list string))) string))
 
 let test_components_edges () =
-  (* Edge cases of the dependency-graph component split the parallel
-     stratum evaluators rely on. Empty program: no edges, so every
-     predicate is its own component and the empty split is empty. *)
-  let empty, _ = parse "" in
-  check_components "empty/empty" [] (Stratify.components empty []);
-  check_components "empty program: singletons" [ [ "p" ]; [ "q" ] ]
-    (Stratify.components empty [ "p"; "q" ]);
+  (* Edge cases of the component split the stratified evaluators fan
+     out over. Empty program: nothing is derived, so no stratum. *)
+  let schedule src = Stratify.schedule (fst (parse src)) in
+  check_schedule "empty program" (Ok []) (schedule "");
   (* Self-loop-only rules: a self-edge connects a predicate to nothing
-     else, so the split is still singletons — in the order given, which
-     is the evaluation order the caller fixed. *)
-  let selfish, _ = parse "p(X) :- p(X). q(X) :- q(X)." in
-  check_components "self-loops: singletons" [ [ "p" ]; [ "q" ] ]
-    (Stratify.components selfish [ "p"; "q" ]);
-  check_components "order follows the input" [ [ "q" ]; [ "p" ] ]
-    (Stratify.components selfish [ "q"; "p" ]);
-  (* A chain of dependencies spans all predicates: one component, even
-     though the edges are directed head -> body and taken undirected. *)
-  let chain, _ = parse "a(X) :- b(X). b(X) :- c(X). c(X) :- d(X)." in
-  check_components "single component spans all"
-    [ [ "a"; "b"; "c"; "d" ] ]
-    (Stratify.components chain [ "a"; "b"; "c"; "d" ]);
-  (* Restricting the predicate set restricts the graph: without [b] the
-     a-c connection is severed. *)
-  check_components "restriction severs" [ [ "a" ]; [ "c"; "d" ] ]
-    (Stratify.components chain [ "a"; "c"; "d" ])
+     else, so the split is singletons, in program order. *)
+  check_schedule "self-loops: singletons" (Ok [ [ [ "p" ]; [ "q" ] ] ])
+    (schedule "p(X) :- p(X). q(X) :- q(X).");
+  check_schedule "order follows the program" (Ok [ [ [ "q" ]; [ "p" ] ] ])
+    (schedule "q(X) :- q(X). p(X) :- p(X).");
+  (* A chain of dependencies spans all its derived predicates: one
+     component, though the edges are directed head -> body and taken
+     undirected. The extensional [d] is in no component. *)
+  check_schedule "single component spans all" (Ok [ [ [ "a"; "b"; "c" ] ] ])
+    (schedule "a(X) :- b(X). b(X) :- c(X). c(X) :- d(X).");
+  (* A negated edge puts its ends in different strata, which severs the
+     chain there. *)
+  check_schedule "negation severs" (Ok [ [ [ "b"; "c" ] ]; [ [ "a" ] ] ])
+    (schedule "a(X) :- d(X), not b(X). b(X) :- c(X). c(X) :- d(X).");
+  (* Components that read one extensional relation stay apart. *)
+  check_schedule "a shared base relation joins nothing"
+    (Ok [ [ [ "p" ]; [ "q" ] ] ])
+    (schedule "p(X) :- e(X). q(X) :- e(X).")
 
 (* --- Grounding --- *)
 
@@ -527,6 +526,79 @@ let prop_stratify_least =
              groups
         && List.sort compare (List.concat groups) = List.sort compare preds)
 
+(* The component split as it was computed before the stratification
+   pass produced it: for each stratum's derived predicates, the
+   connected components of the whole program's dependency graph
+   restricted to them (Tarjan over the symmetrised graph), ordered by
+   first member. *)
+let reference_components p preds =
+  let names = Array.of_list preds in
+  let n = Array.length names in
+  let ids = Hashtbl.create 16 in
+  Array.iteri (fun i name -> Hashtbl.replace ids name i) names;
+  let adj = Array.make n [] in
+  List.iter
+    (fun (h, q, _pol) ->
+      match (Hashtbl.find_opt ids h, Hashtbl.find_opt ids q) with
+      | Some i, Some j ->
+        adj.(i) <- j :: adj.(i);
+        adj.(j) <- i :: adj.(j)
+      | _ -> ())
+    (Program.dependencies p);
+  Graph.sccs n (Array.get adj)
+  |> List.sort compare
+  |> List.map (List.map (Array.get names))
+
+let prop_schedule_components =
+  QCheck.Test.make
+    ~name:"stratify: schedule = components of each stratum's derived predicates"
+    ~count:(Tgen.qcount 300) Tgen.rand_program_arb (fun program ->
+      QCheck.assume (Stratify.is_stratified program);
+      let idb = Program.idb_preds program in
+      match (Stratify.strata program, Stratify.schedule program) with
+      | Ok groups, Ok schedule ->
+        schedule
+        = List.filter_map
+            (fun group ->
+              match List.filter (fun p -> List.mem p idb) group with
+              | [] -> None
+              | preds -> Some (reference_components program preds))
+            groups
+      | Error _, _ | _, Error _ -> false)
+
+(* The inflationary stage iteration before the counting pass: the
+   immediate-consequence operator tests every ground rule at every
+   stage. Returns the fixpoint and the atoms each stage added. *)
+let reference_stages (pg : Propgm.t) =
+  let n = Propgm.n_atoms pg in
+  let step current =
+    let out = Bitset.create n in
+    Array.iter
+      (fun rule ->
+        if
+          Array.for_all (Bitset.get current) rule.Propgm.pos
+          && Array.for_all (fun a -> not (Bitset.get current a)) rule.Propgm.neg
+        then Bitset.set out rule.Propgm.head)
+      pg.Propgm.rules;
+    Bitset.union_into ~dst:out current;
+    out
+  in
+  let rec go added current =
+    let next = step current in
+    let added = (Bitset.count next - Bitset.count current) :: added in
+    if Bitset.equal next current then (current, List.rev added) else go added next
+  in
+  go [] (Bitset.create n)
+
+let prop_stages_reference =
+  QCheck.Test.make ~name:"inflationary: counting stages = stage iteration"
+    ~count:(Tgen.qcount 300) Tgen.rand_instance_arb (fun (program, edges) ->
+      let pg = Grounder.ground program (Tgen.e_edb edges) in
+      let expected, expected_added = reference_stages pg in
+      let added = ref [] in
+      let got = Fixpoint.stages pg ~stage:(fun k -> added := k :: !added) in
+      Bitset.equal got expected && List.rev !added = expected_added)
+
 let suite =
   [
     Alcotest.test_case "dterm eval" `Quick test_dterm_eval;
@@ -580,6 +652,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stratified_total;
     QCheck_alcotest.to_alcotest prop_negation_free_semantics_coincide;
     QCheck_alcotest.to_alcotest prop_stratify_least;
+    QCheck_alcotest.to_alcotest prop_schedule_components;
+    QCheck_alcotest.to_alcotest prop_stages_reference;
   ]
 
 (* Example 1's first definition style: an auxiliary function F(i)

@@ -231,8 +231,8 @@ let prop_rec_eval_domains =
       | _ -> false)
 
 let prop_seminaive_domains =
-  (* Both the per-rule parallel rounds (Seminaive.seminaive on the raw
-     rule set) and the component-parallel stratified driver. *)
+  (* Both a direct semi-naive run over the raw rule set (one domain)
+     and the component-parallel stratified driver. *)
   QCheck.Test.make ~name:"Seminaive: domains:4 = domains:1 (EDB and fuel)"
     ~count:(Tgen.qcount 60) Tgen.rand_instance_arb
     (fun (program, edges) ->
@@ -427,11 +427,11 @@ let test_pool_cancellation () =
   Alcotest.(check (list int)) "pool alive after cancellation" [ 0; 1; 2; 3 ]
     (Pool.map Fun.id [ 0; 1; 2; 3 ])
 
-(* Parallel semi-naive rounds on a graph big enough for concurrent index
-   creation to happen: non-linear TC fires two (rule, delta position)
-   tasks per round, both probing the [t] store by a bound first argument,
-   so their indexes are built while the tasks run. 4 chains of 50 nodes
-   with shortcuts and cross-chain edges. *)
+(* Semi-naive evaluation with a live pool on a graph big enough for many
+   index builds: non-linear TC fires two (rule, delta position) tasks
+   per round, both probing the [t] store by a bound first argument, and
+   the rounds run on one domain whatever the pool size. 4 chains of 50
+   nodes with shortcuts and cross-chain edges. *)
 let test_seminaive_parallel_stress () =
   let program, _ =
     Datalog.Parser.parse_exn "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z)."

@@ -34,10 +34,20 @@ let test_program_union () =
   let u = Program.union p1 p2 in
   Alcotest.(check int) "rules" 2 (List.length u.Program.rules)
 
-let test_rules_for () =
-  let program, _ = parse "p(X) :- e(X). p(X) :- f(X). q(X) :- e(X)." in
-  Alcotest.(check int) "two p rules" 2 (List.length (Program.rules_for program "p"));
-  Alcotest.(check int) "no r rules" 0 (List.length (Program.rules_for program "r"))
+let test_bucket_rules () =
+  let program, _ = parse "p(X) :- e(X). q(X) :- e(X). p(X) :- f(X)." in
+  let sizes groups =
+    List.map List.length (Program.bucket_rules groups program.Program.rules)
+  in
+  Alcotest.(check (list int)) "two p rules, one q, no r" [ 2; 1; 0 ]
+    (sizes [ [ "p" ]; [ "q" ]; [ "r" ] ]);
+  Alcotest.(check (list int)) "a group takes every member's rules" [ 3 ]
+    (sizes [ [ "q"; "p" ] ]);
+  match Program.bucket_rules [ [ "p" ] ] program.Program.rules with
+  | [ [ r1; r2 ] ] ->
+    Alcotest.(check (list string)) "program order" [ "e"; "f" ]
+      (List.map (fun r -> fst (List.hd (Rule.body_preds r))) [ r1; r2 ])
+  | _ -> Alcotest.fail "expected one bucket of two rules"
 
 let test_edb_ops () =
   let edb =
@@ -196,7 +206,7 @@ let suite =
     Alcotest.test_case "dependencies" `Quick test_program_dependencies;
     Alcotest.test_case "constants/functions" `Quick test_program_constants_functions;
     Alcotest.test_case "program union" `Quick test_program_union;
-    Alcotest.test_case "rules_for" `Quick test_rules_for;
+    Alcotest.test_case "bucket_rules" `Quick test_bucket_rules;
     Alcotest.test_case "edb operations" `Quick test_edb_ops;
     Alcotest.test_case "interp false tuples" `Quick test_interp_false_tuples;
     Alcotest.test_case "interp counts" `Quick test_interp_counts;

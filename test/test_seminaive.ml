@@ -213,6 +213,23 @@ let test_key_shapes () =
         sizes)
     key_shapes
 
+(* [by_strata seminaive] is how [Run.stratified] evaluated a stratum at
+   pool size 1 before strata were split into components: one semi-naive
+   run over all of the stratum's rules. The components partition the
+   stratum's derived facts and fuel is spent per derived fact, so the
+   split changes neither the result nor the fuel left. *)
+let prop_stratified_whole_strata =
+  QCheck.Test.make
+    ~name:"stratified = semi-naive over each whole stratum (EDB and fuel)"
+    ~count:(Tgen.qcount 100) Tgen.rand_instance_arb (fun (program, edges) ->
+      QCheck.assume (Stratify.is_stratified program);
+      let edb = Tgen.e_edb edges in
+      let whole, whole_fuel = by_strata seminaive program edb in
+      let fuel = Limits.of_int 100_000 in
+      match Run.stratified ~fuel program edb with
+      | Ok db -> Edb.equal db whole && Limits.remaining fuel = whole_fuel
+      | Error msg -> QCheck.Test.fail_report msg)
+
 (* DRed on left-linear TC: the overdeletion and rederivation rounds probe
    [e] by its bound first argument. *)
 let test_left_linear_dred () =
@@ -254,4 +271,5 @@ let suite =
     Alcotest.test_case "left-linear TC delete and refill" `Quick test_left_linear_dred;
     QCheck_alcotest.to_alcotest prop_naive_equals_seminaive;
     QCheck_alcotest.to_alcotest prop_seminaive_equals_grounding;
+    QCheck_alcotest.to_alcotest prop_stratified_whole_strata;
   ]
