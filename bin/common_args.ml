@@ -58,10 +58,14 @@ let term =
       & info [ "degrade" ]
           ~doc:
             "Graceful degradation: when a resource limit trips inside a \
-             monotone fixpoint (IFP, semi-naive), return the facts \
-             derived so far — a sound under-approximation, explicitly \
-             marked incomplete on stderr — instead of discarding them. \
-             The exit code still reports the exhausted resource.")
+             monotone fixpoint, return the facts derived so far — a \
+             sound under-approximation, explicitly marked incomplete on \
+             stderr — instead of discarding them. The exit code still \
+             reports the exhausted resource. Only $(b,run --semantics \
+             stratified) degrades, in its semi-naive strata; every other \
+             verb and semantics (the grounder, the alternating \
+             fixpoints, $(b,alg)'s solve, $(b,update)) finishes or exits \
+             with the resource code.")
   in
   let domains =
     Arg.(

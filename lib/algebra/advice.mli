@@ -1,20 +1,22 @@
 (** The evaluation path of the algebra engines: planner advice plus the
     reference switches the engine equivalences are checked against.
 
-    {!Eval}, {!Rec_eval} and {!Delta} read this record, and nothing else,
-    to choose between semi-naive and naive fixpoint loops, between fused
-    and unfused joins, and between component-ordered and whole-program
-    solving. The cost-based planner lives in [recalg.plan], {e above}
-    this library, so the evaluators cannot call it directly; it hands
-    them two hooks instead: a whole-expression rewrite (join reordering,
-    semijoin reduction, predicate pushdown) applied wherever an evaluator
-    inlines an expression, and a re-planning hook the fixpoint loops call
-    at round boundaries. Advice changes only {e which expression} runs,
-    never how an operator runs: the evaluators pick an operator's path
-    from what they observe (delta eligibility, an equi-key). Every
-    rewrite installed here must be {e result-exact}: the advised
-    evaluation returns byte-identical sets (fuel is pinned by tests but
-    not promised by this interface; see DESIGN.md §10).
+    {!Rec_eval} (the one evaluator, behind {!Eval} too) and {!Delta} read
+    this record, and nothing else, to choose between semi-naive and naive
+    fixpoint loops, between fused and unfused joins, and between
+    component-ordered and whole-program solving. The cost-based planner
+    lives in [recalg.plan], {e above} this library, so the evaluators
+    cannot call it directly; it hands them two hooks instead: a
+    whole-expression rewrite (join reordering, semijoin reduction,
+    predicate pushdown) applied wherever an evaluator inlines an
+    expression, and a re-planning hook the fixpoint loops (each [Ifp]
+    round, each alternating round) call at round boundaries. Advice
+    changes only {e which expression} runs, never how an operator runs:
+    the evaluators pick an operator's path from what they observe (delta
+    eligibility, an equi-key). Every rewrite installed here must be
+    {e result-exact}: the advised evaluation returns byte-identical sets
+    (fuel is pinned by tests but not promised by this interface; see
+    DESIGN.md §10).
 
     {!none} is the identity advice; evaluators default to it, and with
     it the advised code paths are byte-for-byte the unadvised ones. The
@@ -86,10 +88,11 @@ val fused_join :
   Builtins.t ->
   Expr.t ->
   (Expr.t * Expr.t * (Value.t -> Value.t -> Value.t)) option
-(** The evaluation path of a [Select (p, a)] node, the one decision all
-    three engines share. [Some (l, r, join)] when [a] is a product
-    [l × r], [t.fused] holds and [p] has an equi-key ({!Join.plan}): the
-    node's value is [join] applied to the values of [l] and [r] — a hash
-    join ({!Join.exec}), byte-identical to filtering the product. [None]
-    means filter [a]'s value by [p]. Counts [plan/fused], or
-    [plan/unfused] when [a] is a product that is not joined. *)
+(** The evaluation path of a [Select (p, a)] node, the one decision the
+    operator walk and the delta derivation share. [Some (l, r, join)]
+    when [a] is a product [l × r], [t.fused] holds and [p] has an
+    equi-key ({!Join.plan}): the node's value is [join] applied to the
+    values of [l] and [r] — a hash join ({!Join.exec}), byte-identical to
+    filtering the product. [None] means filter [a]'s value by [p]. Counts
+    [plan/fused], or [plan/unfused] when [a] is a product that is not
+    joined. *)

@@ -1,8 +1,8 @@
 open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
-exception Undefined_relation of string
-exception Recursive_definition of string
+exception Undefined_relation = Rec_eval.Undefined_relation
+exception Recursive_definition = Rec_eval.Recursive_definition
 
 module Smap = Map.Make (String)
 
@@ -217,8 +217,7 @@ let beval eng db env e =
           | None -> Expr.Rel n)
         e
   in
-  try Eval.eval ~fuel:eng.fuel (Defs.make ~builtins:eng.builtins []) db e'
-  with Eval.Undefined_relation n -> raise (Undefined_relation n)
+  Eval.eval ~fuel:eng.fuel (Defs.make ~builtins:eng.builtins []) db e'
 
 let positive_deltas deltas =
   List.filter_map
@@ -594,9 +593,7 @@ module Rec = struct
           | None -> Expr.Rel n)
         e
     in
-    try
-      Eval.eval ~fuel:eng.fuel (Defs.make ~builtins:eng.builtins []) eng.rdb e'
-    with Eval.Undefined_relation n -> raise (Undefined_relation n)
+    Eval.eval ~fuel:eng.fuel (Defs.make ~builtins:eng.builtins []) eng.rdb e'
 
   (* Monotone insert-only extension of the least solution: semi-naive
      rounds over the equation system, seeded from the input insertions,

@@ -2,6 +2,7 @@ open Recalg_kernel
 module Obs = Recalg_obs.Obs
 
 exception Undefined_relation of string
+exception Recursive_definition of string
 
 type vset = { low : Value.t; high : Value.t }
 
@@ -15,14 +16,9 @@ let member s v =
 
 let exact v = { low = v; high = v }
 
-let undef_elements s = Value.elements (Value.diff s.high s.low)
-
 let pp_vset ppf s =
   if is_defined s then Value.pp ppf s.low
   else Fmt.pf ppf "[certain %a, possible %a]" Value.pp s.low Value.pp s.high
-
-let vset_union a b = { low = Value.union a.low b.low; high = Value.union a.high b.high }
-let vset_equal a b = Value.equal a.low b.low && Value.equal a.high b.high
 
 module Smap = Map.Make (String)
 
@@ -42,28 +38,31 @@ let pick mask s =
   | Both -> invalid_arg "Rec_eval.pick: Both"
 
 (* The sides of a result outside its mask are unspecified and never
-   read; the two helpers below leave them empty. *)
+   read; the helpers below leave them empty. An operator on defined
+   inputs computes once and returns its one set as both bounds. *)
 let read mask low high =
   { low = (if wants_low mask then low () else Value.empty_set);
     high = (if wants_high mask then high () else Value.empty_set) }
 
 let map_bounds mask f s =
-  { low = (if wants_low mask then f s.low else Value.empty_set);
-    high = (if wants_high mask then f s.high else Value.empty_set) }
+  if is_defined s then exact (f s.low)
+  else read mask (fun () -> f s.low) (fun () -> f s.high)
 
 let lift mask f a b =
-  { low = (if wants_low mask then f a.low b.low else Value.empty_set);
-    high = (if wants_high mask then f a.high b.high else Value.empty_set) }
+  if is_defined a && is_defined b then exact (f a.low b.low)
+  else read mask (fun () -> f a.low b.low) (fun () -> f a.high b.high)
 
 (* What an evaluation reads besides the expression. [consts] gives the
    current bounds of every defined constant, per mask, so a phase's
-   accumulator is merged only when something reads it. *)
+   accumulator is merged only when something reads it. [two_valued]:
+   every set read is defined ({!two_valued}). *)
 type ctx = {
   builtins : Builtins.t;
   db : Db.t;
   consts : (mask -> vset) Smap.t;
   fuel : Limits.fuel;
   advice : Advice.t;
+  two_valued : bool;
 }
 
 type solution = {
@@ -71,6 +70,13 @@ type solution = {
   defs : Defs.t;  (* as given to [solve] *)
   rounds : int;
 }
+
+(* Whether a name in scope is one set for both bounds, as a database
+   relation always is. *)
+let defined ctx env name =
+  match (List.assoc_opt name env, Smap.find_opt name ctx.consts) with
+  | Some bounds, _ | None, Some bounds -> is_defined (bounds Both)
+  | None, None -> true
 
 (* Three-valued evaluation of an inlined expression given current bounds
    for the defined constants. The difference operator realises the valid
@@ -100,9 +106,8 @@ let rec eval_vset ctx mask env e =
   | Expr.Param x -> invalid_arg ("Rec_eval: unsubstituted parameter " ^ x)
   | Expr.Union (a, b) -> lift mask Value.union (recur mask env a) (recur mask env b)
   | Expr.Diff (a, b) ->
-    let sa = recur mask env a and sb = recur (flip mask) env b in
-    { low = (if wants_low mask then Value.diff sa.low sb.high else Value.empty_set);
-      high = (if wants_high mask then Value.diff sa.high sb.low else Value.empty_set) }
+    let sb = recur (flip mask) env b in
+    lift mask Value.diff (recur mask env a) { low = sb.high; high = sb.low }
   | Expr.Product (a, b) ->
     let s = lift mask Value.product (recur mask env a) (recur mask env b) in
     Obs.countf "eval/product_out" (fun () ->
@@ -118,50 +123,75 @@ let rec eval_vset ctx mask env e =
     let sa = recur mask env a in
     map_bounds mask (Value.filter_map_set (Efun.apply builtins f)) sa
   | Expr.Ifp (x, body) ->
-    (* Iterates on both bounds whatever the mask: the loop stops only
-       when neither bound grows, so its rounds — and the fuel they
-       spend — must not depend on which bound the caller reads. *)
-    let full s = recur Both ((x, fun _ -> s) :: env) body in
-    let naive () =
-      let rec iterate s =
-        Limits.check fuel ~what:"Rec_eval: IFP iteration";
-        Limits.spend fuel ~what:"Rec_eval: IFP iteration";
-        Obs.count "rec_eval/ifp_iter" 1;
-        let s' = vset_union s (full s) in
-        if vset_equal s s' then s else iterate s'
-      in
-      iterate (exact Value.empty_set)
+    Obs.span "ifp" @@ fun () ->
+    (* The only algebra IFP loop. Over defined free names the two bounds
+       are one set, iterated once at the caller's bound; otherwise both
+       iterate, whatever the mask, so the rounds do not depend on it. *)
+    let one =
+      ctx.two_valued
+      || List.for_all (fun n -> n = x || defined ctx env n) (Expr.rel_names body)
     in
-    if not (advice.Advice.seminaive && Delta.eligible [ x ] body) then naive ()
-    else (
-      (* Semi-naive on both bounds: the low (resp. high) delta of a
-         linear body depends only on the low (resp. high) delta of the
-         variable; a difference's right argument is variable-free here,
-         so its opposite bound is what gets subtracted — mirroring
-         [low = a.low - b.high], [high = a.high - b.low]. *)
-      Limits.check fuel ~what:"Rec_eval: IFP iteration";
-      Limits.spend fuel ~what:"Rec_eval: IFP iteration";
-      Obs.count "rec_eval/ifp_iter" 1;
-      let s0 = full (exact Value.empty_set) in
-      let low = Delta.Acc.create () and high = Delta.Acc.create () in
-      let bounds mask =
-        read mask (fun () -> Delta.Acc.value low) (fun () -> Delta.Acc.value high)
+    let imask = if not one then Both else if mask = High then High else Low in
+    (* Exhaustion returns the iterate so far only where the answer grows
+       with it: in a two-valued evaluation, at the low bound. *)
+    let degrades e = ctx.two_valued && imask = Low && Limits.degradable fuel e in
+    (* With [one], [low] is [high] and holds the one set. *)
+    let low = Delta.Acc.create () in
+    let high = if one then low else Delta.Acc.create () in
+    let current mask =
+      read mask (fun () -> Delta.Acc.value low) (fun () -> Delta.Acc.value high)
+    in
+    let env' = (x, current) :: env in
+    (* A round's new tuples: the body against the current iterate (the
+       first round, and every naive one), or derived from the last delta
+       ({!Delta}); both derivations read the previous iterate. *)
+    let seminaive = advice.Advice.seminaive && Delta.eligible [ x ] body in
+    let step round body d =
+      if round = 0 || not seminaive then
+        let s = eval_vset ctx imask env' body in
+        if one then exact (pick imask s) else s
+      else if one then exact (derive_bound ctx env' imask ~deltas:[ (x, d.low) ] body)
+      else
+        let dlow = derive_bound ctx env' Low ~deltas:[ (x, d.low) ] body in
+        { low = dlow; high = derive_bound ctx env' High ~deltas:[ (x, d.high) ] body }
+    in
+    let extend d =
+      let dlow = Delta.Acc.extend low d.low in
+      if one then exact dlow else { low = dlow; high = Delta.Acc.extend high d.high }
+    in
+    let rec loop round body d =
+      (* Re-planning on the observed cardinality: a result-exact body,
+         adopted by a semi-naive loop only while delta-eligible. *)
+      let body =
+        if round = 0 || Advice.is_none advice then body
+        else
+          let bound = [ (x, fun () -> Delta.Acc.cardinal low) ] in
+          match advice.Advice.refresh ~bound body with
+          | Some body' when (not seminaive) || Delta.eligible [ x ] body' -> body'
+          | Some _ | None -> body
       in
-      let env = (x, bounds) :: env in
-      let rec loop d =
-        if Delta.is_empty d.low && Delta.is_empty d.high then bounds Both
-        else begin
-          Limits.check fuel ~what:"Rec_eval: IFP iteration";
-          Limits.spend fuel ~what:"Rec_eval: IFP iteration";
-          Obs.count "rec_eval/ifp_iter" 1;
-          (* Both derivations read the previous iterate, so neither
-             accumulator grows before both are done. *)
-          let dlow = derive_bound ctx env Low ~deltas:[ (x, d.low) ] body in
-          let dhigh = derive_bound ctx env High ~deltas:[ (x, d.high) ] body in
-          loop { low = Delta.Acc.extend low dlow; high = Delta.Acc.extend high dhigh }
-        end
-      in
-      loop { low = Delta.Acc.extend low s0.low; high = Delta.Acc.extend high s0.high })
+      (* Each round probes the budget unamortized, carries the
+         eval/round chaos point and spends one unit. After a degradation
+         no round starts, so a truncated value meets no later round. *)
+      match
+        if ctx.two_valued && Option.is_some (Limits.degraded fuel) then
+          Limits.fail_degraded fuel;
+        Limits.check fuel ~what:"IFP round";
+        Faultinj.hit "eval/round";
+        Limits.spend fuel ~what:"IFP iteration";
+        Obs.count "eval/ifp_iter" 1;
+        let d' = extend (step round body d) in
+        Obs.countf "eval/ifp_delta" (fun () -> Value.cardinal d'.low);
+        d'
+      with
+      | exception e when degrades e ->
+        Limits.latch fuel e;
+        current Both
+      | d' ->
+        if Delta.is_empty d'.low && Delta.is_empty d'.high then current Both
+        else loop (round + 1) body d'
+    in
+    loop 0 body (exact Value.empty_set)
   | Expr.Call _ -> invalid_arg "Rec_eval: Call survived inlining"
 
 (* The delta of [e]'s [mask] bound ({!Delta.derive}); a difference's
@@ -182,9 +212,8 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   let builtins = Defs.builtins inlined in
   (* Rewrite each body once, up front: every phase below revisits the
      planned bodies rather than re-planning them. *)
-  let advise e = if Advice.is_none advice then e else advice.Advice.rewrite e in
   let bodies =
-    List.map (fun (n, b) -> (n, advise b)) (Defs.constant_bodies inlined)
+    List.map (fun (n, b) -> (n, advice.Advice.rewrite b)) (Defs.constant_bodies inlined)
   in
   let all_names = List.map fst bodies in
   (* Per-constant semi-naive eligibility within a component [names]:
@@ -327,13 +356,9 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   let positive ctx bodies =
     round ();
     let eligible = eligible_for (List.map fst bodies) bodies in
-    let two_valued m =
-      match Smap.find_opt m ctx.consts with
-      | Some bounds -> is_defined (bounds Both)
-      | None -> true
-    in
     Obs.span "round" @@ fun () ->
-    if List.for_all (fun (_, b) -> List.for_all two_valued (Expr.rel_names b)) bodies
+    let defined = defined ctx [] in
+    if List.for_all (fun (_, b) -> List.for_all defined (Expr.rel_names b)) bodies
     then begin
       let exact = phase_lfp ctx ~bodies ~eligible ~grow:Low ~fixed:None in
       (exact, exact, 1)
@@ -347,9 +372,8 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   in
   (* The alternating fixpoint over one component, whose members' lows
      are [lows_prev] between rounds. It is not monotone round-to-round,
-     so — unlike {!Eval}'s IFP — a truncated run is not a sound
-     under-approximation and this engine never degrades: it finishes or
-     raises. *)
+     so a truncated run is not a sound under-approximation and this
+     engine never degrades: it finishes or raises. *)
   let alternate ctx bodies =
     let names = List.map fst bodies in
     let rec outer bodies eligible lows_prev rounds =
@@ -380,30 +404,30 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   in
   (* Components in dependency order, each solved with the lower ones'
      bounds fixed in [consts]; unsplit, all constants are one
-     alternating component. *)
+     alternating component. A constant that does not read itself is no
+     fixpoint: it is evaluated once, for both bounds, with no round. *)
   let components =
     if advice.Advice.split then Defs.components inlined else [ all_names ]
   in
+  let solved ctx n s = { ctx with consts = Smap.add n (fun _ -> s) ctx.consts } in
   let ctx, rounds =
     List.fold_left
       (fun (ctx, rounds) names ->
         let comp = List.map (fun n -> (n, List.assoc n bodies)) names in
-        let lows, highs, r =
-          if advice.Advice.split
-             && List.for_all (fun (_, b) -> Positivity.monotone_in names b) comp
-          then positive ctx comp
-          else alternate ctx comp
-        in
-        (* A solved constant's bounds, whatever the mask asks for. *)
-        let consts =
-          Smap.fold
-            (fun n low consts ->
-              let s = { low; high = Smap.find n highs } in
-              Smap.add n (fun _ -> s) consts)
-            lows ctx.consts
-        in
-        ({ ctx with consts }, rounds + r))
-      ({ builtins; db; consts = Smap.empty; fuel; advice }, 0)
+        match comp with
+        | [ (n, b) ] when advice.Advice.split && not (List.mem n (Expr.rel_names b)) ->
+          let s = map_bounds Both (clip window) (eval_vset ctx Both [] b) in
+          (solved ctx n s, rounds)
+        | _ ->
+          let lows, highs, r =
+            if advice.Advice.split
+               && List.for_all (fun (_, b) -> Positivity.monotone_in names b) comp
+            then positive ctx comp
+            else alternate ctx comp
+          in
+          let solved n low ctx = solved ctx n { low; high = Smap.find n highs } in
+          (Smap.fold solved lows ctx, rounds + r))
+      ({ builtins; db; consts = Smap.empty; fuel; advice; two_valued = false }, 0)
       components
   in
   { ctx; defs; rounds }
@@ -416,13 +440,45 @@ let constant sol name =
 let rounds sol = sol.rounds
 
 let query sol expr =
-  let advice = sol.ctx.advice in
-  let expr = Defs.inline sol.defs expr in
-  let expr = if Advice.is_none advice then expr else advice.Advice.rewrite expr in
-  eval_vset sol.ctx Both [] expr
+  eval_vset sol.ctx Both [] (sol.ctx.advice.Advice.rewrite (Defs.inline sol.defs expr))
 
 let well_defined ?fuel ?window ?advice defs db =
   let sol = solve ?fuel ?window ?advice defs db in
   List.for_all
     (fun name -> is_defined (constant sol name))
     (Defs.constant_names sol.defs)
+
+(* Two-valued evaluation ({!Eval.eval}): every set is defined, so every
+   operator computes once and every [Ifp] iterates one bound. A constant
+   is evaluated once, when first read, at its reader's bound, so its
+   [Ifp]s degrade only where the answer grows with them. A value cut
+   short that way is not read at the other bound: that read raises. *)
+let two_valued ?(fuel = Limits.default ()) ?(advice = Advice.none) defs db expr =
+  Obs.span "eval" @@ fun () ->
+  let memo = Hashtbl.create 8 in
+  let rec ctx =
+    lazy
+      { builtins = Defs.builtins defs; db; fuel; advice; two_valued = true;
+        consts =
+          List.fold_left
+            (fun m n -> Smap.add n (value n) m)
+            Smap.empty (Defs.constant_names defs) }
+  and value n mask =
+    match Hashtbl.find_opt memo n with
+    | Some (Some (m, s, cut)) ->
+      if cut && m <> mask then Limits.fail_degraded fuel else s
+    | Some None -> raise (Recursive_definition n)
+    | None -> (
+      Hashtbl.replace memo n None;
+      let body = Defs.inline defs (Option.get (Defs.find defs n)).Defs.body in
+      let body = advice.Advice.rewrite body in
+      match exact (pick mask (eval_vset (Lazy.force ctx) mask [] body)) with
+      | exception e ->
+        Hashtbl.remove memo n;
+        raise e
+      | s ->
+        Hashtbl.replace memo n (Some (mask, s, Limits.degraded fuel <> None));
+        s)
+  in
+  let expr = advice.Advice.rewrite (Defs.inline defs expr) in
+  (eval_vset (Lazy.force ctx) Low [] expr).low

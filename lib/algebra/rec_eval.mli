@@ -26,6 +26,7 @@
 open Recalg_kernel
 
 exception Undefined_relation of string
+exception Recursive_definition of string
 
 type vset = { low : Value.t; high : Value.t }
 (** [low] ⊆ [high]; both canonical sets. *)
@@ -35,7 +36,6 @@ val exact : Value.t -> vset
 val is_defined : vset -> bool
 (** [low = high]: every membership in this set is two-valued. *)
 
-val undef_elements : vset -> Value.t list
 val pp_vset : Format.formatter -> vset -> unit
 
 type solution
@@ -63,6 +63,8 @@ val solve :
       alternation.
     - Any other component runs the alternating fixpoint over its own
       constants only, until its lows stop changing.
+    - A constant that does not read itself is evaluated once, for both
+      bounds, with no round.
 
     [window], when given, intersects every constant with a finite
     universe after each step — the domain-independence "window" that
@@ -94,16 +96,19 @@ val solve :
     byte for byte.
 
     Each phase evaluates only the bound it grows, plus the other bound
-    where a difference subtracts it; a nested [IFP] iterates on both
-    bounds, so its rounds do not depend on which one is read. *)
+    where a difference subtracts it; an operator on defined inputs
+    computes one set for both. A nested [IFP] iterates one bound when
+    its free names are defined, else both, so its rounds do not depend
+    on which one is read. [solve] never degrades. *)
 
 val constant : solution -> string -> vset
 (** Raises {!Undefined_relation} for an unknown name. *)
 
 val rounds : solution -> int
 (** The rounds of every component, summed: one for a positive
-    component, the alternation's rounds for any other. Each round spends
-    one fuel unit and counts one [rec_eval/round] event. *)
+    component, the alternation's rounds for any other, none for a
+    constant that does not read itself. Each round spends one fuel unit
+    and counts one [rec_eval/round] event. *)
 
 val query : solution -> Expr.t -> vset
 (** Evaluate a query expression in a solved program: its calls are
@@ -120,3 +125,8 @@ val well_defined :
 (** Whether every defined constant came out two-valued — the semi-decision
     our engine can offer for the (undecidable, Prop 3.2) initial-valid-
     model existence question, relative to the grounded universe. *)
+
+val two_valued :
+  ?fuel:Limits.fuel -> ?advice:Advice.t -> Defs.t -> Db.t -> Expr.t -> Value.t
+(** {!Eval.eval}: this evaluator on defined inputs, read at the low
+    bound. *)

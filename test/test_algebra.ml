@@ -540,12 +540,14 @@ let prop_seminaive_rec_eval_equals_naive =
    and accumulated through [Delta.Acc], and before it solved component
    by component; those changes must leave every round of the
    whole-program alternation, and so its fuel, where it was. The split
-   figures pin the component order: [even] and [triangle] are positive
-   components solved in one phase each, [undefined] is one alternating
-   component either way. The hand-written program puts an [Ifp] inside
-   a recursive body, under a difference's right side, which the random
-   bodies of [Tgen] never produce: the nested loop must still iterate on
-   both bounds. *)
+   figures pin the component order: [even] is a positive component
+   solved in one phase, [undefined] is one alternating component either
+   way, and a constant that does not read itself ([triangle]'s four,
+   the literals [e] and [n]) is evaluated once, with no round and no
+   fuel. The hand-written program puts an [Ifp] inside a recursive
+   body, under a difference's right side, which the random bodies of
+   [Tgen] never produce: the nested loop reads the undefined [w], so it
+   must still iterate on both bounds. *)
 let nested_ifp_program =
   "let e = {[1,2],[2,3],[3,1],[3,4],[4,5],[6,7],[7,6]};\n\
    let n = {1,2,3,4,5,6,7};\n\
@@ -559,14 +561,14 @@ let test_rec_eval_pinned_fuel () =
     [ ( "even", example "even", Some window, 50, 13,
         [ ("evens", "{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}") ] );
       ("undefined", example "undefined", None, 4, 4, [ ("s", "[certain {}, possible {a}]") ]);
-      ( "triangle", example "triangle", None, 14, 12,
+      ( "triangle", example "triangle", None, 14, 0,
         [ ("r", "{[1, 1], [2, 1], [3, 2], [4, 2], [5, 3], [6, 3], [7, 4], [8, 4]}");
           ("s", "{[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [7, 7], [8, 8]}");
           ("t", "{[1, 100], [2, 200]}");
           ( "q",
             "{[[[1, 1], [1, 1]], [1, 100]], [[[2, 1], [1, 1]], [1, 100]], \
              [[[3, 2], [2, 2]], [2, 200]], [[[4, 2], [2, 2]], [2, 200]]}" ) ] );
-      ( "nested ifp", nested_ifp_program, None, 57, 46,
+      ( "nested ifp", nested_ifp_program, None, 57, 40,
         [ ("e", "{[1, 2], [2, 3], [3, 1], [3, 4], [4, 5], [6, 7], [7, 6]}");
           ("n", "{1, 2, 3, 4, 5, 6, 7}");
           ("w", "[certain {5}, possible {5, 6, 7}]") ] ) ]
@@ -738,9 +740,12 @@ let prop_fused_rec_eval_equals_unfused =
    each path does on the TC of a 24-edge chain, as an [Ifp], as a
    recursive constant and as a constant whose body is the [Ifp]: the
    naive loops re-probe the whole accumulated set every round, the
-   unfused ones never join, and all take the same iterations. Columns:
-   join/probe, plan/fused, plan/unfused, eval/ifp_iter,
-   rec_eval/phase_iter, rec_eval/ifp_iter. *)
+   unfused ones never join, and all take the same iterations. Split, the
+   constant whose body is the [Ifp] does not read itself: it is
+   evaluated once, and its [Ifp], over defined inputs only, iterates one
+   bound, the same work as [Eval.eval]'s. Columns: join/probe,
+   plan/fused, plan/unfused, eval/ifp_iter (the one [Ifp] loop),
+   rec_eval/phase_iter. *)
 let test_reference_paths_reached () =
   let n = 24 in
   let db =
@@ -758,7 +763,7 @@ let test_reference_paths_reached () =
     List.map
       (fun c -> Obs.Metrics.counter_total sn c)
       [ "join/probe"; "plan/fused"; "plan/unfused"; "eval/ifp_iter";
-        "rec_eval/phase_iter"; "rec_eval/ifp_iter" ]
+        "rec_eval/phase_iter" ]
   in
   let eval advice () = ignore (Eval.eval ~advice no_defs db tc_ifp) in
   let solve defs advice () = ignore (Rec_eval.solve ~advice defs db) in
@@ -767,32 +772,92 @@ let test_reference_paths_reached () =
   List.iter
     (fun (label, run, expected) ->
       Alcotest.(check (list int)) label expected (counters run))
-    [ ("eval, default", eval Advice.none, [ 300; 25; 0; 25; 0; 0 ]);
-      ("eval, naive", eval naive, [ 4900; 25; 0; 25; 0; 0 ]);
-      ("eval, unfused", eval unfused, [ 0; 0; 25; 25; 0; 0 ]);
+    [ ("eval, default", eval Advice.none, [ 300; 25; 0; 25; 0 ]);
+      ("eval, naive", eval naive, [ 4900; 25; 0; 25; 0 ]);
+      ("eval, unfused", eval unfused, [ 0; 0; 25; 25; 0 ]);
       ( "rec_eval unsplit, default",
         solve tc_defs (unsplit Advice.none),
-        [ 1200; 100; 0; 0; 100; 0 ] );
-      ("rec_eval unsplit, naive", solve tc_defs (unsplit naive), [ 19600; 100; 0; 0; 100; 0 ]);
-      ("rec_eval unsplit, unfused", solve tc_defs (unsplit unfused), [ 0; 0; 100; 0; 100; 0 ]);
+        [ 1200; 100; 0; 0; 100 ] );
+      ("rec_eval unsplit, naive", solve tc_defs (unsplit naive), [ 19600; 100; 0; 0; 100 ]);
+      ("rec_eval unsplit, unfused", solve tc_defs (unsplit unfused), [ 0; 0; 100; 0; 100 ]);
       ( "rec_eval nested ifp unsplit, default",
         solve nested_defs (unsplit Advice.none),
-        [ 4800; 392; 0; 0; 8; 200 ] );
+        [ 2400; 200; 0; 200; 8 ] );
       ( "rec_eval nested ifp unsplit, naive",
         solve nested_defs (unsplit naive),
-        [ 78400; 200; 0; 0; 8; 200 ] );
+        [ 39200; 200; 0; 200; 8 ] );
       ( "rec_eval nested ifp unsplit, unfused",
         solve nested_defs (unsplit unfused),
-        [ 0; 0; 392; 0; 8; 200 ] );
-      (* Split, each program is one positive component: one phase. *)
-      ("rec_eval, default", solve tc_defs Advice.none, [ 300; 25; 0; 0; 25; 0 ]);
-      ("rec_eval, naive", solve tc_defs naive, [ 4900; 25; 0; 0; 25; 0 ]);
-      ("rec_eval, unfused", solve tc_defs unfused, [ 0; 0; 25; 0; 25; 0 ]);
+        [ 0; 0; 200; 200; 8 ] );
+      (* Split, [tc_defs] is one positive component: one phase. *)
+      ("rec_eval, default", solve tc_defs Advice.none, [ 300; 25; 0; 0; 25 ]);
+      ("rec_eval, naive", solve tc_defs naive, [ 4900; 25; 0; 0; 25 ]);
+      ("rec_eval, unfused", solve tc_defs unfused, [ 0; 0; 25; 0; 25 ]);
       ( "rec_eval nested ifp, default",
         solve nested_defs Advice.none,
-        [ 1200; 98; 0; 0; 2; 50 ] );
-      ("rec_eval nested ifp, naive", solve nested_defs naive, [ 19600; 50; 0; 0; 2; 50 ]);
-      ("rec_eval nested ifp, unfused", solve nested_defs unfused, [ 0; 0; 98; 0; 2; 50 ]) ]
+        [ 300; 25; 0; 25; 0 ] );
+      ("rec_eval nested ifp, naive", solve nested_defs naive, [ 4900; 25; 0; 25; 0 ]);
+      ("rec_eval nested ifp, unfused", solve nested_defs unfused, [ 0; 0; 25; 25; 0 ]) ]
+
+(* A constant that does not read itself is evaluated once, with no
+   round and no fuel: a product constant builds |r|·|s| tuples, once. *)
+let test_product_constant_once () =
+  let set n = Expr.lit (List.init n vi) in
+  let defs =
+    Defs.make
+      [ Defs.constant "r" (set 20); Defs.constant "s" (set 30);
+        Defs.constant "q" (Expr.product (Expr.rel "r") (Expr.rel "s")) ]
+  in
+  Obs.Metrics.reset ();
+  let fuel = Limits.of_int 100 in
+  let sol = Obs.Metrics.with_collecting (fun () -> Rec_eval.solve ~fuel defs Db.empty) in
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "q" 600 (Value.cardinal (Rec_eval.constant sol "q").Rec_eval.low);
+  Alcotest.(check (list int)) "eval/product_out, rec_eval/round, fuel spent" [ 600; 0; 0 ]
+    [ Obs.Metrics.counter_total sn "eval/product_out";
+      Obs.Metrics.counter_events sn "rec_eval/round";
+      100 - Option.get (Limits.remaining fuel) ]
+
+(* Thm 3.5 made structural: on a program with no recursive constant the
+   three-valued query is the two-valued evaluator — physically one set
+   as both bounds, [Eval.eval]'s value, and the same fuel. The constant
+   [c] is an [Ifp] over [edge], and the query subtracts [c] from an
+   [Ifp] that reads [c] for [edge]. *)
+let prop_query_defined_is_eval =
+  QCheck.Test.make ~name:"rec_eval query on defined inputs = eval (value and fuel)"
+    ~count:(Tgen.qcount 200)
+    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
+    (fun (b1, b2, edges) ->
+      let db =
+        Db.of_list
+          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
+      in
+      let defs = Defs.make [ Defs.constant "c" (Expr.ifp "x" b1) ] in
+      let q =
+        let b2 = Expr.map_rels (fun n -> Expr.rel (if n = "edge" then "c" else n)) b2 in
+        Expr.diff (Expr.ifp "x" b2) (Expr.rel "c")
+      in
+      let fuel () = Limits.of_int 800 in
+      let three =
+        let fuel = fuel () in
+        try
+          let v = Rec_eval.query (Rec_eval.solve ~fuel defs db) q in
+          Ok (v, Limits.remaining fuel)
+        with Limits.Diverged _ -> Error `Diverged
+      in
+      let two =
+        let fuel = fuel () in
+        try
+          let w = Eval.eval ~fuel defs db q in
+          Ok (w, Limits.remaining fuel)
+        with Limits.Diverged _ -> Error `Diverged
+      in
+      match (three, two) with
+      | Ok (v, f1), Ok (w, f2) ->
+        v.Rec_eval.low == v.Rec_eval.high && Value.equal v.Rec_eval.low w && f1 = f2
+      | Error `Diverged, Error `Diverged -> true
+      | _ -> false)
 
 (* --- Component order ---------------------------------------------- *)
 
@@ -845,17 +910,49 @@ let prop_rec_eval_split_equals_unsplit =
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
 
+(* An [Ifp] inside a recursive body reads the constants being solved:
+   [c] is an [Ifp] whose [edge] is [d], and [d] reads [c] for [x]. Its
+   loop iterates one bound whenever those constants are defined at that
+   moment, both otherwise; every path must reach the same bounds. *)
+let prop_nested_ifp_paths_agree =
+  QCheck.Test.make ~name:"nested ifp in recursion: paths agree (bounds)"
+    ~count:(Tgen.qcount 100)
+    QCheck.(triple Tgen.ifp_body_arb Tgen.ifp_body_arb Tgen.graph_arb)
+    (fun (b1, b2, edges) ->
+      let db =
+        Db.of_list
+          [ ("edge", List.map (fun (a, b) -> Value.pair (vs a) (vs b)) edges) ]
+      in
+      let subst from to_ e =
+        Expr.map_rels (fun n -> Expr.rel (if n = from then to_ else n)) e
+      in
+      let defs =
+        Defs.make
+          [ Defs.constant "c" (Expr.ifp "x" (subst "edge" "d" b1));
+            Defs.constant "d" (Expr.union (Expr.rel "edge") (subst "x" "c" b2)) ]
+      in
+      let run advice =
+        try
+          let sol = Rec_eval.solve ~fuel:(Limits.of_int 100_000) ~advice defs db in
+          let printed c = Fmt.str "%a" Rec_eval.pp_vset (Rec_eval.constant sol c) in
+          Ok (List.map printed [ "c"; "d" ])
+        with Limits.Diverged _ -> Error `Diverged
+      in
+      let reference = run (Advice.unsplit (Advice.naive Advice.none)) in
+      List.for_all
+        (fun advice -> run advice = reference)
+        [ Advice.none; Advice.naive Advice.none; Advice.unsplit Advice.none ])
+
 (* One program with every kind of component, in dependency order: [s]
    negates itself, [t] is positive over the undefined [s], [e] and [n]
    are literals, [tc] is positive and recursive over [e], and [far]
    subtracts [tc]. Split, [s] alone alternates (one round: a high phase
-   of 2 iterations, a low phase of 1); [t] takes one round of a high and
-   a low phase (2 + 2) and no alternation; [e], [tc], [n] and [far] take
-   one two-valued low phase each (2, 4, 2, 2 iterations). Unsplit, the
-   whole program alternates for 2 rounds of two 5-iteration phases: 22
-   fuel against the split's 23, which the reference does not bound.
-   Columns: rec_eval/round, rec_eval/phase_iter, high phases, low
-   phases. *)
+   of 2 iterations, a low phase of 1); [tc] takes one two-valued low
+   phase of 4 iterations; [t], [e], [n] and [far] do not read
+   themselves, so each is evaluated once, [t] for both of its bounds,
+   with no round or phase. Unsplit, the whole program alternates for 2
+   rounds of two 5-iteration phases. Columns: rec_eval/round,
+   rec_eval/phase_iter, high phases, low phases. *)
 let mixed_program =
   "let s = {a} - s;\n\
    let t = s + {b};\n\
@@ -896,7 +993,7 @@ let test_rec_eval_components () =
           Obs.Metrics.span_calls sn "rec_eval > round > high";
           Obs.Metrics.span_calls sn "rec_eval > round > low" ];
       Alcotest.(check int) (label ^ ": rounds") (List.hd expected) (Rec_eval.rounds sol))
-    [ ("split", Advice.none, [ 6; 17; 2; 6 ]);
+    [ ("split", Advice.none, [ 2; 7; 1; 2 ]);
       ("unsplit", Advice.unsplit Advice.none, [ 2; 20; 2; 2 ]) ]
 
 let suite =
@@ -919,7 +1016,11 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
       Alcotest.test_case "reference paths reached (pinned counters)" `Quick
         test_reference_paths_reached;
+      Alcotest.test_case "product constant evaluated once" `Quick
+        test_product_constant_once;
+      QCheck_alcotest.to_alcotest prop_query_defined_is_eval;
       QCheck_alcotest.to_alcotest prop_rec_eval_split_equals_unsplit;
+      QCheck_alcotest.to_alcotest prop_nested_ifp_paths_agree;
       Alcotest.test_case "rec_eval components (pinned bounds and counters)" `Quick
         test_rec_eval_components;
     ]

@@ -400,6 +400,52 @@ let test_degrade_returns_subset () =
   | None -> Alcotest.fail "tiny budget did not degrade");
   Alcotest.(check bool) "strictly partial" false (Value.equal got full)
 
+(* A truncated IFP under a difference's right side would subtract too
+   little: there exhaustion raises, whether the IFP sits in the query or
+   in a constant the query subtracts, and a constant cut short where it
+   is added is not subtracted later. Under two differences, counting the
+   one in the constant's body, the answer grows with the IFP again, and
+   it degrades. *)
+let test_degrade_only_where_monotone () =
+  let upto n = Expr.lit (List.init n Value.int) in
+  let count =
+    Expr.(
+      ifp "x"
+        (union (lit [ Value.int 0 ])
+           (map (Algebra.Efun.add_const 1)
+              (select
+                 (Algebra.Pred.Lt (Algebra.Efun.Id, Algebra.Efun.Const (Value.int 9)))
+                 (rel "x")))))
+  in
+  let defs =
+    Defs.make
+      [ Defs.constant "c" count; Defs.constant "d" (Expr.diff (upto 10) (Expr.rel "c")) ]
+  in
+  let run e =
+    let fuel = Limits.governed ~fuel:3 ~degrade:true () in
+    match Eval.eval ~fuel defs Db.empty e with
+    | v -> Ok (v, Limits.degraded fuel)
+    | exception (Limits.Diverged _ | Limits.Resource_exhausted _) -> Error ()
+  in
+  List.iter
+    (fun (label, e) ->
+      match run e with
+      | Ok (v, _) -> Alcotest.failf "%s: degraded to %a" label Value.pp v
+      | Error () -> ())
+    [ ("IFP subtracted", Expr.diff (upto 10) count);
+      ("constant subtracted", Expr.diff (upto 10) (Expr.rel "c"));
+      ( "constant added and subtracted",
+        Expr.(union (diff (upto 10) (rel "c")) (diff (rel "c") (lit [ Value.int 9 ]))) )
+    ];
+  let e = Expr.diff (upto 10) (Expr.rel "d") in
+  let full = Eval.eval defs Db.empty e in
+  match run e with
+  | Ok (v, Some (Limits.Fuel, _)) ->
+    Alcotest.(check bool) "twice subtracted: sound subset" true (Value.subset v full);
+    Alcotest.(check bool) "twice subtracted: strictly partial" false (Value.equal v full)
+  | Ok (_, _) -> Alcotest.fail "twice subtracted: not degraded on fuel"
+  | Error _ -> Alcotest.fail "twice subtracted: raised"
+
 let test_degrade_stratified_prefix () =
   let base = Tgen.e_edb chain_edges in
   let full =
@@ -586,6 +632,8 @@ let suite =
       test_memory_ceiling_interrupts_divergence;
     Alcotest.test_case "degraded IFP returns a sound subset" `Quick
       test_degrade_returns_subset;
+    Alcotest.test_case "degraded IFP only where the answer grows with it" `Quick
+      test_degrade_only_where_monotone;
     Alcotest.test_case "degraded stratified run is a sound prefix" `Quick
       test_degrade_stratified_prefix;
     Alcotest.test_case "incremental promotes degradation to abort" `Quick

@@ -21,4 +21,5 @@ let () =
       ("parallel", Test_parallel.suite);
       ("chaos", Test_chaos.suite);
       ("parameterized", Test_parameterized.suite);
+      ("complexity", Test_complexity.suite);
     ]
