@@ -154,32 +154,54 @@ let e2 () =
     sizes
 
 (* ------------------------------------------------------------------ *)
-(* E3 — semantics cost: valid vs well-founded vs inflationary.         *)
+(* E3 — semantics cost: the one solver behind valid, wellfounded and    *)
+(* stable against the Section 2.2 reference.                           *)
 
 let e3 () =
-  U.hr "E3: semantics cost on the WIN game (grounding shared)";
-  U.row "%-18s %8s %10s %10s %10s %10s %8s@." "graph" "atoms" "valid ms"
-    "wf ms" "inf ms" "stable ms" "undef";
-  let run name edges =
-    let edb = W.edb_of ~pred:"move" edges in
-    let pg = Datalog.Grounder.ground W.win_program edb in
-    let valid_ms, interp = U.time_ms (fun () -> Datalog.Valid.solve pg) in
-    let wf_ms, _ = U.time_ms (fun () -> Datalog.Wellfounded.solve pg) in
+  U.hr "E3: semantics cost (grounding shared)";
+  U.row "%-18s %8s %10s %13s %10s %10s %8s %6s@." "graph" "atoms" "solve ms"
+    "reference ms" "inf ms" "stable ms" "undef" "agree";
+  let run ?(reference = true) name (program, edb) =
+    let pg = Datalog.Grounder.ground program edb in
+    let solve_ms, interp = U.time_ms (fun () -> Datalog.Valid.solve pg) in
+    let reference_ms, agree =
+      if not reference then ("-", "-")
+      else begin
+        let ms, expected = U.time_ms (fun () -> Datalog.Valid.reference pg) in
+        let agree = Datalog.Interp.equal interp expected in
+        assert agree;
+        (Fmt.str "%.2f" ms, string_of_bool agree)
+      end
+    in
     let inf_ms, _ = U.time_ms (fun () -> Datalog.Inflationary.solve pg) in
     let stable_ms =
       try fst (U.time_ms (fun () -> Datalog.Stable.models ~max_residue:16 pg))
       with Limits.Diverged _ -> nan
     in
-    U.row "%-18s %8d %10.2f %10.2f %10.2f %10.2f %8d@." name
-      (Datalog.Propgm.n_atoms pg) valid_ms wf_ms inf_ms stable_ms
-      (Datalog.Interp.count_undef interp)
+    U.row "%-18s %8d %10.2f %13s %10.2f %10.2f %8d %6s@." name
+      (Datalog.Propgm.n_atoms pg) solve_ms reference_ms inf_ms stable_ms
+      (Datalog.Interp.count_undef interp) agree
   in
-  run "chain-64" (W.chain 64);
-  run "chain-128" (W.chain 128);
-  run "cycle-8" (W.cycle 8);
-  run "cycle-9" (W.cycle 9);
-  run "half-cyclic-16" (W.half_cyclic 16);
-  run "random-40/80" (W.random_graph ~nodes:40 ~edges:80 ~seed:3)
+  let win ?reference name edges =
+    run ?reference name (W.win_program, W.edb_of ~pred:"move" edges)
+  in
+  win "chain-64" (W.chain 64);
+  win "chain-128" (W.chain 128);
+  win "cycle-8" (W.cycle 8);
+  win "cycle-9" (W.cycle 9);
+  win "half-cyclic-16" (W.half_cyclic 16);
+  win "random-40/80" (W.random_graph ~nodes:40 ~edges:80 ~seed:3);
+  (* The reference is quadratic on both chain families: it runs up to
+     2000. *)
+  let chains = if U.is_smoke () then [ 500 ] else [ 1000; 2000; 4000; 8000 ] in
+  List.iter
+    (fun n -> win ~reference:(n <= 2000) (Fmt.str "chain-%d" n) (W.chain n))
+    chains;
+  let unfounded = if U.is_smoke () then [ 250 ] else [ 1000; 4000 ] in
+  List.iter
+    (fun n ->
+      run ~reference:(n <= 2000) (Fmt.str "unfounded-%d" n) (W.unfounded_chain n))
+    unfounded
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Proposition 3.4: monotone S = exp(S) coincides with IFP_exp.   *)
@@ -469,7 +491,7 @@ let micro () =
         ("ground_win_chain32", fun () ->
           ignore (Datalog.Grounder.ground W.win_program edb));
         ("valid_win_chain32", fun () -> ignore (Datalog.Valid.solve pg));
-        ("wf_win_chain32", fun () -> ignore (Datalog.Wellfounded.solve pg));
+        ("reference_win_chain32", fun () -> ignore (Datalog.Valid.reference pg));
       ]
   in
   List.iter

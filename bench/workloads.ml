@@ -51,6 +51,17 @@ let db_of ~rel edges =
 
 let win_program = fst (Datalog.Parser.parse_exn "win(X) :- move(X,Y), not win(Y).")
 
+(* The unfounded-set chain over [s = chain n]: b(0) and, for i = 1 … n,
+   a(i) :- a(i), a(i) :- not b(i-1) and b(i) :- not a(i). Each a(i) is
+   false only as an unfounded set, once b(i-1) is true. *)
+let unfounded_chain n =
+  let program, edb =
+    Datalog.Parser.parse_exn
+      "b(0). a(I) :- s(J, I), a(I). a(I) :- s(J, I), not b(J). \
+       b(I) :- s(J, I), not a(I)."
+  in
+  (program, Datalog.Edb.union edb (edb_of ~pred:"s" (chain n)))
+
 let tc_program =
   fst (Datalog.Parser.parse_exn "t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z).")
 

@@ -63,8 +63,8 @@ let term =
              stderr — instead of discarding them. The exit code still \
              reports the exhausted resource. Only $(b,run --semantics \
              stratified) degrades, in its semi-naive strata; every other \
-             verb and semantics (the grounder, the alternating \
-             fixpoints, $(b,alg)'s solve, $(b,update)) finishes or exits \
+             verb and semantics (the grounder, the well-founded \
+             solver, $(b,alg)'s solve, $(b,update)) finishes or exits \
              with the resource code.")
   in
   let domains =

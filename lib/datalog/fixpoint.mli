@@ -1,11 +1,14 @@
 (** Least fixpoints of propositional ground programs.
 
-    The single primitive all the declarative semantics share: compute the
-    least set of atoms closed under the rules, where a rule may fire only
-    if each of its negative literals [not a] is {e licensed} by the caller
-    ([neg_ok a]). The valid-semantics iteration of Section 2.2 and the
-    well-founded alternating fixpoint are both two-phase loops around this
-    primitive with different licensing functions. *)
+    Compute the least set of atoms closed under the rules, where a rule
+    may fire only if each of its negative literals [not a] is
+    {e licensed} by the caller ([neg_ok a]). The Section 2.2 reference
+    iteration ({!Valid.reference}) is a two-phase loop around this
+    primitive, {!Stable} checks each candidate against the reduct with
+    it, and {!Grounder.Live} computes atom liveness with it. The
+    three-valued solver ({!Wellfounded}) does not call it: it builds its
+    occurrence index once per solve, where each call here builds its
+    watch lists again. *)
 
 open Recalg_kernel
 

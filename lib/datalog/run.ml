@@ -33,8 +33,7 @@ module Live = struct
 
   let solve semantics pg =
     match semantics with
-    | `Valid -> Valid.solve pg
-    | `Wellfounded -> Wellfounded.solve pg
+    | `Valid | `Wellfounded -> Wellfounded.solve pg
     | `Inflationary -> Inflationary.solve pg
 
   let start ?fuel ~semantics program edb =

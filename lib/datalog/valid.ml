@@ -1,8 +1,8 @@
 open Recalg_kernel
-module Obs = Recalg_obs.Obs
+
+let solve = Wellfounded.solve
 
 let run (pg : Propgm.t) =
-  Obs.span "valid" @@ fun () ->
   let n = Propgm.n_atoms pg in
   let t = ref (Bitset.create n) in
   let f = Bitset.create n in
@@ -10,8 +10,6 @@ let run (pg : Propgm.t) =
   let continue = ref true in
   while !continue do
     incr rounds;
-    Obs.count "valid/round" 1;
-    Obs.span "round" @@ fun () ->
     (* Possible: every derivation from T in which only facts not in T are
        used negatively. *)
     let t_now = !t in
@@ -22,15 +20,11 @@ let run (pg : Propgm.t) =
     done;
     (* New true facts: use only F negatively. *)
     let t' = Fixpoint.lfp pg ~neg_ok:(fun a -> Bitset.get f a) in
-    if Obs.enabled () then begin
-      Obs.count "valid/new_true" (Bitset.count t' - Bitset.count !t);
-      Obs.count "valid/false" (Bitset.count f)
-    end;
     if Bitset.equal t' !t then continue := false else t := t'
   done;
   (!t, f, !rounds)
 
-let solve pg =
+let reference pg =
   let true_, f, _ = run pg in
   let n = Propgm.n_atoms pg in
   let undef = Bitset.create n in

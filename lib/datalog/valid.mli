@@ -1,5 +1,12 @@
-(** The valid model computation, exactly as summarised in Section 2.2 of
-    the paper:
+(** The valid model (Section 2.2 of the paper).
+
+    {!solve} computes it with {!Wellfounded.solve}, the repository's one
+    three-valued solver: on the ground programs our grounder produces the
+    valid model is the well-founded model, as the paper's Section 7 remark
+    predicts.
+
+    {!reference} is the paper's own iteration, kept verbatim as the
+    oracle the solver is tested against:
 
     {v
     Initially, all the facts are undefined. At each step, we look at all
@@ -13,15 +20,17 @@
     derived. v}
 
     [F] accumulates monotonically across iterations (a fact once certainly
-    false stays false), and the loop ends when [T] stabilises. On the
-    finite ground programs produced by our grounder the iteration is
-    guaranteed to terminate. The well-founded alternating fixpoint
-    ({!Wellfounded}) is an independent implementation of the same
-    two-phase idea; the test suite checks the two agree on every program
-    we generate, as the paper's Section 7 remark predicts. *)
+    false stays false), and the loop ends when [T] stabilises. Each round
+    is two whole-program {!Fixpoint.lfp} passes, and a WIN chain of [N]
+    moves takes about [N/2] rounds, so the reference is quadratic there;
+    no CLI path calls it. *)
 
 val solve : Propgm.t -> Interp.t
+(** The valid model, by {!Wellfounded.solve}. *)
+
+val reference : Propgm.t -> Interp.t
+(** The valid model by the Section 2.2 iteration above. *)
 
 val iterations : Propgm.t -> int
-(** Number of outer (T, F) refinement rounds until the fixpoint — exposed
-    for the benchmarks. *)
+(** Number of outer (T, F) rounds {!reference} takes to reach its
+    fixpoint. *)

@@ -146,6 +146,6 @@ val set_context : (unit -> string option) -> unit
     or {!Resource_exhausted} is about to be raised: [Some where]
     attaches the location to the message / [span_path] field so users
     see where the budget died (the observability layer supplies the
-    active span path, e.g. ["run.valid > valid > round"]); [None]
+    active span path, e.g. ["run.valid > ground"]); [None]
     leaves the message unchanged. The default provider always answers
     [None]. *)

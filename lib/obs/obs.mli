@@ -25,7 +25,7 @@
     steers.
 
     {b Fuel context.} While the front end is live, the active span path
-    (e.g. ["run.valid > valid > round"]) is attached to
+    (e.g. ["run.valid > ground"]) is attached to
     {!Recalg_kernel.Limits.Diverged} messages, so a blown budget says
     where it died. When disabled the message is byte-identical to the
     uninstrumented one. *)

@@ -486,7 +486,9 @@ let prop_seminaive_ifp_equals_naive =
       let e = Expr.ifp "x" body in
       let run advice =
         let fuel = Limits.of_int 400 in
-        try Ok (Eval.eval ~fuel ~advice no_defs db e, Limits.remaining fuel)
+        try
+          let v = Eval.eval ~fuel ~advice no_defs db e in
+          Ok (v, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       match (run (Advice.naive Advice.none), run Advice.none) with
@@ -685,7 +687,9 @@ let prop_fused_eval_equals_unfused =
       let e = Expr.ifp "x" body in
       let run advice =
         let fuel = Limits.of_int 400 in
-        try Ok (Eval.eval ~fuel ~advice no_defs db e, Limits.remaining fuel)
+        try
+          let v = Eval.eval ~fuel ~advice no_defs db e in
+          Ok (v, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       List.for_all

@@ -340,7 +340,8 @@ let prop_governed_equals_plain =
       let run mk =
         let fuel = mk () in
         try
-          Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
+          let v = Eval.eval ~fuel no_defs (edge_db edges) e in
+          Ok (v, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       let plain = run (fun () -> Limits.of_int 400) in

@@ -9,14 +9,18 @@
 open Recalg
 open Algebra
 
+(* Minor words allocated by one run of [f]. *)
+let allocated f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 (* Minor words allocated by [f], with the sets it interns already
    interned by a first run: the guard counts the evaluation, not the
    first sight of each value. *)
 let words f =
   ignore (Sys.opaque_identity (f ()));
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. before
+  allocated f
 
 (* [examples/programs/even_ifp.alg] at cut-off [n]: an [IFP] of n/2
    rounds from a one-element base, solved as [recalg alg --plan cost]
@@ -48,4 +52,41 @@ let test_even_ifp () =
   if naive <= bound then
     Alcotest.failf "even_ifp, naive: ×%.2f words, inside the bound ×%.0f" naive bound
 
-let suite = [ Alcotest.test_case "even_ifp under --plan cost" `Quick test_even_ifp ]
+(* Negation chains under [valid] and [wellfounded], grounding excluded:
+   the WIN chain of n moves ([Tgen.win_chain]) and the unfounded-set
+   chain ([Tgen.unfounded_chain]). Solving interns nothing, so one run
+   is measured. The solver allocates linearly: 63,045 → 284,889 words
+   (×4.52) and 153,068 → 661,725 (×4.32) at n = 250 → 1000. The
+   Section 2.2 iteration runs about n/2 (WIN) or n (unfounded) rounds
+   of two whole-program passes; it is measured at n = 125 → 500, where
+   it reads ×13.5 (826,456 → 11,170,521) and ×15.6 (2,736,795 →
+   42,771,236), because at n = 1000 one run takes most of a second. *)
+let test_negation_chains () =
+  let bound = 6. in
+  List.iter
+    (fun (family, instance) ->
+      let ground n =
+        let program, edb = instance n in
+        Datalog.Grounder.ground program edb
+      in
+      let ratio n solve =
+        let small = ground n and large = ground (4 * n) in
+        allocated (fun () -> solve large) /. allocated (fun () -> solve small)
+      in
+      List.iter
+        (fun (name, solve) ->
+          let r = ratio 250 solve in
+          if r > bound then
+            Alcotest.failf "%s, %s: ×%.2f words for 4× the chain" family name r)
+        [ ("Valid.solve", Datalog.Valid.solve);
+          ("Wellfounded.solve", Datalog.Wellfounded.solve) ];
+      let r = ratio 125 Datalog.Valid.reference in
+      if r <= bound then
+        Alcotest.failf "%s, Valid.reference: ×%.2f words, inside the bound ×%.0f"
+          family r bound)
+    [ ("WIN chain", Tgen.win_chain); ("unfounded-set chain", Tgen.unfounded_chain) ]
+
+let suite =
+  [ Alcotest.test_case "even_ifp under --plan cost" `Quick test_even_ifp;
+    Alcotest.test_case "negation chains under valid and wellfounded" `Quick
+      test_negation_chains ]

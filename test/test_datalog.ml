@@ -426,15 +426,58 @@ let test_valid_iterations_reported () =
 
 let interp_of_valid (program, edges) = Run.valid program (Tgen.e_edb edges)
 
+(* The valid model by the paper's Section 2.2 iteration against the
+   well-founded model by the one solver, which every CLI semantics
+   reaches. *)
+let solver_agrees (program, edb) =
+  let pg = Grounder.ground program edb in
+  Interp.equal (Valid.reference pg) (Wellfounded.solve pg)
+
 let prop_valid_equals_wellfounded =
-  QCheck.Test.make ~name:"valid = well-founded on random programs" ~count:150
-    Tgen.rand_instance_arb (fun (program, edges) ->
+  QCheck.Test.make ~name:"valid = well-founded on random programs"
+    ~count:(Tgen.qcount 150) Tgen.rand_instance_arb (fun (program, edges) ->
       let edb = Tgen.e_edb edges in
-      Interp.equal (Run.valid program edb) (Run.wellfounded program edb))
+      solver_agrees (program, edb)
+      && Interp.equal (Run.valid program edb) (Run.wellfounded program edb))
+
+let prop_solver_reference_ground =
+  QCheck.Test.make ~name:"solver = reference on random ground programs"
+    ~count:(Tgen.qcount 300) Tgen.ground_program_arb (fun text ->
+      solver_agrees (parse text))
+
+(* E3's WIN graphs (bench/workloads.ml), and its unfounded-set chain at
+   a size the reference solves quickly. *)
+let test_solver_reference_e3 () =
+  let cycle n = List.init n (fun i -> (i, (i + 1) mod n)) in
+  let half_cyclic n =
+    let half = n / 2 in
+    Tgen.int_chain half
+    @ List.map (fun (a, b) -> (a + half, b + half)) (cycle (n - half))
+  in
+  let random_graph ~nodes ~edges ~seed =
+    let state = ref seed in
+    let next () =
+      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+      !state
+    in
+    List.init edges (fun _ ->
+        let a = next () mod nodes in
+        (a, next () mod nodes))
+    |> List.sort_uniq compare
+  in
+  List.iter
+    (fun (name, edges) ->
+      Alcotest.(check bool) name true
+        (solver_agrees (Tgen.win_program, Tgen.int_edb "move" edges)))
+    [ ("chain-64", Tgen.int_chain 64); ("chain-128", Tgen.int_chain 128);
+      ("cycle-8", cycle 8); ("cycle-9", cycle 9); ("half-cyclic-16", half_cyclic 16);
+      ("random-40/80", random_graph ~nodes:40 ~edges:80 ~seed:3) ];
+  Alcotest.(check bool) "unfounded chain 200" true
+    (solver_agrees (Tgen.unfounded_chain 200))
 
 let prop_stable_extends_wf =
-  QCheck.Test.make ~name:"stable models extend the well-founded model" ~count:80
-    Tgen.rand_instance_arb (fun (program, edges) ->
+  QCheck.Test.make ~name:"stable models extend the well-founded model"
+    ~count:(Tgen.qcount 80) Tgen.rand_instance_arb (fun (program, edges) ->
       let edb = Tgen.e_edb edges in
       let wf = Run.wellfounded program edb in
       let models = try Run.stable program edb with Limits.Diverged _ -> [] in
@@ -449,8 +492,8 @@ let prop_stable_extends_wf =
         models)
 
 let prop_stratified_total =
-  QCheck.Test.make ~name:"valid model total on stratified random programs" ~count:150
-    Tgen.rand_instance_arb (fun (program, edges) ->
+  QCheck.Test.make ~name:"valid model total on stratified random programs"
+    ~count:(Tgen.qcount 150) Tgen.rand_instance_arb (fun (program, edges) ->
       QCheck.assume (Stratify.is_stratified program);
       let interp = interp_of_valid (program, edges) in
       Interp.is_total interp)
@@ -469,7 +512,7 @@ let negation_free program =
 let prop_negation_free_semantics_coincide =
   (* Without negation every semantics computes the minimal model. *)
   QCheck.Test.make ~name:"valid = inflationary = seminaive without negation"
-    ~count:150 Tgen.rand_instance_arb (fun (program, edges) ->
+    ~count:(Tgen.qcount 150) Tgen.rand_instance_arb (fun (program, edges) ->
       QCheck.assume (negation_free program);
       let edb = Tgen.e_edb edges in
       let v = Run.valid program edb in
@@ -648,6 +691,9 @@ let suite =
     Alcotest.test_case "neq literal" `Quick test_neq_literal;
     Alcotest.test_case "valid iterations" `Quick test_valid_iterations_reported;
     QCheck_alcotest.to_alcotest prop_valid_equals_wellfounded;
+    QCheck_alcotest.to_alcotest prop_solver_reference_ground;
+    Alcotest.test_case "solver = reference on the E3 graphs" `Quick
+      test_solver_reference_e3;
     QCheck_alcotest.to_alcotest prop_stable_extends_wf;
     QCheck_alcotest.to_alcotest prop_stratified_total;
     QCheck_alcotest.to_alcotest prop_negation_free_semantics_coincide;

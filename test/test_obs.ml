@@ -137,20 +137,30 @@ let test_summary_tc_iterations () =
   Alcotest.(check int) "delta total" 21
     (Obs.Metrics.counter_total sn "eval/ifp_delta")
 
-let test_summary_valid_rounds () =
-  (* The win/move game: the registry's round count must equal the
-     engine's own alternating-fixpoint iteration count, and every round
-     runs under the one [round] span path. *)
-  let edb = chain_moves 9 in
-  let pg = Datalog.Grounder.ground win_program edb in
-  let expected = Datalog.Valid.iterations pg in
-  let interp, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
-  Alcotest.(check bool) "solved" true
-    (Datalog.Interp.equal interp (Datalog.Valid.solve pg));
-  Alcotest.(check int) "valid rounds" expected
-    (Obs.Metrics.counter_events sn "valid/round");
-  Alcotest.(check int) "one round span call per round" expected
-    (Obs.Metrics.span_calls sn "run.valid > valid > round")
+let test_summary_valid_solver () =
+  (* The win/move game: one solve is one call of the [wellfounded] span,
+     and it reports its unfounded-set passes once. Propagation decides a
+     chain alone; the 2-cycle a <-> b takes one pass, which finds
+     nothing unfounded and leaves both positions undefined. *)
+  let solved edb =
+    let pg = Datalog.Grounder.ground win_program edb in
+    let interp, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
+    Alcotest.(check bool) "solved" true
+      (Datalog.Interp.equal interp (Datalog.Valid.reference pg));
+    Alcotest.(check int) "one solver span call" 1
+      (Obs.Metrics.span_calls sn "run.valid > wellfounded");
+    Alcotest.(check int) "passes reported once" 1
+      (Obs.Metrics.counter_events sn "wellfounded/passes");
+    sn
+  in
+  let chain = solved (chain_moves 9) in
+  Alcotest.(check int) "chain: no pass" 0
+    (Obs.Metrics.counter_total chain "wellfounded/passes");
+  let cycle = solved (Tgen.int_edb "move" [ (0, 1); (1, 0) ]) in
+  Alcotest.(check int) "2-cycle: one pass" 1
+    (Obs.Metrics.counter_total cycle "wellfounded/passes");
+  Alcotest.(check int) "2-cycle: nothing unfounded" 0
+    (Obs.Metrics.counter_total cycle "wellfounded/unfounded")
 
 let test_summary_grounder_counters () =
   let edb = chain_moves 8 in
@@ -187,21 +197,18 @@ let span_paths sn =
        sn [])
 
 let test_span_paths_bounded () =
-  (* Datalog: WIN chains of 8 and 64 moves take 5 and 33 alternating
-     rounds, yet list the same span paths. *)
+  (* Datalog: WIN chains of 8 and 64 moves, which the Section 2.2
+     iteration takes 5 and 33 rounds to solve, are one solver call each
+     and list the same span paths. *)
   let valid_run n =
-    let edb = chain_moves n in
-    let rounds = Datalog.Valid.iterations (Datalog.Grounder.ground win_program edb) in
-    let _, sn = collected (fun () -> Datalog.Run.valid win_program edb) in
+    let _, sn = collected (fun () -> Datalog.Run.valid win_program (chain_moves n)) in
     Alcotest.(check int)
-      (Fmt.str "chain %d: round span calls = iterations" n)
-      rounds
-      (Obs.Metrics.span_calls sn "run.valid > valid > round");
-    (rounds, span_paths sn)
+      (Fmt.str "chain %d: one solver span call" n)
+      1
+      (Obs.Metrics.span_calls sn "run.valid > wellfounded");
+    span_paths sn
   in
-  let r8, paths8 = valid_run 8 and r64, paths64 = valid_run 64 in
-  Alcotest.(check bool) "valid rounds grow with the chain" true (r64 > r8);
-  Alcotest.(check (list string)) "valid: same span paths" paths8 paths64;
+  Alcotest.(check (list string)) "valid: same span paths" (valid_run 8) (valid_run 64);
   (* algebra=: the Prop 6.1 translation of the same game, solved by
      Rec_eval — its outer round count grows with the chain too. *)
   let alg_run n =
@@ -336,8 +343,8 @@ let suite =
       test_traced_untraced_identical_valid;
     Alcotest.test_case "summary: tc chain iteration count" `Quick
       test_summary_tc_iterations;
-    Alcotest.test_case "summary: valid round count = iterations" `Quick
-      test_summary_valid_rounds;
+    Alcotest.test_case "summary: valid solver passes" `Quick
+      test_summary_valid_solver;
     Alcotest.test_case "summary: grounder counters" `Quick
       test_summary_grounder_counters;
     Alcotest.test_case "summary: rewrite cache hit/miss" `Quick

@@ -189,7 +189,8 @@ let prop_eval_domains =
         with_domains n @@ fun () ->
         let fuel = Limits.of_int 400 in
         try
-          Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
+          let v = Eval.eval ~fuel no_defs (edge_db edges) e in
+          Ok (v, Limits.remaining fuel)
         with Limits.Diverged _ -> Error `Diverged
       in
       match (run 1, run 4) with
@@ -295,7 +296,9 @@ let prop_translate_eval_all_domains =
         let run n =
           with_domains n @@ fun () ->
           let fuel = Limits.of_int 20000 in
-          try Ok (S2i.eval_all ~fuel t, Limits.remaining fuel)
+          try
+            let r = S2i.eval_all ~fuel t in
+            Ok (r, Limits.remaining fuel)
           with Limits.Diverged _ -> Error `Diverged
         in
         (match (run 1, run 4) with
@@ -328,7 +331,8 @@ let prop_traced_equals_untraced_parallel =
         let fuel = Limits.of_int 400 in
         let eval () =
           try
-            Ok (Eval.eval ~fuel no_defs (edge_db edges) e, Limits.remaining fuel)
+            let v = Eval.eval ~fuel no_defs (edge_db edges) e in
+            Ok (v, Limits.remaining fuel)
           with Limits.Diverged _ -> Error `Diverged
         in
         if traced then begin

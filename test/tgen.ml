@@ -293,3 +293,52 @@ let zset_triple_arb =
       Fmt.str "%s %s %s" (Zset.to_string a) (Zset.to_string b)
         (Zset.to_string c))
     QCheck.Gen.(triple zset_gen zset_gen zset_gen)
+
+(* --- instances for the three-valued solver --- *)
+
+(* A random ground program over 2–13 nullary atoms a0, a1, …, as text
+   for the parser and grounder: up to 3 positive and 3 negative literals
+   per rule, so positive cycles and undefined atoms are common. *)
+let ground_program_gen =
+  QCheck.Gen.(
+    let* k = int_range 2 13 in
+    let atom = map (Printf.sprintf "a%d") (int_bound (k - 1)) in
+    let rule =
+      let* head = atom in
+      let* pos = list_size (int_bound 3) atom in
+      let* neg = list_size (int_bound 3) atom in
+      return
+        (match pos @ List.map (( ^ ) "not ") neg with
+        | [] -> head ^ "."
+        | body -> head ^ " :- " ^ String.concat ", " body ^ ".")
+    in
+    let* rules = list_size (int_range 1 (2 * k)) rule in
+    return (String.concat "\n" rules))
+
+let ground_program_arb = QCheck.make ~print:Fun.id ground_program_gen
+
+let int_edb pred pairs =
+  List.fold_left
+    (fun edb (a, b) -> Datalog.Edb.add pred [ Value.int a; Value.int b ] edb)
+    Datalog.Edb.empty pairs
+
+let int_chain n = List.init n (fun i -> (i, i + 1))
+
+let win_program = fst (Datalog.Parser.parse_exn "win(X) :- move(X, Y), not win(Y).")
+
+(* The WIN game on a chain of [n] moves, 0 -> 1 -> … -> n: propagation
+   decides it, where the Section 2.2 iteration takes about n/2 rounds. *)
+let win_chain n = (win_program, int_edb "move" (int_chain n))
+
+(* The unfounded-set chain: b(0) and, for i = 1 … n, a(i) :- a(i),
+   a(i) :- not b(i-1) and b(i) :- not a(i). Each a(i) is false only as
+   an unfounded set, and only once b(i-1) is true: one pass per
+   component, where a search over the whole program costs a whole
+   program each time. *)
+let unfounded_chain n =
+  let program, edb =
+    Datalog.Parser.parse_exn
+      "b(0). a(I) :- s(J, I), a(I). a(I) :- s(J, I), not b(J). \
+       b(I) :- s(J, I), not a(I)."
+  in
+  (program, Datalog.Edb.union edb (int_edb "s" (int_chain n)))
