@@ -3,13 +3,30 @@ module Obs = Recalg_obs.Obs
 
 exception Unsafe = Store.Unsafe
 
+(* A rule instance is its head with its positive and negative body atoms
+   as sets: sorted id lists, compared and hashed as ints. *)
+module Rule_key = Hashtbl.Make (struct
+  type t = int * int list * int list
+
+  let equal (h, p, n) (h', p', n') =
+    h = h' && List.equal Int.equal p p' && List.equal Int.equal n n'
+
+  let hash (h, p, n) =
+    let mix acc id = (acc * 0x100000001b3) + id in
+    let x = List.fold_left mix (mix (List.fold_left mix h p) (-1)) n in
+    x lxor (x lsr 29)
+end)
+
 type state = {
   program : Program.t;
   fuel : Limits.fuel;
   rules : (Rule.t * Literal.t list) list;  (* bodies in evaluation order *)
   atoms : Propgm.fact Interner.t;
   stores : (string, Store.t) Hashtbl.t;
-  seen_rules : (int * int list * int list, unit) Hashtbl.t;
+  mutable marks : Bytes.t;
+      (* Byte [id] is set when atom [id]'s tuple is in its predicate's
+         store, in any section; bytes past the end are clear. *)
+  seen_rules : unit Rule_key.t;
   mutable ground_rules : Propgm.rule list;
   (* Probe accounting, only bumped while a sink is installed; emitted as
      counters when grounding completes. *)
@@ -33,33 +50,46 @@ let intern_fact st fact =
     Limits.spend st.fuel ~what:"grounder: atom";
     Interner.intern st.atoms fact
 
-let discover st pred tup =
-  let s = store_of st pred in
-  if not (Store.known s tup) then Store.add s tup
+let marked st id = id < Bytes.length st.marks && Bytes.get st.marks id <> '\000'
 
-(* A rule instance is its head with its positive and negative body atoms
-   as sets. *)
+let mark st id =
+  let len = Bytes.length st.marks in
+  if id >= len then begin
+    let bigger = Bytes.make (max (2 * len) (id + 1)) '\000' in
+    Bytes.blit st.marks 0 bigger 0 len;
+    st.marks <- bigger
+  end;
+  Bytes.set st.marks id '\001'
+
+(* Add atom [id]'s tuple to its predicate's store unless it is there:
+   one mark test, where three tuple-set lookups ([Store.known]) were. *)
+let discover st id =
+  if not (marked st id) then begin
+    mark st id;
+    let pred, tup = Interner.get st.atoms id in
+    Store.add (store_of st pred) tup
+  end
+
 let rule_key head pos neg = (head, List.sort Int.compare pos, List.sort Int.compare neg)
 
 let emit_rule st ~head ~pos ~neg =
   let key = rule_key head pos neg in
-  if not (Hashtbl.mem st.seen_rules key) then begin
-    Hashtbl.add st.seen_rules key ();
+  if not (Rule_key.mem st.seen_rules key) then begin
+    Rule_key.add st.seen_rules key ();
     Limits.spend st.fuel ~what:"grounder: rule instance";
     st.ground_rules <-
       { Propgm.head; pos = Array.of_list pos; neg = Array.of_list neg }
       :: st.ground_rules;
-    let pred, tup = Interner.get st.atoms head in
-    discover st pred tup
+    discover st head
   end
 
 (* Replace the materialized rules and re-key the instance table. *)
 let set_rules st rules =
   st.ground_rules <- rules;
-  Hashtbl.reset st.seen_rules;
+  Rule_key.reset st.seen_rules;
   List.iter
     (fun (r : Propgm.rule) ->
-      Hashtbl.replace st.seen_rules
+      Rule_key.replace st.seen_rules
         (rule_key r.Propgm.head (Array.to_list r.Propgm.pos)
            (Array.to_list r.Propgm.neg))
         ())
@@ -149,7 +179,8 @@ let grounding ~fuel ~strategy program edb =
       rules = Store.ordered program.Program.builtins program.Program.rules;
       atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ();
       stores = Hashtbl.create 16;
-      seen_rules = Hashtbl.create 256;
+      marks = Bytes.empty;
+      seen_rules = Rule_key.create 256;
       ground_rules = [];
       idx_hits = 0;
       idx_misses = 0;
@@ -195,9 +226,9 @@ module Live = struct
   (* Checkpoints make update batches all-or-nothing. Everything the
      batch mutates is either an immutable value behind a mutable field
      ([edb], [ground_rules], the per-store [Tuples.t] sections) or
-     rebuildable from one of those ([seen_rules] from the rule list,
-     indexes lazily from the stores) — so a checkpoint is a handful of
-     pointer copies, and [restore] only pays the [seen_rules] rebuild on
+     rebuildable from one of those ([seen_rules] from the rule list, the
+     atom marks and the indexes from the stores) — so a checkpoint is a
+     handful of pointer copies, and [restore] only pays the rebuilds on
      the failure path. Interned atoms are deliberately not rolled back:
      the interner only grows, and an atom heading no rule is invisible
      to every semantics (see the module comment). *)
@@ -230,6 +261,15 @@ module Live = struct
             (* Store created by the aborted batch: empty it; an all-empty
                store is indistinguishable from an absent one. *)
             (Tuples.empty, Tuples.empty, Tuples.empty)))
+      st.stores;
+    Bytes.fill st.marks 0 (Bytes.length st.marks) '\000';
+    Hashtbl.iter
+      (fun pred s ->
+        let full, delta, next = Store.sections s in
+        List.iter
+          (Tuples.iter (fun tup ->
+               Option.iter (mark st) (Interner.find_opt st.atoms (pred, tup))))
+          [ full; delta; next ])
       st.stores
 
   module Iset = Set.Make (Int)
@@ -290,7 +330,13 @@ module Live = struct
             (Store.full s)
         in
         Store.restore s (full, Tuples.empty, Tuples.empty))
-      st.stores
+      st.stores;
+    (* The stores kept their live tuples only; so do the marks. *)
+    Bytes.iteri
+      (fun id m ->
+        if m <> '\000' && not (id < Bitset.length live && Bitset.get live id) then
+          Bytes.set st.marks id '\000')
+      st.marks
 
   (* All-or-nothing: any exception mid-batch — fuel, a governed
      ceiling, an injected fault — restores the pre-batch checkpoint

@@ -1,86 +1,143 @@
 open Recalg_kernel
 
-module Facts = Set.Make (struct
-  type t = string * Value.t list
+(* One predicate's atoms: [members] in id order, and [listing], the same
+   ids sorted by argument, published by the first reader that needs it. *)
+type group = { mutable members : int list; listing : int array option Atomic.t }
 
-  let compare (p, a) (q, b) =
-    let c = String.compare p q in
-    if c <> 0 then c else List.compare Value.compare a b
-end)
+(* The captured atoms grouped by predicate: [names] sorted, [groups]
+   keyed by name. Built whole on the first ordered read, then shared. *)
+type index = { names : string list; groups : (string, group) Hashtbl.t }
 
 type t = {
-  true_ : Facts.t;
-  undef : Facts.t;
-  base : Facts.t;
+  atoms : Propgm.fact Interner.t;
+  n : int;
+  true_ : Bitset.t;
+  undef : Bitset.t;
+  index : index option Atomic.t;
 }
 
-let facts_of_bitset pg bits =
-  let acc = ref Facts.empty in
-  Bitset.iter_set (fun id -> acc := Facts.add (Propgm.fact_of_id pg id) !acc) bits;
-  !acc
-
-let base_of pg =
-  let acc = ref Facts.empty in
+let make (pg : Propgm.t) ~true_ ~undef =
   let n = Propgm.n_atoms pg in
-  for id = 0 to n - 1 do
-    acc := Facts.add (Propgm.fact_of_id pg id) !acc
-  done;
-  !acc
+  if Bitset.length true_ <> n || Bitset.length undef <> n then
+    invalid_arg "Interp.make: a bitset's length is not the atom count";
+  { atoms = pg.Propgm.atoms; n; true_; undef; index = Atomic.make None }
 
-let make pg ~true_ ~undef =
-  {
-    true_ = facts_of_bitset pg true_;
-    undef = facts_of_bitset pg undef;
-    base = base_of pg;
-  }
+let of_true pg bits = make pg ~true_:bits ~undef:(Bitset.create (Propgm.n_atoms pg))
 
-let of_true pg bits =
-  { true_ = facts_of_bitset pg bits; undef = Facts.empty; base = base_of pg }
+let args t id = snd (Interner.get t.atoms id)
 
-let holds t pred args =
-  let f = (pred, args) in
-  if Facts.mem f t.true_ then Tvl.True
-  else if Facts.mem f t.undef then Tvl.Undef
+let status t id =
+  if Bitset.get t.true_ id then Tvl.True
+  else if Bitset.get t.undef id then Tvl.Undef
   else Tvl.False
 
-let holds_fact t (pred, args) = holds t pred args
+(* Ids at or past [n] were interned after the solve (a later batch of
+   [Run.Live]): outside the captured grounding, so false. *)
+let holds_fact t f =
+  match Interner.find_opt t.atoms f with
+  | Some id when id < t.n -> status t id
+  | Some _ | None -> Tvl.False
 
-(* [Facts] is ordered by predicate first, and [(pred, [])] sorts before
-   every fact of [pred], so one predicate's facts are one range. *)
-let range set pred =
-  Facts.to_seq_from (pred, []) set
-  |> Seq.take_while (fun (p, _) -> String.equal p pred)
+let holds t pred args = holds_fact t (pred, args)
 
-let tuples_of set pred = List.of_seq (Seq.map snd (range set pred))
-let true_tuples t pred = tuples_of t.true_ pred
-let undef_tuples t pred = tuples_of t.undef pred
+(* The atoms of one predicate are mostly interned together, so the
+   previous atom's group is tried before the table. *)
+let build_index t =
+  let groups = Hashtbl.create 16 in
+  let group pred =
+    match Hashtbl.find_opt groups pred with
+    | Some g -> g
+    | None ->
+      let g = { members = []; listing = Atomic.make None } in
+      Hashtbl.add groups pred g;
+      g
+  in
+  if t.n > 0 then begin
+    let last_pred = ref (fst (Interner.get t.atoms (t.n - 1))) in
+    let last = ref (group !last_pred) in
+    for id = t.n - 1 downto 0 do
+      let pred, _ = Interner.get t.atoms id in
+      if not (String.equal pred !last_pred) then begin
+        last_pred := pred;
+        last := group pred
+      end;
+      !last.members <- id :: !last.members
+    done
+  end;
+  let names = Array.make (Hashtbl.length groups) "" and i = ref 0 in
+  Hashtbl.iter
+    (fun p _ ->
+      names.(!i) <- p;
+      incr i)
+    groups;
+  Array.stable_sort String.compare names;
+  { names = Array.to_list names; groups }
 
-let false_tuples t pred =
-  range t.base pred
-  |> Seq.filter (fun f -> not (Facts.mem f t.true_ || Facts.mem f t.undef))
-  |> Seq.map snd |> List.of_seq
+let index t =
+  match Atomic.get t.index with
+  | Some i -> i
+  | None ->
+    let i = build_index t in
+    Atomic.set t.index (Some i);
+    i
 
-let preds t =
-  Facts.fold
-    (fun (p, _) acc ->
-      match acc with
-      | q :: _ when String.equal p q -> acc
-      | _ :: _ | [] -> p :: acc)
-    t.base []
-  |> List.rev
+(* Extensional atoms are interned in listing order, so a predicate's
+   members are often sorted already. *)
+let listing t g =
+  match Atomic.get g.listing with
+  | Some l -> l
+  | None ->
+    let l = Array.of_list g.members in
+    let cmp a b = List.compare Value.compare (args t a) (args t b) in
+    let rec sorted i =
+      i >= Array.length l || (cmp l.(i - 1) l.(i) < 0 && sorted (i + 1))
+    in
+    if not (sorted 1) then Array.stable_sort cmp l;
+    Atomic.set g.listing (Some l);
+    l
+
+let select t pred keep =
+  match Hashtbl.find_opt (index t).groups pred with
+  | None -> []
+  | Some g ->
+    let l = listing t g in
+    let acc = ref [] in
+    for k = Array.length l - 1 downto 0 do
+      if keep l.(k) then acc := args t l.(k) :: !acc
+    done;
+    !acc
+
+let is_true t = Bitset.get t.true_
+let is_undef t = Bitset.get t.undef
+let true_tuples t pred = select t pred (is_true t)
+let undef_tuples t pred = select t pred (is_undef t)
+let false_tuples t pred = select t pred (fun id -> not (is_true t id || is_undef t id))
+let preds t = (index t).names
 
 let to_edb t =
-  Facts.fold (fun (p, args) edb -> Edb.add p args edb) t.true_ Edb.empty
+  List.fold_left
+    (fun edb pred -> Edb.add_relation pred (Tuples.of_list (true_tuples t pred)) edb)
+    Edb.empty (preds t)
 
-let count_true t = Facts.cardinal t.true_
-let count_undef t = Facts.cardinal t.undef
-let is_total t = Facts.is_empty t.undef
+let count_true t = Bitset.count t.true_
+let count_undef t = Bitset.count t.undef
+let is_total t = Bitset.is_empty t.undef
 
-let equal a b = Facts.equal a.true_ b.true_ && Facts.equal a.undef b.undef
+(* Predicate by predicate, as fact lists, so the groundings may differ. *)
+let equal a b =
+  let same = List.equal (List.equal Value.equal) in
+  List.for_all
+    (fun p ->
+      same (true_tuples a p) (true_tuples b p)
+      && same (undef_tuples a p) (undef_tuples b p))
+    (List.sort_uniq String.compare (preds a @ preds b))
 
 let pp ppf t =
+  let facts keep =
+    List.concat_map (fun p -> List.map (fun a -> (p, a)) (select t p keep)) (preds t)
+  in
   Fmt.pf ppf "@[<v>true: %a@ undef: %a@]"
     Fmt.(list ~sep:sp Propgm.pp_fact)
-    (Facts.elements t.true_)
+    (facts (is_true t))
     Fmt.(list ~sep:sp Propgm.pp_fact)
-    (Facts.elements t.undef)
+    (facts (is_undef t))

@@ -2,9 +2,10 @@
    4N, and the ratio of the words it allocates is bounded. At one domain
    allocation repeats exactly, so a guard reads the same on any machine,
    and a quadratic shape at these sizes allocates ~16× for 4× the input
-   where a linear one allocates ~4×. Every guard also runs the slow
-   reference shape and asserts that it breaks the bound, so the bound
-   separates the two. *)
+   where a linear one allocates ~4×. The one exception is the listing of
+   one-fact predicates, whose cliff allocates nothing and is timed (see
+   there). Every guard also runs the slow reference shape and asserts
+   that it breaks the bound, so the bound separates the two. *)
 
 open Recalg
 open Algebra
@@ -86,7 +87,111 @@ let test_negation_chains () =
           family r bound)
     [ ("WIN chain", Tgen.win_chain); ("unfounded-set chain", Tgen.unfounded_chain) ]
 
+(* Every predicate's true and undefined facts, as [recalg run] lists
+   them. *)
+let listing interp =
+  List.map
+    (fun p ->
+      (Datalog.Interp.true_tuples interp p, Datalog.Interp.undef_tuples interp p))
+    (Datalog.Interp.preds interp)
+
+(* The left-linear reach chain ([Tgen.reach_chain]) under [valid], as
+   [recalg run] takes it: parsing, grounding, solving and listing. The
+   grounder fires a body position only when its store has a delta, so
+   the four allocate linearly: 218,300 → 894,137 words (×4.10) at
+   n = 250 → 1000. Firing every rule unrestricted every round (the
+   [`Naive] variant) re-reads all of [reach] each round: 2,037,723 →
+   31,110,772 (×15.3) at n = 125 → 500. A grounder that re-fired the
+   [edge] position every round, though its store never has a delta,
+   read ×14.0 at n = 250 → 1000. *)
+let test_reach_chain () =
+  let bound = 6. in
+  let ratio n strategy =
+    let run n =
+      let text = Tgen.reach_chain n in
+      fun () ->
+        let program, edb = Datalog.Parser.parse_exn text in
+        listing (Datalog.Valid.solve (Datalog.Grounder.ground ~strategy program edb))
+    in
+    words (run (4 * n)) /. words (run n)
+  in
+  let r = ratio 250 `Seminaive in
+  if r > bound then
+    Alcotest.failf
+      "reach chain, parse + ground + solve + listing: ×%.2f words for 4× the chain" r;
+  let naive = ratio 125 `Naive in
+  if naive <= bound then
+    Alcotest.failf "reach chain, naive grounding: ×%.2f words, inside the bound ×%.0f"
+      naive bound
+
+(* [time large /. time small], each time the least CPU time of nine
+   runs of [read] on a fresh [setup] of that size, which is not timed.
+   The two sizes alternate, so a slow stretch of the machine slows both
+   alike. *)
+let time_ratio ~small ~large read =
+  let time setup =
+    let x = setup () in
+    Gc.minor ();
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (read x));
+    Sys.time () -. t0
+  in
+  let s = ref infinity and l = ref infinity in
+  for _ = 1 to 9 do
+    s := Float.min !s (time small);
+    l := Float.min !l (time large)
+  done;
+  !l /. !s
+
+(* n one-fact predicates ([Tgen.one_fact_preds]) under [valid].
+   Parsing, grounding and solving allocate linearly: 319,176 → 1,328,537
+   words (×4.16) at n = 1000 → 4000. Listing them ([Interp.preds], then
+   each predicate's true and undefined facts) on a fresh interpretation
+   builds the listing inside the measurement. A reader that found its
+   predicate by a scan over all of them would be quadratic without
+   allocating anything per step, so the listing is timed instead of
+   counted: ×4.5 to ×5.8 at n = 1000 → 4000. A listing that scans every
+   predicate's name for each predicate reads ×12.4 to ×16.4 at n = 500
+   → 2000, and one that filters the whole fact set once per predicate
+   read ×16.9 to ×18.8 at n = 1000 → 4000. *)
+let test_one_fact_listing () =
+  let bound = 8. in
+  let ratio n read =
+    let fresh n =
+      let program, edb = Datalog.Parser.parse_exn (Tgen.one_fact_preds n) in
+      let pg = Datalog.Grounder.ground program edb in
+      fun () -> Datalog.Valid.solve pg
+    in
+    time_ratio ~small:(fresh n) ~large:(fresh (4 * n)) read
+  in
+  let scan interp =
+    let names = Datalog.Interp.preds interp in
+    List.map (fun p -> List.filter (String.equal p) names) names
+  in
+  let solve n =
+    let text = Tgen.one_fact_preds n in
+    fun () ->
+      let program, edb = Datalog.Parser.parse_exn text in
+      Datalog.Valid.solve (Datalog.Grounder.ground program edb)
+  in
+  let r = words (solve 4000) /. words (solve 1000) in
+  if r > 6. then
+    Alcotest.failf
+      "one-fact predicates, parse + ground + solve: ×%.2f words for 4× the predicates" r;
+  let r = ratio 1000 listing in
+  if r > bound then
+    Alcotest.failf "one-fact predicates, listing: ×%.2f CPU time for 4× the predicates"
+      r;
+  let r = ratio 500 scan in
+  if r <= bound then
+    Alcotest.failf
+      "one-fact predicates, scanning listing: ×%.2f CPU time, inside the bound ×%.0f" r
+      bound
+
 let suite =
   [ Alcotest.test_case "even_ifp under --plan cost" `Quick test_even_ifp;
     Alcotest.test_case "negation chains under valid and wellfounded" `Quick
-      test_negation_chains ]
+      test_negation_chains;
+    Alcotest.test_case "reach chain under valid, grounding included" `Quick
+      test_reach_chain;
+    Alcotest.test_case "listing one-fact predicates" `Quick test_one_fact_listing ]

@@ -431,6 +431,21 @@ let test_live_ground_retracts () =
     (Datalog.Interp.equal i
        (Datalog.Run.valid dl_tc_program (Datalog.Run.Live.edb live)))
 
+(* A fact retracted by one batch and inserted again by a later one is
+   grounded again, with everything it supports. *)
+let test_live_ground_reinserts () =
+  let live =
+    Datalog.Run.Live.start ~semantics:`Valid dl_tc_program
+      (Tgen.e_edb [ ("a", "b"); ("b", "c") ])
+  in
+  ignore (Datalog.Run.Live.update live (dl_batch [ (false, ("a", "b")) ]));
+  let i = Datalog.Run.Live.update live (dl_batch [ (true, ("a", "b")) ]) in
+  Alcotest.(check bool) "path a c back" true
+    (Tvl.equal (Datalog.Interp.holds i "path" (efact "a" "c")) Tvl.True);
+  Alcotest.(check bool) "= scratch" true
+    (Datalog.Interp.equal i
+       (Datalog.Run.valid dl_tc_program (Datalog.Run.Live.edb live)))
+
 (* Deleting the only support of a cycle: p(a) and q(a) support each
    other, but both rest on s(a). Liveness is a least fixpoint, so the
    cycle does not keep itself alive. *)
@@ -493,6 +508,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_datalog_incremental_equals_scratch;
     Alcotest.test_case "live grounding retracts" `Quick
       test_live_ground_retracts;
+    Alcotest.test_case "live grounding re-grounds a re-inserted fact" `Quick
+      test_live_ground_reinserts;
     Alcotest.test_case "live grounding drops an unsupported cycle" `Quick
       test_live_ground_cycle;
     QCheck_alcotest.to_alcotest prop_live_ground_equals_scratch;

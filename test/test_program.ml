@@ -106,10 +106,106 @@ let prop_grounder_strategies_agree =
       let b = Grounder.ground ~strategy:`Naive program edb in
       Interp.equal (Valid.solve a) (Valid.solve b))
 
-(* The interpretation readers take one predicate's range of a fact set
-   ordered by predicate first. The whole-set filters they replaced are
-   the reference, over random interpretations of up to 50 predicates,
-   whose names ("p1" < "p10" < "p2") sort apart from their numbers. *)
+(* The interpretation as it was kept before it became a view over its
+   grounding: three fact sets ordered by predicate, then arguments, with
+   [base] every atom of the grounding at [make]. Every reader is held to
+   it. *)
+module Reference = struct
+  let compare_facts (p, a) (q, b) =
+    let c = String.compare p q in
+    if c <> 0 then c else List.compare Value.compare a b
+
+  module Facts = Set.Make (struct
+    type t = string * Value.t list
+
+    let compare = compare_facts
+  end)
+
+  type t = { true_ : Facts.t; undef : Facts.t; base : Facts.t }
+
+  let facts_of_bitset pg bits =
+    let acc = ref Facts.empty in
+    Bitset.iter_set (fun id -> acc := Facts.add (Propgm.fact_of_id pg id) !acc) bits;
+    !acc
+
+  let make pg ~true_ ~undef =
+    let base = ref Facts.empty in
+    for id = 0 to Propgm.n_atoms pg - 1 do
+      base := Facts.add (Propgm.fact_of_id pg id) !base
+    done;
+    { true_ = facts_of_bitset pg true_; undef = facts_of_bitset pg undef; base = !base }
+
+  let holds_fact t f =
+    if Facts.mem f t.true_ then Tvl.True
+    else if Facts.mem f t.undef then Tvl.Undef
+    else Tvl.False
+
+  let range set pred =
+    Facts.to_seq_from (pred, []) set
+    |> Seq.take_while (fun (p, _) -> String.equal p pred)
+
+  let tuples_of set pred = List.of_seq (Seq.map snd (range set pred))
+  let true_tuples t pred = tuples_of t.true_ pred
+  let undef_tuples t pred = tuples_of t.undef pred
+
+  let false_tuples t pred =
+    range t.base pred
+    |> Seq.filter (fun f -> not (Facts.mem f t.true_ || Facts.mem f t.undef))
+    |> Seq.map snd |> List.of_seq
+
+  let preds t =
+    Facts.fold
+      (fun (p, _) acc ->
+        match acc with
+        | q :: _ when String.equal p q -> acc
+        | _ :: _ | [] -> p :: acc)
+      t.base []
+    |> List.rev
+
+  let to_edb t = Facts.fold (fun (p, args) edb -> Edb.add p args edb) t.true_ Edb.empty
+  let count_true t = Facts.cardinal t.true_
+  let count_undef t = Facts.cardinal t.undef
+  let is_total t = Facts.is_empty t.undef
+  let equal a b = Facts.equal a.true_ b.true_ && Facts.equal a.undef b.undef
+
+  let pp ppf t =
+    Fmt.pf ppf "@[<v>true: %a@ undef: %a@]"
+      Fmt.(list ~sep:sp Propgm.pp_fact)
+      (Facts.elements t.true_)
+      Fmt.(list ~sep:sp Propgm.pp_fact)
+      (Facts.elements t.undef)
+end
+
+(* Every reader of [i] against [r] on the predicates [preds] and the
+   facts [probes]. *)
+let same_readers i r ~preds ~probes =
+  Interp.preds i = Reference.preds r
+  && List.for_all
+       (fun pred ->
+         Interp.true_tuples i pred = Reference.true_tuples r pred
+         && Interp.undef_tuples i pred = Reference.undef_tuples r pred
+         && Interp.false_tuples i pred = Reference.false_tuples r pred)
+       preds
+  && List.for_all
+       (fun ((pred, args) as f) ->
+         let s = Reference.holds_fact r f in
+         Tvl.equal (Interp.holds i pred args) s && Tvl.equal (Interp.holds_fact i f) s)
+       probes
+  && Interp.count_true i = Reference.count_true r
+  && Interp.count_undef i = Reference.count_undef r
+  && Interp.is_total i = Reference.is_total r
+  && Edb.equal (Interp.to_edb i) (Reference.to_edb r)
+  && String.equal (Fmt.str "%a" Interp.pp i) (Fmt.str "%a" Reference.pp r)
+
+(* The interpretation readers against the whole-set filters they once
+   were and against the [Facts]-tree interpretation, over random
+   interpretations of up to 50 predicates, whose names ("p1" < "p10" <
+   "p2") sort apart from their numbers. After [make], atoms are interned
+   into the same table, as a later batch of [Run.Live] does: they are
+   outside the captured grounding, so every reader must ignore them.
+   [Interp.equal] is checked against a second grounding that interns the
+   same facts in the opposite order, with one fact's status changed or
+   none. *)
 let prop_interp_readers_are_filters =
   let gen =
     QCheck.Gen.(
@@ -120,41 +216,61 @@ let prop_interp_readers_are_filters =
           (list_size (int_bound 2) (map vi (int_bound 3)))
       in
       (* Each fact is true (0), undefined (1) or false (2). *)
-      pair (list_size (int_bound 150) (pair fact (int_bound 2))) (return npreds))
+      triple
+        (list_size (int_bound 150) (pair fact (int_bound 2)))
+        (return npreds)
+        (opt (int_bound 150)))
   in
-  let print (marked, _) =
+  let print (marked, _, flip) =
     String.concat " "
       (List.map
          (fun (f, m) -> Fmt.str "%a:%d" Propgm.pp_fact f m)
          marked)
+    ^ Fmt.str " flip:%a" Fmt.(option ~none:(any "none") int) flip
   in
   QCheck.Test.make ~name:"interp readers = whole-set filters"
-    ~count:(Tgen.qcount 200) (QCheck.make ~print gen) (fun (marked, npreds) ->
-      let atoms = Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal () in
-      let marks = Hashtbl.create 64 in
+    ~count:(Tgen.qcount 200) (QCheck.make ~print gen) (fun (marked, npreds, flip) ->
+      (* The first mark of each fact wins. *)
+      let marks = Hashtbl.create 64 and facts = ref [] in
       List.iter
         (fun (f, m) ->
-          let id = Interner.intern atoms f in
-          if not (Hashtbl.mem marks id) then Hashtbl.add marks id m)
+          if not (Hashtbl.mem marks f) then begin
+            Hashtbl.add marks f m;
+            facts := f :: !facts
+          end)
         marked;
-      let pg = { Propgm.atoms; rules = [||] } in
-      let n = Propgm.n_atoms pg in
-      let true_ = Bitset.create n and undef = Bitset.create n in
-      Hashtbl.iter
-        (fun id m ->
-          if m = 0 then Bitset.set true_ id else if m = 1 then Bitset.set undef id)
-        marks;
-      let interp = Interp.make pg ~true_ ~undef in
-      let sorted bits =
-        List.sort_uniq
-          (fun (p, a) (q, b) ->
-            let c = String.compare p q in
-            if c <> 0 then c else List.compare Value.compare a b)
-          (List.map (Propgm.fact_of_id pg) (Bitset.to_list bits))
+      let facts = List.rev !facts in
+      let ground facts mark =
+        let atoms =
+          Interner.create ~hash:Propgm.fact_hash ~equal:Propgm.fact_equal ()
+        in
+        List.iter (fun f -> ignore (Interner.intern atoms f)) facts;
+        let pg = { Propgm.atoms; rules = [||] } in
+        let n = Propgm.n_atoms pg in
+        let true_ = Bitset.create n and undef = Bitset.create n in
+        List.iteri
+          (fun id f ->
+            match mark f with
+            | 0 -> Bitset.set true_ id
+            | 1 -> Bitset.set undef id
+            | _ -> ())
+          facts;
+        let view () =
+          Interp.make pg ~true_:(Bitset.copy true_) ~undef:(Bitset.copy undef)
+        in
+        (pg, Reference.make pg ~true_ ~undef, view)
       in
-      let all = Bitset.create n in
-      for i = 0 to n - 1 do Bitset.set all i done;
-      let base = sorted all and t = sorted true_ and u = sorted undef in
+      let pg, r, view = ground facts (Hashtbl.find marks) in
+      let interp = view () and late = view () in
+      let preds = "p" :: "q" :: List.init (npreds + 1) (Printf.sprintf "p%d") in
+      let outside = [ ("q", []); ("p0", [ vi 9 ]); ("p1", [ vi 1; vi 1; vi 1 ]) ] in
+      (* Whole-set filters over the captured facts. *)
+      let sorted = List.sort_uniq Reference.compare_facts in
+      let base = sorted facts in
+      let with_mark m =
+        sorted (List.filter (fun f -> Hashtbl.find marks f = m) facts)
+      in
+      let t = with_mark 0 and u = with_mark 1 in
       let tuples_of set pred =
         List.filter_map (fun (p, args) -> if String.equal p pred then Some args else None) set
       in
@@ -166,19 +282,102 @@ let prop_interp_readers_are_filters =
             else None)
           base
       in
-      let preds =
+      let filter_preds =
         List.rev
           (List.fold_left
              (fun acc (p, _) -> if List.mem p acc then acc else p :: acc)
              [] base)
       in
-      Interp.preds interp = preds
-      && List.for_all
-           (fun pred ->
-             Interp.true_tuples interp pred = tuples_of t pred
-             && Interp.undef_tuples interp pred = tuples_of u pred
-             && Interp.false_tuples interp pred = false_tuples pred)
-           ("p" :: "q" :: List.init (npreds + 1) (Printf.sprintf "p%d")))
+      let filters_hold () =
+        Interp.preds interp = filter_preds
+        && List.for_all
+             (fun pred ->
+               Interp.true_tuples interp pred = tuples_of t pred
+               && Interp.undef_tuples interp pred = tuples_of u pred
+               && Interp.false_tuples interp pred = false_tuples pred)
+             preds
+      in
+      (* [interp] is read before the table grows and again after it,
+         [late] only after it. *)
+      let before = same_readers interp r ~preds ~probes:(facts @ outside) in
+      List.iter (fun f -> ignore (Interner.intern pg.Propgm.atoms f)) outside;
+      let after =
+        same_readers late r ~preds ~probes:(facts @ outside)
+        && same_readers interp r ~preds ~probes:(facts @ outside)
+      in
+      let flipped =
+        match flip, facts with
+        | Some k, _ :: _ -> Some (List.nth facts (k mod List.length facts))
+        | Some _, [] | None, _ -> None
+      in
+      let mark' f =
+        let m = Hashtbl.find marks f in
+        if Some f = flipped then (m + 1) mod 3 else m
+      in
+      let _, r', view' = ground (List.rev facts) mark' in
+      let interp' = view' () in
+      before && after && filters_hold ()
+      && Bool.equal (Interp.equal interp interp') (Reference.equal r r')
+      && Bool.equal (Interp.equal interp' interp) (Reference.equal r' r))
+
+(* An interpretation [Run.Live] returned for one batch answers every
+   reader the same after the next batch interns new atoms and retracts
+   others. [early] is read at once; [late], the same batch's
+   interpretation from a second [Run.Live] fed the same batches, is
+   read only after the next batch, so its listing is built from the
+   grown atom table. *)
+let test_live_interp_survives_batches () =
+  let program, edb =
+    parse
+      "win(X) :- move(X, Y), not win(Y). move(a, b). move(b, c). move(c, a). \
+       move(d, e). move(e, f)."
+  in
+  let fact p args = (p, List.map vs args) in
+  let batch1 =
+    Edb.Update.of_facts
+      [ (true, "move", [ vs "f"; vs "g" ]); (false, "move", [ vs "d"; vs "e" ]) ]
+  and batch2 =
+    Edb.Update.of_facts
+      [ (true, "move", [ vs "g"; vs "h" ]);
+        (true, "move", [ vs "h"; vs "h" ]);
+        (true, "step", [ vs "a" ]);
+        (false, "move", [ vs "a"; vs "b" ]);
+        (false, "move", [ vs "e"; vs "f" ]) ]
+  in
+  let probes =
+    List.map (fun x -> fact "win" [ x ]) [ "a"; "c"; "d"; "e"; "f"; "g"; "h" ]
+    @ [ fact "move" [ "a"; "b" ]; fact "move" [ "d"; "e" ]; fact "move" [ "g"; "h" ];
+        fact "step" [ "a" ] ]
+  in
+  let preds = [ "move"; "win"; "step" ] in
+  let read i =
+    ( Interp.preds i,
+      List.map
+        (fun p ->
+          (Interp.true_tuples i p, Interp.undef_tuples i p, Interp.false_tuples i p))
+        preds,
+      List.map (fun (p, args) -> Interp.holds i p args) probes,
+      (Interp.count_true i, Interp.count_undef i, Interp.is_total i),
+      Fmt.str "%a" Edb.pp (Interp.to_edb i),
+      Fmt.str "%a" Interp.pp i )
+  in
+  let start () = Run.Live.start ~semantics:`Valid program edb in
+  let a = start () and b = start () in
+  let early = Run.Live.update a batch1 and late = Run.Live.update b batch1 in
+  let expected = read early in
+  let grown = Run.Live.update a batch2 in
+  ignore (Run.Live.update b batch2);
+  Alcotest.(check bool) "the next batch changed the answer" false
+    (Interp.equal grown early);
+  Alcotest.(check bool) "early, read again" true (read early = expected);
+  Alcotest.(check bool) "late, read after the next batch" true (read late = expected);
+  List.iter
+    (fun (p, args) ->
+      Alcotest.(check bool)
+        (Fmt.str "%a is outside the batch's grounding" Propgm.pp_fact (p, args))
+        true
+        (Tvl.equal (Interp.holds late p args) Tvl.False))
+    [ fact "win" [ "h" ]; fact "move" [ "g"; "h" ]; fact "step" [ "a" ] ]
 
 let test_subst_ops () =
   let s = Subst.bind "X" (vi 1) Subst.empty in
@@ -211,6 +410,8 @@ let suite =
     Alcotest.test_case "interp false tuples" `Quick test_interp_false_tuples;
     Alcotest.test_case "interp counts" `Quick test_interp_counts;
     Alcotest.test_case "grounder strategies agree" `Quick test_grounder_strategies_agree;
+    Alcotest.test_case "Run.Live interp survives the next batch" `Quick
+      test_live_interp_survives_batches;
     Alcotest.test_case "subst operations" `Quick test_subst_ops;
     Alcotest.test_case "rule utilities" `Quick test_rule_utilities;
     QCheck_alcotest.to_alcotest prop_grounder_strategies_agree;

@@ -330,6 +330,19 @@ let win_program = fst (Datalog.Parser.parse_exn "win(X) :- move(X, Y), not win(Y
    decides it, where the Section 2.2 iteration takes about n/2 rounds. *)
 let win_chain n = (win_program, int_edb "move" (int_chain n))
 
+(* The left-linear reach chain of [n] edges, as program text: reach(0),
+   edge(i, i+1) for i < n, and reach(Y) :- reach(X), edge(X, Y). Each
+   round derives one [reach] fact, so the grounder runs n + 1 rounds. *)
+let reach_chain n =
+  String.concat "\n"
+    (("reach(0)." :: List.init n (fun i -> Printf.sprintf "edge(%d, %d)." i (i + 1)))
+    @ [ "reach(Y) :- reach(X), edge(X, Y)." ])
+
+(* [n] predicates [f0] … [f(n-1)] of one fact each, [fi(i)], as program
+   text. *)
+let one_fact_preds n =
+  String.concat "\n" (List.init n (fun i -> Printf.sprintf "f%d(%d)." i i))
+
 (* The unfounded-set chain: b(0) and, for i = 1 … n, a(i) :- a(i),
    a(i) :- not b(i-1) and b(i) :- not a(i). Each a(i) is false only as
    an unfounded set, and only once b(i-1) is true: one pass per
