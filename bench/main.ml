@@ -51,20 +51,21 @@ let obs_series events counter =
 
 let e1 () =
   U.hr "E1 (Thm 6.2): deduction -> algebra= round trip, WIN game";
-  U.row "%-22s %6s %8s %8s %12s %12s %7s@." "graph" "nodes" "certain" "undef"
-    "datalog ms" "algebra ms" "agree";
+  U.row "%-22s %6s %8s %8s %12s %12s %7s %7s %10s@." "graph" "nodes" "certain" "undef"
+    "datalog ms" "algebra ms" "agree" "rounds" "join/exec";
   let run name edges =
     let edb = W.edb_of ~pred:"move" edges in
     let datalog_ms, interp =
       U.time_ms (fun () -> Datalog.Run.valid W.win_program edb)
     in
-    let algebra_ms, (tr, sol) =
-      U.time_ms (fun () ->
-          let tr = Translate.Datalog_to_alg.translate W.win_program edb in
-          ( tr,
-            Algebra.Rec_eval.solve tr.Translate.Datalog_to_alg.defs
-              tr.Translate.Datalog_to_alg.db ))
+    let solve () =
+      let tr = Translate.Datalog_to_alg.translate W.win_program edb in
+      ( tr,
+        Algebra.Rec_eval.solve tr.Translate.Datalog_to_alg.defs
+          tr.Translate.Datalog_to_alg.db )
     in
+    let algebra_ms, (tr, sol) = U.time_ms solve in
+    let sn, _ = obs_run solve in
     let certain, possible = Translate.Datalog_to_alg.pred_tuples sol tr "win" in
     let dl_true = Datalog.Interp.true_tuples interp "win" in
     let dl_undef = Datalog.Interp.undef_tuples interp "win" in
@@ -78,11 +79,18 @@ let e1 () =
       List.length
         (List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges))
     in
-    U.row "%-22s %6d %8d %8d %12.2f %12.2f %7b@." name nodes (List.length dl_true)
-      (List.length dl_undef) datalog_ms algebra_ms agree
+    assert agree;
+    U.row "%-22s %6d %8d %8d %12.2f %12.2f %7b %7d %10d@." name nodes (List.length dl_true)
+      (List.length dl_undef) datalog_ms algebra_ms agree (Algebra.Rec_eval.rounds sol)
+      (Obs.Metrics.counter_total sn "join/exec")
   in
   run "chain-16" (W.chain 16);
   run "chain-32" (W.chain 32);
+  (* ROADMAP item 3's chains: the alternating fixpoint takes n/2 + 1
+     rounds here, where [valid] propagates in one pass. *)
+  run "chain-128" (W.chain 128);
+  run "chain-256" (W.chain 256);
+  run "chain-512" (W.chain 512);
   run "cycle-16" (W.cycle 16);
   run "half-cyclic-24" (W.half_cyclic 24);
   run "random-20/40" (W.random_graph ~nodes:20 ~edges:40 ~seed:7);

@@ -46,9 +46,9 @@ type t = {
           fuel. *)
   seminaive : bool;
       (** Fixpoints — each [Ifp] node and each {!Rec_eval} phase —
-          iterate semi-naively where their variables occur
-          delta-linearly (see {!Delta}), falling back per subexpression
-          to full re-evaluation ([true], the default); [false]
+          iterate semi-naively where their variables occur outside
+          every nested [Ifp] (see {!Delta}), re-evaluating only nested
+          [Ifp]s in full ([true], the default); [false]
           re-evaluates the whole body every round ({!naive}). Both visit
           byte-identical states on identical rounds. *)
   fused : bool;

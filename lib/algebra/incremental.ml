@@ -22,128 +22,34 @@ module Update = struct
 
   let insert name v u = shift name (Zset.singleton v) u
   let delete name v u = shift name (Zset.singleton ~weight:(-1) v) u
-  let of_zsets l = List.fold_left (fun u (name, z) -> shift name z u) empty l
-  let to_zsets u = Smap.bindings u
-  let rels u = List.map fst (Smap.bindings u)
 
-  let old_value db name =
-    Option.value ~default:Value.empty_set (Db.find db name)
-
-  let new_value db name z =
-    Zset.to_set (Zset.add (Zset.of_set (old_value db name)) z)
-
-  (* The set-level change each relation actually undergoes: inserting a
-     present tuple or deleting an absent one is a no-op, and weights
-     beyond +-1 collapse to membership. *)
-  let effective db u =
+  (* The post-batch database and the exact change of each relation. A
+     tuple is in the new relation iff its old membership plus its summed
+     weight is positive, so inserting a present tuple or deleting an
+     absent one changes nothing. *)
+  let advance db u =
     Smap.fold
-      (fun name z acc ->
-        let d =
-          Zset.delta_of_sets ~old_value:(old_value db name)
-            (new_value db name z)
+      (fun name z (db, changes) ->
+        let old = Option.value ~default:Value.empty_set (Db.find db name) in
+        let plus, minus =
+          Zset.fold
+            (fun v w (plus, minus) ->
+              let was = Value.mem v old in
+              if w > 0 && not was then (v :: plus, minus)
+              else if w < 0 && was then (plus, v :: minus)
+              else (plus, minus))
+            z ([], [])
         in
-        if Zset.is_empty d then acc else (name, d) :: acc)
-      u []
+        let c = { Delta.plus = Value.set plus; minus = Value.set minus } in
+        let changes = if Delta.is_none c then changes else (name, c) :: changes in
+        (Db.add name (Delta.apply old c) db, changes))
+      u (db, [])
 
-  let apply u db =
-    Smap.fold (fun name z db -> Db.add name (new_value db name z) db) u db
+  let apply u db = fst (advance db u)
+  let effective db u = snd (advance db u)
 
   let pp ppf u =
     Smap.iter (fun name z -> Fmt.pf ppf "%s %a@ " name Zset.pp z) u
-end
-
-(* ------------------------------------------------------------------ *)
-(* Delta-lifted operators: given the exact set-level Z-set change of the
-   inputs (weights +-1) and the inputs' post-update values, each rule
-   computes the exact set-level change of the output. DESIGN.md S8 spells
-   out the correctness argument per operator. *)
-
-module Lift = struct
-  let b2i b = if b then 1 else 0
-
-  (* Membership before the update, recovered from the new value and the
-     exact delta: weight +1 means the element just appeared, -1 that it
-     just vanished. *)
-  let mem_old value d x =
-    match Zset.weight d x with
-    | 1 -> false
-    | -1 -> true
-    | _ -> Value.mem x value
-
-  let candidates da db =
-    List.sort_uniq Value.compare (Zset.support da @ Zset.support db)
-
-  (* d(a U b): only elements of either support can change membership. *)
-  let union ~a ~da ~b ~db =
-    Zset.of_list
-      (List.filter_map
-         (fun x ->
-           let now = Value.mem x a || Value.mem x b in
-           let was = mem_old a da x || mem_old b db x in
-           if now = was then None else Some (x, b2i now - b2i was))
-         (candidates da db))
-
-  (* d(a - b): same candidate set; the right side acts negatively, which
-     is exactly why the rule needs both memberships rather than a linear
-     pass over the deltas. *)
-  let diff ~a ~da ~b ~db =
-    Zset.of_list
-      (List.filter_map
-         (fun x ->
-           let now = Value.mem x a && not (Value.mem x b) in
-           let was = mem_old a da x && not (mem_old b db x) in
-           if now = was then None else Some (x, b2i now - b2i was))
-         (candidates da db))
-
-  (* Bilinear expansion against post-update values:
-     A'xB' - AxB = da x B' + A' x db - da x db. *)
-  let product ~a ~da ~b ~db =
-    let za = Zset.of_set a and zb = Zset.of_set b in
-    let t1 = Zset.product Value.pair da zb
-    and t2 = Zset.product Value.pair za db
-    and t3 = Zset.product Value.pair da db in
-    Zset.sub (Zset.add t1 t2) t3
-
-  (* Same expansion through the hash-join executor — never materialises a
-     product, and the residual conjuncts prune inside the join. *)
-  let join builtins plan ~a ~da ~b ~db =
-    let za = Zset.of_set a and zb = Zset.of_set b in
-    let t1 = Join.exec_zset builtins plan da zb
-    and t2 = Join.exec_zset builtins plan za db
-    and t3 = Join.exec_zset builtins plan da db in
-    Zset.sub (Zset.add t1 t2) t3
-
-  (* Selection is linear: filter the delta. *)
-  let select builtins p ~da =
-    Zset.filter (fun v -> Pred.eval builtins p v = Some true) da
-
-  (* MAP is linear on the weighted image but not on sets: two sources may
-     collapse onto one image element, so the operator keeps the weighted
-     image resident and emits the change of its positive support — the
-     incremental [distinct]. Returns the output delta and the new image. *)
-  let map builtins f ~image ~da =
-    let dimg = Zset.map (Efun.apply builtins f) da in
-    let image' = Zset.add image dimg in
-    let dout =
-      Zset.of_list
-        (List.filter_map
-           (fun y ->
-             let now = Zset.weight image' y > 0
-             and was = Zset.weight image y > 0 in
-             if now = was then None else Some (y, b2i now - b2i was))
-           (Zset.support dimg))
-    in
-    (dout, image')
-
-  (* Apply an exact set-level delta to a set value. *)
-  let apply_delta v d =
-    let adds, dels =
-      Zset.fold
-        (fun x w (adds, dels) ->
-          if w > 0 then (x :: adds, dels) else (adds, x :: dels))
-        d ([], [])
-    in
-    Value.diff (Value.union v (Value.set adds)) (Value.set dels)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -168,13 +74,14 @@ type node = {
 
 and shape =
   | Leaf_rel of string
-  | Leaf_lit
+  | Leaf_lit of Value.t
   | Union_n of node * node
   | Diff_n of node * node
-  | Product_n of node * node
-  | Join_n of Join.t * node * node
+  | Pair_n of (Value.t -> Value.t -> Value.t) * node * node
+      (* a product, or a selection on one run as a hash join *)
   | Select_n of Pred.t * node
   | Map_n of Efun.t * node * Zset.t ref
+      (* each image with its number of preimages *)
   | Ifp_n of ifp_state
 
 type t = {
@@ -219,53 +126,40 @@ let beval eng db env e =
   in
   Eval.eval ~fuel:eng.fuel (Defs.make ~builtins:eng.builtins []) db e'
 
-let positive_deltas deltas =
-  List.filter_map
-    (fun (n, d) ->
-      let adds = Zset.to_set (Zset.distinct d) in
-      if Value.equal adds Value.empty_set then None else Some (n, adds))
-    deltas
-
-let negative_deltas deltas =
-  List.filter_map
-    (fun (n, d) ->
-      let dels = Zset.to_set (Zset.distinct (Zset.negate d)) in
-      if Value.equal dels Value.empty_set then None else Some (n, dels))
-    deltas
-
-let is_empty_set v = Value.equal v Value.empty_set
+(* The tuples the body gains at [x = s] against [db] when the names in
+   [changes] grow: the plus side of its change ({!Delta.derive}). *)
+let derive_body eng st db s changes =
+  (Delta.derive ~builtins:eng.builtins
+     { Delta.value = beval eng db [ (st.var, s) ]; changes }
+     st.body)
+    .Delta.plus
 
 (* Close an inflationary iteration by semi-naive delta rounds: [s0] is a
-   pre-fixpoint below the target, [d0] its current frontier. For a
-   monotone body this converges exactly to the least fixpoint above
-   [s0] — which equals the from-scratch IFP whenever [s0] is below it. *)
+   pre-fixpoint below the target, [d0] its current frontier, disjoint
+   from it. For a monotone body this converges exactly to the least
+   fixpoint above [s0] — which equals the from-scratch IFP whenever [s0]
+   is below it. Returns the fixpoint and the tuples it added to [s0]. *)
 let ifp_close eng st s0 d0 =
-  let rec loop s d =
-    if is_empty_set d then s
+  let rec loop s d added =
+    if Delta.is_empty d then (s, Value.union_all added)
     else begin
       Limits.spend eng.fuel ~what:"incremental: IFP round";
       Obs.count "incr/ifp_round" 1;
-      let derived =
-        Delta.derive ~builtins:eng.builtins
-          ~eval:(fun e -> beval eng eng.db [ (st.var, s) ] e)
-          ~deltas:[ (st.var, d) ] st.body
-      in
+      let derived = derive_body eng st eng.db s [ (st.var, Delta.grown d) ] in
       let d' = Value.diff derived s in
-      loop (Value.union s d') d'
+      loop (Value.union s d') d' (d' :: added)
     end
   in
-  if is_empty_set d0 then s0 else loop (Value.union s0 d0) d0
+  if Delta.is_empty d0 then (s0, Value.empty_set) else loop (Value.union s0 d0) d0 [ d0 ]
 
 (* Insert-only extension: seed with the tuples the input insertions
    contribute at [x = s_old], then close. Correct because the old
-   fixpoint is a pre-fixpoint of the new (larger) round map. *)
+   fixpoint is a pre-fixpoint of the new (larger) round map. The change
+   is the tuples added. *)
 let ifp_extend eng st s_old ~input_adds =
-  let seed =
-    Delta.derive ~builtins:eng.builtins
-      ~eval:(fun e -> beval eng eng.db [ (st.var, s_old) ] e)
-      ~deltas:input_adds st.body
-  in
-  ifp_close eng st s_old (Value.diff seed s_old)
+  let seed = derive_body eng st eng.db s_old input_adds in
+  let s_new, added = ifp_close eng st s_old (Value.diff seed s_old) in
+  (s_new, Delta.grown added)
 
 (* Delete & rederive (DRed): overapproximate the tuples whose
    derivations touch a deleted input fact by propagating a deletion
@@ -273,47 +167,60 @@ let ifp_extend eng st s_old ~input_adds =
    then one full body round against the new database rederives every
    still-derivable tuple (and picks up any insertions); closing finishes
    the job. Sound for monotone bodies: the remainder is below both the
-   old and the new fixpoint. *)
+   old and the new fixpoint. The change removes the overdeleted tuples
+   that were not rederived and adds the rest of what closing added. *)
 let ifp_dred eng st s_old ~old_db ~input_dels =
-  let derive_old ~deltas =
-    Delta.derive ~builtins:eng.builtins
-      ~eval:(fun e -> beval eng old_db [ (st.var, s_old) ] e)
-      ~deltas st.body
-  in
+  let derive_old changes = derive_body eng st old_db s_old changes in
   let rec overdelete deleted frontier =
-    if is_empty_set frontier then deleted
+    if Delta.is_empty frontier then deleted
     else begin
       Limits.spend eng.fuel ~what:"incremental: DRed round";
       Obs.count "incr/dred_round" 1;
       let hit =
-        Value.inter (derive_old ~deltas:[ (st.var, frontier) ]) s_old
+        Value.inter (derive_old [ (st.var, Delta.grown frontier) ]) s_old
       in
       let fresh = Value.diff hit deleted in
       overdelete (Value.union deleted fresh) fresh
     end
   in
-  let d0 = Value.inter (derive_old ~deltas:input_dels) s_old in
+  let d0 = Value.inter (derive_old input_dels) s_old in
   let deleted = overdelete d0 d0 in
   Obs.countf "incr/dred_deleted" (fun () -> Value.cardinal deleted);
   let s_minus = Value.diff s_old deleted in
   let rederived =
     Value.diff (beval eng eng.db [ (st.var, s_minus) ] st.body) s_minus
   in
-  ifp_close eng st s_minus rederived
+  let s_new, added = ifp_close eng st s_minus rederived in
+  (* [s_old] is [s_minus ∪ deleted] and [s_new] is [s_minus ∪ added],
+     both unions disjoint. *)
+  (s_new, { Delta.plus = Value.diff added deleted; minus = Value.diff deleted added })
 
-let ifp_repair eng node st ~old_db deltas =
+(* The [IFP] node's change under the batch, by the first regime that
+   applies; filling the tree ([fresh]), it is evaluated in full. Sets
+   the node's value. *)
+let ifp_repair eng node st ~fresh ~old_db changes =
   let s_old = node.value in
-  let relevant = List.filter (fun (n, _) -> List.mem n st.inputs) deltas in
-  if relevant = [] then Zset.empty
-  else begin
-    let input_adds = positive_deltas relevant in
-    let input_dels = negative_deltas relevant in
-    let negative_input =
-      List.exists
-        (fun (n, _) -> Positivity.occurs_negatively st.body n)
-        relevant
-    in
-    let s_new =
+  let relevant = List.filter (fun (n, _) -> List.mem n st.inputs) changes in
+  let side f =
+    List.filter_map
+      (fun (n, c) ->
+        let v = f c in
+        if Delta.is_empty v then None else Some (n, Delta.grown v))
+      relevant
+  in
+  let s_new, c =
+    if fresh then
+      let v = beval eng eng.db [] node.expr in
+      (v, Delta.grown v)
+    else if relevant = [] then (s_old, Delta.none)
+    else begin
+      let input_adds = side (fun c -> c.Delta.plus) in
+      let input_dels = side (fun c -> c.Delta.minus) in
+      let negative_input =
+        List.exists
+          (fun (n, _) -> Positivity.occurs_negatively st.body n)
+          relevant
+      in
       if st.positive && not negative_input then
         if input_dels = [] then begin
           Obs.count "incr/ifp_extend" 1;
@@ -324,171 +231,140 @@ let ifp_repair eng node st ~old_db deltas =
           ifp_dred eng st s_old ~old_db ~input_dels
         end
       else begin
-        (* Conservative fallback, mirroring [Delta]'s per-node fallback:
-           a non-monotone fixpoint is recomputed from scratch. *)
+        (* Conservative fallback: a non-monotone fixpoint is recomputed
+           from scratch. *)
         Obs.count "incr/recompute" 1;
-        beval eng eng.db [] node.expr
+        let s_new = beval eng eng.db [] node.expr in
+        (s_new, { Delta.plus = Value.diff s_new s_old; minus = Value.diff s_old s_new })
       end
-    in
-    node.value <- s_new;
-    Zset.delta_of_sets ~old_value:s_old s_new
-  end
+    end
+  in
+  node.value <- s_new;
+  c
 
 (* ------------------------------------------------------------------ *)
-(* Tree construction and initial evaluation.                           *)
+(* Tree construction.                                                  *)
 
-let rec build e =
+let rec build builtins e =
+  let build = build builtins in
   let mk shape =
     { expr = e; frees = Expr.rel_names e; value = Value.empty_set; shape }
   in
   match e with
   | Expr.Rel n -> mk (Leaf_rel n)
-  | Expr.Lit _ -> mk Leaf_lit
+  | Expr.Lit v -> mk (Leaf_lit v)
   | Expr.Param x ->
     invalid_arg ("Incremental.init: unsubstituted parameter " ^ x)
   | Expr.Call _ -> invalid_arg "Incremental.init: Call survived inlining"
   | Expr.Union (a, b) -> mk (Union_n (build a, build b))
   | Expr.Diff (a, b) -> mk (Diff_n (build a, build b))
-  | Expr.Product (a, b) -> mk (Product_n (build a, build b))
+  | Expr.Product (a, b) -> mk (Pair_n (Value.product, build a, build b))
   | Expr.Select (p, a) -> (
-    match a with
-    | Expr.Product (ea, eb) -> (
-      match Join.plan p with
-      | Some jp -> mk (Join_n (jp, build ea, build eb))
-      | None -> mk (Select_n (p, build a)))
-    | _ -> mk (Select_n (p, build a)))
+    match Advice.fused_join Advice.none builtins e with
+    | Some (ea, eb, join) -> mk (Pair_n (join, build ea, build eb))
+    | None -> mk (Select_n (p, build a)))
   | Expr.Map (f, a) -> mk (Map_n (f, build a, ref Zset.empty))
   | Expr.Ifp (x, body) ->
     let inputs = List.filter (fun n -> n <> x) (Expr.rel_names body) in
     mk (Ifp_n { var = x; body; inputs; positive = Positivity.monotone_in [ x ] body })
 
-let rec init_value eng node =
-  let v =
-    match node.shape with
-    | Leaf_rel n -> (
-      match Db.find eng.db n with
-      | Some v -> v
-      | None -> raise (Undefined_relation n))
-    | Leaf_lit -> (
-      match node.expr with
-      | Expr.Lit v -> v
-      | _ -> assert false)
-    | Union_n (a, b) -> Value.union (init_value eng a) (init_value eng b)
-    | Diff_n (a, b) -> Value.diff (init_value eng a) (init_value eng b)
-    | Product_n (a, b) -> Value.product (init_value eng a) (init_value eng b)
-    | Join_n (jp, a, b) ->
-      Join.exec eng.builtins jp (init_value eng a) (init_value eng b)
-    | Select_n (p, a) ->
-      Value.filter
-        (fun v -> Pred.eval eng.builtins p v = Some true)
-        (init_value eng a)
-    | Map_n (f, a, image) ->
-      let va = init_value eng a in
-      image := Zset.map (Efun.apply eng.builtins f) (Zset.of_set va);
-      Zset.to_set !image
-    | Ifp_n _ -> beval eng eng.db [] node.expr
-  in
-  node.value <- v;
-  v
-
 (* ------------------------------------------------------------------ *)
-(* Repair: push exact set-level deltas bottom-up through the tree.      *)
+(* Repair: push each node's change bottom-up through {!Delta}'s rules.  *)
 
-let touches deltas node =
-  List.exists (fun (n, _) -> List.mem n node.frees) deltas
-
-let rec repair eng ~old_db deltas node =
-  if not (touches deltas node) then Zset.empty
+(* The node's change under the batch's [changes], by the rule of its
+   operator over its children's changes and resident values — current
+   once the children are repaired — then its value brought up to date.
+   [fresh]: the tree is being filled, every value going from the empty
+   set, as from the empty database. *)
+let rec repair eng ~fresh ~old_db changes node =
+  if not (fresh || List.exists (fun (n, _) -> List.mem n node.frees) changes) then
+    Delta.none
   else begin
-    let d =
+    let sub = repair eng ~fresh ~old_db changes in
+    let operand n =
+      let c = sub n in
+      (lazy n.value, c)
+    in
+    let c =
       match node.shape with
-      | Leaf_rel n ->
-        Option.value ~default:Zset.empty (List.assoc_opt n deltas)
-      | Leaf_lit -> Zset.empty
-      | Union_n (a, b) ->
-        let da = repair eng ~old_db deltas a
-        and db = repair eng ~old_db deltas b in
-        Lift.union ~a:a.value ~da ~b:b.value ~db
-      | Diff_n (a, b) ->
-        let da = repair eng ~old_db deltas a
-        and db = repair eng ~old_db deltas b in
-        Lift.diff ~a:a.value ~da ~b:b.value ~db
-      | Product_n (a, b) ->
-        let da = repair eng ~old_db deltas a
-        and db = repair eng ~old_db deltas b in
-        Lift.product ~a:a.value ~da ~b:b.value ~db
-      | Join_n (jp, a, b) ->
-        let da = repair eng ~old_db deltas a
-        and db = repair eng ~old_db deltas b in
-        Lift.join eng.builtins jp ~a:a.value ~da ~b:b.value ~db
-      | Select_n (p, a) ->
-        let da = repair eng ~old_db deltas a in
-        Lift.select eng.builtins p ~da
-      | Map_n (f, a, image) ->
-        let da = repair eng ~old_db deltas a in
-        let dout, image' = Lift.map eng.builtins f ~image:!image ~da in
-        image := image';
-        dout
-      | Ifp_n st -> ifp_repair eng node st ~old_db deltas
+      | Leaf_rel n when fresh -> (
+        match Db.find eng.db n with
+        | Some v -> Delta.grown v
+        | None -> raise (Undefined_relation n))
+      | Leaf_rel n -> Option.value ~default:Delta.none (List.assoc_opt n changes)
+      | Leaf_lit v -> if fresh then Delta.grown v else Delta.none
+      | Union_n (a, b) -> Delta.union Both (operand a) (operand b)
+      | Diff_n (a, b) -> Delta.diff Both (operand a) (operand b)
+      | Pair_n (join, a, b) -> Delta.bilinear join Both (operand a) (operand b)
+      | Select_n (p, a) -> Delta.select eng.builtins p Both (sub a)
+      | Map_n (f, a, counts) ->
+        (* Each preimage counts once: the exact change of [a]. *)
+        let old = a.value in
+        let da = sub a in
+        let plus = Value.diff da.Delta.plus old and minus = Value.inter da.Delta.minus old in
+        let images v = Zset.map (Efun.apply eng.builtins f) (Zset.of_set v) in
+        let now = Zset.add !counts (Zset.sub (images plus) (images minus)) in
+        counts := now;
+        Delta.map eng.builtins f ~mem:(fun y -> Zset.weight now y > 0) Both { plus; minus }
+      | Ifp_n st -> ifp_repair eng node st ~fresh ~old_db changes
     in
     (match node.shape with
-    | Ifp_n _ -> () (* value already updated, delta derived from it *)
-    | _ -> node.value <- Lift.apply_delta node.value d);
-    Obs.countf "incr/repaired" (fun () -> Zset.support_size d);
-    d
+    | Ifp_n _ -> () (* set by its regime *)
+    | _ -> node.value <- Delta.apply node.value c);
+    if not fresh then
+      Obs.countf "incr/repaired" (fun () ->
+          Value.cardinal c.Delta.plus + Value.cardinal c.Delta.minus);
+    c
   end
 
 (* ------------------------------------------------------------------ *)
 (* Public engine.                                                      *)
 
+(* Filling the tree is the repair walk from the empty database. *)
 let init ?(fuel = Limits.default ()) defs db expr =
   Obs.span "incremental.init" @@ fun () ->
   (match Defs.validate defs with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Incremental.init: " ^ msg));
-  let root = build (expand defs expr) in
-  let eng = { builtins = Defs.builtins defs; fuel; db; root } in
-  ignore (init_value eng root);
+  let builtins = Defs.builtins defs in
+  let root = build builtins (expand defs expr) in
+  let eng = { builtins; fuel; db; root } in
+  ignore (repair eng ~fresh:true ~old_db:Db.empty [] root);
   eng
 
 let value eng = eng.root.value
 let db eng = eng.db
 
-let count_batch deltas =
+let count_batch changes =
   if Obs.enabled () then begin
-    let ins, dels =
-      List.fold_left
-        (fun acc (_, z) ->
-          Zset.fold
-            (fun _ w (i, d) -> if w > 0 then (i + 1, d) else (i, d + 1))
-            z acc)
-        (0, 0) deltas
+    let total side =
+      List.fold_left (fun n (_, c) -> n + Value.cardinal (side c)) 0 changes
     in
-    Obs.count "incr/insertions" ins;
-    Obs.count "incr/retractions" dels
+    Obs.count "incr/insertions" (total (fun c -> c.Delta.plus));
+    Obs.count "incr/retractions" (total (fun c -> c.Delta.minus))
   end
 
 (* The batch's whole mutation surface: [eng.db], each node's [value],
-   and the [Map_n] image multiset refs — all holding immutable values,
-   so a snapshot is one pointer per cell and restoring it is exact. *)
+   and the [Map_n] image counts — all holding immutable values, so a
+   snapshot is one pointer per cell and restoring it is exact. *)
 let rec snapshot_nodes node acc =
   let acc =
     ( node,
       node.value,
-      match node.shape with Map_n (_, _, img) -> Some !img | _ -> None )
+      match node.shape with Map_n (_, _, counts) -> Some !counts | _ -> None )
     :: acc
   in
   match node.shape with
-  | Leaf_rel _ | Leaf_lit | Ifp_n _ -> acc
-  | Union_n (a, b) | Diff_n (a, b) | Product_n (a, b) | Join_n (_, a, b) ->
+  | Leaf_rel _ | Leaf_lit _ | Ifp_n _ -> acc
+  | Union_n (a, b) | Diff_n (a, b) | Pair_n (_, a, b) ->
     snapshot_nodes b (snapshot_nodes a acc)
   | Select_n (_, a) | Map_n (_, a, _) -> snapshot_nodes a acc
 
 let restore_nodes snaps =
   List.iter
-    (fun (node, value, img) ->
+    (fun (node, value, counts) ->
       node.value <- value;
-      match node.shape, img with
+      match node.shape, counts with
       | Map_n (_, _, r), Some z -> r := z
       | _, _ -> ())
     snaps
@@ -508,15 +384,15 @@ let update eng u =
     restore_nodes snaps
   in
   try
-    let deltas = Update.effective old_db u in
-    eng.db <- Update.apply u old_db;
-    (match deltas with
+    let db, changes = Update.advance old_db u in
+    eng.db <- db;
+    (match changes with
     | [] -> ()
-    | deltas ->
-      count_batch deltas;
+    | changes ->
+      count_batch changes;
       Limits.spend eng.fuel ~what:"incremental: update batch";
       Faultinj.hit "incr/batch";
-      ignore (repair eng ~old_db deltas eng.root));
+      ignore (repair eng ~fresh:false ~old_db changes eng.root));
     if Limits.degraded eng.fuel <> pre_degraded then begin
       rollback ();
       Limits.fail_degraded eng.fuel
@@ -604,12 +480,11 @@ module Rec = struct
     let bodies = Defs.constant_bodies eng.inlined in
     let m = ref eng.lows in
     let derive name body deltas =
+      let changes = List.map (fun (n, d) -> (n, Delta.grown d)) deltas in
       let derived =
-        Delta.derive ~builtins:eng.builtins
-          ~eval:(fun e -> ceval eng !m e)
-          ~deltas body
+        Delta.derive ~builtins:eng.builtins { Delta.value = ceval eng !m; changes } body
       in
-      Value.diff derived (Smap.find name !m)
+      Value.diff derived.Delta.plus (Smap.find name !m)
     in
     let step deltas =
       Limits.spend eng.fuel ~what:"incremental: rec round";
@@ -620,7 +495,7 @@ module Rec = struct
           if List.exists (fun (n, _) -> Delta.touches [ n ] body) deltas
           then begin
             let d = derive name body deltas in
-            if not (is_empty_set d) then begin
+            if not (Delta.is_empty d) then begin
               m := Smap.add name (Value.union (Smap.find name !m) d) !m;
               changed := (name, d) :: !changed
             end
@@ -661,19 +536,15 @@ module Rec = struct
       raise e
 
   and update_exn eng u =
-    let deltas = Update.effective eng.rdb u in
-    eng.rdb <- Update.apply u eng.rdb;
+    let rdb, deltas = Update.advance eng.rdb u in
+    eng.rdb <- rdb;
     match deltas with
     | [] -> ()
     | deltas ->
       count_batch deltas;
       Limits.spend eng.fuel ~what:"incremental: update batch";
       Faultinj.hit "incr/batch";
-      let insert_only =
-        List.for_all
-          (fun (_, z) -> Zset.fold (fun _ w acc -> acc && w > 0) z true)
-          deltas
-      in
+      let insert_only = List.for_all (fun (_, c) -> Delta.is_empty c.Delta.minus) deltas in
       let negative_input =
         List.exists
           (fun (n, _) ->
@@ -684,7 +555,7 @@ module Rec = struct
       in
       if eng.positive && insert_only && not negative_input then begin
         Obs.count "incr/rec_extend" 1;
-        extend eng ~input_adds:(positive_deltas deltas)
+        extend eng ~input_adds:(List.map (fun (n, c) -> (n, c.Delta.plus)) deltas)
       end
       else begin
         Obs.count "incr/recompute" 1;

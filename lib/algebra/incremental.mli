@@ -2,24 +2,27 @@
 
     Holds a query's full operator tree {e materialized} — every node keeps
     its current value resident — and repairs it under update batches by
-    pushing exact set-level {!Recalg_kernel.Zset} deltas bottom-up instead
-    of recomputing from scratch. The per-operator delta rules are the
-    Z-set lifts (see {!Recalg_kernel.Zset} and DESIGN.md §8): linear
-    operators filter or map the delta, bilinear ones (product, equi-join)
-    use the expansion [Δ(a ⋈ b) = Δa ⋈ b' + a' ⋈ Δb − Δa ⋈ Δb], and
-    difference/union derive the old membership of each candidate from the
-    new value plus the delta.
+    pushing each node's change ({!Delta.change}: the tuples it gains and
+    the tuples it loses) bottom-up through {!Delta}'s rules, the same
+    rules the semi-naive loops derive through, instead of recomputing
+    from scratch. A rule reads its operands' changes and resident
+    values, which are current once the operands are repaired; a [MAP]
+    node also keeps how many preimages each image has, so it knows which
+    images lose their last one. Filling the tree ({!init}) is the same
+    walk from the empty database.
 
     [IFP] nodes are macro-nodes with three maintenance regimes, chosen per
-    batch:
+    batch, each of which knows its change without comparing values:
 
     - {b extension} (insert-only inputs, positive body): continue the
       inflationary iteration from the old fixpoint — a pre-fixpoint of
-      the enlarged round map — by semi-naive delta rounds;
+      the enlarged round map — by semi-naive delta rounds; the change
+      adds the tuples the rounds found;
     - {b delete & rederive} (deletions, positive body): overdelete the
       closure of tuples whose derivations touch a deleted fact (computed
       against the pre-update state), then rederive survivors with one
-      full round and close;
+      full round and close; the change removes the overdeleted tuples
+      that were not rederived;
     - {b recompute} (non-positive body, or a changed input occurring
       negatively): conservative from-scratch evaluation via {!Eval},
       counted by the [incr/recompute] observability counter.
@@ -33,10 +36,12 @@ open Recalg_kernel
 exception Undefined_relation of string
 exception Recursive_definition of string
 
-(** Update batches: per-relation Z-sets of insertions (weight [+1]) and
-    deletions (weight [-1]). A batch is declarative — inserting an
-    already-present tuple or deleting an absent one is a no-op, and
-    opposite-signed entries for the same tuple cancel. *)
+(** Update batches: per relation, the summed weights of its insertions
+    ([+1] each) and deletions ([-1] each), a {!Zset.t}. A batch is
+    declarative — a tuple is in the updated relation iff its old
+    membership plus its weight is positive, so inserting an
+    already-present tuple or deleting an absent one is a no-op, and an
+    insert and a delete of one tuple cancel. *)
 module Update : sig
   type t
 
@@ -44,18 +49,15 @@ module Update : sig
   val is_empty : t -> bool
   val insert : string -> Value.t -> t -> t
   val delete : string -> Value.t -> t -> t
-  val of_zsets : (string * Zset.t) list -> t
-  val to_zsets : t -> (string * Zset.t) list
-  val rels : t -> string list
 
   val apply : t -> Db.t -> Db.t
-  (** The post-update database: per relation,
-      [to_set (of_set old + batch)]. Relations absent from the database
+  (** The post-update database. Relations absent from the database
       start empty. *)
 
-  val effective : Db.t -> t -> (string * Zset.t) list
-  (** The exact set-level change [apply] would make to each relation —
-      every weight [±1], no-op entries dropped. *)
+  val effective : Db.t -> t -> (string * Delta.change) list
+  (** The exact change [apply] makes to each relation — [plus] the
+      tuples it gains, [minus] the tuples it loses — relations [apply]
+      leaves as they are dropped. *)
 
   val pp : Format.formatter -> t -> unit
 end

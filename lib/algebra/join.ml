@@ -130,48 +130,6 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-(* Weighted variant over Z-sets, the bilinear building block of the
-   incremental engine's delta expansion: each output pair carries the
-   product of its factors' weights. The smaller side is indexed and the
-   larger probed — output and weights are independent of that choice, so
-   it is purely a cost decision. *)
-let exec_zset builtins plan left right =
-  let swap = Zset.support_size left < Zset.support_size right in
-  let build, probe = if swap then (left, right) else (right, left) in
-  let build_key, probe_key =
-    if swap then (plan.left_key, plan.right_key) else (plan.right_key, plan.left_key)
-  in
-  if Obs.enabled () then begin
-    Obs.count "join/exec_zset" 1;
-    Obs.countf "join/build" (fun () -> Zset.support_size build);
-    Obs.countf "join/probe" (fun () -> Zset.support_size probe)
-  end;
-  let index = Vtbl.create (Zset.support_size build + 1) in
-  Zset.iter
-    (fun y w ->
-      match Efun.apply builtins build_key y with
-      | Some k ->
-        let bucket = Option.value (Vtbl.find_opt index k) ~default:[] in
-        Vtbl.replace index k ((y, w) :: bucket)
-      | None -> ())
-    build;
-  let keep v =
-    List.for_all (fun c -> Pred.eval builtins c v = Some true) plan.residual
-  in
-  let out = ref [] in
-  Zset.iter
-    (fun x wx ->
-      match Efun.apply builtins probe_key x with
-      | None -> ()
-      | Some k ->
-        List.iter
-          (fun (y, wy) ->
-            let v = if swap then Value.pair y x else Value.pair x y in
-            if keep v then out := (v, wx * wy) :: !out)
-          (Option.value (Vtbl.find_opt index k) ~default:[]))
-    probe;
-  Zset.of_list !out
-
 let exec builtins plan left right =
   let xs = Value.elements left in
   let ys = Value.elements right in

@@ -61,19 +61,6 @@ val plan : Pred.t -> t option
     conjunct is a usable equality — the caller must then fall back to
     product-then-filter. *)
 
-val exec_zset :
-  Recalg_kernel.Builtins.t ->
-  t ->
-  Recalg_kernel.Zset.t ->
-  Recalg_kernel.Zset.t ->
-  Recalg_kernel.Zset.t
-(** Weighted hash join over Z-sets — the bilinear building block of the
-    incremental engine: the weight of an output pair is the product of its
-    factors' weights, and pairs failing [residual] are dropped. Agrees
-    with {!exec} on Z-sets with all weights [+1]. The smaller side is
-    indexed, the larger probed; the result does not depend on the
-    choice. *)
-
 val exec : Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t ->
   Recalg_kernel.Value.t -> Recalg_kernel.Value.t
 (** [exec builtins plan left right] hash-joins the two sets: it indexes

@@ -48,33 +48,6 @@ let positive_ifp e =
   walk e;
   !ok
 
-(* Delta-linearity: an occurrence of a tracked name is linear when every
-   constructor between it and the root distributes over set deltas —
-   Union, Product, Select, Map, and the *left* argument of Diff. An
-   occurrence under a Diff right-hand side, inside a nested Ifp body, or
-   in a Call argument is non-linear: semi-naive evaluation must fall back
-   to full re-evaluation of the enclosing subexpression there. *)
-let scan_linearity names e =
-  let rec go bound linear acc e =
-    let has_lin, has_nonlin = acc in
-    match e with
-    | Expr.Rel n ->
-      if List.mem n bound || not (List.mem n names) then acc
-      else if linear then (true, has_nonlin)
-      else (has_lin, true)
-    | Expr.Lit _ | Expr.Param _ -> acc
-    | Expr.Union (a, b) | Expr.Product (a, b) ->
-      go bound linear (go bound linear acc a) b
-    | Expr.Diff (a, b) -> go bound false (go bound linear acc a) b
-    | Expr.Select (_, a) | Expr.Map (_, a) -> go bound linear acc a
-    | Expr.Ifp (x, a) -> go (x :: bound) false acc a
-    | Expr.Call (_, args) -> List.fold_left (go bound false) acc args
-  in
-  go [] true (false, false) e
-
-let delta_linear names e = not (snd (scan_linearity names e))
-let has_linear_occurrence names e = fst (scan_linearity names e)
-
 let monotone_in names e =
   positive_ifp e && not (List.exists (fun n -> List.mem n names) (negative_names e))
 

@@ -14,20 +14,6 @@ val negative_names : Expr.t -> string list
 val positive_names : Expr.t -> string list
 val occurs_negatively : Expr.t -> string -> bool
 
-val delta_linear : string list -> Expr.t -> bool
-(** [delta_linear names e]: every free occurrence of every name in
-    [names] sits only under constructors that distribute over set deltas
-    (Union, Product, Select, Map, and the left argument of Diff) — never
-    under a Diff right-hand side, inside a nested [Ifp] body, or in a
-    [Call] argument. Such expressions are monotone in [names] and admit
-    exact semi-naive (delta) fixpoint evaluation; see {!Delta}. *)
-
-val has_linear_occurrence : string list -> Expr.t -> bool
-(** At least one free occurrence of a tracked name is delta-linear — the
-    eligibility test for semi-naive evaluation: with no linear occurrence
-    the delta derivation degenerates to full re-evaluation and is pure
-    overhead. *)
-
 val positive_ifp : Expr.t -> bool
 (** Every [Ifp (x, body)] within the expression has no negative occurrence
     of [x] in [body] — membership in the positive IFP-algebra. *)

@@ -150,10 +150,13 @@ let rec eval_vset ctx mask env e =
       if round = 0 || not seminaive then
         let s = eval_vset ctx imask env' body in
         if one then exact (pick imask s) else s
-      else if one then exact (derive_bound ctx env' imask ~deltas:[ (x, d.low) ] body)
+      else if one then
+        let changes = [ (x, Delta.grown d.low) ] in
+        exact (derive_bound ctx env' imask ~changes ~other:changes body)
       else
-        let dlow = derive_bound ctx env' Low ~deltas:[ (x, d.low) ] body in
-        { low = dlow; high = derive_bound ctx env' High ~deltas:[ (x, d.high) ] body }
+        let low = [ (x, Delta.grown d.low) ] and high = [ (x, Delta.grown d.high) ] in
+        let dlow = derive_bound ctx env' Low ~changes:low ~other:high body in
+        { low = dlow; high = derive_bound ctx env' High ~changes:high ~other:low body }
     in
     let extend d =
       let dlow = Delta.Acc.extend low d.low in
@@ -194,12 +197,17 @@ let rec eval_vset ctx mask env e =
     loop 0 body (exact Value.empty_set)
   | Expr.Call _ -> invalid_arg "Rec_eval: Call survived inlining"
 
-(* The delta of [e]'s [mask] bound ({!Delta.derive}); a difference's
-   right side reads the other bound, as in [low = a.low - b.high]. *)
-and derive_bound ctx env mask ~deltas e =
-  let eval mask e = pick mask (eval_vset ctx mask env e) in
-  Delta.derive ~builtins:ctx.builtins ~advice:ctx.advice ~eval:(eval mask)
-    ~eval_diff_right:(eval (flip mask)) ~deltas e
+(* The new tuples of [e]'s [mask] bound: the plus side of its change
+   ({!Delta.derive}) given [changes] at that bound and [other] at the
+   flipped one, which a difference's right side reads, as in
+   [low = a.low - b.high]. *)
+and derive_bound ctx env mask ~changes ~other e =
+  let bound mask changes =
+    { Delta.value = (fun e -> pick mask (eval_vset ctx mask env e)); changes }
+  in
+  (Delta.derive ~builtins:ctx.builtins ~advice:ctx.advice
+     ~other:(bound (flip mask) other) (bound mask changes) e)
+    .Delta.plus
 
 let clip window v =
   match window with
@@ -218,9 +226,9 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
   let all_names = List.map fst bodies in
   (* Per-constant semi-naive eligibility within a component [names]:
      the advice must not force the naive reference, and some member of
-     the component must occur delta-linearly in the constant's body
-     [n = b] — constants of lower components are fixed inputs, not
-     deltas. Ineligible constants are recomputed in full every phase
+     the component must occur in the constant's body [n = b] outside
+     every nested [IFP] ({!Delta.eligible}) — constants of lower
+     components are fixed inputs, not deltas. Ineligible constants are recomputed in full every phase
      iteration, exactly as the naive engine does. Recomputed whenever
      re-planning swaps a body — a constant whose new body loses
      eligibility falls back to full recomputation, which visits
@@ -297,6 +305,10 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
       Limits.check fuel ~what:"Rec_eval: phase iteration";
       Limits.spend fuel ~what:"Rec_eval: phase iteration";
       Obs.count "rec_eval/phase_iter" 1;
+      (* The grown bound's changes; the other bound is fixed, or, in a
+         two-valued phase, the same set. *)
+      let changes = List.map (fun (n, d) -> (n, Delta.grown d)) deltas in
+      let other = if Option.is_none fixed then changes else [] in
       (* Every constant is evaluated against the previous iterate; the
          accumulators take the new tuples only once all are evaluated. *)
       let steps =
@@ -304,7 +316,7 @@ let solve ?(fuel = Limits.default ()) ?window ?(advice = Advice.none) defs db =
           (fun (name, b) ->
             if first || not (eligible name) then
               `Full (clip window (pick grow (eval_vset ctx grow [] b)))
-            else `Derived (clip window (derive_bound ctx [] grow ~deltas b)))
+            else `Derived (clip window (derive_bound ctx [] grow ~changes ~other b)))
           bodies
       in
       let changed = ref false in

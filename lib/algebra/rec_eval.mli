@@ -77,9 +77,10 @@ val solve :
     phase's least fixpoint is computed, per defined constant [n = body],
     semi-naively unless the advice clears [Advice.seminaive]: iterations
     join only the delta-derived new tuples against the accumulated bound
-    when the body's constants of the same component occur
-    delta-linearly, falling back to full recomputation otherwise (and
-    for nested [IFP]s likewise, per bound). Semi-naive accumulators
+    ({!Delta.derive}, whose differences read the other bound's change)
+    when a constant of the same component occurs in the body outside
+    every nested [IFP], recomputing in full otherwise (and for nested
+    [IFP]s likewise, per bound). Semi-naive accumulators
     are {!Delta.Acc}s: a round interns only its delta, and the
     accumulated bound is merged when read or when the loop ends.
     [Select (p, Product _)] nodes run as hash joins on each bound the

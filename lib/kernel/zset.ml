@@ -17,10 +17,6 @@ let is_empty = Vmap.is_empty
 let singleton ?(weight = 1) v = if weight = 0 then empty else Vmap.singleton v weight
 
 let weight z v = Option.value ~default:0 (Vmap.find_opt v z)
-let mem z v = Vmap.mem v z
-let support z = List.map fst (Vmap.bindings z)
-let support_size z = Vmap.cardinal z
-let total_weight z = Vmap.fold (fun _ w acc -> acc + w) z 0
 
 let put v w z = if w = 0 then Vmap.remove v z else Vmap.add v w z
 
@@ -31,26 +27,8 @@ let add a b =
 
 let negate z = Vmap.map (fun w -> -w) z
 let sub a b = add a (negate b)
-let scale k z = if k = 0 then empty else Vmap.map (fun w -> k * w) z
 
 let of_set v = List.fold_left (fun z x -> Vmap.add x 1 z) empty (Value.elements v)
-
-let to_set z =
-  Value.set (Vmap.fold (fun v w acc -> if w > 0 then v :: acc else acc) z [])
-
-let distinct z = Vmap.filter_map (fun _ w -> if w > 0 then Some 1 else None) z
-
-let delta_of_sets ~old_value v = sub (of_set v) (of_set old_value)
-
-let of_list l =
-  List.fold_left (fun z (v, w) -> put v (weight z v + w) z) empty l
-
-let consolidate seq = of_list (List.of_seq seq)
-
-let to_list z = Vmap.bindings z
-let fold f z acc = Vmap.fold f z acc
-let iter f z = Vmap.iter f z
-let filter p z = Vmap.filter (fun v _ -> p v) z
 
 let map f z =
   Vmap.fold
@@ -60,21 +38,9 @@ let map f z =
       | None -> acc)
     z empty
 
-let product pair a b =
-  Vmap.fold
-    (fun x wx acc ->
-      Vmap.fold
-        (fun y wy acc ->
-          let v = pair x y in
-          put v (weight acc v + (wx * wy)) acc)
-        b acc)
-    a empty
-
+let fold f z acc = Vmap.fold f z acc
 let equal a b = Vmap.equal Int.equal a b
-let compare a b = Vmap.compare Int.compare a b
 
 let pp ppf z =
   let pp_entry ppf (v, w) = Fmt.pf ppf "%+d%a" w Value.pp v in
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_entry) (to_list z)
-
-let to_string z = Fmt.str "%a" pp z
+  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_entry) (Vmap.bindings z)

@@ -430,34 +430,32 @@ let prop_windowed_rec_eval_sound =
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_windowed_rec_eval_sound ]
 
-(* --- semi-naive delta evaluation (Delta / Positivity.delta_linear) --- *)
+(* --- semi-naive delta evaluation (Delta) --- *)
 
+(* A body is worth deriving when a tracked name occurs outside every
+   nested [Ifp]: under a difference's right side too, whose rule reads
+   the other bound's change. *)
 let test_delta_linearity () =
   let x = Expr.rel "x" in
-  let lin = Expr.(union (rel "edge") (product x (rel "edge"))) in
-  Alcotest.(check bool) "union/product linear" true
-    (Positivity.delta_linear [ "x" ] lin);
-  let neg = Expr.(diff (rel "edge") x) in
-  Alcotest.(check bool) "diff-right not linear" false
-    (Positivity.delta_linear [ "x" ] neg);
-  Alcotest.(check bool) "diff-right has no linear occurrence" false
-    (Positivity.has_linear_occurrence [ "x" ] neg);
-  let mixed = Expr.(union (product x (rel "edge")) (diff (rel "edge") x)) in
-  Alcotest.(check bool) "mixed body not fully linear" false
-    (Positivity.delta_linear [ "x" ] mixed);
-  Alcotest.(check bool) "mixed body still has a linear occurrence" true
-    (Positivity.has_linear_occurrence [ "x" ] mixed);
-  Alcotest.(check bool) "inter places x under diff-right" false
-    (Positivity.delta_linear [ "x" ] Expr.(inter (rel "edge") x));
+  let eligible e = Delta.eligible [ "x" ] e in
+  Alcotest.(check bool) "union/product" true
+    (eligible Expr.(union (rel "edge") (product x (rel "edge"))));
+  Alcotest.(check bool) "diff-right" true (eligible Expr.(diff (rel "edge") x));
+  Alcotest.(check bool) "mixed body" true
+    (eligible Expr.(union (product x (rel "edge")) (diff (rel "edge") x)));
+  Alcotest.(check bool) "inter places x under diff-right" true
+    (eligible Expr.(inter (rel "edge") x));
+  Alcotest.(check bool) "only inside a nested ifp" false
+    (eligible Expr.(diff (rel "edge") (ifp "y" (union x (rel "y")))));
   (* Occurrences bound by an inner IFP over the same name don't count. *)
-  Alcotest.(check bool) "shadowed occurrences ignored" true
-    (Positivity.delta_linear [ "x" ] Expr.(ifp "x" (union x (rel "edge"))))
+  Alcotest.(check bool) "shadowed occurrences ignored" false
+    (eligible Expr.(ifp "x" (union x (rel "edge"))));
+  Alcotest.(check bool) "absent" false (eligible (Expr.rel "edge"))
 
 let test_seminaive_mixture_body () =
-  (* A body mixing a delta-linear occurrence (through composition) with a
-     fallback occurrence (under Diff's right argument): both strategies
-     must agree, and the semi-naive run must take the derive path for the
-     linear part while re-evaluating the Diff node in full. *)
+  (* A body mixing an occurrence through composition with one under
+     Diff's right argument: both strategies must agree, the semi-naive
+     run deriving both through their rules. *)
   let db =
     Db.of_list
       [ ( "edge",
@@ -470,6 +468,24 @@ let test_seminaive_mixture_body () =
   let naive = Eval.eval ~advice:(Advice.naive Advice.none) no_defs db e in
   let semi = Eval.eval no_defs db e in
   Alcotest.check check_value "mixture body agrees" naive semi
+
+(* A nested [Ifp] whose value shrinks as the outer variable grows, under
+   a difference's right side: [5] enters [x] only when the inner [Ifp]
+   loses it. Its minus is not known, so the difference takes its whole
+   current value as its plus; assuming the inner [Ifp] only grew would
+   stop the semi-naive loop at {1}. *)
+let test_seminaive_nested_ifp_shrinks () =
+  let x = Expr.rel "x" in
+  let inner = Expr.(ifp "y" (diff (lit [ vi 5 ]) (map (Efun.add_const 4) x))) in
+  let e = Expr.(ifp "x" (union (lit [ vi 1 ]) (union (diff (lit [ vi 5 ]) inner) x))) in
+  let naive = Eval.eval ~advice:(Advice.naive Advice.none) no_defs Db.empty e in
+  Obs.Metrics.reset ();
+  let semi = Obs.Metrics.with_collecting (fun () -> Eval.eval no_defs Db.empty e) in
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  Alcotest.check check_value "naive" (Value.set [ vi 1; vi 5 ]) naive;
+  Alcotest.check check_value "semi-naive" naive semi;
+  Alcotest.(check int) "delta/reeval" 2 (Obs.Metrics.counter_total sn "delta/reeval")
 
 let prop_seminaive_ifp_equals_naive =
   (* The engine-equivalence property behind experiment E2: on random
@@ -495,6 +511,76 @@ let prop_seminaive_ifp_equals_naive =
       | Ok (a, f1), Ok (b, f2) -> Value.equal a b && f1 = f2
       | Error `Diverged, Error `Diverged -> true
       | _ -> false)
+
+(* The calculus contract: for an expression over d1/d2 whose inputs go
+   from independent old sets to independent new ones, [Delta.derive]'s
+   change ({plus; minus}) satisfies now ∖ old ⊆ plus ⊆ now, old ∖ now ⊆
+   minus and minus ∩ now = ∅. The input changes carry slack, as the
+   contract allows: plus also holds new tuples that were there before,
+   minus also tuples that never were. Checked at one bound, and with a
+   second, independent bound read under every difference's right side,
+   the value then being [a_this − b_other] down the tree. *)
+let prop_delta_contract =
+  let inputs =
+    QCheck.Gen.(
+      list_repeat 2
+        (triple Tgen.small_set_gen Tgen.small_set_gen Tgen.small_set_gen))
+  in
+  let print_inputs l =
+    String.concat "; "
+      (List.map
+         (fun (o, n, x) -> Fmt.str "%a -> %a (slack %a)" Value.pp o Value.pp n Value.pp x)
+         l)
+  in
+  let names = [ "d1"; "d2" ] in
+  let contract ~old ~now c =
+    Value.subset (Value.diff now old) c.Delta.plus
+    && Value.subset c.Delta.plus now
+    && Value.subset (Value.diff old now) c.Delta.minus
+    && Value.equal (Value.inter c.Delta.minus now) Value.empty_set
+  in
+  QCheck.Test.make ~name:"delta calculus meets its contract"
+    ~count:(Tgen.qcount 300)
+    (QCheck.make
+       ~print:(fun (e, this, other) ->
+         Expr.to_string e ^ " | " ^ print_inputs this ^ " | " ^ print_inputs other)
+       QCheck.Gen.(triple Tgen.expr_gen inputs inputs))
+    (fun (e, this, other) ->
+      let builtins = Builtins.default in
+      (* The databases of one bound, before or after. *)
+      let db side l = Db.of_list (List.map2 (fun n t -> (n, Value.elements (side t))) names l) in
+      let before (o, _, _) = o and after (_, n, _) = n in
+      (* The value at [here] of [e] over the databases of both bounds. *)
+      let rec eval dbs here e =
+        let recur = eval dbs in
+        match e with
+        | Expr.Rel n -> Option.get (Db.find (if here then fst dbs else snd dbs) n)
+        | Expr.Lit v -> v
+        | Expr.Union (a, b) -> Value.union (recur here a) (recur here b)
+        | Expr.Diff (a, b) -> Value.diff (recur here a) (recur (not here) b)
+        | Expr.Product (a, b) -> Value.product (recur here a) (recur here b)
+        | Expr.Select (p, a) ->
+          Value.filter (fun v -> Pred.eval builtins p v = Some true) (recur here a)
+        | Expr.Map (f, a) -> Value.filter_map_set (Efun.apply builtins f) (recur here a)
+        | Expr.Ifp _ | Expr.Call _ | Expr.Param _ -> assert false
+      in
+      let changes l =
+        List.map2
+          (fun n (o, now, slack) ->
+            ( n,
+              { Delta.plus = Value.union (Value.diff now o) (Value.inter slack now);
+                minus = Value.union (Value.diff o now) (Value.diff slack now) } ))
+          names l
+      in
+      let check this other =
+        let dbs side = (db side this, db side other) in
+        let bound here l = { Delta.value = eval (dbs after) here; changes = changes l } in
+        let c =
+          Delta.derive ~builtins ~need:Delta.Both ~other:(bound false other) (bound true this) e
+        in
+        contract ~old:(eval (dbs before) true e) ~now:(eval (dbs after) true e) c
+      in
+      check this this && check this other)
 
 let prop_seminaive_rec_eval_equals_naive =
   (* Same equivalence for the three-valued alternating fixpoint: a pair
@@ -1000,13 +1086,44 @@ let test_rec_eval_components () =
     [ ("split", Advice.none, [ 2; 7; 1; 2 ]);
       ("unsplit", Advice.unsplit Advice.none, [ 2; 20; 2; 2 ]) ]
 
+(* The translated WIN chain of 16 moves ([Tgen.win_chain]) under
+   [Rec_eval.solve]: one alternating component, 9 rounds of a high and a
+   low phase. Each phase iteration derives [win] through a difference
+   whose right side reads [win] at the other bound — fixed in a phase,
+   so its change is empty and one join is left per iteration. The
+   derivation that re-evaluated such a difference in full joined twice
+   per iteration, 36 join/exec at the same rounds, phase iterations and
+   fuel. *)
+let test_win_chain_joins () =
+  let program, edb = Tgen.win_chain 16 in
+  let tr = Translate.Datalog_to_alg.translate program edb in
+  let fuel = Limits.of_int 1000 in
+  Obs.Metrics.reset ();
+  let sol =
+    Obs.Metrics.with_collecting (fun () ->
+        Rec_eval.solve ~fuel tr.Translate.Datalog_to_alg.defs tr.Translate.Datalog_to_alg.db)
+  in
+  let sn = Obs.Metrics.snapshot () in
+  Obs.Metrics.reset ();
+  let certain, _ = Translate.Datalog_to_alg.pred_tuples sol tr "win" in
+  Alcotest.(check int) "certain wins" 8 (List.length certain);
+  Alcotest.(check (list int)) "rounds, phase iterations, fuel spent, join/exec"
+    [ 9; 36; 45; 18 ]
+    [ Rec_eval.rounds sol;
+      Obs.Metrics.counter_total sn "rec_eval/phase_iter";
+      1000 - Option.get (Limits.remaining fuel);
+      Obs.Metrics.counter_total sn "join/exec" ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "delta linearity" `Quick test_delta_linearity;
       Alcotest.test_case "semi-naive mixture body" `Quick
         test_seminaive_mixture_body;
+      Alcotest.test_case "semi-naive: a nested ifp that shrinks" `Quick
+        test_seminaive_nested_ifp_shrinks;
       QCheck_alcotest.to_alcotest prop_seminaive_ifp_equals_naive;
+      QCheck_alcotest.to_alcotest prop_delta_contract;
       QCheck_alcotest.to_alcotest prop_seminaive_rec_eval_equals_naive;
       Alcotest.test_case "rec_eval pinned fuel and bounds" `Quick
         test_rec_eval_pinned_fuel;
@@ -1027,4 +1144,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_nested_ifp_paths_agree;
       Alcotest.test_case "rec_eval components (pinned bounds and counters)" `Quick
         test_rec_eval_components;
+      Alcotest.test_case "WIN chain: one join per phase iteration" `Quick
+        test_win_chain_joins;
     ]

@@ -188,10 +188,81 @@ let test_one_fact_listing () =
       "one-fact predicates, scanning listing: ×%.2f CPU time, inside the bound ×%.0f" r
       bound
 
+(* A negation chain of [n] strata as program text: [e.], then
+   [p_i :- e, not p_(i+1).] for i < n - 1, and [p_(n-1) :- e.]. *)
+let negation_chain n =
+  String.concat "\n"
+    (("e." :: List.init (n - 1) (fun i -> Printf.sprintf "p%d :- e, not p%d." i (i + 1)))
+    @ [ Printf.sprintf "p%d :- e." (n - 1) ])
+
+let parse text = Datalog.Parser.parse_exn text
+
+(* Stratifying the negation chain, as [recalg check] does: one pass over
+   [Graph.sccs], parsing included: 283,272 → 1,126,320 words (×3.98)
+   at n = 1000 → 4000. Re-scanning the edges until the strata settled
+   read ×18.7 (37,143,568 → 693,931,234) at 5e419b4, the parent of the
+   one-pass fix. That shape is gone from the tree, so no slow reference
+   is asserted against here. *)
+let test_stratify_chain () =
+  let analyse n =
+    let text = negation_chain n in
+    fun () -> Datalog.Stratify.analyse (fst (parse text))
+  in
+  (match analyse 4000 () with
+  | Datalog.Stratify.Stratified groups ->
+    Alcotest.(check int) "strata" 4000 (List.length groups)
+  | Datalog.Stratify.Not_stratified _ -> Alcotest.fail "the chain is stratified");
+  let r = words (analyse 4000) /. words (analyse 1000) in
+  if r > 6. then
+    Alcotest.failf "negation chain, parse + stratify: ×%.2f words for 4× the strata" r
+
+(* The negation chain under [Seminaive.stratified] at two domains, as
+   [recalg run --semantics stratified --domains 2] runs it: the
+   stratification pass splits each stratum into its components once:
+   991,084 → 4,019,396 words (×4.06) at n = 1000 → 4000. Splitting each
+   stratum by a walk over every rule of the program read ×15.7
+   (41,972,538 → 659,945,350) at 3d2fe40, the parent of the fix. That
+   shape is gone from the tree, so no slow reference is asserted
+   against here. *)
+let test_stratified_chain_domains () =
+  let run n =
+    let program, edb = parse (negation_chain n) in
+    fun () ->
+      match Datalog.Seminaive.stratified program edb with
+      | Ok db -> db
+      | Error msg -> Alcotest.fail msg
+  in
+  Pool.set_domains 2;
+  Fun.protect ~finally:(fun () -> Pool.set_domains 1) @@ fun () ->
+  let r = words (run 4000) /. words (run 1000) in
+  if r > 6. then
+    Alcotest.failf "negation chain, stratified at 2 domains: ×%.2f words for 4× the strata" r
+
+(* The reach chain ([Tgen.reach_chain]) under [Inflationary.solve],
+   grounding excluded: a stage decides each ground rule once, when its
+   last positive atom arrives: 74,156 → 296,344 words (×4.00) at
+   n = 1000 → 4000. Testing every rule at every stage read ×15.9
+   (31,387,611 → 498,086,433) at 3d2fe40, the parent of the fix. That
+   shape is gone from the tree, so no slow reference is asserted
+   against here. *)
+let test_inflationary_reach () =
+  let run n =
+    let program, edb = parse (Tgen.reach_chain n) in
+    let pg = Datalog.Grounder.ground program edb in
+    fun () -> Datalog.Inflationary.solve pg
+  in
+  let r = words (run 4000) /. words (run 1000) in
+  if r > 6. then
+    Alcotest.failf "reach chain, inflationary: ×%.2f words for 4× the chain" r
+
 let suite =
   [ Alcotest.test_case "even_ifp under --plan cost" `Quick test_even_ifp;
     Alcotest.test_case "negation chains under valid and wellfounded" `Quick
       test_negation_chains;
     Alcotest.test_case "reach chain under valid, grounding included" `Quick
       test_reach_chain;
-    Alcotest.test_case "listing one-fact predicates" `Quick test_one_fact_listing ]
+    Alcotest.test_case "listing one-fact predicates" `Quick test_one_fact_listing;
+    Alcotest.test_case "stratifying a negation chain" `Quick test_stratify_chain;
+    Alcotest.test_case "negation chain, stratified at two domains" `Quick
+      test_stratified_chain_domains;
+    Alcotest.test_case "reach chain under inflationary" `Quick test_inflationary_reach ]

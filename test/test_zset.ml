@@ -1,7 +1,7 @@
-(* Z-set algebra laws: (t, add, negate, empty) is a commutative group,
-   the set boundary is exact on positive unit weights, and the derived
-   operations (distinct, delta_of_sets, map, product) respect their
-   specifications. *)
+(* Z-set laws: (t, add, negate, empty) is a commutative group and [map]
+   is linear — what an update batch's summed weights and a [MAP] node's
+   image counts rely on — and a batch's weights meet the database as an
+   exact change. *)
 
 open Recalg
 
@@ -9,15 +9,25 @@ let zset = Alcotest.testable Zset.pp Zset.equal
 let vi = Value.int
 
 let test_basics () =
-  let z = Zset.of_list [ (vi 1, 2); (vi 2, -1); (vi 3, 0) ] in
-  Alcotest.(check int) "support size" 2 (Zset.support_size z);
-  Alcotest.(check int) "weight 1" 2 (Zset.weight z (vi 1));
-  Alcotest.(check int) "weight 2" (-1) (Zset.weight z (vi 2));
+  let z =
+    List.fold_left
+      (fun z (v, w) -> Zset.add z (Zset.singleton ~weight:w (vi v)))
+      Zset.empty
+      [ (1, 2); (2, -1); (3, 0); (1, 1); (2, 1) ]
+  in
+  Alcotest.(check int) "weight 1" 3 (Zset.weight z (vi 1));
+  Alcotest.(check int) "weight 2 cancelled" 0 (Zset.weight z (vi 2));
   Alcotest.(check int) "weight absent" 0 (Zset.weight z (vi 3));
-  Alcotest.(check bool) "mem zero-weight" false (Zset.mem z (vi 3));
-  Alcotest.(check int) "total" 1 (Zset.total_weight z);
+  Alcotest.(check (list (pair int int))) "support" [ (1, 3) ]
+    (Zset.fold
+       (fun v w acc ->
+         match Value.node v with
+         | Value.Int n -> (n, w) :: acc
+         | _ -> acc)
+       z []);
   Alcotest.check zset "singleton weight 0 is empty" Zset.empty
-    (Zset.singleton ~weight:0 (vi 5))
+    (Zset.singleton ~weight:0 (vi 5));
+  Alcotest.(check int) "of_set weighs +1" 1 (Zset.weight (Zset.of_set (Value.set [ vi 4 ])) (vi 4))
 
 let test_cancellation () =
   let z = Zset.add (Zset.singleton (vi 1)) (Zset.singleton ~weight:(-1) (vi 1)) in
@@ -40,37 +50,6 @@ let prop_group_identity_inverse =
       && Zset.is_empty (Zset.add a (Zset.negate a))
       && Zset.equal (Zset.sub a a) Zset.empty)
 
-let prop_distinct_idempotent =
-  QCheck.Test.make ~name:"distinct ∘ consolidate idempotent"
-    ~count:(Tgen.qcount 200) Tgen.zset_arb (fun a ->
-      (* [a] is already consolidated by construction ([of_list] sums and
-         drops zeros); distinct is then idempotent on it. *)
-      let d = Zset.distinct a in
-      Zset.equal (Zset.distinct d) d
-      && Zset.equal (Zset.consolidate (List.to_seq (Zset.to_list a))) a)
-
-let prop_set_boundary =
-  QCheck.Test.make ~name:"of_set ∘ to_set identity on unit weights"
-    ~count:(Tgen.qcount 200) Tgen.small_set_arb (fun s ->
-      (* to_set ∘ of_set is the identity on sets... *)
-      Value.equal (Zset.to_set (Zset.of_set s)) s
-      (* ...and of_set ∘ to_set is the identity on all-+1 Z-sets. *)
-      && Zset.equal (Zset.of_set (Zset.to_set (Zset.of_set s))) (Zset.of_set s))
-
-let prop_distinct_is_to_set =
-  QCheck.Test.make ~name:"distinct = of_set ∘ to_set" ~count:(Tgen.qcount 200)
-    Tgen.zset_arb (fun a ->
-      Zset.equal (Zset.distinct a) (Zset.of_set (Zset.to_set a)))
-
-let prop_delta_of_sets =
-  QCheck.Test.make ~name:"delta_of_sets repairs the old set"
-    ~count:(Tgen.qcount 200)
-    (QCheck.pair Tgen.small_set_arb Tgen.small_set_arb)
-    (fun (old_value, v) ->
-      let d = Zset.delta_of_sets ~old_value v in
-      Zset.equal (Zset.add (Zset.of_set old_value) d) (Zset.of_set v)
-      && List.for_all (fun (_, w) -> w = 1 || w = -1) (Zset.to_list d))
-
 let prop_map_linear =
   QCheck.Test.make ~name:"map is linear" ~count:(Tgen.qcount 200)
     (QCheck.pair Tgen.zset_arb Tgen.zset_arb) (fun (a, b) ->
@@ -84,23 +63,45 @@ let prop_map_linear =
         (Zset.map f (Zset.add a b))
         (Zset.add (Zset.map f a) (Zset.map f b)))
 
-let prop_product_bilinear =
-  QCheck.Test.make ~name:"product is bilinear" ~count:(Tgen.qcount 200)
-    Tgen.zset_triple_arb (fun (a, b, c) ->
-      Zset.equal
-        (Zset.product Value.pair (Zset.add a b) c)
-        (Zset.add (Zset.product Value.pair a c) (Zset.product Value.pair b c))
-      && Zset.equal
-           (Zset.product Value.pair c (Zset.add a b))
-           (Zset.add (Zset.product Value.pair c a)
-              (Zset.product Value.pair c b)))
-
-let prop_scale =
-  QCheck.Test.make ~name:"scale distributes" ~count:(Tgen.qcount 200)
-    Tgen.zset_arb (fun a ->
-      Zset.equal (Zset.scale 2 a) (Zset.add a a)
-      && Zset.is_empty (Zset.scale 0 a)
-      && Zset.equal (Zset.scale (-1) a) (Zset.negate a))
+(* A batch's summed weights meet the database through
+   [Update.effective]: a tuple is in the new relation iff its old
+   membership plus its weight is positive, and the change repairs the
+   old relation into [Update.apply]'s, gaining exactly the tuples that
+   appear and losing exactly those that vanish. *)
+let prop_effective_repairs =
+  let module U = Algebra.Incremental.Update in
+  QCheck.Test.make ~name:"effective change repairs old set"
+    ~count:(Tgen.qcount 200)
+    (QCheck.pair Tgen.small_set_arb
+       QCheck.(list_of_size Gen.(int_range 0 8) (pair bool (int_range 0 6))))
+    (fun (old, ops) ->
+      let u =
+        List.fold_left
+          (fun u (ins, n) -> (if ins then U.insert else U.delete) "r" (vi n) u)
+          U.empty ops
+      in
+      let db = Algebra.Db.of_list [ ("r", Value.elements old) ] in
+      let weight n =
+        List.fold_left (fun w (ins, m) -> if m = n then w + if ins then 1 else -1 else w) 0 ops
+      in
+      let expected =
+        Value.set
+          (List.filter_map
+             (fun n ->
+               let was = if Value.mem (vi n) old then 1 else 0 in
+               if was + weight n > 0 then Some (vi n) else None)
+             (List.init 7 Fun.id))
+      in
+      let c =
+        match U.effective db u with
+        | [] -> Algebra.Delta.none
+        | [ ("r", c) ] -> c
+        | _ -> Alcotest.fail "a change for a relation the batch does not touch"
+      in
+      Value.equal (Option.get (Algebra.Db.find (U.apply u db) "r")) expected
+      && Value.equal (Algebra.Delta.apply old c) expected
+      && Value.equal c.Algebra.Delta.plus (Value.diff expected old)
+      && Value.equal c.Algebra.Delta.minus (Value.diff old expected))
 
 let suite =
   [
@@ -109,11 +110,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_group_assoc;
     QCheck_alcotest.to_alcotest prop_group_comm;
     QCheck_alcotest.to_alcotest prop_group_identity_inverse;
-    QCheck_alcotest.to_alcotest prop_distinct_idempotent;
-    QCheck_alcotest.to_alcotest prop_set_boundary;
-    QCheck_alcotest.to_alcotest prop_distinct_is_to_set;
-    QCheck_alcotest.to_alcotest prop_delta_of_sets;
     QCheck_alcotest.to_alcotest prop_map_linear;
-    QCheck_alcotest.to_alcotest prop_product_bilinear;
-    QCheck_alcotest.to_alcotest prop_scale;
+    QCheck_alcotest.to_alcotest prop_effective_repairs;
   ]

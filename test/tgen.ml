@@ -186,8 +186,8 @@ let expr_arb = QCheck.make ~print:Algebra.Expr.to_string expr_gen
    engine equivalence. Every operator maps pair-sets over the node
    symbols to pair-sets over the node symbols, so fixpoints live in a
    finite universe; difference and intersection place "x" under a Diff
-   right-hand side, exercising the conservative fallback alongside the
-   delta-linear fragment. *)
+   right-hand side, exercising the difference rule's read of the other
+   bound's change alongside the distributive operators. *)
 let compose_expr a b =
   Algebra.Expr.(
     map
@@ -276,22 +276,25 @@ let rec reference_pp ppf v =
   | Value.Set xs -> Fmt.pf ppf "@[<h>{%a}@]" elems xs
   | Value.Cstr (f, xs) -> Fmt.pf ppf "@[<h>%s(%a)@]" f elems xs
 
-(* Random Z-sets over small integer values, weights in [-3, 3] — the
-   instance family for the Z-set group and boundary laws. *)
+(* Random Z-sets over small integer values, weights in [-3, 3] summed
+   entry by entry — the instance family for the Z-set group laws. *)
 let zset_gen =
   QCheck.Gen.(
     let* entries =
       list_size (int_range 0 8) (pair (int_range 0 6) (int_range (-3) 3))
     in
-    return (Zset.of_list (List.map (fun (v, w) -> (Value.int v, w)) entries)))
+    return
+      (List.fold_left
+         (fun z (v, w) -> Zset.add z (Zset.singleton ~weight:w (Value.int v)))
+         Zset.empty entries))
 
-let zset_arb = QCheck.make ~print:Zset.to_string zset_gen
+let zset_to_string z = Fmt.str "%a" Zset.pp z
+let zset_arb = QCheck.make ~print:zset_to_string zset_gen
 
 let zset_triple_arb =
   QCheck.make
     ~print:(fun (a, b, c) ->
-      Fmt.str "%s %s %s" (Zset.to_string a) (Zset.to_string b)
-        (Zset.to_string c))
+      Fmt.str "%s %s %s" (zset_to_string a) (zset_to_string b) (zset_to_string c))
     QCheck.Gen.(triple zset_gen zset_gen zset_gen)
 
 (* --- instances for the three-valued solver --- *)
