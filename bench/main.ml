@@ -16,9 +16,8 @@ module U = Bench_util
 
 let vi = Value.int
 
-(* The reference paths the ablations time the defaults against. *)
+(* The reference path the naive/semi-naive rows time the default against. *)
 let naive = Algebra.Advice.(naive none)
-let unfused = Algebra.Advice.(unfused none)
 
 (* One extra untimed run of [f] for the "obs" block of a bench record,
    with the metrics registry collecting and a memory sink installed.
@@ -139,6 +138,7 @@ let e2 () =
         && Value.cardinal semi_value = tc_count
         && List.length tr_tuples = tc_count
       in
+      assert equal;
       let speedup = naive_ms /. semi_ms in
       let sn, events =
         obs_run (fun () -> Algebra.Eval.eval no_defs db W.tc_ifp)
@@ -229,12 +229,16 @@ let e4 () =
     let ifp_sn, _ =
       obs_run (fun () -> Algebra.Eval.eval (Algebra.Defs.make []) db W.tc_ifp)
     in
+    let equal =
+      Algebra.Rec_eval.is_defined s && Value.equal s.Algebra.Rec_eval.low ifp_value
+    in
+    assert equal;
     U.row "%-12s %8d %12.2f %12.2f %7d %11d %9d %7b@." name (Value.cardinal ifp_value)
       rec_ms ifp_ms
       (Algebra.Rec_eval.rounds sol)
       (Obs.Metrics.counter_total rec_sn "rec_eval/phase_iter")
       (Obs.Metrics.counter_total ifp_sn "eval/ifp_iter")
-      (Algebra.Rec_eval.is_defined s && Value.equal s.Algebra.Rec_eval.low ifp_value)
+      equal
   in
   run "chain-12" (W.chain 12);
   run "chain-20" (W.chain 20);
@@ -272,6 +276,7 @@ let e5 () =
       Value.equal value_semi.Algebra.Rec_eval.low direct
       && Value.equal value_semi.Algebra.Rec_eval.high direct
     in
+    assert equal;
     let speedup = naive_ms /. semi_ms in
     let sn, events =
       obs_run (fun () -> Translate.Ifp_elim.query_value elim)
@@ -302,56 +307,6 @@ let e5 () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E6 — join ablation: fused hash joins vs product-then-filter.        *)
-
-let e6 () =
-  U.hr "E6: join planning ablation, fused hash join vs select∘product";
-  U.row "%-16s %8s %10s %12s %9s %7s@." "workload" "|result|" "fused ms"
-    "unfused ms" "speedup" "equal";
-  let no_defs = Algebra.Defs.make [] in
-  let run name db expr =
-    let eval ?fuel advice = Algebra.Eval.eval ?fuel ~advice no_defs db expr in
-    let fused_ms, fused_v = U.time_ms (fun () -> eval Algebra.Advice.none) in
-    let unfused_ms, unfused_v = U.time_ms (fun () -> eval unfused) in
-    (* The planner's contract: byte-identical sets, identical fuel. *)
-    assert (Value.equal fused_v unfused_v);
-    let spent advice =
-      let fuel = Limits.of_int 1_000_000 in
-      ignore (eval ~fuel advice);
-      Limits.remaining fuel
-    in
-    assert (spent Algebra.Advice.none = spent unfused);
-    let speedup = unfused_ms /. fused_ms in
-    U.row "%-16s %8d %10.2f %12.2f %8.1fx %7b@." name (Value.cardinal fused_v)
-      fused_ms unfused_ms speedup true;
-    U.record
-      [ ("experiment", U.S "e6");
-        ("workload", U.S name);
-        ("cardinality", U.I (Value.cardinal fused_v));
-        ("fused_ms", U.F fused_ms);
-        ("unfused_ms", U.F unfused_ms);
-        ("speedup", U.F speedup);
-        ("agree", U.B true) ]
-  in
-  let compose_sizes = if U.is_smoke () then [ 60 ] else [ 60; 120; 250 ] in
-  List.iter
-    (fun n ->
-      let db = W.db_of ~rel:"edge" (W.random_graph ~nodes:n ~edges:(2 * n) ~seed:13) in
-      (* e ∘ e⁻¹: pairs of nodes sharing a successor — a single
-         non-recursive join. *)
-      run (Fmt.str "sib-rand-%d" n) db
-        (W.compose (Algebra.Expr.rel "edge") (W.inverse (Algebra.Expr.rel "edge"))))
-    compose_sizes;
-  let tc_sizes = if U.is_smoke () then [ 32 ] else [ 48; 96; 192 ] in
-  List.iter
-    (fun n -> run (Fmt.str "tc-chain-%d" n) (W.db_of ~rel:"edge" (W.chain n)) W.tc_ifp)
-    tc_sizes;
-  let sg_sizes = if U.is_smoke () then [ 15 ] else [ 15; 31; 63 ] in
-  List.iter
-    (fun n -> run (Fmt.str "sg-tree-%d" n) (W.db_of ~rel:"edge" (W.tree n)) W.sg_ifp)
-    sg_sizes
-
-(* ------------------------------------------------------------------ *)
 (* E7 — Proposition 5.2: stage indices simulate inflationary.          *)
 
 let e7 () =
@@ -371,6 +326,7 @@ let e7 () =
           = List.sort compare (Datalog.Interp.true_tuples staged pred))
         idb
     in
+    assert equal;
     U.row "%-14s %8.2f %10.2f %14d %8d %7b@." name inf_ms staged_ms bound
       (Datalog.Interp.count_true inf) equal
   in
@@ -384,31 +340,6 @@ let e7 () =
   run "win-chain-8" W.win_program (W.edb_of ~pred:"move" (W.chain 8))
 
 (* ------------------------------------------------------------------ *)
-(* E8 — engine ablation: naive vs semi-naive evaluation.               *)
-
-let e8 () =
-  U.hr "E8: naive vs semi-naive relational evaluation";
-  U.row "%-14s %8s %10s %12s %9s@." "workload" "|result|" "naive ms" "seminaive ms"
-    "speedup";
-  let run name program edb pred =
-    let rules = program.Datalog.Program.rules in
-    let naive_ms, naive =
-      U.time_ms ~runs:3 (fun () -> Datalog.Seminaive.naive program ~base:edb rules)
-    in
-    let semi_ms, semi =
-      U.time_ms ~runs:3 (fun () -> Datalog.Seminaive.seminaive program ~base:edb rules)
-    in
-    assert (Datalog.Edb.equal naive semi);
-    U.row "%-14s %8d %10.2f %12.2f %9.1fx@." name (Datalog.Edb.cardinal semi pred)
-      naive_ms semi_ms (naive_ms /. semi_ms)
-  in
-  List.iter
-    (fun n ->
-      run (Fmt.str "tc-chain-%d" n) W.tc_program (W.edb_of ~pred:"e" (W.chain n)) "t")
-    [ 16; 32; 64 ];
-  run "sg-chain-12" W.same_generation_program (W.edb_of ~pred:"e" (W.chain 12)) "sg"
-
-(* ------------------------------------------------------------------ *)
 (* E9 — the specification layer: valid interpretation cost and MEM     *)
 (* totality (Theorem 3.1's executable face).                           *)
 
@@ -416,7 +347,7 @@ let e9 () =
   U.hr "E9 (Thm 3.1): valid interpretation of specifications";
   U.row "%-22s %10s %8s %10s %12s@." "spec" "max_size" "terms" "solve ms"
     "fully defined";
-  let run name spec max_size cap =
+  let run ?(total = true) name spec max_size cap =
     let built = Spec.Deductive.build ~max_size ~cap spec in
     let terms =
       List.fold_left
@@ -425,8 +356,9 @@ let e9 () =
         (Spec.Signature.sorts (Spec.Spec.signature spec))
     in
     let ms, solved = U.time_ms ~runs:3 (fun () -> Spec.Deductive.solve built) in
-    U.row "%-22s %10d %8d %10.2f %12b@." name max_size terms ms
-      (Spec.Deductive.fully_defined solved)
+    let defined = Spec.Deductive.fully_defined solved in
+    assert (defined = total);
+    U.row "%-22s %10d %8d %10.2f %12b@." name max_size terms ms defined
   in
   run "nat (EQ)" Spec.Prelude.nat_spec 5 60;
   run "nat (EQ)" Spec.Prelude.nat_spec 7 80;
@@ -434,31 +366,7 @@ let e9 () =
   run "even+default" Spec.Prelude.even_spec 7 70;
   run "SET(nat)" Spec.Prelude.set_nat_spec 7 60;
   (* Example 2 is tiny but its valid interpretation is 3-valued. *)
-  run "example2" Spec.Prelude.example2_spec 1 10
-
-
-(* ------------------------------------------------------------------ *)
-(* E10 — grounding ablation: semi-naive vs naive instantiation.        *)
-
-let e10 () =
-  U.hr "E10: grounder ablation, delta vs full re-instantiation";
-  U.row "%-14s %8s %8s %12s %12s %9s@." "workload" "atoms" "rules" "seminaive ms"
-    "naive ms" "slowdown";
-  let run name program edb =
-    let semi_ms, pg =
-      U.time_ms (fun () -> Datalog.Grounder.ground ~strategy:`Seminaive program edb)
-    in
-    let naive_ms, pg' =
-      U.time_ms (fun () -> Datalog.Grounder.ground ~strategy:`Naive program edb)
-    in
-    assert (Datalog.Propgm.n_atoms pg = Datalog.Propgm.n_atoms pg');
-    U.row "%-14s %8d %8d %12.2f %12.2f %8.1fx@." name (Datalog.Propgm.n_atoms pg)
-      (Array.length pg.Datalog.Propgm.rules) semi_ms naive_ms (naive_ms /. semi_ms)
-  in
-  List.iter
-    (fun n -> run (Fmt.str "tc-chain-%d" n) W.tc_program (W.edb_of ~pred:"e" (W.chain n)))
-    [ 16; 32; 64 ];
-  run "win-cycle-32" W.win_program (W.edb_of ~pred:"move" (W.cycle 32))
+  run ~total:false "example2" Spec.Prelude.example2_spec 1 10
 
 (* ------------------------------------------------------------------ *)
 (* Micro-kernels through Bechamel's OLS analysis.                      *)
@@ -648,7 +556,10 @@ let e12 () =
 
 (* ------------------------------------------------------------------ *)
 (* E13 — multicore scaling: the same engines at 1 and at N worker
-   domains, as medians of interleaved (1, N) pairs. *)
+   domains, as medians of interleaved (1, N) pairs. The pool size
+   changes at every sample, and the workers start at a sample's first
+   batch of two or more tasks, so the first of [U.time_ms]'s three
+   evaluations at N pays their spawn. *)
 
 let e13 () =
   U.hr "E13: multicore scaling, domains 1 against 2/4/8 (byte-identical results)";
@@ -767,7 +678,28 @@ let e13 () =
       match Datalog.Run.stratified W.one_component_program one_edb with
       | Ok db -> db
       | Error e -> failwith e)
-    ~equal:Datalog.Edb.equal ~fingerprint:edb_fingerprint
+    ~equal:Datalog.Edb.equal ~fingerprint:edb_fingerprint;
+  (* 4. No parallel grain at all: [valid] grounds and solves a WIN chain
+     on one domain at every pool size, so the pool never spawns. *)
+  let moves = if U.is_smoke () then 250 else 4000 in
+  let win_edb = W.edb_of ~pred:"move" (W.chain moves) in
+  curve
+    (Printf.sprintf "valid_win_chain_%d" moves)
+    (fun () -> Datalog.Run.valid W.win_program win_edb)
+    ~equal:Datalog.Interp.equal
+    ~fingerprint:(fun interp ->
+      let facts status tuples acc pred =
+        let fact args = Value.tuple (Value.sym status :: Value.sym pred :: args) in
+        List.fold_left
+          (fun acc args -> acc lxor Value.hash (fact args))
+          acc (tuples interp pred)
+      in
+      List.fold_left
+        (fun acc pred ->
+          facts "undef" Datalog.Interp.undef_tuples
+            (facts "true" Datalog.Interp.true_tuples acc pred)
+            pred)
+        0 (Datalog.Interp.preds interp))
 
 (* ------------------------------------------------------------------ *)
 (* E14 — cost-based planning on adversarial join orders: workloads
@@ -1229,9 +1161,9 @@ let e16 () =
 
 let experiments =
   [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
+    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e7", e7);
+    ("e9", e9); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e16", e16);
   ]
 
 let () =
@@ -1275,7 +1207,8 @@ let () =
           | None ->
             if String.equal name "micro" then micro ()
             else begin
-              Fmt.epr "unknown experiment %s (e1..e16, micro)@." name;
+              Fmt.epr "unknown experiment %s (%s, micro)@." name
+                (String.concat ", " (List.map fst experiments));
               exit 2
             end)
         names

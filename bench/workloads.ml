@@ -65,16 +65,6 @@ let unfounded_chain n =
 let tc_program =
   fst (Datalog.Parser.parse_exn "t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z).")
 
-let same_generation_program =
-  fst
-    (Datalog.Parser.parse_exn
-       "sg(X,X) :- e(X,Y). sg(X,X) :- e(Y,X). sg(X,Y) :- e(XP,X), sg(XP,YP), e(YP,Y).")
-
-let win_body =
-  Algebra.Expr.(pi 1 (diff (rel "move") (product (pi 1 (rel "move")) (rel "win"))))
-
-let win_defs = Algebra.Defs.make [ Algebra.Defs.constant "win" win_body ]
-
 let compose a b =
   Algebra.Expr.(
     map
@@ -91,9 +81,7 @@ let tc_body x = Algebra.Expr.(union (rel "edge") (compose (rel "edge") x))
 let tc_ifp = Algebra.Expr.(ifp "x" (tc_body (rel "x")))
 let tc_defs = Algebra.Defs.make [ Algebra.Defs.constant "tc" (tc_body (Algebra.Expr.rel "tc")) ]
 
-(* Same-generation over "edge" (parent -> child): base case pairs every
-   node with itself, recursion goes up one edge, across sg, down one
-   edge — sg(x,y) :- e(xp,x), sg(xp,yp), e(yp,y). *)
+(* Swap each pair. *)
 let inverse e =
   Algebra.Expr.map
     (Algebra.Efun.Tuple_of [ Algebra.Efun.Proj 2; Algebra.Efun.Proj 1 ])
@@ -151,6 +139,9 @@ let one_component_edb ~nodes ~edges =
         (random_graph ~nodes ~edges ~seed:(i + 1)))
     Datalog.Edb.empty (List.init 6 Fun.id)
 
+(* Same-generation over "edge" (parent -> child): base case pairs every
+   node with itself, recursion goes up one edge, across sg, down one
+   edge — sg(x,y) :- e(xp,x), sg(xp,yp), e(yp,y). *)
 let sg_body x =
   let open Algebra.Expr in
   let nodes = union (pi 1 (rel "edge")) (pi 2 (rel "edge")) in

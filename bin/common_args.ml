@@ -1,7 +1,8 @@
-(* Arguments shared by the evaluating subcommands (run, alg, query):
-   the fuel budget, the planner knobs, plus the three reporting
-   switches (--trace, --profile, --metrics). Declared once so every
-   subcommand documents and parses them identically. *)
+(* Arguments shared by every subcommand: the budget and its governance
+   knobs, the pool size, plus the three reporting switches (--trace,
+   --profile, --metrics). Declared once so every subcommand documents
+   and parses them identically. The planner's flags steer only algebra
+   evaluation and belong to [alg] alone. *)
 
 open Recalg
 open Cmdliner
@@ -14,8 +15,6 @@ type t = {
   trace : string option;
   profile : bool;
   domains : int;
-  plan : Plan.Planner.mode;
-  stats_file : string option;
   metrics : string option;
 }
 
@@ -74,39 +73,10 @@ let term =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Evaluate with $(docv) worker domains: the independent \
-             components of a stratum run as parallel tasks. Results and \
-             fuel are byte-identical at every domain count; the default \
-             is $(b,RECALG_DOMAINS) or 1 (sequential).")
-  in
-  let plan =
-    let parse =
-      Arg.enum [ ("off", Plan.Planner.Off); ("cost", Plan.Planner.Cost) ]
-    in
-    Arg.(
-      value & opt parse Plan.Planner.Off
-      & info [ "plan" ] ~docv:"MODE"
-          ~doc:
-            "Query planning: $(b,off) evaluates expressions as written; \
-             $(b,cost) reorders multiway joins by exact \
-             dynamic-programming search (up to 8 relations, greedy \
-             left-deep above), adds semijoin reducers under projections, \
-             and re-plans a fixpoint body at a round boundary when the \
-             cardinalities it observes drift from the estimates. It \
-             changes only which expression runs; how each operator runs \
-             is the evaluator's choice in both modes. Results are \
-             byte-identical in both modes.")
-  in
-  let stats_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-file" ] ~docv:"FILE"
-          ~doc:
-            "Persist planner statistics across runs: load $(docv) before \
-             evaluation (entries whose fingerprint contradicts the live \
-             database are dropped), and rewrite it from the live \
-             relations afterwards. Missing or unreadable files degrade \
-             to no stats.")
+             components of a stratum run as parallel tasks, and the \
+             workers are spawned by the first stratum with two or more. \
+             Results and fuel are byte-identical at every domain count; \
+             the default is $(b,RECALG_DOMAINS) or 1 (sequential).")
   in
   let trace =
     Arg.(
@@ -145,24 +115,12 @@ let term =
              observes without steering: results and fuel are \
              byte-identical with or without it.")
   in
-  let make fuel timeout_ms memory_limit_mb degrade trace profile domains plan
-      stats_file metrics =
-    {
-      fuel;
-      timeout_ms;
-      memory_limit_mb;
-      degrade;
-      trace;
-      profile;
-      domains;
-      plan;
-      stats_file;
-      metrics;
-    }
+  let make fuel timeout_ms memory_limit_mb degrade trace profile domains metrics =
+    { fuel; timeout_ms; memory_limit_mb; degrade; trace; profile; domains; metrics }
   in
   Term.(
     const make $ fuel $ timeout_ms $ memory_limit_mb $ degrade $ trace
-    $ profile $ domains $ plan $ stats_file $ metrics)
+    $ profile $ domains $ metrics)
 
 (* Plain fuel stays on the historical zero-overhead path; any governance
    knob upgrades the budget to a governed one. *)
@@ -172,32 +130,6 @@ let fuel_of t =
   | _ ->
     Limits.governed ~fuel:t.fuel ?timeout_ms:t.timeout_ms
       ?memory_limit_mb:t.memory_limit_mb ~degrade:t.degrade ()
-
-(* The planner for an algebra evaluation over [db]: stats come from the
-   persisted file when one is given (stale entries pruned against the
-   live database) merged under a fresh sampling pass. *)
-let planner_of t db =
-  let sampled = Plan.Stats.of_db db in
-  let stats =
-    match t.stats_file with
-    | None -> sampled
-    | Some file -> (
-      match Plan.Stats.load file with
-      | None -> sampled
-      | Some persisted ->
-        Plan.Stats.merge (Plan.Stats.prune_stale db persisted) sampled)
-  in
-  Plan.Planner.create ~stats t.plan
-
-(* Rewrite the stats file from the relations the run actually saw. *)
-let save_stats t db =
-  match t.stats_file with
-  | None -> ()
-  | Some file -> Plan.Stats.save file (Plan.Stats.of_db db)
-
-let report_plan t planner =
-  if t.profile && t.plan <> Plan.Planner.Off then
-    Fmt.epr "%a" Plan.Planner.pp_reports (Plan.Planner.reports planner)
 
 (* Exit-code contract (documented in the README): parse errors exit 2
    before evaluation starts; resource exhaustion maps fuel -> 3,

@@ -206,13 +206,55 @@ let update_cmd =
        ~doc:"Maintain a program's result differentially under update batches.")
     Term.(const update $ file $ updates $ semantics $ Common_args.term)
 
+(* The planner for an algebra evaluation over [db]: stats come from the
+   persisted file when one is given (stale entries pruned against the
+   live database) merged under a fresh sampling pass. *)
+let planner_of mode stats_file db =
+  let sampled = Plan.Stats.of_db db in
+  let stats =
+    match Option.bind stats_file Plan.Stats.load with
+    | None -> sampled
+    | Some persisted -> Plan.Stats.merge (Plan.Stats.prune_stale db persisted) sampled
+  in
+  Plan.Planner.create ~stats mode
+
 let alg_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.alg") in
   let window =
     Arg.(value & opt (some int) None
          & info [ "window" ] ~doc:"Intersect constants with the integers 0..N.")
   in
-  let alg file window common =
+  let plan =
+    let parse =
+      Arg.enum [ ("off", Plan.Planner.Off); ("cost", Plan.Planner.Cost) ]
+    in
+    Arg.(
+      value & opt parse Plan.Planner.Off
+      & info [ "plan" ] ~docv:"MODE"
+          ~doc:
+            "Query planning: $(b,off) evaluates expressions as written; \
+             $(b,cost) reorders multiway joins by exact \
+             dynamic-programming search (up to 8 relations, greedy \
+             left-deep above), adds semijoin reducers under projections, \
+             and re-plans a fixpoint body at a round boundary when the \
+             cardinalities it observes drift from the estimates. It \
+             changes only which expression runs; how each operator runs \
+             is the evaluator's choice in both modes. Results are \
+             byte-identical in both modes.")
+  in
+  let stats_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "stats-file" ] ~docv:"FILE"
+          ~doc:
+            "Persist planner statistics across runs: load $(docv) before \
+             evaluation (entries whose fingerprint contradicts the live \
+             database are dropped), and rewrite it from the live \
+             relations afterwards. Missing or unreadable files degrade \
+             to no stats.")
+  in
+  let alg file window plan stats_file common =
     Common_args.with_reporting common @@ fun fuel ->
     match Algebra.Parser.parse_program (read_file file) with
     | Error msg ->
@@ -225,7 +267,7 @@ let alg_cmd =
         exit 1
       | Ok () ->
         let window = Option.map (fun n -> Value.set (List.init (n + 1) Value.int)) window in
-        let planner = Common_args.planner_of common Algebra.Db.empty in
+        let planner = planner_of plan stats_file Algebra.Db.empty in
         let advice = Plan.Planner.advice planner in
         let constants =
           Algebra.Defs.constant_names
@@ -245,20 +287,25 @@ let alg_cmd =
           Fmt.pr "@[<h>query = %a@]@." Algebra.Rec_eval.pp_vset
             (Algebra.Rec_eval.query sol q)
         | None -> ());
-        Common_args.report_plan common planner;
+        if common.Common_args.profile && plan <> Plan.Planner.Off then
+          Fmt.epr "%a" Plan.Planner.pp_reports (Plan.Planner.reports planner);
         (* Persist what this run learned: the solved constants' certain
            members are next run's relation statistics. *)
-        Common_args.save_stats common
-          (List.fold_left
-             (fun db name ->
-               Algebra.Db.add name
-                 (Algebra.Rec_eval.constant sol name).Algebra.Rec_eval.low db)
-             Algebra.Db.empty constants))
+        Option.iter
+          (fun path ->
+            Plan.Stats.save path
+              (Plan.Stats.of_db
+                 (List.fold_left
+                    (fun db name ->
+                      Algebra.Db.add name
+                        (Algebra.Rec_eval.constant sol name).Algebra.Rec_eval.low db)
+                    Algebra.Db.empty constants)))
+          stats_file)
   in
   Cmd.v
     (Cmd.info "alg"
        ~doc:"Evaluate an algebra= program under the valid semantics.")
-    Term.(const alg $ file $ window $ Common_args.term)
+    Term.(const alg $ file $ window $ plan $ stats_file $ Common_args.term)
 
 let query_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.dl") in

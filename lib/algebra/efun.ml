@@ -46,9 +46,7 @@ let rec apply builtins f v =
     | None -> None)
 
 let add_const k = App ("add", [ Id; Const (Value.int k) ])
-let mul_const k = App ("mul", [ Id; Const (Value.int k) ])
 let pi i = Proj i
-let pair_of f g = App ("pair", [ f; g ])
 
 (* The words the [.alg] syntax reserves ({!Parser}). *)
 let keywords =

@@ -29,9 +29,7 @@ val apply : Builtins.t -> t -> Value.t -> Value.t option
 val add_const : int -> t
 (** [fun x -> x + k] — the [MAP_{+2}] of the even-numbers example. *)
 
-val mul_const : int -> t
 val pi : int -> t
-val pair_of : t -> t -> t
 
 (** {1 Concrete syntax}
 

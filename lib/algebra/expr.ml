@@ -68,17 +68,6 @@ let rec size e =
   | Select (_, a) | Map (_, a) | Ifp (_, a) -> 1 + size a
   | Call (_, args) -> List.fold_left (fun acc a -> acc + size a) 1 args
 
-let subexprs e =
-  let rec go acc e =
-    let acc = e :: acc in
-    match e with
-    | Rel _ | Lit _ | Param _ -> acc
-    | Union (a, b) | Diff (a, b) | Product (a, b) -> go (go acc a) b
-    | Select (_, a) | Map (_, a) | Ifp (_, a) -> go acc a
-    | Call (_, args) -> List.fold_left go acc args
-  in
-  List.rev (go [] e)
-
 let map_rels f e =
   let rec go bound e =
     match e with

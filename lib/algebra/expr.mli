@@ -57,8 +57,6 @@ val rel_names : t -> string list
 val called_ops : t -> string list
 val params : t -> string list
 val size : t -> int
-val subexprs : t -> t list
-(** All subexpression nodes, the expression itself first. *)
 
 val map_rels : (string -> t) -> t -> t
 (** Substitute expressions for relation names; [Ifp]-bound names are kept

@@ -16,8 +16,6 @@ let compare_atom a b =
   let c = String.compare a.pred b.pred in
   if c <> 0 then c else List.compare Dterm.compare a.args b.args
 
-let equal_atom a b = compare_atom a b = 0
-
 let tag l =
   match l with
   | Pos _ -> 0
@@ -71,12 +69,6 @@ let rename f l =
   | Neg a -> Neg (rn_atom a)
   | Eq (t1, t2) -> Eq (Dterm.rename f t1, Dterm.rename f t2)
   | Neq (t1, t2) -> Neq (Dterm.rename f t1, Dterm.rename f t2)
-
-let map_atoms f l =
-  match l with
-  | Pos a -> Pos (f a)
-  | Neg a -> Neg (f a)
-  | Eq _ | Neq _ -> l
 
 let pp_atom ppf a =
   match a.args with

@@ -22,7 +22,6 @@ val eq : Dterm.t -> Dterm.t -> t
 val neq : Dterm.t -> Dterm.t -> t
 
 val compare_atom : atom -> atom -> int
-val equal_atom : atom -> atom -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
@@ -34,7 +33,6 @@ val ground_atom : Builtins.t -> Subst.t -> atom -> (string * Value.t list) optio
 (** Evaluate all argument terms; [None] if some term is undefined. *)
 
 val rename : (string -> string) -> t -> t
-val map_atoms : (atom -> atom) -> t -> t
 
 val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit

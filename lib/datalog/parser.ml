@@ -190,13 +190,6 @@ let wrap f =
   try Ok (f ()) with
   | Parse_error msg -> Error msg
 
-let parse_term ?builtins:_ src =
-  wrap (fun () ->
-      let s = { toks = tokenize src } in
-      let t = parse_term_s s in
-      if peek s <> EOF then error "trailing input after term";
-      t)
-
 let parse_rule ?builtins:_ src =
   wrap (fun () ->
       let s = { toks = tokenize src } in

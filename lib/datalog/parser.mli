@@ -18,7 +18,6 @@
 
 open Recalg_kernel
 
-val parse_term : ?builtins:Builtins.t -> string -> (Dterm.t, string) result
 val parse_rule : ?builtins:Builtins.t -> string -> (Rule.t, string) result
 
 val parse : ?builtins:Builtins.t -> string -> (Program.t * Edb.t, string) result

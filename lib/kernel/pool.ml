@@ -1,5 +1,6 @@
 (* One global pool: a mutex-guarded FIFO of jobs, [n - 1] persistent
-   worker domains, and batch completion tracked per [run] call. The
+   worker domains spawned at the first batch of two or more tasks, and
+   batch completion tracked per [run] call. The
    submitting domain never blocks while work it could do remains queued
    — it pops jobs like a worker until its own batch count drains — so
    nested [run]s compose without deadlock and a size-[n] pool never
@@ -17,7 +18,9 @@ let workers : unit Domain.t list ref = ref [] (* main domain only *)
 
 (* [requested] is the configured size (what [Stats] reports); [live]
    is whether worker domains currently exist — the flag the parallel
-   fast paths and the intern-shard locks actually check. *)
+   fast paths and the intern-shard locks actually check. A run that
+   never hands the pool a batch keeps one domain, so no idle worker
+   joins its minor collections. *)
 let requested = Atomic.make 1
 let live = Atomic.make false
 
@@ -75,23 +78,28 @@ let shutdown () =
 
 let set_domains n =
   let n = max 1 n in
-  if n <> Atomic.get requested || List.length !workers <> n - 1 then begin
+  if n <> Atomic.get requested then begin
     shutdown ();
-    Atomic.set requested n;
-    if n > 1 then begin
-      workers := List.init (n - 1) (fun _ -> Domain.spawn worker);
-      Atomic.set live true
-    end
+    Atomic.set requested n
   end
 
 let () = at_exit shutdown
+
+(* Until the first batch only this domain exists, so [live] is set
+   before the workers start: every domain that can race sees it. *)
+let spawn_workers () =
+  if not (Atomic.get live) then begin
+    Atomic.set live true;
+    workers := List.init (Atomic.get requested - 1) (fun _ -> Domain.spawn worker)
+  end
 
 let run thunks =
   match thunks with
   | [] -> []
   | [ f ] -> [ f () ]
-  | _ when not (parallel ()) -> List.map (fun f -> f ()) thunks
+  | _ when Atomic.get requested = 1 -> List.map (fun f -> f ()) thunks
   | _ ->
+    spawn_workers ();
     let n = List.length thunks in
     Atomic.incr Stats.batches;
     ignore (Atomic.fetch_and_add Stats.tasks n);

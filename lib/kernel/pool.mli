@@ -7,8 +7,9 @@
     {!run} and {!map} degenerate to plain sequential evaluation with
     zero synchronisation — single-domain behaviour (results, fuel,
     traces) is exactly the pre-multicore engine. With [set_domains n]
-    for [n > 1], [n - 1] persistent worker domains serve a shared job
-    queue and the submitting domain works the queue alongside them
+    for [n > 1], the first {!run} of two or more tasks spawns [n - 1]
+    worker domains, which persist and serve a shared job queue; the
+    submitting domain works the queue alongside them
     (so nested {!run} calls cannot deadlock: a waiter always either
     finds a job to execute or sleeps until one of its own completes).
 
@@ -32,29 +33,27 @@
 
 val set_domains : int -> unit
 (** Resize the pool to [n] total domains ([n - 1] workers plus the
-    caller); values [< 1] clamp to [1], which shuts the workers down.
-    Must be called from outside any pool task (it joins the old
-    workers). Idempotent when the size is unchanged. *)
+    caller); values [< 1] clamp to [1]. Records the size and spawns
+    nothing: the workers start at the first {!run} of two or more
+    tasks. A new size joins the old workers, so it must be set from
+    outside any pool task. Idempotent when the size is unchanged. *)
 
 val parallel : unit -> bool
-(** Whether worker domains are live (the size is above [1]) — the
-    one-load guard the kernel's intern-shard and membership-index locks
-    and the obs emit lock check before paying any synchronisation. *)
+(** Whether worker domains are live — false until the first batch of a
+    pool above size [1] spawns them. The one-load guard the kernel's
+    intern-shard and membership-index locks and the obs emit lock check
+    before paying any synchronisation. *)
 
 val run : (unit -> 'a) list -> 'a list
 (** Evaluate the thunks, possibly concurrently, returning results in
     input order. Sequential (in order, on the calling domain) when the
-    pool is size 1 or fewer than two thunks are given. Re-raises the
+    pool is size 1 or fewer than two thunks are given; otherwise it
+    spawns the workers if they are not live yet. Re-raises the
     lowest-indexed exception if any task fails, after all tasks have
     finished. *)
 
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs = run (List.map (fun x () -> f x) xs)]. *)
-
-val shutdown : unit -> unit
-(** Join all worker domains (also registered [at_exit]). The configured
-    size is kept; the next {!run} after a shutdown is sequential until
-    {!set_domains} is called again. *)
 
 module Stats : sig
   type snapshot = {

@@ -449,7 +449,6 @@ let subset a b =
 
 let add x v = union (singleton x) v
 let filter p v = make (Set (List.filter p (as_elements "Value.filter" v)))
-let map_set f v = canon (List.map f (as_elements "Value.map_set" v))
 
 let filter_map_set f v =
   canon (List.filter_map f (as_elements "Value.filter_map_set" v))

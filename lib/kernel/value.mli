@@ -145,10 +145,6 @@ val product : t -> t -> t
 val subset : t -> t -> bool
 val add : t -> t -> t
 val filter : (t -> bool) -> t -> t
-val map_set : (t -> t) -> t -> t
-(** [map_set f s] applies [f] to every element and re-canonicalises — the
-    semantics of the algebra's [MAP] operator on total element functions. *)
-
 val filter_map_set : (t -> t option) -> t -> t
 
 val union_all : t list -> t

@@ -234,14 +234,8 @@ let fold_spans f sn acc =
 let span_calls sn path =
   match Hashtbl.find_opt sn.sn_spans path with Some s -> s.s_calls | None -> 0
 
-let span_wall_ms sn path =
-  match Hashtbl.find_opt sn.sn_spans path with Some s -> s.s_wall_ms | None -> 0.
-
 let span_fuel sn path =
   match Hashtbl.find_opt sn.sn_spans path with Some s -> s.s_fuel | None -> 0
-
-let span_alloc_words sn path =
-  match Hashtbl.find_opt sn.sn_spans path with Some s -> s.s_alloc_w | None -> 0.
 
 let span_quantile_ms sn path q =
   match Hashtbl.find_opt sn.sn_spans path with

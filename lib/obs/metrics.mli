@@ -79,9 +79,7 @@ val fold_spans :
     block in its JSON records. *)
 
 val span_calls : snapshot -> string -> int
-val span_wall_ms : snapshot -> string -> float
 val span_fuel : snapshot -> string -> int
-val span_alloc_words : snapshot -> string -> float
 val span_quantile_ms : snapshot -> string -> float -> float
 
 (** {2 Rendering} *)

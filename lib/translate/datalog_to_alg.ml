@@ -12,12 +12,6 @@ type t = {
 
 let tuple_of_args args = Value.tuple args
 
-let edb_to_db edb =
-  List.fold_left
-    (fun db pred ->
-      Db.add_elems pred (List.map tuple_of_args (Edb.tuples edb pred)) db)
-    Db.empty (Edb.preds edb)
-
 (* Compilation environment for one rule body: the set expression computes
    environment tuples; [vars] lists the bound variables in tuple order. *)
 type env = { vars : string list; expr : Expr.t }

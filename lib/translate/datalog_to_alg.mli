@@ -38,9 +38,6 @@ val tuple_of_args : Value.t list -> Value.t
 (** The element representing one derived tuple ([Value.tuple], uniformly,
     including arities 0 and 1). *)
 
-val edb_to_db : Edb.t -> Db.t
-(** Each relation becomes a named set of argument tuples. *)
-
 val pred_tuples :
   Rec_eval.solution -> t -> string -> Value.t list list * Value.t list list
 (** [(certain, possible)] argument tuples of a translated predicate in a

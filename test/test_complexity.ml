@@ -2,10 +2,12 @@
    4N, and the ratio of the words it allocates is bounded. At one domain
    allocation repeats exactly, so a guard reads the same on any machine,
    and a quadratic shape at these sizes allocates ~16× for 4× the input
-   where a linear one allocates ~4×. The one exception is the listing of
-   one-fact predicates, whose cliff allocates nothing and is timed (see
-   there). Every guard also runs the slow reference shape and asserts
-   that it breaks the bound, so the bound separates the two. *)
+   where a linear one allocates ~4×. Three cliffs allocated nothing extra
+   and are timed instead: the listing of one-fact predicates, and the
+   negation chain under [stratified] and under [translate] (see there).
+   Every guard also runs the slow reference shape and asserts that it
+   breaks the bound, so the bound separates the two, where that shape is
+   still in the tree. *)
 
 open Recalg
 open Algebra
@@ -255,6 +257,47 @@ let test_inflationary_reach () =
   if r > 6. then
     Alcotest.failf "reach chain, inflationary: ×%.2f words for 4× the chain" r
 
+(* The negation chain at n = 1000 and 4000, parsed afresh for each run
+   and not timed, under [read]; the CPU-time ratio, as [time_ratio]
+   measures it. *)
+let chain_time_ratio read =
+  let fresh n =
+    let text = negation_chain n in
+    fun () -> parse text
+  in
+  time_ratio ~small:(fresh 1000) ~large:(fresh 4000) read
+
+(* The negation chain under [Seminaive.stratified] at one domain, as
+   [recalg run --semantics stratified] runs it: the rules are bucketed
+   by stratum once. Filtering the whole rule list once per stratum is
+   quadratic without allocating more per step (×3.96 words at b6a3186,
+   the parent of the fix), so the run is timed: ×4.9 to ×5.7 (~5 → ~30
+   ms) at n = 1000 → 4000, bound 8, against ×13.2 to ×14.2 (~30 → ~420
+   ms) at b6a3186. *)
+let test_stratified_chain_timed () =
+  let r =
+    chain_time_ratio (fun (program, edb) -> Datalog.Seminaive.stratified program edb)
+  in
+  if r > 8. then
+    Alcotest.failf "negation chain, stratified: ×%.2f CPU time for 4× the strata" r
+
+(* The negation chain through [Datalog_to_alg.translate] and the
+   printing [recalg translate] does: the rules are bucketed by predicate
+   once. Filtering the rule list once per predicate allocated nothing
+   extra either (×3.96 words at 3d2fe40, the parent of the fix), so it
+   is timed: ×4.1 to ×4.8 (~8 → ~37 ms) at n = 1000 → 4000, bound 8,
+   against ×15.1 to ×16.4 (~67 → ~1060 ms) at 3d2fe40. *)
+let test_translate_chain_timed () =
+  let translate (program, edb) =
+    let tr = Translate.Datalog_to_alg.translate program edb in
+    Fmt.str "%% database@.%a@.%% algebra= program (Proposition 6.1)@.%a@." Db.pp
+      tr.Translate.Datalog_to_alg.db Defs.pp tr.Translate.Datalog_to_alg.defs
+  in
+  let r = chain_time_ratio translate in
+  if r > 8. then
+    Alcotest.failf
+      "negation chain, translate and print: ×%.2f CPU time for 4× the strata" r
+
 let suite =
   [ Alcotest.test_case "even_ifp under --plan cost" `Quick test_even_ifp;
     Alcotest.test_case "negation chains under valid and wellfounded" `Quick
@@ -265,4 +308,8 @@ let suite =
     Alcotest.test_case "stratifying a negation chain" `Quick test_stratify_chain;
     Alcotest.test_case "negation chain, stratified at two domains" `Quick
       test_stratified_chain_domains;
-    Alcotest.test_case "reach chain under inflationary" `Quick test_inflationary_reach ]
+    Alcotest.test_case "reach chain under inflationary" `Quick test_inflationary_reach;
+    Alcotest.test_case "negation chain, stratified, timed" `Quick
+      test_stratified_chain_timed;
+    Alcotest.test_case "negation chain, translated and printed, timed" `Quick
+      test_translate_chain_timed ]

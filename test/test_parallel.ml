@@ -67,6 +67,18 @@ let test_pool_sequential_at_one () =
     "size-1 pool runs in order on the caller" [ 4; 3; 2; 1; 0 ] !side;
   Alcotest.(check bool) "parallel() is false at size 1" false (Pool.parallel ())
 
+(* The workers start with the first batch that can use them: a run that
+   never hands the pool two tasks keeps one domain. *)
+let test_pool_spawns_at_first_batch () =
+  Pool.set_domains 1;
+  with_domains 4 @@ fun () ->
+  Alcotest.(check bool) "no workers after set_domains" false (Pool.parallel ());
+  Alcotest.(check (list int)) "one-task run" [ 1 ] (Pool.run [ (fun () -> 1) ]);
+  Alcotest.(check bool) "no workers after a one-task run" false (Pool.parallel ());
+  Alcotest.(check (list int)) "two-task run" [ 1; 2 ]
+    (Pool.run [ (fun () -> 1); (fun () -> 2) ]);
+  Alcotest.(check bool) "workers live after a two-task run" true (Pool.parallel ())
+
 (* --- Concurrent interning stress --- *)
 
 let test_concurrent_interning () =
@@ -529,4 +541,6 @@ let suite =
       test_pool_cancellation;
     Alcotest.test_case "seminaive stress: non-linear TC, 200 nodes" `Quick
       test_seminaive_parallel_stress;
+    Alcotest.test_case "pool spawns its workers at the first batch" `Quick
+      test_pool_spawns_at_first_batch;
   ]
