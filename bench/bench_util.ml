@@ -112,7 +112,7 @@ let escape_json s =
 
 let rec json_of_field v =
   match v with
-  | F x -> Printf.sprintf "%.4f" x
+  | F x -> if Float.is_finite x then Printf.sprintf "%.4f" x else "null"
   | I n -> string_of_int n
   | B b -> string_of_bool b
   | S s -> Printf.sprintf "\"%s\"" (escape_json s)

@@ -79,9 +79,21 @@ let e1 () =
         (List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges))
     in
     assert agree;
+    let rounds = Algebra.Rec_eval.rounds sol
+    and join_exec = Obs.Metrics.counter_total sn "join/exec" in
     U.row "%-22s %6d %8d %8d %12.2f %12.2f %7b %7d %10d@." name nodes (List.length dl_true)
-      (List.length dl_undef) datalog_ms algebra_ms agree (Algebra.Rec_eval.rounds sol)
-      (Obs.Metrics.counter_total sn "join/exec")
+      (List.length dl_undef) datalog_ms algebra_ms agree rounds join_exec;
+    U.record
+      [ ("experiment", U.S "e1");
+        ("workload", U.S name);
+        ("nodes", U.I nodes);
+        ("certain", U.I (List.length dl_true));
+        ("undef", U.I (List.length dl_undef));
+        ("datalog_ms", U.F datalog_ms);
+        ("algebra_ms", U.F algebra_ms);
+        ("agree", U.B agree);
+        ("rounds", U.I rounds);
+        ("join_exec", U.I join_exec) ]
   in
   run "chain-16" (W.chain 16);
   run "chain-32" (W.chain 32);
@@ -172,13 +184,15 @@ let e3 () =
   let run ?(reference = true) name (program, edb) =
     let pg = Datalog.Grounder.ground program edb in
     let solve_ms, interp = U.time_ms (fun () -> Datalog.Valid.solve pg) in
-    let reference_ms, agree =
-      if not reference then ("-", "-")
+    (* The reference's two columns, as printed and as recorded: "-"
+       where it does not run. *)
+    let (reference_ms, agree), (reference_field, agree_field) =
+      if not reference then (("-", "-"), (U.S "-", U.S "-"))
       else begin
         let ms, expected = U.time_ms (fun () -> Datalog.Valid.reference pg) in
         let agree = Datalog.Interp.equal interp expected in
         assert agree;
-        (Fmt.str "%.2f" ms, string_of_bool agree)
+        ((Fmt.str "%.2f" ms, string_of_bool agree), (U.F ms, U.B agree))
       end
     in
     let inf_ms, _ = U.time_ms (fun () -> Datalog.Inflationary.solve pg) in
@@ -188,7 +202,17 @@ let e3 () =
     in
     U.row "%-18s %8d %10.2f %13s %10.2f %10.2f %8d %6s@." name
       (Datalog.Propgm.n_atoms pg) solve_ms reference_ms inf_ms stable_ms
-      (Datalog.Interp.count_undef interp) agree
+      (Datalog.Interp.count_undef interp) agree;
+    U.record
+      [ ("experiment", U.S "e3");
+        ("workload", U.S name);
+        ("atoms", U.I (Datalog.Propgm.n_atoms pg));
+        ("solve_ms", U.F solve_ms);
+        ("reference_ms", reference_field);
+        ("inf_ms", U.F inf_ms);
+        ("stable_ms", U.F stable_ms);
+        ("undef", U.I (Datalog.Interp.count_undef interp));
+        ("agree", agree_field) ]
   in
   let win ?reference name edges =
     run ?reference name (W.win_program, W.edb_of ~pred:"move" edges)
@@ -233,12 +257,21 @@ let e4 () =
       Algebra.Rec_eval.is_defined s && Value.equal s.Algebra.Rec_eval.low ifp_value
     in
     assert equal;
+    let rounds = Algebra.Rec_eval.rounds sol
+    and phase_iters = Obs.Metrics.counter_total rec_sn "rec_eval/phase_iter"
+    and ifp_iters = Obs.Metrics.counter_total ifp_sn "eval/ifp_iter" in
     U.row "%-12s %8d %12.2f %12.2f %7d %11d %9d %7b@." name (Value.cardinal ifp_value)
-      rec_ms ifp_ms
-      (Algebra.Rec_eval.rounds sol)
-      (Obs.Metrics.counter_total rec_sn "rec_eval/phase_iter")
-      (Obs.Metrics.counter_total ifp_sn "eval/ifp_iter")
-      equal
+      rec_ms ifp_ms rounds phase_iters ifp_iters equal;
+    U.record
+      [ ("experiment", U.S "e4");
+        ("workload", U.S name);
+        ("cardinality", U.I (Value.cardinal ifp_value));
+        ("rec_eval_ms", U.F rec_ms);
+        ("ifp_ms", U.F ifp_ms);
+        ("rounds", U.I rounds);
+        ("phase_iters", U.I phase_iters);
+        ("ifp_iters", U.I ifp_iters);
+        ("agree", U.B equal) ]
   in
   run "chain-12" (W.chain 12);
   run "chain-20" (W.chain 20);
@@ -328,7 +361,15 @@ let e7 () =
     in
     assert equal;
     U.row "%-14s %8.2f %10.2f %14d %8d %7b@." name inf_ms staged_ms bound
-      (Datalog.Interp.count_true inf) equal
+      (Datalog.Interp.count_true inf) equal;
+    U.record
+      [ ("experiment", U.S "e7");
+        ("workload", U.S name);
+        ("inf_ms", U.F inf_ms);
+        ("staged_ms", U.F staged_ms);
+        ("stage_bound", U.I bound);
+        ("facts", U.I (Datalog.Interp.count_true inf));
+        ("agree", U.B equal) ]
   in
   let p1, edb1 =
     Datalog.Parser.parse_exn
@@ -358,7 +399,14 @@ let e9 () =
     let ms, solved = U.time_ms ~runs:3 (fun () -> Spec.Deductive.solve built) in
     let defined = Spec.Deductive.fully_defined solved in
     assert (defined = total);
-    U.row "%-22s %10d %8d %10.2f %12b@." name max_size terms ms defined
+    U.row "%-22s %10d %8d %10.2f %12b@." name max_size terms ms defined;
+    U.record
+      [ ("experiment", U.S "e9");
+        ("workload", U.S name);
+        ("max_size", U.I max_size);
+        ("terms", U.I terms);
+        ("solve_ms", U.F ms);
+        ("fully_defined", U.B defined) ]
   in
   run "nat (EQ)" Spec.Prelude.nat_spec 5 60;
   run "nat (EQ)" Spec.Prelude.nat_spec 7 80;

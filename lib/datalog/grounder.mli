@@ -22,9 +22,10 @@ val ground :
   Program.t -> Edb.t -> Propgm.t
 (** [strategy] (default [`Seminaive]) selects delta-restricted
     instantiation or full re-instantiation every round — the two produce
-    identical propositional programs; the naive mode exists for the
-    engine-ablation benchmark. The rounds are {!Store.rounds}, with every
-    rule body in its written order ({!Store.ordered}). *)
+    identical propositional programs; the naive mode is the reference
+    the tests hold the semi-naive one to, in output and in allocation
+    growth. The rounds are {!Store.rounds}, with every rule body in its
+    written order ({!Store.ordered}). *)
 
 (** Resident grounding maintained under {!Edb.Update} batches.
 

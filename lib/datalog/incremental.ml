@@ -34,32 +34,27 @@ let result t = t.result
 
 let holds t pred tup = Edb.mem t.result pred tup
 
-(* Overdelete: close the set of derived facts one of whose recorded
-   derivation steps consumes a deleted fact, firing delta-restricted
-   rounds against the *pre-update* materialization. Facts that remain
-   are below the new least fixpoint (the DRed invariant), so a resumed
-   semi-naive run rederives exactly the from-scratch result. *)
+(* Overdelete: close the set of derived facts one of whose derivation
+   steps consumes a deleted fact, firing delta-restricted rounds against
+   the *pre-update* materialization — one set of stores for the whole
+   batch, each round's frontier swapped in as their delta. Facts that
+   remain are below the new least fixpoint (the DRed invariant). *)
 let overdelete t ~old_result ~dels =
+  let dependents =
+    Seminaive.dependents t.program ~base:old_result t.program.Program.rules
+  in
   let rec loop deleted frontier =
     if Edb.equal frontier Edb.empty then deleted
     else begin
       Limits.spend t.fuel ~what:"incremental: DRed round";
       Obs.count "incr/dred_round" 1;
-      let heads =
-        Seminaive.delta_heads t.program ~base:old_result ~frontier
-          t.program.Program.rules
-      in
       (* Only facts actually materialized can be deleted; drop the ones
          already in the deleted set to reach a fixpoint. *)
-      let fresh =
-        Edb.fold
-          (fun pred tup acc ->
-            if Edb.mem old_result pred tup && not (Edb.mem deleted pred tup)
-            then Edb.add pred tup acc
-            else acc)
-          heads Edb.empty
-      in
-      loop (Edb.union deleted fresh) fresh
+      let fresh = ref Edb.empty in
+      dependents frontier (fun pred tup ->
+          if Edb.mem old_result pred tup && not (Edb.mem deleted pred tup) then
+            fresh := Edb.add pred tup !fresh);
+      loop (Edb.union deleted !fresh) !fresh
     end
   in
   loop dels dels
@@ -93,8 +88,8 @@ let update_exn t u =
            new least fixpoint; resume extends it. *)
         Obs.count "incr/extend" 1;
         let derived =
-          Seminaive.resume ~fuel:t.fuel ~adds t.program ~base:new_edb
-            ~init:t.result rules
+          Seminaive.resume ~fuel:t.fuel t.program ~base:new_edb ~init:t.result
+            ~delta:adds rules
         in
         Edb.union new_edb derived
       end
@@ -104,10 +99,17 @@ let update_exn t u =
         let deleted = overdelete t ~old_result:t.result ~dels in
         Obs.countf "incr/dred_deleted" (fun () ->
             Edb.fold (fun _ _ n -> n + 1) deleted 0);
-        let s_minus = Edb.diff t.result deleted in
+        (* Rederive only the overdeleted facts, against the survivors
+           and the new EDB; they and the insertions seed one resumed,
+           delta-only run. *)
+        let survivors = Edb.diff t.result deleted in
+        let rederived =
+          Seminaive.rederive ~fuel:t.fuel t.program
+            ~base:(Edb.union survivors new_edb) deleted rules
+        in
         let derived =
-          Seminaive.resume ~fuel:t.fuel t.program ~base:new_edb ~init:s_minus
-            rules
+          Seminaive.resume ~fuel:t.fuel t.program ~base:new_edb ~init:survivors
+            ~delta:(Edb.union adds rederived) rules
         in
         Edb.union new_edb derived
       end

@@ -9,10 +9,15 @@
       fixpoint, so the extension converges to exactly the from-scratch
       answer;
     - batches with {b deletions} into negation-free programs run DRed
-      (delete-and-rederive): delta-restricted rounds against the
-      pre-update state overdelete every fact with a derivation step
-      through a deleted fact ({!Seminaive.delta_heads}), then a resumed
-      run rederives survivors and applies insertions;
+      (delete-and-rederive), at a cost bounded by the facts it touches:
+      delta-restricted rounds over one set of stores on the pre-update
+      state overdelete every fact with a derivation step through a
+      deleted fact ({!Seminaive.dependents}, counted by
+      [incr/dred_round] and [incr/dred_deleted]); each overdeleted fact
+      is then checked against the rules for its predicate, over the
+      survivors and the new EDB ({!Seminaive.rederive}); and the
+      rederived facts with the insertions seed one resumed run of delta
+      rounds ({!Seminaive.resume});
     - programs with {b negation} anywhere recompute via
       {!Seminaive.stratified} — counted by the [incr/recompute]
       observability counter, alongside [incr/extend], [incr/dred],

@@ -21,8 +21,9 @@ type t = {
   mutable delta : Tuples.t;
   mutable next : Tuples.t;
   indexes : (section * int, Tuples.t Vtbl.t) Hashtbl.t;
-      (* (section, argument position) -> value at that position -> tuples
-         of the section. Built lazily on first probe. *)
+      (* (section, argument position ≥ 1) -> value at that position ->
+         tuples of the section. Built lazily on first probe; a key at
+         position 0 walks the sorted section instead. *)
 }
 
 let create ~full ~delta =
@@ -41,6 +42,12 @@ let promote s =
     s.next <- Tuples.empty;
     Hashtbl.reset s.indexes
   end
+
+let set_delta s delta =
+  s.delta <- delta;
+  Hashtbl.filter_map_inplace
+    (fun (section, _) idx -> match section with Full -> Some idx | Delta -> None)
+    s.indexes
 
 let sections s = (s.full, s.delta, s.next)
 
@@ -74,16 +81,51 @@ let index s section pos =
 
 type probe = Hit | Miss | Scan
 
+(* What a positive literal's arguments fix under the current
+   substitution: the whole tuple, the first argument that evaluates, or
+   nothing. *)
+type key = Tuple of Value.t list | Arg of int * Value.t | Unbound
+
+let key_of vals =
+  let rec first i = function
+    | [] -> Unbound
+    | Some v :: _ -> Arg (i, v)
+    | None :: vals -> first (i + 1) vals
+  in
+  if List.for_all Option.is_some vals then Tuple (List.map Option.get vals)
+  else first 0 vals
+
+(* [Tuples] is ordered lexicographically, so the tuples whose first
+   argument is [v] are the run of the set that starts at [[v]], in the
+   order an index bucket would list them. *)
+let walk tuples v f =
+  let rec go seq found =
+    match seq () with
+    | Seq.Cons ((w :: _ as tup), rest) when Value.equal w v ->
+      f tup;
+      go rest true
+    | Seq.Cons _ | Seq.Nil -> found
+  in
+  if go (Tuples.to_seq_from [ v ] tuples) false then Hit else Miss
+
 let probe s section key f =
+  let tuples = section_tuples s section in
   match key with
-  | Some (pos, v) -> (
+  | Tuple tup ->
+    if Tuples.mem tup tuples then begin
+      f tup;
+      Hit
+    end
+    else Miss
+  | Arg (0, v) -> walk tuples v f
+  | Arg (pos, v) -> (
     match Vtbl.find_opt (index s section pos) v with
     | Some bucket ->
       Tuples.iter f bucket;
       Hit
     | None -> Miss)
-  | None ->
-    Tuples.iter f (section_tuples s section);
+  | Unbound ->
+    Tuples.iter f tuples;
     Scan
 
 let split delta_pos idx =
@@ -92,36 +134,39 @@ let split delta_pos idx =
   | Some d when d > idx -> [ Full ]
   | Some _ | None -> [ Full; Delta ]
 
-let solve builtins ~store ~sections ~neg ~count body k =
-  let rec match_args subst args vals =
-    match args, vals with
-    | [], [] -> Some subst
-    | t :: args', v :: vals' -> (
-      match Dterm.match_value builtins t v subst with
-      | Some subst' -> match_args subst' args' vals'
+let solve builtins ?(subst = Subst.empty) ~store ~sections ~neg ~count body k =
+  (* An argument that evaluated is compared by value; the others match
+     as in {!Dterm.match_value}, left to right. *)
+  let rec match_args subst args vals tup =
+    match args, vals, tup with
+    | [], [], [] -> Some subst
+    | _ :: args', Some v :: vals', w :: tup' ->
+      if Value.equal v w then match_args subst args' vals' tup' else None
+    | t :: args', None :: vals', w :: tup' -> (
+      match Dterm.match_value builtins t w subst with
+      | Some subst' -> match_args subst' args' vals' tup'
       | None -> None)
-    | _, _ -> None
+    | _, _, _ -> None
   in
   let rec go body idx subst =
     match body with
     | [] -> k subst
     | Literal.Pos a :: rest ->
       let s = store a.Literal.pred in
-      (* The first argument position fully evaluable under the current
-         substitution keys an index probe; a literal with no bound
-         argument scans the section. *)
-      let rec find i = function
-        | [] -> None
-        | t :: args -> (
-          match Dterm.eval builtins subst t with
-          | Some v -> Some (i, v)
-          | None -> find (i + 1) args)
-      in
-      let key = find 0 a.Literal.args in
-      let try_tuple tup =
-        match match_args subst a.Literal.args tup with
-        | Some subst' -> go rest (idx + 1) subst'
-        | None -> ()
+      (* The arguments are evaluated once: every one evaluating makes
+         the probe a membership test, which binds nothing; otherwise the
+         first that evaluates keys the probe, and a literal with none
+         scans the section. *)
+      let vals = List.map (Dterm.eval builtins subst) a.Literal.args in
+      let key = key_of vals in
+      let try_tuple =
+        match key with
+        | Tuple _ -> fun _ -> go rest (idx + 1) subst
+        | Arg _ | Unbound -> (
+          fun tup ->
+            match match_args subst a.Literal.args vals tup with
+            | Some subst' -> go rest (idx + 1) subst'
+            | None -> ())
       in
       List.iter (fun section -> count (probe s section key try_tuple)) (sections idx)
     | Literal.Neg a :: rest -> if neg subst a then go rest (idx + 1) subst
@@ -142,7 +187,7 @@ let solve builtins ~store ~sections ~neg ~count body k =
       | Some v1, Some v2 -> if not (Value.equal v1 v2) then go rest (idx + 1) subst
       | _, _ -> ())
   in
-  go body 0 Subst.empty
+  go body 0 subst
 
 let ordered builtins rules =
   List.map

@@ -1,17 +1,25 @@
-(** Sectioned relation stores with lazy per-argument hash indexes, and
-    the semi-naive round driver over them — the one join mechanism and
-    the one rule loop of the bottom-up engines ({!Seminaive} and the
-    {!Grounder}).
+(** Sectioned relation stores, probed by argument, and the semi-naive
+    round driver over them — the one join mechanism and the one rule
+    loop of the bottom-up engines ({!Seminaive} and the {!Grounder}).
 
     A store holds a relation in three sections: [full] (facts
     from earlier rounds), [delta] (facts new in the current round) and
     [next] (facts discovered during the current round, invisible to
     probes until {!promote}). A positive literal probes [full], [delta]
-    or both — the semi-naive split — and the first argument that
-    evaluates under the current substitution selects a bucket of a
-    per-(section, argument) hash index keyed on [Value.hash]. An index
-    is built on its first probe and dropped when {!promote} changes the
-    sections, so no index outlives the sections it was built from. *)
+    or both — the semi-naive split — and its arguments are evaluated
+    under the current substitution once:
+    - when every argument evaluates, the probe is one membership test;
+    - when the first argument evaluates, the probe walks the run of the
+      sorted section whose tuples start with its value
+      ({!Tuples} is ordered lexicographically), so it needs no index;
+    - when a later argument is the first that evaluates, it selects a
+      bucket of a per-(section, argument) hash index keyed on
+      [Value.hash], built on its first probe and dropped when the
+      section changes, so no index outlives the section it was built
+      from;
+    - when none does, the probe scans the section.
+
+    A walk and a bucket list their tuples in the set's order. *)
 
 open Recalg_kernel
 
@@ -42,6 +50,10 @@ val promote : t -> unit
 (** End a round: [full ∪ delta] becomes [full], [next] becomes [delta].
     Drops the indexes unless every section stays the same. *)
 
+val set_delta : t -> Tuples.t -> unit
+(** Replace the [delta] section, dropping only its indexes: the indexes
+    over [full] stay. *)
+
 val sections : t -> Tuples.t * Tuples.t * Tuples.t
 (** [(full, delta, next)]: a pointer-copy snapshot. *)
 
@@ -50,8 +62,8 @@ val restore : t -> Tuples.t * Tuples.t * Tuples.t -> unit
 
 (** How a positive literal found its candidate tuples in one section. *)
 type probe =
-  | Hit  (** an index bucket *)
-  | Miss  (** no bucket for the key: nothing to match *)
+  | Hit  (** the tuple, a run of the section or an index bucket *)
+  | Miss  (** nothing for the key: nothing to match *)
   | Scan  (** no argument was bound: the whole section *)
 
 val split : int option -> int -> section list
@@ -62,6 +74,7 @@ val split : int option -> int -> section list
 
 val solve :
   Builtins.t ->
+  ?subst:Subst.t ->
   store:(string -> t) ->
   sections:(int -> section list) ->
   neg:(Subst.t -> Literal.atom -> bool) ->
@@ -69,8 +82,9 @@ val solve :
   Literal.t list ->
   (Subst.t -> unit) ->
   unit
-(** [solve builtins ~store ~sections ~neg ~count body k] calls [k] on
-    every substitution satisfying the ordered [body]. The positive
+(** [solve builtins ~subst ~store ~sections ~neg ~count body k] calls
+    [k] on every extension of [subst] (default empty) satisfying the
+    ordered [body]. The positive
     literal at position [i] matches the tuples of [sections i] of its
     predicate's store, in section order; a negative literal lets the
     substitution through when [neg] says so; (in)equalities evaluate or

@@ -126,6 +126,46 @@ let test_reach_chain () =
     Alcotest.failf "reach chain, naive grounding: ×%.2f words, inside the bound ×%.0f"
       naive bound
 
+(* DRed on the reach chain t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y),
+   t(Y, Z). over n edges e(i, i+1), through [Incremental.update]: delete
+   the first edge and refill it, then the same with the last edge. Each
+   batch changes n of the n(n+1)/2 facts, and maintenance costs what it
+   changes: 536,216 → 2,219,400 words (×4.14) at n = 250 → 1000. At
+   4a80966, whose rederivation fired every rule over all the survivors
+   and whose overdeletion built its stores and their indexes again every
+   round, it read ×17.2 (20,520,699 → 353,169,925). That shape is gone
+   from the tree, so no slow reference is asserted against here. The
+   middle edge is left out: deleting it removes n²/4 facts, so ×16 is
+   the right answer there. *)
+let test_dred_chain () =
+  let program =
+    fst (Datalog.Parser.parse_exn "t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).")
+  in
+  let run n =
+    let t =
+      match
+        Datalog.Incremental.init ~fuel:Limits.unlimited program
+          (Tgen.int_edb "e" (Tgen.int_chain n))
+      with
+      | Ok t -> t
+      | Error msg -> Alcotest.fail msg
+    in
+    let batch ins i =
+      let edge = [ Value.int i; Value.int (i + 1) ] in
+      (if ins then Datalog.Edb.Update.insert else Datalog.Edb.Update.delete)
+        "e" edge Datalog.Edb.Update.empty
+    in
+    fun () ->
+      List.iter
+        (fun i ->
+          ignore (Datalog.Incremental.update t (batch false i));
+          ignore (Datalog.Incremental.update t (batch true i)))
+        [ 0; n - 1 ]
+  in
+  let r = words (run 1000) /. words (run 250) in
+  if r > 6. then
+    Alcotest.failf "reach chain, DRed delete and refill: ×%.2f words for 4× the chain" r
+
 (* [time large /. time small], each time the least CPU time of nine
    runs of [read] on a fresh [setup] of that size, which is not timed.
    The two sizes alternate, so a slow stretch of the machine slows both
@@ -309,6 +349,7 @@ let suite =
     Alcotest.test_case "negation chain, stratified at two domains" `Quick
       test_stratified_chain_domains;
     Alcotest.test_case "reach chain under inflationary" `Quick test_inflationary_reach;
+    Alcotest.test_case "reach chain, DRed delete and refill" `Quick test_dred_chain;
     Alcotest.test_case "negation chain, stratified, timed" `Quick
       test_stratified_chain_timed;
     Alcotest.test_case "negation chain, translated and printed, timed" `Quick

@@ -359,6 +359,22 @@ let test_dl_pinned_fuel () =
   Alcotest.check edb_equal "final = scratch" (dl_scratch program (DI.edb t))
     (DI.result t)
 
+(* Two rules derive p(5): one through an interpreted head term, one
+   through a repeated variable. Deleting e(5, 5) overdeletes p(5), and
+   only evaluating the first rule's head under its body's solutions
+   rederives it from q(4): matching the fact against add(X, 1) binds
+   nothing. *)
+let test_dl_interpreted_head () =
+  let program, edb =
+    Datalog.Parser.parse_exn "p(add(X, 1)) :- q(X). p(Y) :- e(Y, Y). q(4). e(5, 5)."
+  in
+  let t = dl_init program edb in
+  let five = [ Value.int 5 ] in
+  Alcotest.(check bool) "p(5) before" true (DI.holds t "p" five);
+  let got = DI.update t (DU.delete "e" [ Value.int 5; Value.int 5 ] DU.empty) in
+  Alcotest.(check bool) "p(5) stays" true (DI.holds t "p" five);
+  Alcotest.check edb_equal "DRed = scratch" (dl_scratch program (DI.edb t)) got
+
 let test_dl_negation_recompute () =
   (* Stratified negation: a deletion *grows* iso — must take the
      recompute path and still agree with scratch. *)
@@ -412,6 +428,56 @@ let prop_datalog_incremental_equals_scratch =
             let got = DI.update t (dl_batch ops) in
             Datalog.Edb.equal got (dl_scratch program (DI.edb t)))
           bs)
+
+(* Head shapes under maintenance: [Tgen.head_shape_program_gen]'s
+   programs over e/2 and q/1 on the integers 0..3, under random batches
+   that insert and delete e edges and extensional q facts (a derived
+   predicate's axioms). Three facts in four are edges, and a database
+   holds 2 to 10 facts: on sparser ones, a rederivation that binds heads
+   by matching alone passed about a third of the runs at this count. *)
+let shape_fact (is_edge, (a, b)) =
+  if is_edge then ("e", [ Value.int a; Value.int b ]) else ("q", [ Value.int a ])
+
+let shape_edb facts =
+  List.fold_left
+    (fun edb f ->
+      let pred, tup = shape_fact f in
+      Datalog.Edb.add pred tup edb)
+    Datalog.Edb.empty facts
+
+let shape_batch ops =
+  List.fold_left
+    (fun u (ins, f) ->
+      let pred, tup = shape_fact f in
+      if ins then DU.insert pred tup u else DU.delete pred tup u)
+    DU.empty ops
+
+let head_shape_instance_arb =
+  let fact =
+    QCheck.Gen.(
+      pair (frequencyl [ (3, true); (1, false) ]) (pair (int_bound 3) (int_bound 3)))
+  in
+  QCheck.make
+    ~print:(fun (p, facts, bs) ->
+      Fmt.str "%s | %a | %a" (Datalog.Program.to_string p) Datalog.Edb.pp
+        (shape_edb facts)
+        Fmt.(list ~sep:(any "; ") DU.pp)
+        (List.map shape_batch bs))
+    QCheck.Gen.(
+      triple Tgen.head_shape_program_gen
+        (list_size (int_range 2 10) fact)
+        (list_size (int_range 1 4) (list_size (int_range 1 4) (pair bool fact))))
+
+let prop_datalog_head_shapes_incremental =
+  QCheck.Test.make
+    ~name:"incremental Datalog ≡ from-scratch (head shapes, random updates)"
+    ~count:(Tgen.qcount 150) head_shape_instance_arb (fun (program, facts, bs) ->
+      let t = dl_init program (shape_edb facts) in
+      List.for_all
+        (fun ops ->
+          let got = DI.update t (shape_batch ops) in
+          Datalog.Edb.equal got (dl_scratch program (DI.edb t)))
+        bs)
 
 (* The grounder's resident envelope, judged through the valid semantics:
    negation and non-stratified programs are fully in scope, and the
@@ -503,9 +569,12 @@ let suite =
     Alcotest.test_case "Datalog delete runs DRed" `Quick test_dl_delete;
     Alcotest.test_case "Datalog negation recomputes" `Quick
       test_dl_negation_recompute;
+    Alcotest.test_case "Datalog DRed rederives through an interpreted head"
+      `Quick test_dl_interpreted_head;
     Alcotest.test_case "Datalog pinned fuel over delete/refill" `Quick
       test_dl_pinned_fuel;
     QCheck_alcotest.to_alcotest prop_datalog_incremental_equals_scratch;
+    QCheck_alcotest.to_alcotest prop_datalog_head_shapes_incremental;
     Alcotest.test_case "live grounding retracts" `Quick
       test_live_ground_retracts;
     Alcotest.test_case "live grounding re-grounds a re-inserted fact" `Quick

@@ -94,6 +94,67 @@ let rand_program_gen =
     let* rules = list_size (return n) rand_rule_gen in
     return (program_of_rand_rules rules))
 
+(* Random negation-free programs over e/2 on the integers 0..3, so every
+   batch that deletes runs DRed, with the head shapes DRed must bind an
+   overdeleted fact to: besides variables, a constant, a repeated
+   variable, a free-constructor term f(X) and an interpreted term
+   add(X, 1). A body starts with e(X, Y) or e(Y, X), may go on with an
+   [=] literal (X = Y, Z = add(X, Y) or Z = f(Y)) and with r(Y, W),
+   which binds W from a derived relation, and may end with a filter over
+   p, q or r. Only variables bound by e, which is extensional, enter a
+   term that builds a value: no interpreted head term takes a value a
+   recursive relation bound, so every value a program derives comes from
+   a finite set and every generated program stays finite. *)
+let head_shape_rule_gen =
+  QCheck.Gen.(
+    let open Datalog in
+    let x = Dterm.var "X" and y = Dterm.var "Y" in
+    let z = Dterm.var "Z" and w = Dterm.var "W" in
+    let* first = oneofl [ Literal.pos "e" [ x; y ]; Literal.pos "e" [ y; x ] ] in
+    let* eq =
+      oneofl
+        [ None;
+          Some (Literal.eq x y, []);
+          Some (Literal.eq z (Dterm.app "add" [ x; y ]), [ z ]);
+          Some (Literal.eq z (Dterm.app "f" [ y ]), [ z ]) ]
+    in
+    let* join = bool in
+    let* filter =
+      oneofl
+        [ []; [ Literal.pos "p" [ y ] ]; [ Literal.pos "q" [ x ] ];
+          [ Literal.pos "r" [ y; x ] ] ]
+    in
+    let bound =
+      [ x; y ]
+      @ (match eq with Some (_, zs) -> zs | None -> [])
+      @ if join then [ w ] else []
+    in
+    let arg =
+      frequency
+        [ (4, oneofl bound);
+          (1, return (Dterm.int 2));
+          (1, return (Dterm.app "f" [ x ]));
+          (1, return (Dterm.app "add" [ x; Dterm.int 1 ])) ]
+    in
+    let* pred, arity = oneofl idb_preds in
+    let* args =
+      if arity = 1 then map (fun a -> [ a ]) arg
+      else
+        frequency
+          [ (3, list_size (return 2) arg); (1, map (fun a -> [ a; a ]) (oneofl bound)) ]
+    in
+    let body =
+      (first :: (match eq with Some (l, _) -> [ l ] | None -> []))
+      @ (if join then [ Literal.pos "r" [ y; w ] ] else [])
+      @ filter
+    in
+    return (Rule.make (Literal.atom pred args) body))
+
+let head_shape_program_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 5 in
+    map Datalog.Program.make (list_size (return n) head_shape_rule_gen))
+
 let rand_program_arb =
   QCheck.make
     ~print:(fun p -> Datalog.Program.to_string p)
