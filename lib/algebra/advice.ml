@@ -20,15 +20,18 @@ let naive t = { t with seminaive = false }
 let unfused t = { t with fused = false }
 let unsplit t = { t with split = false }
 
-let fused_join t builtins node =
+let fused_join t builtins ?map node =
   match node with
   | Expr.Select (p, Expr.Product (a, b)) -> (
     let plan = if t.fused then Join.plan p else None in
-    match plan with
-    | Some jp ->
+    match plan, map with
+    | Some jp, _ ->
       Obs.count "plan/fused" 1;
-      Some (a, b, Join.exec builtins jp)
-    | None ->
+      Some (a, b, Join.exec builtins jp ~map:(Option.value map ~default:Efun.Id))
+    | None, Some _ ->
+      (* The caller evaluates [node] under its map, and counts it then. *)
+      None
+    | None, None ->
       Obs.count "plan/unfused" 1;
       None)
   | _ -> None

@@ -86,6 +86,7 @@ val unsplit : t -> t
 val fused_join :
   t ->
   Builtins.t ->
+  ?map:Efun.t ->
   Expr.t ->
   (Expr.t * Expr.t * (Value.t -> Value.t -> Value.t)) option
 (** The evaluation path of a [Select (p, a)] node, the one decision the
@@ -95,4 +96,10 @@ val fused_join :
     values of [l] and [r] — a hash join ({!Join.exec}), byte-identical to
     filtering the product. [None] means filter [a]'s value by [p]. Counts
     [plan/fused], or [plan/unfused] when [a] is a product that is not
-    joined. *)
+    joined.
+
+    [~map:f] asks for the node of [Map (f, node)]: [join] is then the
+    join mapped through [f], whose value is the [Map] node's, so no pair
+    the map discards is built. On [None] nothing is counted, as the
+    caller then evaluates [node] itself; so each node counts once per
+    evaluation either way. *)

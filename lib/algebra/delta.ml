@@ -130,11 +130,15 @@ let select builtins p need d =
   let keep = Value.filter (fun v -> Pred.eval builtins p v = Some true) in
   sides need (fun () -> keep d.plus) (fun () -> keep d.minus)
 
+(* A removed element's image may still be the image of another: only
+   the images the [MAP] node's current value lacks are removed. *)
+let lacked ~mem c =
+  if is_empty c.minus then c
+  else { c with minus = Value.filter (fun y -> not (mem y)) c.minus }
+
 let map builtins f ~mem need d =
   let image = Value.filter_map_set (Efun.apply builtins f) in
-  sides need
-    (fun () -> image d.plus)
-    (fun () -> Value.filter (fun y -> not (mem y)) (image d.minus))
+  lacked ~mem (sides need (fun () -> image d.plus) (fun () -> image d.minus))
 
 type bound = { value : Expr.t -> Value.t; changes : (string * change) list }
 
@@ -171,9 +175,13 @@ let derive ~builtins ?(advice = Advice.none) ?(need = Plus) ?other this e =
         match Advice.fused_join advice builtins e with
         | Some (ex, ey, join) -> bilinear join need (operand ex) (operand ey)
         | None -> select builtins p need (go here need x))
-      | Expr.Map (f, x) ->
+      | Expr.Map (f, x) -> (
         let v = now e in
-        map builtins f ~mem:(fun y -> Value.mem y (Lazy.force v)) need (go here need x)
+        let mem y = Value.mem y (Lazy.force v) in
+        match Advice.fused_join advice builtins ~map:f x with
+        | Some (ex, ey, join) ->
+          lacked ~mem (bilinear join need (operand ex) (operand ey))
+        | None -> map builtins f ~mem need (go here need x))
       | Expr.Diff (x, y) -> (
         let ((vx, dx) as a) = operand x in
         let vy = lazy ((if here then other else this).value y) in

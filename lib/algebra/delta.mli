@@ -24,7 +24,12 @@
       [minus = Δa⁻ ⋈ (b ∪ Δb⁻) ∪ (a ∪ Δa⁻) ⋈ Δb⁻];
     - selection filters both sides;
     - [MAP] images [plus], and keeps from the image of [minus] only the
-      elements the current value lacks.
+      elements the current value lacks;
+    - [MAP] over a fused join is the bilinear rule of the join mapped
+      through [f] ({!Join.exec}), over the join's two operands, and its
+      [minus] keeps, as the [MAP] rule does, only the images the
+      current value lacks: [old ⊆ now ∪ minus] holds for the pairs and
+      so for their images.
 
     A rule computes only the sides its reader needs ({!need}): a
     difference's [plus] reads its right operand's [minus], so a
@@ -80,7 +85,7 @@ val diff : need -> operand -> operand -> change
 
 val bilinear : (Value.t -> Value.t -> Value.t) -> need -> operand -> operand -> change
 (** [bilinear join need a b] for [join] = {!Value.product} or a hash
-    join ({!Join.exec}). *)
+    join ({!Join.exec}), mapped or not. *)
 
 val select : Builtins.t -> Pred.t -> need -> change -> change
 
@@ -104,7 +109,8 @@ val derive :
     [Select (p, Product _)] nodes take the path {!Advice.fused_join}
     chooses under [advice] (default {!Advice.none}), so a delta round
     joins each factor's change against the other factor's current value
-    without materialising a product.
+    without materialising a product; a [Map] over such a node joins
+    through its function, without building the pairs.
 
     Raises [Invalid_argument] when [need] asks for the [minus] side and
     it depends on an [Ifp] or [Call] over a changed name that no

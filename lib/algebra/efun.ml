@@ -45,6 +45,32 @@ let rec apply builtins f v =
     | Some w -> apply builtins g w
     | None -> None)
 
+(* [apply] on the pair [x, y], built only where [f] needs it whole. *)
+let rec apply_pair builtins f x y =
+  match f with
+  | Id -> Some (Value.pair x y)
+  | Proj 1 -> Some x
+  | Proj 2 -> Some y
+  | Proj _ | Arg _ -> apply builtins f (Value.pair x y)
+  | Const c -> Some c
+  | Compose (g, h) -> (
+    match apply_pair builtins h x y with
+    | Some w -> apply builtins g w
+    | None -> None)
+  | Tuple_of fs -> Option.map Value.tuple (args_pair builtins [] fs x y)
+  | App (name, fs) ->
+    Option.bind (args_pair builtins [] fs x y) (Builtins.apply builtins name)
+
+(* The arguments' results, left to right, or [None] at the first
+   undefined one, where [apply] stops too. *)
+and args_pair builtins acc fs x y =
+  match fs with
+  | [] -> Some (List.rev acc)
+  | g :: rest -> (
+    match apply_pair builtins g x y with
+    | Some w -> args_pair builtins (w :: acc) rest x y
+    | None -> None)
+
 let add_const k = App ("add", [ Id; Const (Value.int k) ])
 let pi i = Proj i
 

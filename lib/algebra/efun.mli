@@ -24,6 +24,13 @@ type t =
 
 val apply : Builtins.t -> t -> Value.t -> Value.t option
 
+val apply_pair : Builtins.t -> t -> Value.t -> Value.t -> Value.t option
+(** [apply_pair builtins f x y = apply builtins f (Value.pair x y)] for
+    every [f]. The pair is built only where [f] needs it whole: [Id]
+    returns it, and a projection other than [pi1] and [pi2], or an
+    [Arg], reads it as [apply] does. So a join mapped through [f]
+    interns the images, not the pairs. *)
+
 (** {1 Convenience constructors} *)
 
 val add_const : int -> t

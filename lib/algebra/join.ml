@@ -130,41 +130,104 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-let exec builtins plan left right =
+(* [ys] filed in [index] by [add] under their keys; an element whose key
+   is undefined is left out. *)
+let rec file_all builtins key add index ys =
+  match ys with
+  | [] -> index
+  | y :: rest ->
+    (match Efun.apply builtins key y with
+    | Some k -> add index k y
+    | None -> ());
+    file_all builtins key add index rest
+
+let keyed builtins plan ys add =
+  file_all builtins plan.right_key add (Vtbl.create (List.length ys + 1)) ys
+
+let bucket index k = Option.value (Vtbl.find_opt index k) ~default:[]
+let file index k y = Vtbl.replace index k (y :: bucket index k)
+
+(* A joined pair is kept iff every residual conjunct holds on it. *)
+let passes builtins residual v =
+  List.for_all (fun c -> Pred.eval builtins c v = Some true) residual
+
+let exec builtins plan ~map left right =
   let xs = Value.elements left in
   let ys = Value.elements right in
-  let ny = List.length ys in
   if Obs.enabled () then begin
     Obs.count "join/exec" 1;
-    Obs.count "join/build" ny;
+    Obs.count "join/build" (List.length ys);
     Obs.count "join/probe" (List.length xs)
   end;
-  let keep v =
-    List.for_all (fun c -> Pred.eval builtins c v = Some true) plan.residual
-  in
-  let index = Vtbl.create (ny + 1) in
-  List.iter
-    (fun y ->
-      match Efun.apply builtins plan.right_key y with
-      | Some k ->
-        let bucket = Option.value (Vtbl.find_opt index k) ~default:[] in
-        Vtbl.replace index k (y :: bucket)
-      | None -> ())
-    ys;
   let out =
-    List.fold_left
-      (fun acc x ->
+    match plan.residual, split map with
+    | [], Left_only g -> (
+      (* A semijoin: the left elements whose key [right] has. *)
+      let keys = keyed builtins plan ys (fun index k _ -> Vtbl.replace index k ()) in
+      let hits x =
         match Efun.apply builtins plan.left_key x with
-        | None -> acc
-        | Some k ->
-          List.fold_left
-            (fun acc y ->
-              let v = Value.pair x y in
-              if keep v then v :: acc else acc)
-            acc
-            (Option.value (Vtbl.find_opt index k) ~default:[]))
-      [] xs
+        | Some k -> Vtbl.mem keys k
+        | None -> false
+      in
+      match g with
+      | Efun.Id -> Value.filter hits left
+      | _ ->
+        Value.filter_map_set
+          (fun x -> if hits x then Efun.apply builtins g x else None)
+          left)
+    | [], Right_only g ->
+      (* The other semijoin: a bucket is imaged on its key's first hit
+         and dropped, so each right element is imaged once. *)
+      let index = keyed builtins plan ys file in
+      Value.set
+        (List.fold_left
+           (fun acc x ->
+             match Efun.apply builtins plan.left_key x with
+             | None -> acc
+             | Some k -> (
+               match Vtbl.find_opt index k with
+               | None -> acc
+               | Some ys ->
+                 Vtbl.remove index k;
+                 List.fold_left
+                   (fun acc y ->
+                     match Efun.apply builtins g y with
+                     | Some v -> v :: acc
+                     | None -> acc)
+                   acc ys))
+           [] xs)
+    | residual, (Left_only _ | Right_only _ | Either_side _ | Both_sides) ->
+      (* Each joined pair's image; the pair is built only where the map
+         or a residual conjunct reads it whole. *)
+      let emit =
+        match residual, map with
+        | [], Efun.Id -> fun x y acc -> Value.pair x y :: acc
+        | [], _ -> (
+          fun x y acc ->
+            match Efun.apply_pair builtins map x y with
+            | Some v -> v :: acc
+            | None -> acc)
+        | _, Efun.Id ->
+          fun x y acc ->
+            let v = Value.pair x y in
+            if passes builtins residual v then v :: acc else acc
+        | _, _ -> (
+          fun x y acc ->
+            let v = Value.pair x y in
+            if not (passes builtins residual v) then acc
+            else
+              match Efun.apply builtins map v with
+              | Some w -> w :: acc
+              | None -> acc)
+      in
+      let index = keyed builtins plan ys file in
+      Value.set
+        (List.fold_left
+           (fun acc x ->
+             match Efun.apply builtins plan.left_key x with
+             | None -> acc
+             | Some k -> List.fold_left (fun acc y -> emit x y acc) acc (bucket index k))
+           [] xs)
   in
-  let out = Value.set out in
   if Obs.enabled () then Obs.countf "join/out" (fun () -> Value.cardinal out);
   out

@@ -8,7 +8,10 @@
     This module recognises the shape, extracts the equality keys, and
     evaluates the node as a hash join in [O(|a| + |b| + |out|)] —
     residual conjuncts are applied to each joined pair, and nodes with no
-    extractable equi-key fall back to product-then-filter.
+    extractable equi-key fall back to product-then-filter. The idioms
+    then map the join: [MAP_f(sigma(a x b))]. The join takes that [f],
+    so [out] is the image, not the pairs: with no residual and an [f]
+    that reads one side, the node is a semijoin in [O(|a| + |b|)].
 
     The fused evaluation is {e observably identical} to the unfused one:
     byte-identical result sets (a pair survives the selection iff the
@@ -61,12 +64,31 @@ val plan : Pred.t -> t option
     conjunct is a usable equality — the caller must then fall back to
     product-then-filter. *)
 
-val exec : Recalg_kernel.Builtins.t -> t -> Recalg_kernel.Value.t ->
-  Recalg_kernel.Value.t -> Recalg_kernel.Value.t
-(** [exec builtins plan left right] hash-joins the two sets: it indexes
-    [right] by [right_key], probes with [left_key] per left element, and
-    keeps the pairs passing [residual]. Equals
-    [filter (p = Some true) (product left right)] for the planned [p],
-    byte for byte. When observability is on, each call also emits its
-    output cardinality as the [join/out] counter, so a summary's
-    [counter_max] reports the peak join intermediate. *)
+val exec :
+  Recalg_kernel.Builtins.t ->
+  t ->
+  map:Efun.t ->
+  Recalg_kernel.Value.t ->
+  Recalg_kernel.Value.t ->
+  Recalg_kernel.Value.t
+(** [exec builtins plan ~map left right] is the join of the two sets
+    mapped through [map]: it equals
+    [filter_map_set (Efun.apply map) (filter (p = Some true) (product left right))]
+    for the planned [p], byte for byte. [map = Efun.Id] is the bare
+    join. It indexes [right] by [right_key] and probes with [left_key]
+    per left element. With no residual, {!split} [map] picks the path:
+
+    - [Left_only g]: a semijoin. Only [right]'s keys are indexed, and
+      [g x] is kept for every left [x] whose key hits; with [g = Id] the
+      answer is a filter of [left], with no sort.
+    - [Right_only g]: a semijoin the other way. A bucket is imaged
+      through [g] on its key's first hit and then dropped, so each right
+      element is imaged once.
+    - otherwise each joined pair's image is {!Efun.apply_pair}, so only
+      images are interned and sorted.
+
+    With residual conjuncts each pair is built, checked and then mapped.
+    When observability is on, each call counts [join/exec], [join/build]
+    ([|right|]), [join/probe] ([|left|]) and [join/out], the cardinality
+    of what it returns, so a summary's [counter_max] reports the peak
+    operator output. *)

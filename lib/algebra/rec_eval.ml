@@ -119,9 +119,12 @@ let rec eval_vset ctx mask env e =
     | None ->
       let sa = recur mask env a in
       map_bounds mask (Value.filter (fun v -> Pred.eval builtins p v = Some true)) sa)
-  | Expr.Map (f, a) ->
-    let sa = recur mask env a in
-    map_bounds mask (Value.filter_map_set (Efun.apply builtins f)) sa
+  | Expr.Map (f, a) -> (
+    match Advice.fused_join advice builtins ~map:f a with
+    | Some (ea, eb, join) -> lift mask join (recur mask env ea) (recur mask env eb)
+    | None ->
+      let sa = recur mask env a in
+      map_bounds mask (Value.filter_map_set (Efun.apply builtins f)) sa)
   | Expr.Ifp (x, body) ->
     Obs.span "ifp" @@ fun () ->
     (* The only algebra IFP loop. Over defined free names the two bounds

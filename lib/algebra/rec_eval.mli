@@ -84,7 +84,9 @@ val solve :
     are {!Delta.Acc}s: a round interns only its delta, and the
     accumulated bound is merged when read or when the loop ends.
     [Select (p, Product _)] nodes run as hash joins on each bound the
-    evaluation needs ({!Advice.fused_join}). The overlays {!Advice.naive}
+    evaluation needs ({!Advice.fused_join}), and a [Map] over one runs
+    as the join mapped through its function, which builds no pair the
+    map discards. The overlays {!Advice.naive}
     and {!Advice.unfused} force the reference paths; every such path
     visits byte-identical bounds on identical iterations and spends
     identical fuel. The overlay {!Advice.unsplit} solves all constants

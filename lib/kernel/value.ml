@@ -82,15 +82,17 @@ let node_hash n =
   | Cstr (f, xs) -> List.fold_left hash_fold (mix (mix fnv_offset 19) (Hashtbl.hash f)) xs
 
 (* ------------------------------------------------------------------ *)
-(* The hash-consing table.  Keys are nodes whose children are already
-   constructed values, so key equality only compares payloads and child
-   *pointers* — O(arity), like key hashing.  A strong table: the value
-   universes here live as long as the evaluation that built them, and a
-   strong table keeps Stats deterministic; a weak table (GC-evictable
-   entries) is the drop-in upgrade if retention ever dominates. *)
+(* The hash-consing table.  Keys are the interned records themselves,
+   hashed by their memoized [hash], so a node is hashed once per [make]
+   and a resize rehashes nothing; a lookup probes with a record that has
+   no id yet.  Key equality compares the hashes, then payloads and child
+   *pointers* — O(arity).  A strong table: the value universes here live
+   as long as the evaluation that built them, and a strong table keeps
+   Stats deterministic; a weak table (GC-evictable entries) is the
+   drop-in upgrade if retention ever dominates. *)
 
 module Tbl = Hashtbl.Make (struct
-  type t = node
+  type nonrec t = t
 
   let rec same_children xs ys =
     match xs, ys with
@@ -98,7 +100,7 @@ module Tbl = Hashtbl.Make (struct
     | x :: xs', y :: ys' -> x == y && same_children xs' ys'
     | _, _ -> false
 
-  let equal n1 n2 =
+  let same_node n1 n2 =
     match n1, n2 with
     | Int a, Int b -> Stdlib.( = ) a b
     | Str a, Str b -> String.equal a b
@@ -109,7 +111,8 @@ module Tbl = Hashtbl.Make (struct
     | Cstr (f, xs), Cstr (g, ys) -> String.equal f g && same_children xs ys
     | (Int _ | Str _ | Bool _ | Sym _ | Tuple _ | Set _ | Cstr _), _ -> false
 
-  let hash = node_hash
+  let equal a b = a.hash = b.hash && same_node a.node b.node
+  let hash v = v.hash
 end)
 
 (* The table is sharded so concurrent domains (Pool workers) intern
@@ -156,14 +159,14 @@ let mem_indexed = Atomic.make 0
 let mem_declined = Atomic.make 0
 
 let intern shard n h =
-  match Tbl.find_opt shard.table n with
+  match Tbl.find_opt shard.table { node = n; id = -1; hash = h } with
   | Some v ->
     shard.hits <- shard.hits + 1;
     v
   | None ->
     shard.misses <- shard.misses + 1;
     let v = { node = n; id = Atomic.fetch_and_add next_id 1; hash = h } in
-    Tbl.add shard.table n v;
+    Tbl.add shard.table v v;
     v
 
 let make n =

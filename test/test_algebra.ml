@@ -755,7 +755,111 @@ let test_join_exec_matches_filter () =
     Value.filter (fun v -> Pred.eval builtins p v = Some true) (Value.product a b)
   in
   Alcotest.check check_value "hash join = product-then-filter" unfused
-    (Join.exec builtins plan a b)
+    (Join.exec builtins plan ~map:Efun.Id a b)
+
+(* --- Projected joins ------------------------------------------------ *)
+
+(* Element functions over a join's pairs, covering every [Join.split]
+   class: the pair itself ([Both_sides], as are [pi3] and [arg], which
+   are undefined on it), one side ([Left_only], [Right_only]), both, and
+   a constant ([Either_side]). *)
+let pair_maps =
+  let open Efun in
+  [ ("id", Id); ("pi1", Proj 1); ("pi2", Proj 2);
+    ("pi1 . pi1", Compose (Proj 1, Proj 1)); ("pi2 . pi2", Compose (Proj 2, Proj 2));
+    ("[pi2, pi1]", Tuple_of [ Proj 2; Proj 1 ]); ("7", Const (vi 7)); ("pi3", Proj 3);
+    ("arg(f, 1)", Arg ("f", 1)); ("arg(f, 1) . pi1", Compose (Arg ("f", 1), Proj 1));
+    ("add(pi2 . pi1, 1)", App ("add", [ Compose (Proj 2, Proj 1); Const (vi 1) ]));
+    ("g(pi2, pi1 . pi1)", App ("g", [ Proj 2; Compose (Proj 1, Proj 1) ])) ]
+
+(* Join inputs: mostly pairs of small integers, with elements on which
+   the pair keys are undefined — integers, constructor terms f(k) and
+   triples. *)
+let join_input_gen =
+  QCheck.Gen.(
+    let small = map vi (int_range 0 3) in
+    let elem =
+      frequency
+        [ (6, map2 Value.pair small small);
+          (1, small);
+          (1, map (fun k -> Value.cstr "f" [ k ]) small);
+          (1, map (fun k -> Value.tuple [ k; k; k ]) small) ]
+    in
+    map Value.set (list_size (int_range 0 12) elem))
+
+(* Equi-join predicates: the composition's key, the key with a residual
+   conjunct, a composite key, whole elements as keys, and a key read
+   through a constructor. *)
+let join_preds =
+  let open Efun in
+  let l f = Compose (f, Proj 1) and r f = Compose (f, Proj 2) in
+  [ Pred.Eq (l (Proj 2), r (Proj 1));
+    Pred.And (Pred.Eq (l (Proj 2), r (Proj 1)), Pred.Lt (l (Proj 1), r (Proj 2)));
+    Pred.And (Pred.Eq (l (Proj 1), r (Proj 1)), Pred.Eq (l (Proj 2), r (Proj 2)));
+    Pred.Eq (Proj 1, Proj 2);
+    Pred.Eq (l (Arg ("f", 1)), r (Proj 2)) ]
+
+let prop_projected_join =
+  QCheck.Test.make ~name:"projected join = map of the bare join" ~count:(Tgen.qcount 300)
+    (QCheck.make
+       ~print:(fun (p, (f, _), l, r) ->
+         Fmt.str "sel[%a], map[%s]: %a x %a" Pred.pp p f Value.pp l Value.pp r)
+       QCheck.Gen.(
+         quad (oneofl join_preds) (oneofl pair_maps) join_input_gen join_input_gen))
+    (fun (p, (_, f), l, r) ->
+      let builtins = Builtins.default in
+      let plan = Option.get (Join.plan p) in
+      let bare = Join.exec builtins plan ~map:Efun.Id l r in
+      Value.equal bare
+        (Value.filter (fun v -> Pred.eval builtins p v = Some true) (Value.product l r))
+      && Value.equal
+           (Join.exec builtins plan ~map:f l r)
+           (Value.filter_map_set (Efun.apply builtins f) bare))
+
+let prop_apply_pair =
+  QCheck.Test.make ~name:"Efun.apply_pair = apply on the pair" ~count:(Tgen.qcount 300)
+    (QCheck.make
+       ~print:(fun ((f, _), x, y) -> Fmt.str "%s on %a, %a" f Value.pp x Value.pp y)
+       QCheck.Gen.(triple (oneofl pair_maps) Tgen.deep_value_gen Tgen.deep_value_gen))
+    (fun ((_, f), x, y) ->
+      let builtins = Builtins.default in
+      Option.equal Value.equal
+        (Efun.apply_pair builtins f x y)
+        (Efun.apply builtins f (Value.pair x y)))
+
+(* A semijoin counts its call, build and probe as the bare join does,
+   and [join/out] is what it returns: the image, not the pairs. [l] has
+   six pairs [i, i mod 2] and an integer, [r] eight pairs [j mod 2, j]
+   and one whose key [l] lacks; they join in 24 pairs. *)
+let test_semijoin_counters () =
+  let l = Value.set (vi 99 :: List.init 6 (fun i -> Value.pair (vi i) (vi (i mod 2))))
+  and r =
+    Value.set
+      (Value.pair (vi 5) (vi 100)
+      :: List.init 8 (fun j -> Value.pair (vi (j mod 2)) (vi j)))
+  in
+  let plan =
+    Option.get
+      (Join.plan
+         (Pred.Eq
+            ( Efun.Compose (Efun.Proj 2, Efun.Proj 1),
+              Efun.Compose (Efun.Proj 1, Efun.Proj 2) )))
+  in
+  List.iter
+    (fun (label, out) ->
+      let f = List.assoc label pair_maps in
+      Obs.Metrics.reset ();
+      let v =
+        Obs.Metrics.with_collecting (fun () -> Join.exec Builtins.default plan ~map:f l r)
+      in
+      let sn = Obs.Metrics.snapshot () in
+      Obs.Metrics.reset ();
+      Alcotest.(check (list int)) (label ^ ": join/exec, build, probe, out, answer")
+        [ 1; 9; 7; out; out ]
+        (List.map (Obs.Metrics.counter_total sn)
+           [ "join/exec"; "join/build"; "join/probe"; "join/out" ]
+        @ [ Value.cardinal v ]))
+    [ ("id", 24); ("pi1", 6); ("pi1 . pi1", 6); ("pi2", 8); ("pi2 . pi2", 8); ("7", 1) ]
 
 let prop_fused_eval_equals_unfused =
   (* The planner-equivalence property behind experiment E6: on random
@@ -1133,6 +1237,9 @@ let suite =
       Alcotest.test_case "join plan: fallback cases" `Quick test_join_plan_none;
       Alcotest.test_case "join exec = filter∘product" `Quick
         test_join_exec_matches_filter;
+      QCheck_alcotest.to_alcotest prop_projected_join;
+      QCheck_alcotest.to_alcotest prop_apply_pair;
+      Alcotest.test_case "semijoin counters" `Quick test_semijoin_counters;
       QCheck_alcotest.to_alcotest prop_fused_eval_equals_unfused;
       QCheck_alcotest.to_alcotest prop_fused_rec_eval_equals_unfused;
       Alcotest.test_case "reference paths reached (pinned counters)" `Quick

@@ -236,6 +236,31 @@ let expr_gen =
             let* a = node (depth - 1) in
             let* k = int_range 0 3 in
             return (Algebra.Expr.map (Algebra.Efun.add_const k) a) );
+          (* An equi-join, bare or projected: [pi1] and [pi2] make it a
+             semijoin, [[pi2, pi1]] maps each pair. Joined on whole
+             elements, each side's element is the other's, so a second
+             key, [lt(pi1, 3) = lt(pi2, 3)], joins many to many: a
+             removed pair's image can then stay in the [MAP]. *)
+          ( 2,
+            let* a = node (depth - 1) in
+            let* b = node (depth - 1) in
+            let* whole = bool in
+            let* f =
+              oneofl
+                Algebra.Efun.
+                  [ None; Some (Proj 1); Some (Proj 2);
+                    Some (Tuple_of [ Proj 2; Proj 1 ]) ]
+            in
+            let side i =
+              if whole then Algebra.Efun.Proj i
+              else Algebra.Efun.(App ("lt", [ Proj i; Const (Value.int 3) ]))
+            in
+            let joined =
+              Algebra.Expr.select
+                (Algebra.Pred.Eq (side 1, side 2))
+                (Algebra.Expr.product a b)
+            in
+            return (match f with Some f -> Algebra.Expr.map f joined | None -> joined) );
         ]
   in
   node 3
@@ -249,17 +274,35 @@ let expr_arb = QCheck.make ~print:Algebra.Expr.to_string expr_gen
    finite universe; difference and intersection place "x" under a Diff
    right-hand side, exercising the difference rule's read of the other
    bound's change alongside the distributive operators. *)
-let compose_expr a b =
+let compose_key =
+  Algebra.Pred.Eq
+    ( Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 1),
+      Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) )
+
+let compose_map =
+  Algebra.Efun.Tuple_of
+    [ Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1);
+      Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) ]
+
+let compose_expr a b = Algebra.Expr.(map compose_map (select compose_key (product a b)))
+
+(* The composition's join projected onto one side, a semijoin: the pairs
+   of [a] that continue in [b] ([pi1]), or those of [b] that [a] reaches
+   ([pi2]). *)
+let semijoin_expr i a b =
+  Algebra.Expr.(map (Algebra.Efun.Proj i) (select compose_key (product a b)))
+
+(* The composition with a residual conjunct beside its key: no pair
+   returns to where it started. *)
+let compose_residual_expr a b =
+  let loop =
+    Algebra.Pred.Eq
+      ( Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1),
+        Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) )
+  in
   Algebra.Expr.(
-    map
-      (Algebra.Efun.Tuple_of
-         [ Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 1);
-           Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 2) ])
-      (select
-         (Algebra.Pred.Eq
-            ( Algebra.Efun.Compose (Algebra.Efun.Proj 2, Algebra.Efun.Proj 1),
-              Algebra.Efun.Compose (Algebra.Efun.Proj 1, Algebra.Efun.Proj 2) ))
-         (product a b)))
+    map compose_map
+      (select (Algebra.Pred.And (compose_key, Algebra.Pred.Not loop)) (product a b)))
 
 let ifp_body_gen =
   let open QCheck.Gen in
@@ -287,6 +330,9 @@ let ifp_body_gen =
         [ (2, leaf);
           (3, map2 Algebra.Expr.union sub sub);
           (2, map2 compose_expr sub sub);
+          (1, map2 (semijoin_expr 1) sub sub);
+          (1, map2 (semijoin_expr 2) sub sub);
+          (1, map2 compose_residual_expr sub sub);
           (2, map2 Algebra.Expr.diff sub sub);
           (1, map2 Algebra.Expr.inter sub sub);
           (1, map (Algebra.Expr.map swap) sub);
