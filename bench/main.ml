@@ -623,7 +623,9 @@ let e13 () =
   let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   (* One workload, one scaling curve. A sample is [U.time_ms] (the median
      of three evaluations) at one pool size, and a pair times domains:1
-     and then domains:N, so load drift hits both sides alike. Every
+     and domains:N: even-numbered pairs time 1 first, odd-numbered pairs
+     N first, and pair [i] of every N runs before pair [i + 1] of any,
+     so neither load drift nor going first favours one side. Every
      result is compared against the first domains:1 result (the engines
      promise byte identity — [assert]ed, not just reported), and the
      structural fingerprint is recorded so a later run at another domain
@@ -640,15 +642,21 @@ let e13 () =
       | Some r -> assert (equal r result));
       (ms, (Pool.Stats.snapshot ()).Pool.Stats.tasks)
     in
+    let pair i d =
+      if i mod 2 = 0 then
+        let ms1, _ = sample 1 in
+        let ms, tasks = sample d in
+        (ms1, ms, tasks)
+      else
+        let ms, tasks = sample d in
+        let ms1, _ = sample 1 in
+        (ms1, ms, tasks)
+    in
+    let rounds =
+      List.init pairs (fun i -> List.map (fun d -> (d, pair i d)) domain_counts)
+    in
     let curves =
-      List.map
-        (fun d ->
-          ( d,
-            List.init pairs (fun _ ->
-                let ms1, _ = sample 1 in
-                let ms, tasks = sample d in
-                (ms1, ms, tasks)) ))
-        domain_counts
+      List.map (fun d -> (d, List.map (List.assoc d) rounds)) domain_counts
     in
     Pool.set_domains 1;
     let fingerprint = fingerprint (Option.get !reference) in

@@ -206,18 +206,6 @@ let update_cmd =
        ~doc:"Maintain a program's result differentially under update batches.")
     Term.(const update $ file $ updates $ semantics $ Common_args.term)
 
-(* The planner for an algebra evaluation over [db]: stats come from the
-   persisted file when one is given (stale entries pruned against the
-   live database) merged under a fresh sampling pass. *)
-let planner_of mode stats_file db =
-  let sampled = Plan.Stats.of_db db in
-  let stats =
-    match Option.bind stats_file Plan.Stats.load with
-    | None -> sampled
-    | Some persisted -> Plan.Stats.merge (Plan.Stats.prune_stale db persisted) sampled
-  in
-  Plan.Planner.create ~stats mode
-
 let alg_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.alg") in
   let window =
@@ -242,19 +230,7 @@ let alg_cmd =
              is the evaluator's choice in both modes. Results are \
              byte-identical in both modes.")
   in
-  let stats_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-file" ] ~docv:"FILE"
-          ~doc:
-            "Persist planner statistics across runs: load $(docv) before \
-             evaluation (entries whose fingerprint contradicts the live \
-             database are dropped), and rewrite it from the live \
-             relations afterwards. Missing or unreadable files degrade \
-             to no stats.")
-  in
-  let alg file window plan stats_file common =
+  let alg file window plan common =
     Common_args.with_reporting common @@ fun fuel ->
     match Algebra.Parser.parse_program (read_file file) with
     | Error msg ->
@@ -267,7 +243,7 @@ let alg_cmd =
         exit 1
       | Ok () ->
         let window = Option.map (fun n -> Value.set (List.init (n + 1) Value.int)) window in
-        let planner = planner_of plan stats_file Algebra.Db.empty in
+        let planner = Plan.Planner.create plan in
         let advice = Plan.Planner.advice planner in
         let constants =
           Algebra.Defs.constant_names
@@ -288,24 +264,12 @@ let alg_cmd =
             (Algebra.Rec_eval.query sol q)
         | None -> ());
         if common.Common_args.profile && plan <> Plan.Planner.Off then
-          Fmt.epr "%a" Plan.Planner.pp_reports (Plan.Planner.reports planner);
-        (* Persist what this run learned: the solved constants' certain
-           members are next run's relation statistics. *)
-        Option.iter
-          (fun path ->
-            Plan.Stats.save path
-              (Plan.Stats.of_db
-                 (List.fold_left
-                    (fun db name ->
-                      Algebra.Db.add name
-                        (Algebra.Rec_eval.constant sol name).Algebra.Rec_eval.low db)
-                    Algebra.Db.empty constants)))
-          stats_file)
+          Fmt.epr "%a" Plan.Planner.pp_reports (Plan.Planner.reports planner))
   in
   Cmd.v
     (Cmd.info "alg"
        ~doc:"Evaluate an algebra= program under the valid semantics.")
-    Term.(const alg $ file $ window $ plan $ stats_file $ Common_args.term)
+    Term.(const alg $ file $ window $ plan $ Common_args.term)
 
 let query_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.dl") in

@@ -105,12 +105,6 @@ module Update = struct
       (fun u (ins, pred, tup) -> shift pred tup (if ins then 1 else -1) u)
       empty l
 
-  let to_facts (u : t) =
-    Smap.fold
-      (fun pred m acc ->
-        Tmap.fold (fun tup w acc -> (w > 0, pred, tup) :: acc) m acc)
-      u []
-
   let effective (db : edb) (u : t) =
     Smap.fold
       (fun pred m acc ->

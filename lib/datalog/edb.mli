@@ -57,8 +57,6 @@ module Update : sig
   val of_facts : (bool * string * Value.t list) list -> t
   (** [(true, pred, tup)] inserts, [(false, pred, tup)] deletes. *)
 
-  val to_facts : t -> (bool * string * Value.t list) list
-
   val effective : edb -> t -> edb * edb
   (** [(additions, deletions)] the batch actually causes against the
       database — the exact membership changes, no-ops dropped. *)

@@ -22,5 +22,3 @@ let with_file path f =
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
-
-let write_file path f = with_file path f

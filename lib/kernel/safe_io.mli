@@ -1,6 +1,6 @@
 (** Atomic file persistence (tmp + rename).
 
-    Every artifact the system persists — stats files, JSONL traces,
+    Every artifact the system persists — JSONL traces, metrics files,
     bench records — goes through here, so a crash, fault, or resource
     abort mid-write can never leave a torn file behind: the target is
     replaced by a single [Sys.rename] only after the writer callback
@@ -17,6 +17,3 @@ val with_file : string -> (out_channel -> 'a) -> 'a
     channel to [f], and atomically renames it over [path] when [f]
     returns. If [f] raises, the temporary is removed and the exception
     re-raised. *)
-
-val write_file : string -> (out_channel -> unit) -> unit
-(** [with_file] specialized to unit writers. *)

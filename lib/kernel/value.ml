@@ -62,7 +62,8 @@ let equal a b = a == b
 (* Hashing.  FNV-1a over constructor tag and the children's *memoized*
    hashes — computing a node's hash is O(arity), never a deep walk.  The
    id is deliberately absent: hashes must be reproducible across runs
-   (persisted stats files key on them). *)
+   (E13's and E14's committed fingerprints are built from them and
+   compared across commits). *)
 
 let fnv_offset = 0x811c9dc5
 let fnv_prime = 0x01000193

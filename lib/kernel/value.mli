@@ -40,8 +40,9 @@ val id : t -> int
     ids are assigned in construction order (from
     one atomic counter, so they stay unique under concurrent interning
     from pool domains) and are not stable across runs. No observable
-    result may depend on them — {!compare} and {!hash} never do, and
-    {!mem} reads them only as bit positions, never as an order. *)
+    result may depend on them — {!compare} and {!hash} never do,
+    {!mem} reads them only as bit positions, never as an order, and
+    [Plan.Stats] counts distinct ids and never orders them. *)
 
 (** {1 Constructors} *)
 
@@ -76,7 +77,8 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** The memoized structural FNV-1a hash: a field read, never a re-walk.
     It depends on structure alone, never on ids, so it is the same in
-    every run; persisted stats files rely on that. *)
+    every run; E13's and E14's committed fingerprints are built from it
+    and compared across commits. *)
 
 val hash_fold : int -> t -> int
 (** [hash_fold acc v] mixes {!hash}[ v] into [acc] with the same FNV-style

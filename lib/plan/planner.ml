@@ -12,7 +12,7 @@ let mode_to_string m =
   match m with Off -> "off" | Cost -> "cost"
 
 (* DP join-order search is exponential in the leaf count; above this we
-   fall back to the greedy order (ISSUE: DP for <= 8 relations). *)
+   fall back to the greedy order. *)
 let dp_max_leaves = 8
 
 type join_report = {

@@ -85,5 +85,4 @@ val reports : t -> join_report list
 (** One report per planned join region, in planning order — the EXPLAIN
     payload. *)
 
-val pp_report : Format.formatter -> join_report -> unit
 val pp_reports : Format.formatter -> join_report list -> unit

@@ -18,8 +18,6 @@ let vars eq =
   List.rev
     (List.fold_left of_premise (of_term (of_term [] eq.lhs) eq.rhs) eq.premises)
 
-let is_unconditional eq = eq.premises = []
-
 let has_negative_premise eq =
   List.exists
     (fun p ->

@@ -17,7 +17,6 @@ val eq_prem : Term.t -> Term.t -> premise
 val neq_prem : Term.t -> Term.t -> premise
 
 val vars : t -> (string * Signature.sort) list
-val is_unconditional : t -> bool
 val has_negative_premise : t -> bool
 
 val check : Signature.t -> t -> (unit, string) result

@@ -29,7 +29,6 @@ let make ~sorts ~ops =
 let sorts t = t.sorts
 let ops t = t.ops
 let find_op t name = List.find_opt (fun o -> String.equal o.name name) t.ops
-let ops_of_result t sort = List.filter (fun o -> String.equal o.result sort) t.ops
 let has_sort t sort = List.mem sort t.sorts
 
 let union a b =

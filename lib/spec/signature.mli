@@ -13,7 +13,6 @@ val constant : string -> sort -> op
 val sorts : t -> sort list
 val ops : t -> op list
 val find_op : t -> string -> op option
-val ops_of_result : t -> sort -> op list
 val has_sort : t -> sort -> bool
 val union : t -> t -> t
 (** Import: combine two signatures; duplicate declarations must agree

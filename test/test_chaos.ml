@@ -118,7 +118,7 @@ let engines : (string * (unit -> int)) list =
         Fun.protect
           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
           (fun () ->
-            Safe_io.write_file path (fun oc -> output_string oc "payload");
+            Safe_io.with_file path (fun oc -> output_string oc "payload");
             let ic = open_in_bin path in
             Fun.protect
               ~finally:(fun () -> close_in_noerr ic)
@@ -557,11 +557,11 @@ let test_safe_io_atomic () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Safe_io.write_file path (fun oc -> output_string oc "original");
+      Safe_io.with_file path (fun oc -> output_string oc "original");
       (* A writer that fails mid-stream must leave the previous
          contents intact — the torn write dies with the tmp file. *)
       (match
-         Safe_io.write_file path (fun oc ->
+         Safe_io.with_file path (fun oc ->
              output_string oc "partial";
              failwith "boom")
        with
@@ -571,13 +571,13 @@ let test_safe_io_atomic () =
         (read_file path);
       (* Same through the injection point. *)
       Faultinj.arm ~site:"io/write" ~after:0;
-      (match Safe_io.write_file path (fun oc -> output_string oc "injected") with
+      (match Safe_io.with_file path (fun oc -> output_string oc "injected") with
       | _ -> Alcotest.fail "expected Injected"
       | exception Faultinj.Injected _ -> ());
       Faultinj.disarm ();
       Alcotest.(check string) "injected write left the original" "original"
         (read_file path);
-      Safe_io.write_file path (fun oc -> output_string oc "replaced");
+      Safe_io.with_file path (fun oc -> output_string oc "replaced");
       Alcotest.(check string) "clean write replaces" "replaced" (read_file path);
       (* No tmp litter in the directory. *)
       let dir = Filename.dirname path and base = Filename.basename path in
@@ -589,32 +589,6 @@ let test_safe_io_atomic () =
           (Sys.readdir dir)
       in
       Alcotest.(check bool) "no tmp litter" false litter)
-
-let test_stats_load_tolerates_corruption () =
-  let path = Filename.temp_file "recalg_chaos_stats" ".stats" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let write s = Safe_io.write_file path (fun oc -> output_string oc s) in
-      write "not a stats file\n";
-      Alcotest.(check bool) "foreign file -> None" true
-        (Plan.Stats.load path = None);
-      write "recalg-stats 1\nedge 12 34\n";
-      (* truncated entry *)
-      Alcotest.(check bool) "truncated entry -> None" true
-        (Plan.Stats.load path = None);
-      write "";
-      Alcotest.(check bool) "empty file -> None" true
-        (Plan.Stats.load path = None);
-      let db = edge_db chain_edges in
-      Plan.Stats.save path (Plan.Stats.of_db db);
-      match Plan.Stats.load path with
-      | None -> Alcotest.fail "roundtrip failed"
-      | Some s ->
-        Alcotest.(check (option int))
-          "roundtrip preserves cardinality"
-          (Some (List.length chain_edges))
-          (Plan.Stats.card s "edge"))
 
 let suite =
   [
@@ -645,6 +619,4 @@ let suite =
       test_faultinj_from_env;
     Alcotest.test_case "safe_io is atomic under faults" `Quick
       test_safe_io_atomic;
-    Alcotest.test_case "stats load tolerates corruption" `Quick
-      test_stats_load_tolerates_corruption;
   ]

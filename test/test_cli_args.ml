@@ -79,7 +79,7 @@ let shared_flags =
     "--memory-limit"; "--degrade" ]
 
 (* Documented as options ([--plan=MODE]), not only named in prose. *)
-let planner_flags = [ "--plan="; "--stats-file=" ]
+let planner_flags = [ "--plan=" ]
 
 let test_parity exe =
   List.iter

@@ -208,8 +208,9 @@ let test_intern_shard_spread () =
     true
     (s.Value.Stats.max_bucket <= 16)
 
-(* [Value.hash] is persisted by [--stats-file] fingerprints, so it must
-   not drift between runs or releases. *)
+(* E13's and E14's committed fingerprints are built from [Value.hash]
+   and compared across commits, so it must not drift between runs or
+   releases. *)
 let test_hash_golden () =
   let pin name expected v = Alcotest.(check int) name expected (Value.hash v) in
   pin "int" 3770334500153769531 (vi 42);
